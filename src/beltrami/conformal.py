@@ -41,6 +41,7 @@ from .exactpoly import (
 )
 from .frames import FrameField, grad
 from .quadrature import HopfGrid, default_grid
+from .solver import DEFAULT_DMAX_LIMIT
 
 MANIFOLDS = ("s3", "rp3")
 
@@ -338,6 +339,10 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     than the t = 0 value of its own factor minus 1e-6 (so the undeformed
     metric is the grid minimum).
     """
+    if not 0 <= dmax < DEFAULT_DMAX_LIMIT:
+        raise ValueError(
+            f"dmax must be between 0 and {DEFAULT_DMAX_LIMIT - 1} for a scan, "
+            f"which refines at dmax + 1; got {dmax}")
     if 0.0 not in amplitudes:
         raise ValueError("the amplitude grid must contain t = 0")
     if any(abs(t) > 0.05 for t in amplitudes):

@@ -9,14 +9,32 @@ eigenspace_solve(dmax) uses D = dmax + 1, which makes the curl spectrum on
 the trial space exactly the integers {0, +-2, ..., +-(dmax + 2)} (0 carrying
 the gradient part).
 
-Everything is exact rational linear algebra:
+All of the linear algebra runs on Python ints, whatever the rational
+backend:
 
-* fields are sparse coefficient vectors over reduced monomials,
-* curl acts as a precomputed sparse operator on those coordinates,
-* the spectral projection onto eigenvalue mu is the Lagrange interpolation
-  polynomial prod_{nu != mu} (curl - nu) / (mu - nu) applied to vectors,
-* the solver verifies that the projections resolve the identity exactly on a
-  basis of the trial space and raises SpectrumError otherwise.
+* fields are sparse coefficient vectors over reduced monomials, and curl
+  acts on them as a precomputed sparse operator C whose entries are
+  integers (checked when the operator is built);
+* for each eigenvalue mu of a block's candidate spectrum S the Lagrange
+  projector P_mu = prod_{nu != mu} (C - nu) / (mu - nu) is kept as the
+  integer polynomial D_mu P_mu = sum_k n_{mu,k} C^k, where
+  D_mu = prod_{nu != mu} (mu - nu);
+* one Krylov pass b, C b, ..., C^(|S|-1) b per vector gives every
+  D_mu P_mu b at once, with |S| - 1 integer matvecs (the solver takes one
+  more power for its check);
+* the eigenbases come from fraction-free elimination of those vectors, and
+  rationals appear only when an eigenvector is handed out (normalised to
+  pivot 1) or when project_vector, having cleared the denominators of its
+  input with their lcm den, divides its result once by den * D_mu.
+
+The exact checks run inside _Block.solve on every basis vector b.  With
+p(x) = prod_{nu in S} (x - nu) the solver requires p(C) b == 0, which holds
+exactly when b is a sum of curl eigenvectors with eigenvalues in S, and
+with L = lcm(D_mu) it requires the resolution of the identity
+sum_mu (L / D_mu) (D_mu P_mu b) == L b.  Either failure raises
+SpectrumError.  The second check is an identity of the Lagrange
+polynomials, so it guards the integer numerators; only the first can detect
+an eigenvalue missing from S.
 
 The trial space splits into two curl-invariant blocks by the total-degree
 parity of the frame coefficients; each block only meets the eigenvalues of
@@ -25,10 +43,11 @@ matching parity, which roughly halves the work.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from beltrami.exactpoly import Poly4, Rat, SphereScalar, canonicalize
-from beltrami.frames import FRAME_GENERATORS, FrameField, curl
+from beltrami.frames import _FRAME_COMPONENTS, FrameField, curl
 
 DEFAULT_DMAX_LIMIT = 5
 
@@ -82,76 +101,115 @@ class _Coordinates:
         return FrameField(*(canonicalize(Poly4(p)) for p in polys))
 
 
-def _curl_operator(coords: _Coordinates) -> Dict[int, List[Tuple[int, object]]]:
-    """Sparse columns of curl in the given coordinates."""
-    columns: Dict[int, List[Tuple[int, object]]] = {}
+def _integral(vec: Dict[int, object], what: str) -> Dict[int, int]:
+    """The vector with its rational entries as ints; they must be integral."""
+    out = {}
+    for j, c in vec.items():
+        if c.denominator != 1:
+            raise SpectrumError(f"{what} has the non-integral entry {c}")
+        out[j] = int(c)
+    return out
+
+
+def _curl_operator(coords: _Coordinates) -> Dict[int, List[Tuple[int, int]]]:
+    """Sparse integer columns of curl in the given coordinates."""
+    columns: Dict[int, List[Tuple[int, int]]] = {}
     n = len(coords.monomials)
     zero = SphereScalar.zero()
     for i in range(3):
         for k, e in enumerate(coords.monomials):
             f = [zero, zero, zero]
             f[i] = canonicalize(Poly4.monomial(e))
-            image = curl(FrameField(*f))
-            columns[i * n + k] = sorted(coords.to_vector(image).items())
+            image = _integral(coords.to_vector(curl(FrameField(*f))),
+                              "the curl operator")
+            columns[i * n + k] = sorted(image.items())
     return columns
 
 
-def _matvec(columns, vec):
-    out: Dict[int, object] = {}
+def _matvec(columns, vec: Dict[int, int]) -> Dict[int, int]:
+    out: Dict[int, int] = {}
     for j, x in vec.items():
         for i, c in columns[j]:
-            s = out.get(i, 0) + c * x
-            if s == 0:
-                out.pop(i, None)
-            else:
-                out[i] = s
-    return out
+            out[i] = out.get(i, 0) + c * x
+    return {i: c for i, c in out.items() if c}
 
 
-def _axpy(alpha, x, y):
-    """alpha * x + y for sparse vectors."""
-    out = dict(y)
-    for j, c in x.items():
-        s = out.get(j, 0) + alpha * c
-        if s == 0:
-            out.pop(j, None)
-        else:
-            out[j] = s
-    return out
+def _combine(coefficients: Sequence[int], vectors) -> Dict[int, int]:
+    """sum_k coefficients[k] * vectors[k] for sparse integer vectors."""
+    out: Dict[int, int] = {}
+    for a, vec in zip(coefficients, vectors):
+        if a:
+            for j, c in vec.items():
+                out[j] = out.get(j, 0) + a * c
+    return {j: c for j, c in out.items() if c}
 
 
-class _Rref:
-    """Incremental Gaussian elimination over the rationals.
+def _lagrange_numerators(spectrum: Tuple[int, ...]):
+    """Integer Lagrange data of a candidate spectrum S.
 
-    Tracks a triangular set of pivot rows; insert() returns the reduced row
-    (None when dependent), so the inserted rows form a basis of the span.
+    Returns (numerators, annihilator): numerators maps mu to the pair
+    (n_mu, D_mu), where n_mu lists the coefficients (lowest degree first) of
+    prod_{nu != mu} (x - nu) and D_mu = prod_{nu != mu} (mu - nu); the
+    annihilator lists the coefficients of prod_{nu in S} (x - nu).
+    """
+
+    def times_linear(p, nu):
+        # Coefficients of (x - nu) p(x) from those of p.
+        return [a - nu * b for a, b in zip([0] + p, p + [0])]
+
+    numerators = {}
+    for mu in spectrum:
+        coefficients, denominator = [1], 1
+        for nu in spectrum:
+            if nu != mu:
+                coefficients = times_linear(coefficients, nu)
+                denominator *= mu - nu
+        numerators[mu] = (coefficients, denominator)
+    annihilator = [1]
+    for nu in spectrum:
+        annihilator = times_linear(annihilator, nu)
+    return numerators, annihilator
+
+
+class _Echelon:
+    """Incremental fraction-free elimination over the integers.
+
+    Rows are primitive integer vectors keyed by their pivot (largest index),
+    and every pivot is positive.  A vector is reduced against a row with
+    pivot entries a (vector) and r (row) by vec <- (r/g) vec - (a/g) row,
+    g = gcd(r, a), which keeps it integral and only scales it by r/g > 0.
+    Each row is therefore a positive multiple of the row that rational
+    elimination with pivot 1 would produce; _normalised recovers that row.
     """
 
     def __init__(self):
-        self.rows: Dict[int, Dict[int, object]] = {}
+        self.rows: Dict[int, Dict[int, int]] = {}
 
-    def reduce(self, vec):
-        vec = dict(vec)
+    def insert(self, vec: Dict[int, int]):
+        """Reduce vec and store it; returns the new row, None if dependent."""
         while vec:
             p = max(vec)
             row = self.rows.get(p)
             if row is None:
-                return p, vec
-            vec = _axpy(-vec[p], row, vec)
-        return None, vec
-
-    def insert(self, vec):
-        p, vec = self.reduce(vec)
-        if p is None:
-            return None
-        inv = Rat(1) / Rat(vec[p]) if not isinstance(vec[p], float) else 1.0 / vec[p]
-        vec = {j: inv * c for j, c in vec.items()}
-        self.rows[p] = vec
-        return vec
+                content = gcd(*vec.values())
+                if vec[p] < 0:
+                    content = -content
+                vec = {j: c // content for j, c in vec.items()}
+                self.rows[p] = vec
+                return vec
+            g = gcd(row[p], vec[p])
+            vec = _combine((row[p] // g, -(vec[p] // g)), (vec, row))
+        return None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+def _normalised(row: Dict[int, int]) -> Dict[int, object]:
+    """The rational multiple of an integer row whose pivot entry is 1."""
+    pivot = row[max(row)]
+    return {j: Rat(c, pivot) for j, c in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +229,7 @@ class SolverEigenspace:
         return len(self._vectors)
 
     def fields(self) -> List[FrameField]:
-        return [self._coords.to_field(v) for v in self._vectors]
+        return [self._coords.to_field(_normalised(v)) for v in self._vectors]
 
 
 class SolverResult:
@@ -201,15 +259,15 @@ class _Block:
         start = 2 if parity == 0 else 3
         magnitudes = list(range(start, dmax + 3, 2))
         self.spectrum = [0] + [s * m for m in magnitudes for s in (1, -1)]
-        rref = _Rref()
+        echelon = _Echelon()
         self.basis = []
         for gen in self._generators(dmax + 1, parity):
-            row = rref.insert(gen)
+            row = echelon.insert(gen)
             if row is not None:
                 self.basis.append(row)
 
     def _generators(self, cartesian_degree: int, parity: int):
-        """Coordinate vectors of tangential monomial field projections."""
+        """Integer coordinate vectors of tangential monomial projections."""
         # Frame coefficients of m e_a have degree deg(m) + 1, so the block of
         # coefficient parity `parity` comes from monomials of the opposite
         # degree parity.
@@ -217,54 +275,54 @@ class _Block:
             for e1 in range(d + 1):
                 for e2 in range(d + 1 - e1):
                     for e3 in range(d + 1 - e1 - e2):
-                        m = (e1, e2, e3, d - e1 - e2 - e3)
+                        m = Poly4.monomial((e1, e2, e3, d - e1 - e2 - e3))
                         for a in range(4):
                             field = FrameField(*(
-                                canonicalize(Poly4.monomial(m) *
-                                             _frame_linear(i, a))
+                                canonicalize(m * _FRAME_COMPONENTS[i][a])
                                 for i in range(3)))
                             if not field.is_zero():
-                                yield self.coords.to_vector(field)
+                                yield _integral(self.coords.to_vector(field),
+                                                "a generator")
 
-    def project(self, vec, mu: int):
-        """Apply the Lagrange projection onto eigenvalue mu to a vector."""
-        out = vec
-        for nu in self.spectrum:
-            if nu == mu:
-                continue
-            scale = Rat(1, mu - nu)
-            out = {j: scale * c for j, c in
-                   _axpy(-Rat(nu), out, _matvec(self.curl_columns, out)).items()}
-        return out
+    def krylov(self, vec: Dict[int, int], length: int) -> List[Dict[int, int]]:
+        """The Krylov vectors vec, C vec, ..., C^(length - 1) vec."""
+        powers = [vec]
+        for _ in range(length - 1):
+            powers.append(_matvec(self.curl_columns, powers[-1]))
+        return powers
 
-    def solve(self):
-        """Eigenbases per eigenvalue, verifying the resolution of identity."""
-        collectors = {mu: _Rref() for mu in self.spectrum}
+    def scaled_projection(self, vec: Dict[int, int], mu: int):
+        """(D_mu P_mu vec, D_mu) for an integer vector vec."""
+        numerators, _ = _lagrange_numerators(tuple(self.spectrum))
+        coefficients, denominator = numerators[mu]
+        powers = self.krylov(vec, len(self.spectrum))
+        return _combine(coefficients, powers), denominator
+
+    def solve(self) -> Dict[int, _Echelon]:
+        """Eigenbases per eigenvalue, verifying the spectrum on every vector."""
+        spectrum = tuple(self.spectrum)
+        numerators, annihilator = _lagrange_numerators(spectrum)
+        common = lcm(*(denominator for _, denominator in numerators.values()))
+        weights = [common // numerators[mu][1] for mu in spectrum]
+        collectors = {mu: _Echelon() for mu in spectrum}
         for b in self.basis:
-            total: Dict[int, object] = {}
-            for mu in self.spectrum:
-                piece = self.project(b, mu)
-                total = _axpy(Rat(1), piece, total)
-                if piece:
-                    collectors[mu].insert(piece)
-            if total != b:
+            powers = self.krylov(b, len(spectrum) + 1)
+            if _combine(annihilator, powers):
+                raise SpectrumError(
+                    "curl has an eigenvalue outside the candidate spectrum "
+                    f"{sorted(spectrum)} on the trial space")
+            pieces = [_combine(numerators[mu][0], powers) for mu in spectrum]
+            if _combine(weights, pieces) != {j: common * c for j, c in b.items()}:
                 raise SpectrumError(
                     "spectral projections do not resolve the identity on the "
                     "trial space; the candidate spectrum is incomplete")
+            for mu, piece in zip(spectrum, pieces):
+                if piece:
+                    collectors[mu].insert(piece)
         return collectors
 
 
-def _frame_linear(i: int, a: int) -> Poly4:
-    """The linear form (L_i x)_a as a polynomial."""
-    L = FRAME_GENERATORS[i]
-    out = Poly4.zero()
-    for m in range(4):
-        if L[a][m]:
-            out = out + Poly4.variable(m + 1).scale(Rat(L[a][m]))
-    return out
-
-
-_BLOCK_CACHE: Dict[Tuple[int, int], Tuple[_Block, Dict[int, _Rref]]] = {}
+_BLOCK_CACHE: Dict[Tuple[int, int], Tuple[_Block, Dict[int, _Echelon]]] = {}
 
 
 def _solved_block(dmax: int, parity: int):
@@ -304,7 +362,9 @@ def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
     """Exact spectral projection of a polynomial frame field.
 
     The field is split into its two coefficient-parity parts, each projected
-    in the corresponding block of the order-dmax trial space.
+    in the corresponding block of the order-dmax trial space: its
+    denominators are cleared with one lcm, one integer Krylov pass gives
+    den * D_mu * P_mu, and the result is divided once.
     """
     even = FrameField(*(SphereScalar(c.even_part, Poly4.zero()) for c in field.f))
     odd = FrameField(*(SphereScalar(Poly4.zero(), c.odd_part) for c in field.f))
@@ -316,7 +376,15 @@ def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
         if mu not in block.spectrum:
             continue
         vec = block.coords.to_vector(part)
-        out = out + block.coords.to_field(block.project(vec, mu))
+        if any(isinstance(c, float) for c in vec.values()):
+            raise TypeError("project_vector needs exact rational coefficients")
+        den = lcm(*(int(c.denominator) for c in vec.values()))
+        piece, denominator = block.scaled_projection(
+            {j: int(c.numerator) * (den // int(c.denominator))
+             for j, c in vec.items()}, mu)
+        scale = den * denominator
+        out = out + block.coords.to_field(
+            {j: Rat(c, scale) for j, c in piece.items()})
     return out
 
 

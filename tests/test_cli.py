@@ -133,6 +133,14 @@ class TestUsageErrors:
             main(["--config", str(tmp_path / "missing.json")])
         assert info.value.code == 2
 
+    def test_scan_dmax_beyond_refinement_limit(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--command", "optimality-scan", "--manifold", "rp3",
+                  "--dmax", "5"])
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert "got 5" in message and "dmax + 1" in message
+
     def test_bad_manifold_in_config(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({

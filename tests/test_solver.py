@@ -6,9 +6,13 @@ import random
 
 import pytest
 
-from beltrami.exactpoly import Poly4, SphereScalar
+from beltrami.exactpoly import Poly4, Rat, SphereScalar
 from beltrami.frames import FrameField, curl, divergence, grad
 from beltrami.solver import (
+    SpectrumError,
+    _Block,
+    _integral,
+    _solved_block,
     eigenspace_solve,
     field_dmax,
     project_vector,
@@ -96,3 +100,118 @@ class TestFieldDmax:
         F = FrameField(SphereScalar(big * Poly4.variable(1), Poly4.zero()), z, z)
         with pytest.raises(ValueError):
             field_dmax(F)
+
+
+# ---------------------------------------------------------------------------
+# Reference: rational Lagrange products and pivot-1 elimination
+
+
+def _reference_insert(rows, vec):
+    """Rational elimination with pivot-1 rows; returns the new row or None."""
+    vec = dict(vec)
+    while vec:
+        p = max(vec)
+        row = rows.get(p)
+        if row is None:
+            inv = Rat(1) / Rat(vec[p])
+            rows[p] = {j: inv * c for j, c in vec.items()}
+            return rows[p]
+        a = vec[p]
+        for j, c in row.items():
+            s = vec.get(j, 0) - a * c
+            if s == 0:
+                vec.pop(j, None)
+            else:
+                vec[j] = s
+    return None
+
+
+def _reference_project(block, vec, mu):
+    """prod_{nu != mu} (C - nu) / (mu - nu) applied in rational arithmetic."""
+    out = dict(vec)
+    for nu in block.spectrum:
+        if nu == mu:
+            continue
+        image = {}
+        for j, x in out.items():
+            for i, c in block.curl_columns[j]:
+                image[i] = image.get(i, 0) + c * x
+            image[j] = image.get(j, 0) - nu * x
+        out = {j: Rat(c) / (mu - nu) for j, c in image.items() if c != 0}
+    return out
+
+
+def _reference_eigenspaces(dmax, parity):
+    block, _ = _solved_block(dmax, parity)
+    basis_rows = {}
+    basis = []
+    for gen in block._generators(dmax + 1, parity):
+        row = _reference_insert(basis_rows,
+                                {j: Rat(c) for j, c in gen.items()})
+        if row is not None:
+            basis.append(row)
+    collectors = {mu: {} for mu in block.spectrum}
+    for b in basis:
+        for mu in block.spectrum:
+            piece = _reference_project(block, b, mu)
+            if piece:
+                _reference_insert(collectors[mu], piece)
+    return block, collectors
+
+
+class TestExactAgreement:
+    @pytest.mark.parametrize("dmax", [0, 1, 2])
+    def test_eigenvectors_match_rational_reference(self, dmax):
+        result = eigenspace_solve(dmax)
+        gradient_dimension = 0
+        for parity in (0, 1):
+            block, collectors = _reference_eigenspaces(dmax, parity)
+            for mu, rows in collectors.items():
+                if mu == 0:
+                    gradient_dimension += len(rows)
+                    continue
+                expected = [block.coords.to_field(v) for v in rows.values()]
+                assert result.eigenspaces[mu].fields() == expected
+        assert result.gradient_dimension == gradient_dimension
+
+    @pytest.mark.parametrize("dmax", [0, 1, 2])
+    def test_projections_match_rational_reference(self, dmax):
+        rng = random.Random(97 + dmax)
+        F = rand_field(rng, dmax, 4).scale(Rat(5, 3))
+        assert field_dmax(F) <= dmax
+        assert any(c.denominator != 1 for s in F.f
+                   for c in s.representative().terms.values())
+        spectrum = [0] + [s * m for m in range(2, dmax + 3) for s in (1, -1)]
+        for mu in spectrum:
+            expected = FrameField.zero()
+            for parity in (0, 1):
+                block, _ = _solved_block(dmax, parity)
+                if mu not in block.spectrum:
+                    continue
+                part = FrameField(*(
+                    SphereScalar(c.even_part, Poly4.zero()) if parity == 0
+                    else SphereScalar(Poly4.zero(), c.odd_part)
+                    for c in F.f))
+                vec = block.coords.to_vector(part)
+                if vec:
+                    expected = expected + block.coords.to_field(
+                        _reference_project(block, vec, mu))
+            assert project_vector(F, mu, dmax) == expected
+
+
+class TestSpectrumChecks:
+    def test_incomplete_spectrum_raises(self):
+        block = _Block(1, 1)
+        block.spectrum = [mu for mu in block.spectrum if abs(mu) != 3]
+        with pytest.raises(SpectrumError):
+            block.solve()
+
+    def test_complete_spectrum_solves(self):
+        collectors = _Block(1, 1).solve()
+        assert {mu: c.rank for mu, c in collectors.items()} == \
+            {0: 20, 3: 8, -3: 8}
+
+    def test_non_integral_entry_raises(self):
+        with pytest.raises(SpectrumError):
+            _integral({0: Rat(1), 3: Rat(1, 2)}, "a test vector")
+        assert _integral({0: Rat(-4)}, "a test vector") == {0: -4}
