@@ -22,7 +22,8 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    get_type_hints)
 
 import numpy as np
 import sympy
@@ -37,6 +38,9 @@ from .frames import curl
 
 FORMATS = ("json", "csv")
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               Optional[str]: "a string or null"}
+
 
 @dataclass
 class RunConfig:
@@ -50,13 +54,22 @@ class RunConfig:
     draws: int = 20
     samples: int = 50
     radius: float = 0.05
-    radial_order: int = 24
-    angular_order: int = 48
     manifold: str = "s3"
     out: Optional[str] = None
     format: str = "json"
 
     def __post_init__(self):
+        # Values from a config file arrive untyped; a wrong type is a usage
+        # error, not a failed check.
+        for name, kind in get_type_hints(RunConfig).items():
+            value = getattr(self, name)
+            if kind is float and type(value) is int:
+                value = float(value)
+                setattr(self, name, value)
+            allowed = (str, type(None)) if kind == Optional[str] else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"configuration key {name!r} must be "
+                                 f"{_TYPE_NAMES[kind]}, got {value!r}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, "
                              f"got {self.format!r}")
@@ -447,6 +460,10 @@ def run(config: RunConfig) -> Tuple[List[CheckRecord], int]:
     command = COMMANDS.get(config.command)
     if command is None:
         raise ValueError(f"unknown command {config.command!r}")
+    if config.out:
+        directory = os.path.dirname(os.path.abspath(config.out))
+        if not os.path.isdir(directory):
+            raise ValueError(f"output directory does not exist: {directory}")
     records = command(config)
     text = render_json(config, records) if config.format == "json" else \
         render_csv(records)

@@ -54,6 +54,9 @@ _FRAME_COMPONENTS = tuple(
     for L in FRAME_GENERATORS
 )
 
+# FRAME_GENERATORS as a float (3, 4, 4) array for pointwise evaluation.
+_GENERATOR_ARRAY = np.array(FRAME_GENERATORS, dtype=float)
+
 
 def frame_derivative(s: SphereScalar, i: int) -> SphereScalar:
     """The derivative B_i(s) for i in 1..3."""
@@ -161,10 +164,26 @@ class FrameField:
             comps.append(ca)
         return tuple(comps)
 
+    def coefficient_values(self, pts: np.ndarray) -> np.ndarray:
+        """The frame coefficients f1, f2, f3 at (N, 4) points -> (N, 3).
+
+        The points must lie on S^3: each coefficient is stored as a normal
+        form modulo the sphere relation, which gives its value only there.
+        Because the frame is orthonormal, |F|^2 and F . G are the row sums
+        of f_i^2 and f_i g_i.
+        """
+        return np.stack([c.evaluate(pts) for c in self.f], axis=1)
+
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate the Cartesian components at (N, 4) points -> (N, 4)."""
-        comps = self.cartesian_components()
-        return np.stack([c.evaluate(pts) for c in comps], axis=1)
+        """The Cartesian components at (N, 4) points on S^3 -> (N, 4).
+
+        Computed as f1(x) B1(x) + f2(x) B2(x) + f3(x) B3(x) with the linear
+        frame B_i(x) = L_i x, which equals the evaluated
+        cartesian_components() only on S^3.
+        """
+        pts = np.asarray(pts, dtype=float)
+        frame = pts @ _GENERATOR_ARRAY.transpose(0, 2, 1)  # (3, N, 4)
+        return np.einsum("ni,ina->na", self.coefficient_values(pts), frame)
 
 
 def hopf_frame() -> Tuple[FrameField, FrameField, FrameField]:

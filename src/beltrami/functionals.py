@@ -8,9 +8,11 @@ The central objects are
 
 together with the derivatives of E and F at the Hopf field B1 up to order 6,
 evaluated in closed form: along B1 + t W every derivative of E reduces to
-integrals of polynomials in the scalars B1 . W and |W|^2, which are computed
-through exact monomial moments (no quadrature error), and the derivatives of
-F follow by truncated power series composition of E^{4/3} / H.
+integrals of polynomials in the scalars B1 . W and |W|^2.  Those integrands
+are formed pointwise from the frame coefficients of W on the smallest
+product grid that is exact through their Cartesian degree, so the only error
+left is rounding; the derivatives of F follow by truncated power series
+composition of E^{4/3} / H.
 
 Perturbation directions are organized by the HopfPerturbation type, a
 coefficient vector over the orthonormal eigenbases of the low curl
@@ -38,6 +40,7 @@ from beltrami.quadrature import (
     DEFAULT_ANGULAR_ORDER,
     DEFAULT_RADIAL_ORDER,
     HopfGrid,
+    grid_for_degree,
     integrate_scalar,
 )
 from beltrami import solver as _solver
@@ -231,9 +234,9 @@ class ZeroHelicityError(ValueError):
 def l32_energy(F: FrameField, q: QuadratureSpec | None = None) -> float:
     """The L^{3/2} energy: integral of |F|^{3/2} over S^3."""
     q = q or _DEFAULT_SPEC
-    m = F.norm_sq()
-    return integrate_scalar(lambda pts: np.maximum(m.evaluate(pts), 0.0) ** 0.75,
-                            q.grid())
+    return integrate_scalar(
+        lambda pts: np.sum(F.coefficient_values(pts) ** 2, axis=1) ** 0.75,
+        q.grid())
 
 
 def d_energy(F: FrameField, Y: FrameField, q: QuadratureSpec | None = None) -> float:
@@ -242,12 +245,11 @@ def d_energy(F: FrameField, Y: FrameField, q: QuadratureSpec | None = None) -> f
     Points where F vanishes contribute zero to the integrand.
     """
     q = q or _DEFAULT_SPEC
-    m = F.norm_sq()
-    p = F.dot(Y)
 
     def integrand(pts):
-        speed_sq = np.maximum(m.evaluate(pts), 0.0)
-        values = p.evaluate(pts)
+        f = F.coefficient_values(pts)
+        speed_sq = np.sum(f * f, axis=1)
+        values = np.sum(f * Y.coefficient_values(pts), axis=1)
         out = np.zeros_like(values)
         mask = speed_sq > 1e-28
         out[mask] = 1.5 * values[mask] / speed_sq[mask] ** 0.25
@@ -298,22 +300,7 @@ def f_perturbed(W: HopfPerturbation, t: float,
 # Closed-form derivatives at the Hopf field
 
 
-def _perturbation_scalars(W) -> Tuple[SphereScalar, SphereScalar]:
-    field = W.field() if isinstance(W, HopfPerturbation) else W.to_float()
-    b1 = _b1_float()
-    return b1.dot(field), field.norm_sq()
-
-
-def dE_at_hopf(k: int, W) -> float:
-    """D^k E(B1)(W, ..., W) for k in 2..6, via exact monomial moments.
-
-    Along B1 + tW the energy is the integral of (1 + u)^{3/4} with
-    u = 2 t (B1 . W) + t^2 |W|^2, and the k-th t-derivative at zero is a
-    polynomial integral; coefficients follow from the binomial series.
-    """
-    if not 2 <= k <= 6:
-        raise ValueError(f"derivative order must be 2..6, got {k}")
-    return math.factorial(k) * _energy_series(*_perturbation_scalars(W))[k]
+SERIES_ORDER = 6
 
 
 def _binomial(alpha: float, j: int) -> float:
@@ -323,26 +310,45 @@ def _binomial(alpha: float, j: int) -> float:
     return out
 
 
-def _energy_series(p: SphereScalar, m: SphereScalar,
-                   order: int = 6) -> List[float]:
-    """Taylor coefficients of t -> E(B1 + tW) through the given order."""
-    # Collect the t-powers of sum_j C(3/4, j) (2tp + t^2 m)^j symbolically.
-    coeffs = [SphereScalar.zero() for _ in range(order + 1)]
-    coeffs[0] = SphereScalar.const(1.0)
-    for j in range(1, order + 1):
-        c = _binomial(0.75, j)
-        # (2p)^(j - i) m^i contributes at t-power j + i.
-        for i in range(j + 1):
-            power = j + i
-            if power > order:
-                continue
-            term = SphereScalar.const(c * math.comb(j, i) * 2.0 ** (j - i))
-            for _ in range(j - i):
-                term = term * p
-            for _ in range(i):
-                term = term * m
-            coeffs[power] = coeffs[power] + term
-    return [float(integrate_poly(c)) for c in coeffs]
+def _series_at_hopf(W) -> Tuple[List[float], float]:
+    """The Taylor coefficients of t -> E(B1 + tW), and int B1 . W.
+
+    Along B1 + tW the energy density is (1 + 2 t w1 + t^2 |W|^2)^{3/4}, where
+    w1 = B1 . W is the first frame coefficient of W.  Its t^k coefficient,
+    sum over j + i = k of C(3/4, j) C(j, i) (2 w1)^(j - i) |W|^(2i), has
+    Cartesian degree k d for coefficients of degree d, so the grid of
+    degree SERIES_ORDER * d integrates every coefficient exactly.
+    """
+    field = W.field() if isinstance(W, HopfPerturbation) else W
+    grid = grid_for_degree(SERIES_ORDER * max(field.coefficient_degree(), 0))
+    values = field.coefficient_values(grid.points)
+    p = 2.0 * values[:, 0]
+    m = np.sum(values ** 2, axis=1)
+    p_powers = [np.ones(grid.size)]
+    for _ in range(SERIES_ORDER):
+        p_powers.append(p_powers[-1] * p)
+    m_powers = [np.ones(grid.size)]
+    for _ in range(SERIES_ORDER // 2):
+        m_powers.append(m_powers[-1] * m)
+    series = []
+    for k in range(SERIES_ORDER + 1):
+        density = sum(_binomial(0.75, k - i) * math.comb(k - i, i)
+                      * p_powers[k - 2 * i] * m_powers[i]
+                      for i in range(k // 2 + 1))
+        series.append(math.fsum(grid.weights * density))
+    return series, math.fsum(grid.weights * values[:, 0])
+
+
+def dE_at_hopf(k: int, W) -> float:
+    """D^k E(B1)(W, ..., W) for k in 2..6, exact up to rounding.
+
+    Along B1 + tW the energy is the integral of (1 + u)^{3/4} with
+    u = 2 t (B1 . W) + t^2 |W|^2, and the k-th t-derivative at zero is a
+    polynomial integral; coefficients follow from the binomial series.
+    """
+    if not 2 <= k <= 6:
+        raise ValueError(f"derivative order must be 2..6, got {k}")
+    return math.factorial(k) * _series_at_hopf(W)[0][k]
 
 
 def _series_mul(a: List[float], b: List[float]) -> List[float]:
@@ -383,13 +389,12 @@ def _series_div(a: List[float], b: List[float]) -> List[float]:
     return out
 
 
-def _f_series(W: HopfPerturbation, order: int = 6) -> List[float]:
-    """Taylor coefficients of t -> F(B1 + tW) through the given order."""
-    p, m = _perturbation_scalars(W)
-    e = _energy_series(p, m, order)
-    h = [0.0] * (order + 1)
+def _f_series(W: HopfPerturbation) -> List[float]:
+    """Taylor coefficients of t -> F(B1 + tW) through SERIES_ORDER."""
+    e, h1 = _series_at_hopf(W)
+    h = [0.0] * (SERIES_ORDER + 1)
     h[0] = math.pi ** 2
-    h[1] = float(integrate_poly(p))  # (B1, W) = 2 (curl^{-1} B1, W)
+    h[1] = h1  # (B1, W) = 2 (curl^{-1} B1, W)
     h[2] = W.helicity()
     return _series_div(_series_power(e, 4.0 / 3.0), h)
 
@@ -605,9 +610,13 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     bases += [(-3, f) for f in _unit_fields(-3)]
     bases += [(-4, f) for f in _unit_fields(-4)]
     bases += [(-5, f) for f in _unit_fields(-5)]
-    values = np.stack([f.evaluate(grid.points) for _, f in bases])
+    # Frame coefficients suffice: the frame is orthonormal, so pointwise
+    # norms are those of the coefficient rows.
+    values = np.empty((len(bases), grid.size, 3))
+    for row, (_, f) in zip(values, bases):
+        row[...] = f.coefficient_values(grid.points)
     mus = np.array([mu for mu, _ in bases], dtype=float)
-    b1_values = _b1_float().evaluate(grid.points)
+    b1_values = _b1_float().coefficient_values(grid.points)
     results = []
     violations = []
     for index in range(samples):

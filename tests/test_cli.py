@@ -9,6 +9,7 @@ import os
 import pytest
 
 from beltrami.cli import (
+    COMMANDS,
     CheckRecord,
     RECORD_FIELDS,
     RunConfig,
@@ -148,6 +149,53 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["--config", str(config_path)])
         assert info.value.code == 2
+
+
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "command": "local-max-scan", "samples": "x"}))
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(config_path)])
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert "'samples'" in message and message.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", True), ("draws", "3"), ("dmax", 2.0), ("radius", "0.05"),
+        ("tol_exact", False), ("manifold", 3), ("out", 1), ("command", None),
+    ])
+    def test_config_types_are_checked(self, key, value):
+        settings = {"command": "bounds", key: value}
+        with pytest.raises(ValueError, match=key):
+            RunConfig.from_dict(settings)
+
+    def test_float_keys_accept_integers(self):
+        config = RunConfig.from_dict({"command": "bounds", "radius": 0,
+                                      "tol_exact": 1})
+        assert config.radius == 0.0 and isinstance(config.radius, float)
+        assert isinstance(config.tol_exact, float)
+
+    @pytest.mark.parametrize("key", ["radial_order", "angular_order"])
+    def test_removed_grid_orders_are_unknown_keys(self, tmp_path, key):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"command": "bounds", key: 24}))
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(config_path)])
+        assert info.value.code == 2
+
+    def test_out_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(config):
+            raise AssertionError("the command ran before the path check")
+
+        monkeypatch.setitem(COMMANDS, "bounds", must_not_run)
+        out = tmp_path / "missing" / "bounds.json"
+        with pytest.raises(SystemExit) as info:
+            main(["--command", "bounds", "--out", str(out)])
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert "does not exist" in message and message.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 
 class TestReports:

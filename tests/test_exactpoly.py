@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -239,3 +240,37 @@ class TestExactScalar:
         assert s == "2 * pi^2 + -7 + 151/90 * pi^-4"
         assert parse_exact(s) == val
         assert parse_exact("0").is_zero()
+
+
+def naive_evaluate(p: Poly4, pts: np.ndarray) -> np.ndarray:
+    """Per-monomial reference: sum of c * prod_i x_i ** e_i."""
+    out = np.zeros(pts.shape[0])
+    for e, c in p.terms.items():
+        term = np.full(pts.shape[0], float(c))
+        for i in range(4):
+            if e[i]:
+                term *= pts[:, i] ** e[i]
+        out += term
+    return out
+
+
+class TestEvaluate:
+    def test_matches_naive_formula_on_sphere(self):
+        rng = random.Random(211)
+        pts = sphere_points(17, 9000)  # more than one evaluation block
+        polys = [rand_poly(rng, 8, 10) for _ in range(20)]
+        polys += [
+            Poly4.zero(),
+            Poly4.const(Rat(7, 3)),
+            Poly4.const(-2.5) + Poly4.monomial((0, 3, 0, 5), 0.25),
+            Poly4({(0, 0, 0, 0): Fraction(1, 3), (2, 0, 1, 0): Fraction(-5, 7),
+                   (0, 0, 0, 6): Fraction(9, 2)}),
+        ]
+        for p in polys:
+            expected = naive_evaluate(p, pts)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            np.testing.assert_allclose(p.evaluate(pts), expected, rtol=1e-13,
+                                       atol=1e-14 * scale)
+        assert not np.any(Poly4.zero().evaluate(pts))
+        np.testing.assert_array_equal(Poly4.const(Rat(7, 3)).evaluate(pts),
+                                      np.full(9000, 7 / 3))

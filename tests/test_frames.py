@@ -249,3 +249,30 @@ class TestCompactnessOrthogonality:
             for wp in (u1, v1):
                 assert integrate_poly(B1.dot(w) * B1.dot(wp)).is_zero()
         assert integrate_poly(B1.dot(u1) * B1.dot(v1)).is_zero()
+
+
+class TestEvaluate:
+    def test_matches_cartesian_components_on_sphere(self):
+        rng = random.Random(223)
+        pts = sphere_points(29, 40)
+        fields = [rand_field(rng, 4, 6) for _ in range(8)]
+        fields += [B.scale(3) for B in hopf_frame()] + [FrameField.zero()]
+        for F in fields:
+            expected = np.stack([c.evaluate(pts)
+                                 for c in F.cartesian_components()], axis=1)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            np.testing.assert_allclose(F.evaluate(pts), expected, rtol=1e-12,
+                                       atol=1e-13 * scale)
+
+    def test_coefficient_values(self):
+        rng = random.Random(227)
+        pts = sphere_points(31, 30)
+        F = rand_field(rng, 3)
+        values = F.coefficient_values(pts)
+        assert values.shape == (30, 3)
+        for i in range(3):
+            np.testing.assert_array_equal(values[:, i], F.f[i].evaluate(pts))
+        # Orthonormal frame: the Cartesian norm is the coefficient norm.
+        np.testing.assert_allclose(np.sum(F.evaluate(pts) ** 2, axis=1),
+                                   np.sum(values ** 2, axis=1), rtol=1e-12,
+                                   atol=1e-12)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from beltrami.atlas import explicit_basis
-from beltrami.exactpoly import ExactScalar, Rat, integrate_poly
+from beltrami.exactpoly import ExactScalar, Rat, SphereScalar, integrate_poly
 from beltrami.frames import FrameField, hopf_frame
 from beltrami.functionals import (
     D6_Z2_COEFFICIENT,
@@ -20,6 +21,8 @@ from beltrami.functionals import (
     SpanError,
     ZeroHelicityError,
     _basis,
+    _series_div,
+    _series_power,
     big_F,
     correction_field,
     d2_helicity,
@@ -42,6 +45,7 @@ from beltrami.functionals import (
     sixth_order_bracket,
     taylor6_combination,
 )
+from beltrami.quadrature import grid_for_degree
 from beltrami.solver import eigenspace_solve
 
 B1 = hopf_frame()[0]
@@ -241,6 +245,77 @@ class TestDerivativesAtHopf:
     def test_extra_rejects_wrong_eigenvalue(self):
         with pytest.raises(ValueError):
             HopfPerturbation(extra={4: explicit_basis(4).fields[0]})
+
+
+def reference_energy_series(field: FrameField):
+    """Taylor coefficients of t -> E(B1 + tW) and int B1 . W from moments.
+
+    The t^k coefficient of (1 + 2t p + t^2 m)^{3/4}, p = B1 . W and
+    m = |W|^2, is built from SphereScalar products and integrated through
+    exact monomial moments.  The arithmetic is exact for an exact field and
+    float otherwise.
+    """
+    p = B1.dot(field)
+    m = field.norm_sq()
+    coeffs = [SphereScalar.const(1)] + [SphereScalar.zero()] * 6
+    for j in range(1, 7):
+        binomial = math.prod((Fraction(3, 4) - i) / (i + 1) for i in range(j))
+        # (2p)^(j - i) m^i contributes at t-power j + i.
+        for i in range(j + 1):
+            if j + i > 6:
+                continue
+            term = SphereScalar.const(binomial * math.comb(j, i) * 2 ** (j - i))
+            for _ in range(j - i):
+                term = term * p
+            for _ in range(i):
+                term = term * m
+            coeffs[j + i] = coeffs[j + i] + term
+    return [float(integrate_poly(c)) for c in coeffs], float(integrate_poly(p))
+
+
+def reference_dF(W: HopfPerturbation, field: FrameField) -> list:
+    """D^k F(B1)(W..W), k = 0..6, composed from the moment series of field."""
+    e, h1 = reference_energy_series(field)
+    h = [PI ** 2, h1, W.helicity(), 0.0, 0.0, 0.0, 0.0]
+    series = _series_div(_series_power(e, 4.0 / 3.0), h)
+    return [math.factorial(k) * c for k, c in enumerate(series)]
+
+
+class TestSeriesAgainstMonomialMoments:
+    """The grid series against the moment series: equal up to rounding."""
+
+    @staticmethod
+    def assert_series(W, field: FrameField, with_dF: bool = True):
+        e, _ = reference_energy_series(field)
+        expected = [math.factorial(k) * e[k] for k in range(2, 7)]
+        values = [dE_at_hopf(k, W) for k in range(2, 7)]
+        if with_dF:
+            expected += reference_dF(W, field)[1:]
+            values += [dF_at_hopf(k, W) for k in range(1, 7)]
+        scale = max(abs(v) for v in expected)
+        for value, reference in zip(values, expected):
+            assert abs(value - reference) <= 1e-12 * scale
+
+    def test_random_unit_perturbation(self):
+        W = unit_perturbation(np.random.default_rng(53))
+        self.assert_series(W, W.field())
+
+    def test_high_degree_extra_fields(self):
+        # Index -3 is curl eigenvalue -4 and index 6 is 7, whose fields have
+        # coefficient degree 5, so the series runs on the degree-30 grid.
+        # The reference runs in exact arithmetic on the exact fields: the
+        # float moment series is off by about 6e-12 relative at degree 30.
+        minus4 = explicit_basis(-4).fields[2]
+        seven = eigenspace_solve(5).eigenspaces[7].fields()[3]
+        W = HopfPerturbation(extra={-3: minus4, 6: seven})
+        assert W.field().coefficient_degree() == 5
+        assert grid_for_degree(30).size == 9 * 31 * 31
+        self.assert_series(W, minus4 + seven)
+
+    def test_exact_frame_field(self):
+        W = (explicit_basis(3).fields[1] + explicit_basis(-2).fields[0]
+             + explicit_basis(4).fields[5].scale(Rat(1, 2)))
+        self.assert_series(W, W, with_dF=False)
 
 
 class TestSixthOrderStructure:

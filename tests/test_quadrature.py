@@ -80,6 +80,47 @@ class TestPolynomialExactness:
             pytest.approx(float(integrate_monomial(e)), rel=1e-12)
 
 
+    @pytest.mark.parametrize("degree", [*range(17), 60])
+    def test_grid_for_degree_integrates_every_monomial(self, degree):
+        grid = grid_for_degree(degree)
+        assert grid.exact_cartesian_degree() >= degree
+        sums = monomial_sums(grid, degree)
+        assert len(sums) == math.comb(degree + 3, 3)
+        for e, value in sums.items():
+            assert abs(value - float(integrate_monomial(e))) <= 1e-12, e
+
+    def test_grid_for_degree_is_smallest_for_the_series(self):
+        grid = grid_for_degree(12)
+        assert (grid.radial_order, grid.angular_order) == (4, 13)
+        assert grid.size == 676
+
+
+def monomial_sums(grid: HopfGrid, degree: int) -> dict:
+    """Grid sums of every monomial of the given degree, keyed by exponent.
+
+    Row a of the left factor is w x1^a x2^(s - a) and column c of the right
+    factor is x3^c x4^(degree - s - c), so one matrix product per s = a + b
+    gives all monomials with that split.
+    """
+    tables = []
+    for x in np.ascontiguousarray(grid.points.T):
+        table = np.empty((degree + 1, grid.size))
+        table[0] = 1.0
+        for k in range(1, degree + 1):
+            table[k] = table[k - 1] * x
+        tables.append(table)
+    x1, x2, x3, x4 = tables
+    sums = {}
+    for s in range(degree + 1):
+        rest = degree - s
+        left = grid.weights * x1[:s + 1] * x2[s::-1]
+        block = left @ (x3[:rest + 1] * x4[rest::-1]).T
+        for a in range(s + 1):
+            for c in range(rest + 1):
+                sums[(a, s - a, c, rest - c)] = float(block[a, c])
+    return sums
+
+
 class TestNonPolynomial:
     def test_closed_form_fractional_power(self):
         # Radial reduction: the integrand depends only on eta, and
