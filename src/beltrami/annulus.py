@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-import sympy
-
 TORUS_VOLUME = (2.0 * math.pi) ** 3
 
 
@@ -129,53 +127,85 @@ def spectrum_candidates(n: int, cutoff: int = 3) -> List[dict]:
     return rows
 
 
-class AnnulusField:
-    """A vector field on the torus family with sympy component functions.
+class TrigPoly:
+    """A finite Fourier series on the torus with exact coefficients.
 
-    components are contravariant (coefficients of the coordinate frame
-    d/dphi1, d/dphi2, d/dt) as expressions in the coordinate symbols.
+    terms maps (kind, k) to a nonzero Fraction c, for the term c cos(k.x)
+    or c sin(k.x) by kind, with k an integer wave vector and x = (phi1,
+    phi2, t).  Each k is stored with its first nonzero entry positive (cos
+    is even, sin odd) and sin 0 is dropped, so two series are equal
+    exactly when their terms are.
     """
 
-    coordinates = sympy.symbols("phi1 phi2 t")
+    def __init__(self, terms=()):
+        merged: Dict[Tuple[str, Tuple[int, ...]], Fraction] = {}
+        for (kind, k), c in terms:
+            if tuple(k) < (0, 0, 0):
+                k, c = [-a for a in k], (-c if kind == "sin" else c)
+            key = (kind, tuple(k))
+            merged[key] = merged.get(key, 0) + Fraction(c)
+        self.terms = {key: c for key, c in merged.items()
+                      if c and (key[0] == "cos" or any(key[1]))}
 
-    def __init__(self, components: Sequence[sympy.Expr]):
+    def __add__(self, other: "TrigPoly") -> "TrigPoly":
+        return TrigPoly([*self.terms.items(), *other.terms.items()])
+
+    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
+        return self + -1 * other
+
+    def __rmul__(self, scalar) -> "TrigPoly":
+        return TrigPoly((key, scalar * c) for key, c in self.terms.items())
+
+    def __eq__(self, other) -> bool:
+        """Exact equality with another TrigPoly or a rational constant."""
+        if not isinstance(other, TrigPoly):
+            other = TrigPoly([(("cos", (0, 0, 0)), other)])
+        return self.terms == other.terms
+
+    def derivative(self, j: int) -> "TrigPoly":
+        """d/dx_j: cos(k.x) -> -k_j sin(k.x), sin(k.x) -> k_j cos(k.x)."""
+        return TrigPoly(
+            (("sin", k), -k[j] * c) if kind == "cos" else
+            (("cos", k), k[j] * c) for (kind, k), c in self.terms.items())
+
+
+class AnnulusField:
+    """A vector field on the torus family with exact Fourier components.
+
+    components are contravariant (coefficients of the coordinate frame
+    d/dphi1, d/dphi2, d/dt), each a TrigPoly in (phi1, phi2, t).
+    """
+
+    def __init__(self, components: Sequence[TrigPoly]):
         if len(components) != 3:
             raise ValueError("three components expected")
-        self.components = tuple(sympy.sympify(c) for c in components)
+        self.components = tuple(components)
 
     def curl(self, n: int) -> "AnnulusField":
-        """Curl in the metric diag(1/n, 1/n, n^2), computed symbolically.
+        """Curl in the metric diag(1/n, 1/n, n^2), computed exactly.
 
         With unit determinant the components are
-        (curl X)^i = g^ii sum_jk eps_ijk g^jj g^kk d_j (g_kk X^k).
+        (curl X)^i = g^ii sum_jk eps_ijk g^jj g^kk d_j (g_kk X^k),
+        summed here over the cyclic (i, j, k) with eps_ikj = -1.
         """
-        _check_parameter(n)
-        g = [sympy.Rational(1, n), sympy.Rational(1, n), sympy.Integer(n) ** 2]
+        g = [row[i] for i, row in enumerate(metric(n))]
         omega = [g[k] * self.components[k] for k in range(3)]
-        eps = sympy.LeviCivita
         out = []
         for i in range(3):
-            total = sympy.Integer(0)
-            for j in range(3):
-                for k in range(3):
-                    if eps(i, j, k) != 0:
-                        total += (eps(i, j, k) / (g[j] * g[k])
-                                  * sympy.diff(omega[k],
-                                               self.coordinates[j]))
-            out.append(sympy.simplify(total / g[i]))
+            j, k = (i + 1) % 3, (i + 2) % 3
+            out.append(1 / (g[i] * g[j] * g[k]) * (
+                omega[k].derivative(j) - omega[j].derivative(k)))
         return AnnulusField(out)
 
-    def eigen_residual(self, n: int, eigenvalue) -> Tuple[sympy.Expr, ...]:
-        """Components of curl X - eigenvalue X, simplified."""
-        curled = self.curl(n)
-        return tuple(sympy.simplify(c - sympy.sympify(eigenvalue) * x)
-                     for c, x in zip(curled.components, self.components))
+    def eigen_residual(self, n: int, eigenvalue) -> Tuple[TrigPoly, ...]:
+        """Components of curl X - eigenvalue X, for an int or Fraction."""
+        return tuple(c - Fraction(eigenvalue) * x
+                     for c, x in zip(self.curl(n).components, self.components))
 
-    def component_means(self) -> Tuple[sympy.Expr, ...]:
-        """Average of each component over one period of t."""
-        t = self.coordinates[2]
-        return tuple(sympy.integrate(c, (t, 0, 2 * sympy.pi))
-                     / (2 * sympy.pi) for c in self.components)
+    def component_means(self) -> Tuple[TrigPoly, ...]:
+        """Average of each component over one period of t: its k3 = 0 modes."""
+        return tuple(TrigPoly((key, c) for key, c in x.terms.items()
+                              if key[1][2] == 0) for x in self.components)
 
 
 def first_eigenfields(n: int) -> Tuple[AnnulusField, AnnulusField]:
@@ -186,9 +216,10 @@ def first_eigenfields(n: int) -> Tuple[AnnulusField, AnnulusField]:
     along d/dphi2.
     """
     _check_parameter(n)
-    t = AnnulusField.coordinates[2]
-    v1 = AnnulusField([sympy.sin(t), sympy.cos(t), 0])
-    v2 = AnnulusField([sympy.cos(t), -sympy.sin(t), 0])
+    sin_t = TrigPoly([(("sin", (0, 0, 1)), 1)])
+    cos_t = TrigPoly([(("cos", (0, 0, 1)), 1)])
+    v1 = AnnulusField([sin_t, cos_t, TrigPoly()])
+    v2 = AnnulusField([cos_t, -1 * sin_t, TrigPoly()])
     return v1, v2
 
 

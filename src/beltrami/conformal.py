@@ -41,7 +41,7 @@ from .exactpoly import (
 )
 from .frames import FrameField, grad
 from .quadrature import HopfGrid, default_grid
-from .solver import DEFAULT_DMAX_LIMIT
+from .solver import DEFAULT_DMAX_LIMIT, _reduced_monomials
 
 MANIFOLDS = ("s3", "rp3")
 
@@ -100,22 +100,6 @@ class ConformalFactor:
         return integrate_poly(cube)
 
 
-def _reduced_monomials(degrees: Sequence[int]) -> List[SphereScalar]:
-    """Canonical scalar monomials (exponent of x4 at most one) by degree."""
-    out: List[SphereScalar] = []
-    for d in degrees:
-        for e4 in (0, 1):
-            rest = d - e4
-            if rest < 0:
-                continue
-            for e1 in range(rest + 1):
-                for e2 in range(rest - e1 + 1):
-                    e3 = rest - e1 - e2
-                    out.append(canonicalize(
-                        Poly4.monomial((e1, e2, e3, e4))))
-    return out
-
-
 _MOMENT_CACHE: Dict[Tuple[int, ...], float] = {}
 
 
@@ -152,9 +136,9 @@ class _BasisData:
             for f in result.eigenspaces[mu].fields():
                 fields.append(f)
                 mus.append(mu)
-        degrees = range(1, dmax + 2) if manifold == "s3" else \
-            range(2, dmax + 2, 2)
-        gradients = [grad(m) for m in _reduced_monomials(degrees)]
+        gradients = [grad(canonicalize(Poly4.monomial(e)))
+                     for p in ((0, 1) if manifold == "s3" else (0,))
+                     for e in _reduced_monomials(dmax + 1, p) if any(e)]
         self.gradient_count = len(gradients)
         fields.extend(gradients)
         mus.extend([0] * len(gradients))
@@ -220,11 +204,6 @@ class _BasisData:
                 cached += coeff * self._contract(self.P, e)
             self._perturbations[terms] = cached
         return cached
-
-    def evaluate_columns(self, pts: np.ndarray) -> np.ndarray:
-        """Basis fields at the given points, shape (columns, points, 3)."""
-        vals = np.stack([f.evaluate(pts) for f in self.fields])
-        return vals * self.scales[:, None, None]
 
 
 _BASIS_CACHE: Dict[Tuple[str, int], _BasisData] = {}
@@ -393,7 +372,7 @@ class PushforwardField:
         self.dmax = dmax
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Frame components of the transported field at unit points."""
+        """Cartesian components (N, 4) of the transported field."""
         values = self.base.evaluate(pts)
         if self.factor.is_trivial():
             return values
@@ -421,15 +400,14 @@ class PushforwardField:
         grid = grid or default_grid()
         data = _basis_data("s3", self.dmax)
         ne = data.eigen_count
-        basis_values = data.evaluate_columns(grid.points)[:ne]
-        v = self.evaluate(grid.points)
-        w3 = self.factor.sqrt_values(grid.points) ** 3
         # The weak equations pair one-forms against the flux two-form of
         # the field, so the right-hand side carries only the deformed
-        # volume element (1 + t q)^3.
-        rhs = np.array([math.fsum(grid.weights * w3 *
-                                  np.sum(basis_values[j] * v, axis=1))
-                        for j in range(ne)])
+        # volume element (1 + t q)^3.  Columns are evaluated one at a time.
+        weighted = self.evaluate(grid.points) * (
+            grid.weights * self.factor.sqrt_values(grid.points) ** 3)[:, None]
+        rhs = np.array([data.scales[j] * math.fsum(np.sum(
+            data.fields[j].evaluate(grid.points) * weighted, axis=1))
+            for j in range(ne)])
         x = np.linalg.solve(data.a[:ne, :ne], rhs)
         return float(x @ rhs)
 
@@ -473,7 +451,7 @@ class MinimizerMetric:
                          self.weight_values(grid.points) ** 1.5)
 
     def transported_values(self, pts: np.ndarray) -> np.ndarray:
-        """Frame components of u / weight^(3/2)."""
+        """Cartesian components (N, 4) of u / weight^(3/2)."""
         return self.base.evaluate(pts) / \
             self.weight_values(pts)[:, None] ** 1.5
 

@@ -53,11 +53,6 @@ def Rat(p, q=1):
     return _mpq(p) if q == 1 else _mpq(p, q)
 
 
-def is_exact(value) -> bool:
-    """True if value is an exact rational (not a float)."""
-    return not isinstance(value, float)
-
-
 class Poly4:
     """Sparse polynomial in x1, x2, x3, x4.
 
@@ -393,10 +388,6 @@ class ExactScalar:
     @staticmethod
     def zero() -> "ExactScalar":
         return ExactScalar()
-
-    @staticmethod
-    def from_rational(c, pi_power: int = 0) -> "ExactScalar":
-        return ExactScalar({pi_power: Rat(c)})
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         out = dict(self.terms)

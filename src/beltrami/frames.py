@@ -79,10 +79,6 @@ class FrameField:
         return FrameField(z, z, z)
 
     @staticmethod
-    def from_polys(p1: Poly4, p2: Poly4, p3: Poly4) -> "FrameField":
-        return FrameField(canonicalize(p1), canonicalize(p2), canonicalize(p3))
-
-    @staticmethod
     def from_cartesian(components: Sequence[SphereScalar]) -> "FrameField":
         """Rebuild a tangent field from its four Cartesian components.
 

@@ -101,10 +101,6 @@ class TorusScalar:
         """Integral over the torus: the mean times the volume (2 pi)^3."""
         return self.mean() * VOLUME
 
-    def is_constant(self, tolerance: float = 0.0) -> bool:
-        return all(k == (0, 0, 0) or abs(c) <= tolerance
-                   for k, c in self.modes.items())
-
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Values at an (N, 3) array of points."""
         pts = np.asarray(pts, dtype=float)

@@ -5,14 +5,19 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-import sympy
 
+import beltrami
 from beltrami.annulus import (
+    AnnulusField,
     AnnulusMode,
     TORUS_VOLUME,
+    TrigPoly,
     bound_constants,
     first_eigenfields,
     first_eigenvalue,
@@ -94,18 +99,53 @@ class TestSpectrumCandidates:
             spectrum_candidates(2, cutoff=0)
 
 
+def mode(kind, k, c=1):
+    return TrigPoly([((kind, k), c)])
+
+
+def value_at_origin(p: TrigPoly) -> Fraction:
+    """Exact value at phi1 = phi2 = t = 0: the sum of the cosine terms."""
+    return sum(c for (kind, _), c in p.terms.items() if kind == "cos")
+
+
+class TestTrigPoly:
+    def test_canonical_wave_vectors(self):
+        assert mode("cos", (0, -1, 2)) == mode("cos", (0, 1, -2))
+        assert mode("sin", (-1, 0, 0)) == mode("sin", (1, 0, 0), -1)
+        assert mode("sin", (0, 0, 0)) == 0
+        assert mode("cos", (0, 0, 0), Fraction(3, 2)) == Fraction(3, 2)
+
+    def test_cancellation_is_the_zero_polynomial(self):
+        p = mode("cos", (1, 2, 0), Fraction(1, 3))
+        assert p - mode("cos", (-1, -2, 0), Fraction(1, 3)) == 0
+        assert p != 0 and (p + p).terms == {("cos", (1, 2, 0)):
+                                             Fraction(2, 3)}
+
+    def test_derivative(self):
+        p = mode("cos", (2, 0, 3), Fraction(1, 2)) + mode("sin", (0, 1, 0))
+        assert p.derivative(0) == mode("sin", (2, 0, 3), -1)
+        assert p.derivative(1) == mode("cos", (0, 1, 0))
+        assert p.derivative(2) == mode("sin", (2, 0, 3), Fraction(-3, 2))
+
+    def test_t_mean_keeps_the_modes_constant_in_t(self):
+        p = mode("cos", (0, 0, 1), 5) + mode("cos", (1, 0, 0), 2) + \
+            mode("sin", (1, 1, 0), 7)
+        field = AnnulusField([p, mode("sin", (0, 1, 2)), TrigPoly()])
+        assert field.component_means() == (
+            mode("cos", (1, 0, 0), 2) + mode("sin", (1, 1, 0), 7), 0, 0)
+
+
 class TestFirstEigenfields:
     def test_eigen_system_holds_symbolically(self):
         for n in (1, 2, 5):
             v1, v2 = first_eigenfields(n)
-            lam = sympy.Rational(1, n)
+            lam = Fraction(1, n)
             assert all(r == 0 for r in v1.eigen_residual(n, lam))
             assert all(r == 0 for r in v2.eigen_residual(n, lam))
 
     def test_initial_direction(self):
         v1, _ = first_eigenfields(4)
-        t = v1.coordinates[2]
-        at_zero = [c.subs(t, 0) for c in v1.components]
+        at_zero = [value_at_origin(c) for c in v1.components]
         assert at_zero == [0, 1, 0]
 
     def test_components_are_mean_zero(self):
@@ -115,8 +155,10 @@ class TestFirstEigenfields:
 
     def test_wrong_eigenvalue_leaves_residual(self):
         v1, _ = first_eigenfields(2)
-        residual = v1.eigen_residual(2, sympy.Integer(1))
+        residual = v1.eigen_residual(2, 1)
         assert any(r != 0 for r in residual)
+        # curl v1 = v1 / 2, so the residual is (1/2 - 1) v1.
+        assert residual[1] == mode("cos", (0, 0, 1), Fraction(-1, 2))
 
 
 class TestBoundConstants:
@@ -147,3 +189,24 @@ class TestCsvExport:
         assert float(row3[2]) == pytest.approx(1 / 3, rel=1e-12)
         assert float(row3[3]) == pytest.approx(TORUS_VOLUME, rel=1e-12)
         assert "confirmed" in row3[4]
+
+
+def test_import_needs_only_numpy_and_scipy():
+    # Whatever `import beltrami` loads beyond numpy and the scipy modules it
+    # uses comes from the standard library (or the optional gmpy2).
+    code = "\n".join([
+        "import sys",
+        "import numpy, scipy.linalg, scipy.special",
+        "before = set(sys.modules)",
+        "import beltrami",
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}",
+        "print(sorted(loaded - set(sys.stdlib_module_names)"
+        " - {'beltrami', 'gmpy2'}))",
+    ])
+    source = os.path.dirname(os.path.dirname(beltrami.__file__))
+    path = os.pathsep.join(filter(None, [source,
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.stdout.strip() == "[]"

@@ -197,6 +197,43 @@ class TestUsageErrors:
         assert "does not exist" in message and message.count("\n") == 1
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, text):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(config_path), "--command", "bounds"])
+        assert info.value.code == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_tol_float_is_gone(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"command": "bounds",
+                                           "tol_float": 1e-6}))
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(config_path)])
+        assert info.value.code == 2
+        assert "unknown configuration keys" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["--command", "bounds", "--tol-float", "1e-6"])
+        assert info.value.code == 2
+
+
+class TestCrash:
+    def test_exit_three_with_one_line(self, capsys, monkeypatch):
+        def crash(config):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setitem(COMMANDS, "bounds", crash)
+        with pytest.raises(SystemExit) as info:
+            main(["--command", "bounds"])
+        assert info.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "RuntimeError" in captured.err and "boom" in captured.err
+        assert "test_cli.py:" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestReports:
     def test_csv_header_order(self, tmp_path):

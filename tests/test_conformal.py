@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from beltrami.conformal import (
 from beltrami.exactpoly import Poly4, SphereScalar, canonicalize, integrate_poly
 from beltrami.frames import hopf_frame
 from beltrami.functionals import l32_energy
-from beltrami.quadrature import default_grid, integrate_scalar
+from beltrami.quadrature import (default_grid, grid_for_degree,
+                                 integrate_scalar)
 
 
 def x(i: int) -> Poly4:
@@ -106,6 +108,19 @@ class TestPencilSpectrum:
             column_eigenvalues=(0, 1), gradient_count=2, volume=1.0)
         with pytest.raises(RuntimeError):
             pencil.mu1()
+
+
+class TestGradientBlock:
+    @pytest.mark.parametrize("manifold,dmax,degrees", [
+        ("s3", 2, (1, 2, 3)), ("s3", 3, (1, 2, 3, 4)),
+        ("rp3", 2, (2,)), ("rp3", 3, (2, 4)),
+    ])
+    def test_one_gradient_per_nonconstant_monomial(self, manifold, dmax,
+                                                   degrees):
+        # There are (d + 1)^2 reduced monomials (x4 exponent at most one)
+        # of degree d; RP^3 keeps the even degrees.
+        data = _basis_data(manifold, dmax)
+        assert data.gradient_count == sum((d + 1) ** 2 for d in degrees)
 
 
 class TestAssemblyAgainstExactIntegrals:
@@ -194,6 +209,21 @@ class TestPushforward:
         v = conformal_pushforward(u, cf)
         assert v.helicity() == pytest.approx(math.pi ** 2 + 0.01 / 3,
                                              abs=1e-10)
+
+    def test_helicity_memory_stays_at_grid_size(self):
+        # The right-hand side is accumulated one basis column at a time, so
+        # the peak is a few (N, 4) arrays, not one per column.
+        grid = grid_for_degree(24)
+        v = conformal_pushforward(self.B1, ConformalFactor(Q_EVEN, 0.03))
+        _basis_data("s3", 3)
+        tracemalloc.start()
+        try:
+            helicity = v.helicity(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert helicity == pytest.approx(math.pi ** 2, abs=1e-10)
+        assert peak < 16 * grid.points.nbytes
 
 
 class TestMinimizerMetric:
