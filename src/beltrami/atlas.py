@@ -18,6 +18,7 @@ helicity, the inverse curl, and the Rayleigh quotient |F|^2_{L^2} / |H(F)|.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -209,29 +210,23 @@ def _mu5_fields() -> List[FrameField]:
     return fields
 
 
-_ENTRY_CACHE: Dict[int, AtlasEntry] = {}
-
-
+@functools.cache
 def explicit_basis(eigenvalue: int) -> AtlasEntry:
     """The explicit atlas entry for an eigenvalue in {+-2, +-3, +-4, +-5}."""
     if eigenvalue not in SUPPORTED_EXPLICIT:
         raise UnsupportedEigenvalueError(
             f"no explicit basis for eigenvalue {eigenvalue}; use "
             "eigenspace_solve for other parts of the spectrum")
-    if eigenvalue not in _ENTRY_CACHE:
-        if eigenvalue > 0:
-            fields = {2: list(hopf_frame()), 3: _mu3_fields,
-                      4: _mu4_fields, 5: _mu5_fields}[eigenvalue]
-            if callable(fields):
-                fields = fields()
-            entry = AtlasEntry(eigenvalue, fields, "explicit")
-        else:
-            positive = explicit_basis(-eigenvalue)
-            fields = [isometry_pushforward(fld, REFLECTION)
-                      for fld in positive.fields]
-            entry = AtlasEntry(eigenvalue, fields, "reflected")
-        _ENTRY_CACHE[eigenvalue] = entry
-    return _ENTRY_CACHE[eigenvalue]
+    if eigenvalue > 0:
+        fields = {2: list(hopf_frame()), 3: _mu3_fields,
+                  4: _mu4_fields, 5: _mu5_fields}[eigenvalue]
+        if callable(fields):
+            fields = fields()
+        return AtlasEntry(eigenvalue, fields, "explicit")
+    positive = explicit_basis(-eigenvalue)
+    fields = [isometry_pushforward(fld, REFLECTION)
+              for fld in positive.fields]
+    return AtlasEntry(eigenvalue, fields, "reflected")
 
 
 def atlas_entries() -> List[AtlasEntry]:

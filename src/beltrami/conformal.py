@@ -12,9 +12,15 @@ over a trial space of one-forms, with
     A_ij = <curl e_i, e_j>,    B_ij(t) = integral (1 + t q) <e_i, e_j>.
 
 The trial space spans the exact curl eigenfields up to a frame-coefficient
-degree cap together with gradient fields.  Gradients have identically zero
-rows in A, so they contribute a block of zero eigenvalues whose size is
-known in advance; the physical spectrum is what remains.
+degree cap together with gradient fields.  Curl annihilates gradients, so
+A vanishes exactly on the gradient rows and columns.  Each gradient gives
+one exact zero eigenvalue, and every nonzero eigenvalue solves the smaller
+pencil over the eigenfield block e,
+
+    A_ee c = mu S c,    S = B_ee - B_eg B_gg^-1 B_ge,
+
+whose Schur complement S is symmetric positive definite.  No tolerance
+decides which eigenvalues are zero.
 
 Matrix entries are contracted from exact monomial moments of the sphere
 (see exactpoly.integrate_monomial) with floating-point accumulation, which
@@ -24,12 +30,13 @@ value.
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .atlas import eigenspace_solve
 from .exactpoly import (
@@ -40,6 +47,7 @@ from .exactpoly import (
     integrate_poly,
 )
 from .frames import FrameField, grad
+from .pencil import eigvalsh_definite
 from .quadrature import HopfGrid, default_grid
 from .solver import DEFAULT_DMAX_LIMIT, _reduced_monomials
 
@@ -48,10 +56,6 @@ MANIFOLDS = ("s3", "rp3")
 #: The lower bound (16 / pi)^(1/3) that every normalized first eigenvalue
 #: in a conformal scan must clear.
 SCAN_LOWER_BOUND = (16.0 / math.pi) ** (1.0 / 3.0)
-
-#: Threshold below which a generalized eigenvalue is treated as a spurious
-#: zero contributed by the gradient block.
-ZERO_EIGENVALUE_TOLERANCE = 1e-8
 
 
 class ParityError(ValueError):
@@ -100,19 +104,16 @@ class ConformalFactor:
         return integrate_poly(cube)
 
 
-_MOMENT_CACHE: Dict[Tuple[int, ...], float] = {}
-
-
 def _moment(exponent: Tuple[int, ...]) -> float:
     """Float value of the exact moment, memoized up to coordinate symmetry."""
     if any(a % 2 for a in exponent):
         return 0.0
-    key = tuple(sorted(exponent))
-    value = _MOMENT_CACHE.get(key)
-    if value is None:
-        value = float(integrate_monomial(key))
-        _MOMENT_CACHE[key] = value
-    return value
+    return _sorted_moment(tuple(sorted(exponent)))
+
+
+@functools.cache
+def _sorted_moment(exponent: Tuple[int, ...]) -> float:
+    return float(integrate_monomial(exponent))
 
 
 class _BasisData:
@@ -206,19 +207,14 @@ class _BasisData:
         return cached
 
 
-_BASIS_CACHE: Dict[Tuple[str, int], _BasisData] = {}
-
-
+@functools.cache
 def _basis_data(manifold: str, dmax: int) -> _BasisData:
     if manifold not in MANIFOLDS:
         raise ValueError(f"manifold must be one of {MANIFOLDS}, "
                          f"got {manifold!r}")
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    key = (manifold, dmax)
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = _BasisData(manifold, dmax)
-    return _BASIS_CACHE[key]
+    return _BasisData(manifold, dmax)
 
 
 @dataclass
@@ -239,23 +235,29 @@ class GalerkinPencil:
     volume: float
 
     def eigenvalues(self) -> np.ndarray:
-        """All generalized eigenvalues, ascending."""
-        return scipy.linalg.eigh(self.a, self.b, eigvals_only=True)
+        """All generalized eigenvalues, ascending.
+
+        The last gradient_count columns are the gradient block g, on which
+        A must vanish exactly; a nonzero entry there raises RuntimeError.
+        The block contributes gradient_count exact zeros, and the other
+        eigenvalues solve A_ee c = mu S c with the Schur complement
+        S = B_ee - B_eg B_gg^-1 B_ge of the eigenfield block e.
+        """
+        ne = self.a.shape[0] - self.gradient_count
+        if np.any(self.a[ne:]) or np.any(self.a[:, ne:]):
+            raise RuntimeError("the curl matrix is nonzero on the gradient "
+                               f"block of dimension {self.gradient_count}")
+        b = self.b
+        schur = b[:ne, :ne] - b[:ne, ne:] @ np.linalg.solve(b[ne:, ne:],
+                                                            b[ne:, :ne])
+        return np.sort(np.concatenate([
+            np.zeros(self.gradient_count),
+            eigvalsh_definite(self.a[:ne, :ne], schur)]))
 
     def mu1(self) -> float:
-        """Smallest positive eigenvalue after discarding the gradient zeros.
-
-        The number of near-zero eigenvalues must match the gradient block
-        dimension exactly; any other count means the pencil is inconsistent
-        and raises instead of silently mislabeling a physical eigenvalue.
-        """
+        """Smallest positive eigenvalue; the gradient zeros are exact."""
         spectrum = self.eigenvalues()
-        zeros = int(np.sum(np.abs(spectrum) < ZERO_EIGENVALUE_TOLERANCE))
-        if zeros != self.gradient_count:
-            raise RuntimeError(
-                f"found {zeros} near-zero eigenvalues but the gradient "
-                f"block has dimension {self.gradient_count}")
-        positive = spectrum[spectrum >= ZERO_EIGENVALUE_TOLERANCE]
+        positive = spectrum[spectrum > 0]
         if positive.size == 0:
             raise RuntimeError("the pencil has no positive eigenvalue")
         return float(positive[0])
@@ -316,7 +318,8 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     and dmax + 1; a row passes when the refinement moves it by less than
     1e-4, it clears the (16/pi)^(1/3) lower bound, and it is no smaller
     than the t = 0 value of its own factor minus 1e-6 (so the undeformed
-    metric is the grid minimum).
+    metric is the grid minimum).  Each row's wall_time is the time, in
+    seconds, to build and solve the two pencils of its amplitude.
     """
     if not 0 <= dmax < DEFAULT_DMAX_LIMIT:
         raise ValueError(
@@ -331,14 +334,16 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     for label, q in qs:
         values = {}
         for t in amplitudes:
+            start = time.perf_counter()
             cf = ConformalFactor(q, t)
             coarse = mu1_normalized(manifold, cf, dmax)
             fine_pencil = assemble_pencil(manifold, cf, dmax + 1)
-            values[t] = (coarse, fine_pencil.mu1_normalized(),
-                         fine_pencil.mu1())
+            mu1 = fine_pencil.mu1()
+            values[t] = (coarse, mu1 * fine_pencil.volume ** (1.0 / 3.0),
+                         mu1, time.perf_counter() - start)
         base = values[0.0][1]
         for t in amplitudes:
-            coarse, fine, mu1 = values[t]
+            coarse, fine, mu1, wall_time = values[t]
             delta = abs(fine - coarse)
             passes = (delta < 1e-4
                       and fine >= SCAN_LOWER_BOUND - 1e-9
@@ -352,6 +357,7 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
                 "mu1_normalized": fine,
                 "refinement_delta": delta,
                 "pass": passes,
+                "wall_time": wall_time,
             })
     return rows
 

@@ -22,6 +22,7 @@ fields whose natural coefficients involve irrational normalizers.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -246,18 +247,13 @@ class Poly4:
         return Poly4({e: float(c) for e, c in self.terms.items()})
 
 
-# Cache of expansions of (1 - x1^2 - x2^2 - x3^2)^m used by the reduction.
-_RADIAL_POWERS: Dict[int, Poly4] = {}
-
-
+@functools.cache
 def _radial_complement_power(m: int) -> Poly4:
     """(1 - x1^2 - x2^2 - x3^2)^m, cached (exact coefficients)."""
-    if m not in _RADIAL_POWERS:
-        base = Poly4.const(1) - (
-            Poly4.variable(1) ** 2 + Poly4.variable(2) ** 2 + Poly4.variable(3) ** 2
-        )
-        _RADIAL_POWERS[m] = base ** m
-    return _RADIAL_POWERS[m]
+    base = Poly4.const(1) - (
+        Poly4.variable(1) ** 2 + Poly4.variable(2) ** 2 + Poly4.variable(3) ** 2
+    )
+    return base ** m
 
 
 def _reduce(p: Poly4) -> Poly4:

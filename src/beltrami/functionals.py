@@ -27,6 +27,7 @@ maximality scan of R around B1.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,25 +83,13 @@ def _unit_fields(eigenvalue: int) -> List[FrameField]:
     return explicit_basis(eigenvalue).orthonormal_float_fields()
 
 
-_BASIS_CACHE: Dict[str, List[FrameField]] = {}
-
-
+@functools.cache
 def _basis(name: str) -> List[FrameField]:
-    if name not in _BASIS_CACHE:
-        if name == "anti_hopf":
-            # The anti-Hopf frame normalized to unit L^2 norm.
-            scale = 1.0 / math.sqrt(2.0 * math.pi ** 2)
-            _BASIS_CACHE[name] = [f.to_float().scale(scale)
-                                  for f in _atlas.anti_hopf_frame()]
-        elif name == "u":
-            _BASIS_CACHE[name] = _unit_fields(3)
-        elif name == "v":
-            _BASIS_CACHE[name] = _unit_fields(4)
-        elif name == "w":
-            _BASIS_CACHE[name] = _unit_fields(5)
-        else:
-            raise KeyError(name)
-    return _BASIS_CACHE[name]
+    if name == "anti_hopf":
+        # The anti-Hopf frame normalized to unit L^2 norm.
+        scale = 1.0 / math.sqrt(2.0 * math.pi ** 2)
+        return [f.to_float().scale(scale) for f in _atlas.anti_hopf_frame()]
+    return _unit_fields({"u": 3, "v": 4, "w": 5}[name])
 
 
 def _index_to_eigenvalue(index: int) -> int:

@@ -18,11 +18,11 @@ deterministic and insensitive to summation order.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import roots_legendre
 
 DEFAULT_RADIAL_ORDER = 24
 DEFAULT_ANGULAR_ORDER = 48
@@ -44,7 +44,7 @@ class HopfGrid:
         self.radial_order = radial_order
         self.angular_order = angular_order
         # Gauss-Legendre on [-1, 1] mapped to u in [0, 1].
-        nodes, wu = roots_legendre(radial_order)
+        nodes, wu = np.polynomial.legendre.leggauss(radial_order)
         u = 0.5 * (nodes + 1.0)
         wu = 0.5 * wu
         xi = 2.0 * math.pi * np.arange(angular_order) / angular_order
@@ -123,14 +123,9 @@ def convergence_probe(f, orders: Sequence[Tuple[int, int]]) -> List[dict]:
     return table
 
 
-_DEFAULT_GRID: HopfGrid | None = None
-
-
+@functools.cache
 def default_grid() -> HopfGrid:
-    global _DEFAULT_GRID
-    if _DEFAULT_GRID is None:
-        _DEFAULT_GRID = HopfGrid()
-    return _DEFAULT_GRID
+    return HopfGrid()
 
 
 def grid_for_degree(degree: int) -> HopfGrid:

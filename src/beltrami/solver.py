@@ -43,6 +43,7 @@ matching parity, which roughly halves the work.
 
 from __future__ import annotations
 
+import functools
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
@@ -322,15 +323,10 @@ class _Block:
         return collectors
 
 
-_BLOCK_CACHE: Dict[Tuple[int, int], Tuple[_Block, Dict[int, _Echelon]]] = {}
-
-
+@functools.cache
 def _solved_block(dmax: int, parity: int):
-    key = (dmax, parity)
-    if key not in _BLOCK_CACHE:
-        block = _Block(dmax, parity)
-        _BLOCK_CACHE[key] = (block, block.solve())
-    return _BLOCK_CACHE[key]
+    block = _Block(dmax, parity)
+    return block, block.solve()
 
 
 def eigenspace_solve(dmax: int, limit: int = DEFAULT_DMAX_LIMIT) -> SolverResult:

@@ -17,7 +17,8 @@ import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
+
+from .pencil import eigvalsh_definite
 
 Wavevector = Tuple[int, int, int]
 
@@ -316,7 +317,7 @@ class TorusPencil:
         self.b = gram + t * mass_q
 
     def eigenvalues(self) -> np.ndarray:
-        return scipy.linalg.eigh(self.a, self.b, eigvals_only=True)
+        return eigvalsh_definite(self.a, self.b)
 
     def mu1_group_derivatives(self) -> np.ndarray:
         """First-order t-derivatives of the smallest positive eigenvalue
@@ -331,8 +332,7 @@ class TorusPencil:
             raise RuntimeError("the basis carries no eigenvalue-one group")
         sub_gram = self.gram[np.ix_(group, group)]
         sub_mass = self.mass_q[np.ix_(group, group)]
-        return scipy.linalg.eigh(-1.0 * sub_mass, sub_gram,
-                                 eigvals_only=True)
+        return eigvalsh_definite(-1.0 * sub_mass, sub_gram)
 
 
 def torus_pencil(q: TorusScalar, t: float = 0.0,

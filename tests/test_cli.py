@@ -98,6 +98,15 @@ class TestCommands:
         assert records["torus-diagonal-factor-minimum"][
             "expected_exact"] == "-1/4"
 
+    def test_scan_rows_are_timed_one_by_one(self, tmp_path):
+        out = tmp_path / "rp3.json"
+        assert main(["--command", "optimality-scan", "--manifold", "rp3",
+                     "--dmax", "2", "--out", str(out)]) == 0
+        times = [r["wall_time"] for r in
+                 json.loads(out.read_text())["records"]]
+        assert all(t > 0 for t in times)
+        assert len(set(times)) == len(times)
+
     def test_annulus(self, tmp_path):
         out = tmp_path / "annulus.csv"
         assert main(["--command", "annulus", "--format", "csv",

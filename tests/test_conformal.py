@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -108,6 +109,49 @@ class TestPencilSpectrum:
             column_eigenvalues=(0, 1), gradient_count=2, volume=1.0)
         with pytest.raises(RuntimeError):
             pencil.mu1()
+
+
+Q_X1X2 = canonicalize(x(1) * x(2))
+SCHUR_CASES = [pytest.param(manifold, q, t, id=f"{manifold}-{label}-{t:+}")
+               for manifold, factors in (
+                   ("s3", (("x1*x2", Q_X1X2), ("x3", Q_ODD))),
+                   ("rp3", (("x1*x2", Q_X1X2),)))
+               for label, q in factors
+               for t in (-0.05, 0.05)]
+
+
+class TestSchurPencil:
+    @pytest.mark.parametrize("manifold,q,t", SCHUR_CASES)
+    def test_matches_whole_pencil_reduction(self, manifold, q, t):
+        # Reference: Cholesky reduction of the whole pencil (A, B), where
+        # the gradient zeros appear only up to rounding.
+        pencil = assemble_pencil(manifold, ConformalFactor(q, t), 2)
+        factor = np.linalg.cholesky(pencil.b)
+        reduced = np.linalg.solve(factor, np.linalg.solve(factor,
+                                                          pencil.a).T)
+        reference = np.linalg.eigvalsh(reduced)
+        small = np.abs(reference) < 1e-8
+        assert np.sum(small) == pencil.gradient_count
+        spectrum = pencil.eigenvalues()
+        nonzero = spectrum[spectrum != 0.0]
+        np.testing.assert_allclose(nonzero, reference[~small], rtol=1e-9)
+
+    @pytest.mark.parametrize("manifold,q,t", SCHUR_CASES)
+    def test_gradient_zeros_are_exact(self, manifold, q, t):
+        pencil = assemble_pencil(manifold, ConformalFactor(q, t), 2)
+        spectrum = pencil.eigenvalues()
+        assert np.sum(spectrum == 0.0) == pencil.gradient_count
+
+    def test_gradient_coupling_in_curl_matrix_raises(self):
+        pencil = assemble_pencil("s3", ConformalFactor(Q_X1X2, 0.05), 2)
+        ne = pencil.a.shape[0] - pencil.gradient_count
+        a = pencil.a.copy()
+        a[0, ne] = a[ne, 0] = 1e-3
+        coupled = dataclasses.replace(pencil, a=a)
+        with pytest.raises(RuntimeError):
+            coupled.eigenvalues()
+        with pytest.raises(RuntimeError):
+            coupled.mu1()
 
 
 class TestGradientBlock:
