@@ -11,6 +11,11 @@ Three layers of exact values are provided:
   ExactScalar  finite Laurent combination of integer powers of pi with
                rational coefficients; the value domain of exact integrals.
 
+Integrals over S^3 come from the closed-form monomial moments, each a
+rational multiple of pi^2 (integrate_monomial).  integrate_products
+integrates a sum of products of exact SphereScalars from those moments
+without forming the products.
+
 pi is a formal transcendental symbol: no floating approximation enters the
 exact backend.  Rationals come from gmpy2 when available (much faster) and
 fall back to the stdlib Fraction otherwise; both are arbitrary precision.
@@ -499,12 +504,24 @@ def integrate_monomial(e: Iterable[int]) -> ExactScalar:
         raise ValueError(f"exponents must be four nonnegative integers, got {e}")
     if any(a % 2 for a in e):
         return ExactScalar.zero()
-    b = [a // 2 for a in e]
-    s = sum(b)
+    return ExactScalar({2: _even_moment(e)})
+
+
+def _even_moment(e: Exponent):
+    """The pi^2 coefficient of integrate_monomial(e) for all-even e.
+
+    The exponents are not checked for evenness: callers skip odd ones.
+    """
+    return _half_moment(tuple(sorted(a // 2 for a in e)))
+
+
+@functools.cache
+def _half_moment(b: Tuple[int, ...]):
+    # 2 prod_i [(2 b_i)! / (4^{b_i} b_i!)] / (s + 1)!, keyed by sorted b.
     num = Rat(2)
     for bi in b:
         num = num * Rat(math.factorial(2 * bi), 4 ** bi * math.factorial(bi))
-    return ExactScalar({2: num / math.factorial(s + 1)})
+    return num / math.factorial(sum(b) + 1)
 
 
 def _monomial_moment_float(e: Exponent) -> float:
@@ -528,6 +545,58 @@ def integrate_poly(p):
     for e, c in p.terms.items():
         out = out + integrate_monomial(e).scale(c)
     return out
+
+
+def _common_denominator(scalars: Iterable[SphereScalar]) -> int:
+    return math.lcm(*(int(c.denominator) for s in scalars
+                      for part in (s.even_part, s.odd_part)
+                      for c in part.terms.values()))
+
+
+def _integer_terms(s: SphereScalar, den: int):
+    """The terms of s times den as (exponent, int) lists, keyed by the
+    parities of the exponent entries."""
+    classes: Dict[Tuple[int, ...], list] = {}
+    for part in (s.even_part, s.odd_part):
+        for e, c in part.terms.items():
+            key = (e[0] & 1, e[1] & 1, e[2] & 1, e[3] & 1)
+            classes.setdefault(key, []).append(
+                (e, int(c.numerator) * (den // int(c.denominator))))
+    return classes
+
+
+def integrate_products(pairs: Iterable[Tuple[SphereScalar, SphereScalar]]
+                       ) -> ExactScalar:
+    """Integral over S^3 of sum_k p_k q_k for exact SphereScalars p_k, q_k.
+
+    The products are never formed.  Each side's coefficients are cleared
+    to ints with one lcm, the integer products c_a c_b are accumulated by
+    exponent sum e_a + e_b, and each sum is weighted by its exact moment;
+    the result is divided once.  A sum with an odd entry has moment zero,
+    and e_a + e_b is all even exactly when e_a and e_b have the same entry
+    parities, so only terms of the same parity class are paired (in
+    particular, the even and odd parts of p_k and q_k never meet).
+    """
+    pairs = list(pairs)
+    den_p = _common_denominator(p for p, _ in pairs)
+    den_q = _common_denominator(q for _, q in pairs)
+    sums: Dict[Exponent, int] = {}
+    for p, q in pairs:
+        right = _integer_terms(q, den_q)
+        for key, left_terms in _integer_terms(p, den_p).items():
+            right_terms = right.get(key)
+            if right_terms is None:
+                continue
+            for ea, ca in left_terms:
+                for eb, cb in right_terms:
+                    e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2],
+                         ea[3] + eb[3])
+                    sums[e] = sums.get(e, 0) + ca * cb
+    total = Rat(0)
+    for e, v in sums.items():
+        if v:
+            total += v * _even_moment(e)
+    return ExactScalar({2: total / (den_p * den_q)})
 
 
 def directional_derivative(p: SphereScalar, L: Sequence[Sequence[object]]) -> SphereScalar:

@@ -19,21 +19,37 @@ and the Laplace-Beltrami operator close exactly on polynomial coefficients:
     Delta(s) = -(B1 B1 s + B2 B2 s + B3 B3 s)   (nonnegative spectrum)
 
 The orientation is fixed so that curl(B1) = +2 B1.
+
+Each B_i acts on a SphereScalar term by term.  For a reduced monomial x^e
+(x4-exponent at most 1) and L = FRAME_GENERATORS[i - 1],
+
+    B_i x^e = sum_{j,m} L[j][m] e_j x^(e - delta_j + delta_m),
+
+in which the x4-exponent rises by at most one, so a single rewrite
+x4^2 -> 1 - x1^2 - x2^2 - x3^2 returns every term to normal form.  These
+images are kept, with their integer coefficients, in a memoized table
+(_derivative_table); frame_derivative scales the table entries by the
+coefficients of its argument, which keeps both parity parts in normal form
+for any coefficient type.  exactpoly.directional_derivative computes the
+same derivative through general polynomial products and serves as the
+reference.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import functools
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from beltrami.exactpoly import (
+    Exponent,
     Poly4,
     Rat,
     SphereScalar,
     canonicalize,
-    directional_derivative,
     integrate_poly,
+    integrate_products,
 )
 
 # Antisymmetric generators: row j of FRAME_GENERATORS[i] gives component j of
@@ -58,9 +74,46 @@ _FRAME_COMPONENTS = tuple(
 _GENERATOR_ARRAY = np.array(FRAME_GENERATORS, dtype=float)
 
 
+@functools.cache
+def _derivative_table(e: Exponent, i: int) -> Tuple[Tuple[Exponent, int], ...]:
+    """B_i x^e for a reduced exponent e as sorted (reduced exponent, int)
+    pairs with nonzero ints; see the module docstring."""
+    if not 1 <= i <= 3:
+        raise ValueError(f"frame index must be 1..3, got {i}")
+    if e[3] > 1:
+        raise ValueError(f"exponent {e} is not reduced (x4-exponent > 1)")
+    L = FRAME_GENERATORS[i - 1]
+    out: Dict[Exponent, int] = {}
+    for j in range(4):
+        for m in range(4):
+            k = L[j][m] * e[j]
+            if not k:
+                continue
+            f = list(e)
+            f[j] -= 1
+            f[m] += 1
+            terms = [(f, k)]
+            if f[3] == 2:
+                # x^f = x^(f1, f2, f3, 0) (1 - x1^2 - x2^2 - x3^2)
+                f[3] = 0
+                terms += [(f[:a] + [f[a] + 2] + f[a + 1:], -k)
+                          for a in range(3)]
+            for g, c in terms:
+                out[tuple(g)] = out.get(tuple(g), 0) + c
+    return tuple(sorted((f, k) for f, k in out.items() if k))
+
+
+def _derive(p: Poly4, i: int) -> Poly4:
+    out: Dict[Exponent, object] = {}
+    for e, c in p.terms.items():
+        for f, k in _derivative_table(e, i):
+            out[f] = out.get(f, 0) + c * k
+    return Poly4(out)
+
+
 def frame_derivative(s: SphereScalar, i: int) -> SphereScalar:
-    """The derivative B_i(s) for i in 1..3."""
-    return directional_derivative(s, FRAME_GENERATORS[i - 1])
+    """The derivative B_i(s) for i in 1..3, from the derivative table."""
+    return SphereScalar(_derive(s.even_part, i), _derive(s.odd_part, i))
 
 
 class FrameField:
@@ -145,8 +198,19 @@ class FrameField:
         return self.dot(self)
 
     def l2_inner(self, other: "FrameField"):
-        """L^2 inner product; ExactScalar for exact fields, float otherwise."""
-        return integrate_poly(self.dot(other))
+        """L^2 inner product; ExactScalar for exact fields, float otherwise.
+
+        Exact fields are integrated from monomial moments without forming
+        the pointwise product (exactpoly.integrate_products).
+        """
+        if self._has_float() or other._has_float():
+            return integrate_poly(self.dot(other))
+        return integrate_products(zip(self.f, other.f))
+
+    def _has_float(self) -> bool:
+        return any(isinstance(c, float) for a in self.f
+                   for part in (a.even_part, a.odd_part)
+                   for c in part.terms.values())
 
     # ---- Cartesian probe ------------------------------------------------
 

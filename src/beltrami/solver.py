@@ -14,7 +14,8 @@ backend:
 
 * fields are sparse coefficient vectors over reduced monomials, and curl
   acts on them as a precomputed sparse operator C whose entries are
-  integers (checked when the operator is built);
+  integers by construction: each column is read off the integer table of
+  frame derivatives of monomials (frames._derivative_table);
 * for each eigenvalue mu of a block's candidate spectrum S the Lagrange
   projector P_mu = prod_{nu != mu} (C - nu) / (mu - nu) is kept as the
   integer polynomial D_mu P_mu = sum_k n_{mu,k} C^k, where
@@ -48,7 +49,7 @@ from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from beltrami.exactpoly import Poly4, Rat, SphereScalar, canonicalize
-from beltrami.frames import _FRAME_COMPONENTS, FrameField, curl
+from beltrami.frames import _FRAME_COMPONENTS, FrameField, _derivative_table
 
 DEFAULT_DMAX_LIMIT = 5
 
@@ -113,17 +114,26 @@ def _integral(vec: Dict[int, object], what: str) -> Dict[int, int]:
 
 
 def _curl_operator(coords: _Coordinates) -> Dict[int, List[Tuple[int, int]]]:
-    """Sparse integer columns of curl in the given coordinates."""
+    """Sparse integer columns of curl in the given coordinates.
+
+    By the curl formula of beltrami.frames, the field with x^e in one slot
+    and zeros elsewhere has curl 2 x^e in that slot, plus, in the next two
+    slots cyclically, + B_k x^e and - B_j x^e, where j and k are those two
+    slots' own frame indices (for f1 = x^e: + B3 x^e in slot 2 and
+    - B2 x^e in slot 3).
+    """
     columns: Dict[int, List[Tuple[int, int]]] = {}
     n = len(coords.monomials)
-    zero = SphereScalar.zero()
+    index = coords.index
     for i in range(3):
+        plus, minus = (i + 1) % 3, (i + 2) % 3
         for k, e in enumerate(coords.monomials):
-            f = [zero, zero, zero]
-            f[i] = canonicalize(Poly4.monomial(e))
-            image = _integral(coords.to_vector(curl(FrameField(*f))),
-                              "the curl operator")
-            columns[i * n + k] = sorted(image.items())
+            column = [(i * n + k, 2)]
+            column += [(plus * n + index[f], c)
+                       for f, c in _derivative_table(e, minus + 1)]
+            column += [(minus * n + index[f], -c)
+                       for f, c in _derivative_table(e, plus + 1)]
+            columns[i * n + k] = sorted(column)
     return columns
 
 

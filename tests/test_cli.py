@@ -5,9 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import os
+import time
 
 import pytest
 
+from beltrami import cli
+from beltrami.atlas import SUPPORTED_EXPLICIT, explicit_basis
 from beltrami.cli import (
     COMMANDS,
     CheckRecord,
@@ -67,6 +70,29 @@ class TestCommands:
         checks = {r["check"] for r in payload["records"]}
         assert "atlas-dimension-5" in checks
         assert "atlas-exactness--4" in checks
+
+    def test_verify_atlas_times_each_row_alone(self, tmp_path, monkeypatch):
+        # With every basis built and each curl slowed, an exactness row
+        # carries the curl checks of its eigenspace and a dimension row
+        # none of them.
+        for mu in SUPPORTED_EXPLICIT:
+            explicit_basis(mu)
+        delay = 0.01
+        real_curl = cli.curl
+
+        def slow_curl(field):
+            time.sleep(delay)
+            return real_curl(field)
+
+        monkeypatch.setattr(cli, "curl", slow_curl)
+        out = tmp_path / "atlas.json"
+        assert main(["--command", "verify-atlas", "--out", str(out)]) == 0
+        records = {r["check"]: r["wall_time"]
+                   for r in json.loads(out.read_text())["records"]}
+        for mu in SUPPORTED_EXPLICIT:
+            count = explicit_basis(mu).dimension
+            assert records[f"atlas-exactness-{mu}"] >= delay * count
+            assert records[f"atlas-dimension-{mu}"] < delay
 
     def test_verify_identities_csv(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from beltrami import conformal
 from beltrami.atlas import explicit_basis
 from beltrami.conformal import (
     ConformalFactor,
@@ -215,6 +217,23 @@ class TestOptimalityScan:
         at_zero = [r for r in rows if r["t"] == 0.0]
         assert at_zero[0]["mu1_normalized"] == pytest.approx(
             2 * math.pi ** (2 / 3), abs=1e-10)
+
+    def test_rows_do_not_time_the_basis_build(self, monkeypatch):
+        # A slowed first build of each trial basis must land before the
+        # first row, not in its wall_time.
+        delay = 0.25
+        built = set()
+
+        def slow_basis_data(manifold, dmax):
+            if (manifold, dmax) not in built:
+                built.add((manifold, dmax))
+                time.sleep(delay)
+            return _basis_data(manifold, dmax)
+
+        monkeypatch.setattr(conformal, "_basis_data", slow_basis_data)
+        rows = optimality_scan([("x1^2-x2^2", Q_EVEN)], "rp3", dmax=1)
+        assert built == {("rp3", 1), ("rp3", 2)}
+        assert all(0 < row["wall_time"] < delay for row in rows)
 
     def test_requires_zero_amplitude(self):
         with pytest.raises(ValueError):
