@@ -5,9 +5,10 @@ Three layers of exact values are provided:
   Poly4        sparse polynomial in x1..x4: maps exponent 4-tuples to
                arbitrary-precision rational coefficients.
   SphereScalar polynomial function on S^3 in canonical normal form modulo
-               the sphere relation, obtained by exhaustively rewriting
-               x4^2 -> 1 - x1^2 - x2^2 - x3^2.  Two SphereScalars are equal
-               as functions on S^3 iff their normal forms coincide.
+               the sphere relation x4^2 = 1 - x1^2 - x2^2 - x3^2 (every
+               monomial has x4-exponent at most 1; the rewrite is made only
+               in _monomial_normal_form).  Two SphereScalars are equal as
+               functions on S^3 iff their normal forms coincide.
   ExactScalar  finite Laurent combination of integer powers of pi with
                rational coefficients; the value domain of exact integrals.
 
@@ -253,34 +254,42 @@ class Poly4:
 
 
 @functools.cache
-def _radial_complement_power(m: int) -> Poly4:
-    """(1 - x1^2 - x2^2 - x3^2)^m, cached (exact coefficients)."""
+def _radial_complement_power(m: int) -> Tuple[Tuple[Exponent, int], ...]:
+    """(1 - x1^2 - x2^2 - x3^2)^m as (exponent, int) pairs, Poly4 order."""
     base = Poly4.const(1) - (
         Poly4.variable(1) ** 2 + Poly4.variable(2) ** 2 + Poly4.variable(3) ** 2
     )
-    return base ** m
+    return tuple((e, int(c)) for e, c in (base ** m).terms.items())
+
+
+def _monomial_normal_form(e: Exponent) -> Tuple[Tuple[Exponent, int], ...]:
+    """x^e on S^3 as (reduced exponent, int) pairs, from the rewrite
+    x4^(2m + r) = x4^r (1 - x1^2 - x2^2 - x3^2)^m with r <= 1."""
+    m, r = divmod(e[3], 2)
+    if not m:
+        return ((e, 1),)
+    return tuple(((e[0] + f[0], e[1] + f[1], e[2] + f[2], r), k)
+                 for f, k in _radial_complement_power(m))
 
 
 def _reduce(p: Poly4) -> Poly4:
-    """Rewrite x4^2 -> 1 - x1^2 - x2^2 - x3^2 to exhaustion.
-
-    The result has x4-exponent 0 or 1 in every monomial, which is the unique
-    normal form for the single sphere relation.
-    """
+    """Map the terms of p through _monomial_normal_form; reduced terms are
+    summed first and rewritten ones after, which fixes the float rounding."""
     out: Dict[Exponent, object] = {}
-    pending = Poly4()
+    pending: Dict[Exponent, object] = {}
     for e, c in p.terms.items():
         if e[3] < 2:
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            target, terms = out, ((e, c),)
         else:
-            m, r = divmod(e[3], 2)
-            head = Poly4.monomial((e[0], e[1], e[2], r), c)
-            pending = pending + head * _radial_complement_power(m)
-    return Poly4(out) + pending
+            target = pending
+            terms = [(f, c * k) for f, k in _monomial_normal_form(e)]
+        for f, v in terms:
+            s = target.get(f, 0) + v
+            if s == 0:
+                target.pop(f, None)
+            else:
+                target[f] = s
+    return Poly4(out) + Poly4(pending)
 
 
 class SphereScalar:

@@ -20,14 +20,15 @@ and the Laplace-Beltrami operator close exactly on polynomial coefficients:
 
 The orientation is fixed so that curl(B1) = +2 B1.
 
-Each B_i acts on a SphereScalar term by term.  For a reduced monomial x^e
-(x4-exponent at most 1) and L = FRAME_GENERATORS[i - 1],
+With L_i = FRAME_GENERATORS[i - 1], every frame linear form (L_i x)_a is a
+signed coordinate +-x_m (_FRAME_FORMS), so multiplying by it shifts one
+exponent, and exactpoly's monomial normal form takes the product back to
+normal form.  That gives the Cartesian components sum_i f_i (L_i x)_a, their
+inverse from_cartesian, and, for a reduced monomial x^e,
 
-    B_i x^e = sum_{j,m} L[j][m] e_j x^(e - delta_j + delta_m),
+    B_i x^e = sum_a e_a x^(e - delta_a) (L_i x)_a.
 
-in which the x4-exponent rises by at most one, so a single rewrite
-x4^2 -> 1 - x1^2 - x2^2 - x3^2 returns every term to normal form.  These
-images are kept, with their integer coefficients, in a memoized table
+These images are kept, with their integer coefficients, in a memoized table
 (_derivative_table); frame_derivative scales the table entries by the
 coefficients of its argument, which keeps both parity parts in normal form
 for any coefficient type.  exactpoly.directional_derivative computes the
@@ -38,7 +39,8 @@ reference.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Sequence, Tuple
+import math
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +49,8 @@ from beltrami.exactpoly import (
     Poly4,
     Rat,
     SphereScalar,
+    _monomial_normal_form,
+    _mpq,
     canonicalize,
     integrate_poly,
     integrate_products,
@@ -60,18 +64,29 @@ FRAME_GENERATORS: Tuple[Tuple[Tuple[int, ...], ...], ...] = (
     ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
 )
 
-# The linear forms (L_i x)_a as Poly4, indexed [frame i][component a].
-_FRAME_COMPONENTS = tuple(
-    tuple(
-        sum((Poly4.variable(m + 1).scale(Rat(L[a][m]))
-             for m in range(4) if L[a][m]), Poly4.zero())
-        for a in range(4)
-    )
+# The linear forms (L_i x)_a = sign * x_m as pairs (m, sign), 0-based m,
+# indexed [frame i][component a].
+_FRAME_FORMS = tuple(
+    tuple(next((m, c) for m, c in enumerate(row) if c) for row in L)
     for L in FRAME_GENERATORS
 )
 
 # FRAME_GENERATORS as a float (3, 4, 4) array for pointwise evaluation.
 _GENERATOR_ARRAY = np.array(FRAME_GENERATORS, dtype=float)
+
+
+def _form_terms(e: Exponent, i: int, a: int) -> List[Tuple[Exponent, int]]:
+    """x^e (L x)_a in normal form as int pairs, L = FRAME_GENERATORS[i]."""
+    m, sign = _FRAME_FORMS[i][a]
+    f = e[:m] + (e[m] + 1,) + e[m + 1:]
+    return [(g, sign * k) for g, k in _monomial_normal_form(f)]
+
+
+def _times_form(s: SphereScalar, i: int, a: int) -> SphereScalar:
+    """s (L x)_a in normal form, where L = FRAME_GENERATORS[i]."""
+    m, sign = _FRAME_FORMS[i][a]
+    return canonicalize(Poly4({e[:m] + (e[m] + 1,) + e[m + 1:]: c * sign
+                               for e, c in s.representative().terms.items()}))
 
 
 @functools.cache
@@ -82,24 +97,12 @@ def _derivative_table(e: Exponent, i: int) -> Tuple[Tuple[Exponent, int], ...]:
         raise ValueError(f"frame index must be 1..3, got {i}")
     if e[3] > 1:
         raise ValueError(f"exponent {e} is not reduced (x4-exponent > 1)")
-    L = FRAME_GENERATORS[i - 1]
     out: Dict[Exponent, int] = {}
     for j in range(4):
-        for m in range(4):
-            k = L[j][m] * e[j]
-            if not k:
-                continue
-            f = list(e)
-            f[j] -= 1
-            f[m] += 1
-            terms = [(f, k)]
-            if f[3] == 2:
-                # x^f = x^(f1, f2, f3, 0) (1 - x1^2 - x2^2 - x3^2)
-                f[3] = 0
-                terms += [(f[:a] + [f[a] + 2] + f[a + 1:], -k)
-                          for a in range(3)]
-            for g, c in terms:
-                out[tuple(g)] = out.get(tuple(g), 0) + c
+        if e[j]:
+            lower = e[:j] + (e[j] - 1,) + e[j + 1:]
+            for g, k in _form_terms(lower, i - 1, j):
+                out[g] = out.get(g, 0) + e[j] * k
     return tuple(sorted((f, k) for f, k in out.items() if k))
 
 
@@ -138,13 +141,10 @@ class FrameField:
         Valid whenever the components describe a field tangent to S^3; then
         f_i is the pointwise inner product with B_i.
         """
-        coeffs = []
-        for i in range(3):
-            fi = SphereScalar.zero()
-            for a in range(4):
-                fi = fi + components[a] * canonicalize(_FRAME_COMPONENTS[i][a])
-            coeffs.append(fi)
-        return FrameField(*coeffs)
+        return FrameField(*(
+            sum((_times_form(components[a], i, a) for a in range(4)),
+                SphereScalar.zero())
+            for i in range(3)))
 
     # ---- linear structure ---------------------------------------------
 
@@ -216,13 +216,9 @@ class FrameField:
 
     def cartesian_components(self) -> Tuple[SphereScalar, ...]:
         """The four Cartesian components as functions on S^3."""
-        comps = []
-        for a in range(4):
-            ca = SphereScalar.zero()
-            for i in range(3):
-                ca = ca + self.f[i] * canonicalize(_FRAME_COMPONENTS[i][a])
-            comps.append(ca)
-        return tuple(comps)
+        return tuple(sum((_times_form(self.f[i], i, a) for i in range(3)),
+                         SphereScalar.zero())
+                     for a in range(4))
 
     def coefficient_values(self, pts: np.ndarray) -> np.ndarray:
         """The frame coefficients f1, f2, f3 at (N, 4) points -> (N, 3).
@@ -256,12 +252,33 @@ def hopf_frame() -> Tuple[FrameField, FrameField, FrameField]:
 
 
 def curl(F: FrameField) -> FrameField:
-    """Curl in the round metric; exact on polynomial coefficients."""
-    f1, f2, f3 = F.f
-    c1 = frame_derivative(f3, 2) - frame_derivative(f2, 3)
-    c2 = frame_derivative(f1, 3) - frame_derivative(f3, 1)
-    c3 = frame_derivative(f2, 1) - frame_derivative(f1, 2)
-    return FrameField(f1.scale(2) + c1, f2.scale(2) + c2, f3.scale(2) + c3)
+    """Curl in the round metric; exact on polynomial coefficients.
+
+    Component a is 2 f_a + (B_b f_c - B_c f_b), summed in the term order of
+    Poly4 addition, so float results are those of Poly4 arithmetic bit for
+    bit.  Rationals are summed as integer numerators over one denominator.
+    """
+    parts = [p for f in F.f for p in (f.even_part, f.odd_part)]
+    den = None
+    if all(type(c) is _mpq for p in parts for c in p.terms.values()):
+        den = math.lcm(*(c.denominator for p in parts
+                         for c in p.terms.values()))
+        parts = [Poly4({e: c.numerator * (den // c.denominator)
+                        for e, c in p.terms.items()}) for p in parts]
+
+    def component(a: int, parity: int) -> Poly4:
+        b, c = (a + 1) % 3, (a + 2) % 3
+        d = _derive(parts[2 * c + parity], b + 1).terms
+        for e, n in _derive(parts[2 * b + parity], c + 1).terms.items():
+            d[e] = d.get(e, 0) - n
+        out = {e: 2 * n for e, n in parts[2 * a + parity].terms.items()}
+        for e, n in d.items():
+            if n:
+                out[e] = out.get(e, 0) + n
+        return Poly4({e: Rat(n, den) for e, n in out.items()} if den else out)
+
+    return FrameField(*(SphereScalar(component(a, 0), component(a, 1))
+                        for a in range(3)))
 
 
 def divergence(F: FrameField) -> SphereScalar:

@@ -119,6 +119,7 @@ class HopfPerturbation:
         self.a = tuple(float(x) for x in a)
         self.b = tuple(float(x) for x in b)
         self.extra = dict(extra or {})
+        self._field: Optional[FrameField] = None
         if len(self.beta) != 3 or len(self.a) != 8 or len(self.b) != 15:
             raise ValueError("expected 3 beta, 8 a, and 15 b coefficients")
         for index, field in self.extra.items():
@@ -134,19 +135,12 @@ class HopfPerturbation:
     # ---- assembly ------------------------------------------------------
 
     def field(self) -> FrameField:
-        out = FrameField.zero()
-        for c, e in zip(self.beta, _basis("anti_hopf")):
-            if c:
-                out = out + e.scale(c)
-        for c, e in zip(self.a, _basis("u")):
-            if c:
-                out = out + e.scale(c)
-        for c, e in zip(self.b, _basis("v")):
-            if c:
-                out = out + e.scale(c)
-        for field in self.extra.values():
-            out = out + field.to_float()
-        return out
+        """W as one float FrameField, assembled on the first call."""
+        if self._field is None:
+            basis = _basis("anti_hopf") + _basis("u") + _basis("v")
+            self._field = sum((f.to_float() for f in self.extra.values()),
+                              _combine(self.beta + self.a + self.b, basis))
+        return self._field
 
     # ---- exact quadratic data -----------------------------------------
 
@@ -168,24 +162,11 @@ class HopfPerturbation:
 
     # ---- structured pieces --------------------------------------------
 
-    def z1(self) -> FrameField:
-        return _combine(self.a[:4], _basis("u")[:4])
-
     def z2(self) -> FrameField:
         return _combine(self.a[4:], _basis("u")[4:])
 
     def w3(self) -> FrameField:
         return _combine(self.b, _basis("v"))
-
-    def p31(self) -> FrameField:
-        coeffs = [c if i + 1 not in (10, 12, 15) else 0.0
-                  for i, c in enumerate(self.b)]
-        return _combine(coeffs, _basis("v"))
-
-    def p32(self) -> FrameField:
-        coeffs = [c if i + 1 in (10, 12, 15) else 0.0
-                  for i, c in enumerate(self.b)]
-        return _combine(coeffs, _basis("v"))
 
     def w_minus1(self) -> FrameField:
         return _combine(self.beta, _basis("anti_hopf"))
@@ -585,8 +566,9 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     most radius, and reports any sample where R increases beyond 1e-9 or
     where equality holds although W has a non-E1 part.
     """
-    if radius > 0.1:
-        raise ValueError("scan radius must be at most 0.1")
+    if not 0 < radius <= 0.1 or samples < 1:
+        raise ValueError("local_max_scan needs 0 < radius <= 0.1 and "
+                         f"samples >= 1, got {radius} and {samples}")
     q = q or _DEFAULT_SPEC
     grid = q.grid()
     rng = np.random.default_rng(seed)
@@ -876,6 +858,8 @@ def identity_report(seed: int = 0, draws: int = 20) -> List[dict]:
     against the reference values; the reference rows are expected to fail
     and carry a 'discrepancy' note.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.default_rng(seed)
     I = lambda s: float(integrate_poly(s))
     b1 = _b1_float()

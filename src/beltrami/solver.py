@@ -12,8 +12,10 @@ the gradient part).
 All of the linear algebra runs on Python ints, whatever the rational
 backend:
 
-* fields are sparse coefficient vectors over reduced monomials, and curl
-  acts on them as a precomputed sparse operator C whose entries are
+* fields are sparse coefficient vectors over reduced monomials; each
+  generator m * (L_i x)_a is a signed monomial, so its integer vector is
+  read off the monomial normal form (frames._form_terms);
+* curl acts on them as a precomputed sparse operator C whose entries are
   integers by construction: each column is read off the integer table of
   frame derivatives of monomials (frames._derivative_table);
 * for each eigenvalue mu of a block's candidate spectrum S the Lagrange
@@ -49,7 +51,7 @@ from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from beltrami.exactpoly import Poly4, Rat, SphereScalar, canonicalize
-from beltrami.frames import _FRAME_COMPONENTS, FrameField, _derivative_table
+from beltrami.frames import FrameField, _derivative_table, _form_terms
 
 DEFAULT_DMAX_LIMIT = 5
 
@@ -62,17 +64,18 @@ class SpectrumError(RuntimeError):
 # Monomial coordinates
 
 
+def _monomials(degree: int):
+    """The exponents of all monomials of the given total degree."""
+    for e1 in range(degree + 1):
+        for e2 in range(degree + 1 - e1):
+            for e3 in range(degree + 1 - e1 - e2):
+                yield (e1, e2, e3, degree - e1 - e2 - e3)
+
+
 def _reduced_monomials(max_degree: int, parity: int) -> List[Tuple[int, ...]]:
     """Reduced monomials (x4-exponent <= 1) of given total-degree parity."""
-    out = []
-    for d in range(parity, max_degree + 1, 2):
-        for e1 in range(d + 1):
-            for e2 in range(d + 1 - e1):
-                for e3 in range(d + 1 - e1 - e2):
-                    e4 = d - e1 - e2 - e3
-                    if e4 <= 1:
-                        out.append((e1, e2, e3, e4))
-    return out
+    return [e for d in range(parity, max_degree + 1, 2)
+            for e in _monomials(d) if e[3] <= 1]
 
 
 class _Coordinates:
@@ -101,16 +104,6 @@ class _Coordinates:
             i, k = divmod(j, n)
             polys[i][self.monomials[k]] = c
         return FrameField(*(canonicalize(Poly4(p)) for p in polys))
-
-
-def _integral(vec: Dict[int, object], what: str) -> Dict[int, int]:
-    """The vector with its rational entries as ints; they must be integral."""
-    out = {}
-    for j, c in vec.items():
-        if c.denominator != 1:
-            raise SpectrumError(f"{what} has the non-integral entry {c}")
-        out[j] = int(c)
-    return out
 
 
 def _curl_operator(coords: _Coordinates) -> Dict[int, List[Tuple[int, int]]]:
@@ -279,21 +272,16 @@ class _Block:
 
     def _generators(self, cartesian_degree: int, parity: int):
         """Integer coordinate vectors of tangential monomial projections."""
-        # Frame coefficients of m e_a have degree deg(m) + 1, so the block of
-        # coefficient parity `parity` comes from monomials of the opposite
-        # degree parity.
+        # The projection of x^e e_a has the frame coefficients x^e (L_i x)_a,
+        # of degree |e| + 1, so the block of coefficient parity `parity`
+        # comes from monomials of the opposite degree parity.
+        n = len(self.coords.monomials)
+        index = self.coords.index
         for d in range(1 - parity, cartesian_degree + 1, 2):
-            for e1 in range(d + 1):
-                for e2 in range(d + 1 - e1):
-                    for e3 in range(d + 1 - e1 - e2):
-                        m = Poly4.monomial((e1, e2, e3, d - e1 - e2 - e3))
-                        for a in range(4):
-                            field = FrameField(*(
-                                canonicalize(m * _FRAME_COMPONENTS[i][a])
-                                for i in range(3)))
-                            if not field.is_zero():
-                                yield _integral(self.coords.to_vector(field),
-                                                "a generator")
+            for e in _monomials(d):
+                for a in range(4):
+                    yield {i * n + index[f]: c for i in range(3)
+                           for f, c in _form_terms(e, i, a)}
 
     def krylov(self, vec: Dict[int, int], length: int) -> List[Dict[int, int]]:
         """The Krylov vectors vec, C vec, ..., C^(length - 1) vec."""

@@ -11,6 +11,7 @@ import pytest
 
 from beltrami import cli
 from beltrami.atlas import SUPPORTED_EXPLICIT, explicit_basis
+from beltrami.functionals import identity_report, local_max_scan
 from beltrami.cli import (
     COMMANDS,
     CheckRecord,
@@ -252,6 +253,34 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["--command", "bounds", "--tol-float", "1e-6"])
         assert info.value.code == 2
+
+
+class TestVacuousRuns:
+    """Settings under which a command would check nothing are usage errors."""
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("verify-identities", "draws", 0),
+        ("local-max-scan", "samples", 0),
+        ("local-max-scan", "radius", 0.0),
+        ("local-max-scan", "radius", -0.01),
+    ])
+    def test_exit_two_with_one_line(self, tmp_path, capsys, command, key,
+                                    value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"command": command, key: value}))
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(config_path)])
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert key in message and message.count("\n") == 1
+
+    def test_functions_reject_them(self):
+        with pytest.raises(ValueError, match="draws"):
+            identity_report(draws=0)
+        with pytest.raises(ValueError, match="samples"):
+            local_max_scan(samples=0)
+        with pytest.raises(ValueError, match="radius"):
+            local_max_scan(radius=0.0)
 
 
 class TestCrash:

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from beltrami.exactpoly import SphereScalar, integrate_poly
+from beltrami.exactpoly import Poly4, SphereScalar, integrate_poly
 from beltrami.frames import (
     FrameField,
     REFLECTION,
@@ -97,6 +97,32 @@ class TestCurl:
             rhs = grad(divergence(F)) + FrameField(
                 *(laplace_beltrami(c) for c in F.f))
             assert lhs == rhs
+
+    def test_matches_frame_derivative_chain(self):
+        # curl sums rationals as integer numerators and floats term by term;
+        # both must give the terms, order and coefficient types of the
+        # SphereScalar operations, floats bit for bit.
+        def chain(F):
+            f1, f2, f3 = F.f
+            d = frame_derivative
+            return FrameField(f1.scale(2) + (d(f3, 2) - d(f2, 3)),
+                              f2.scale(2) + (d(f1, 3) - d(f3, 1)),
+                              f3.scale(2) + (d(f2, 1) - d(f1, 2)))
+
+        def terms(F):
+            return [[(e, type(c), c.hex() if isinstance(c, float) else c)
+                     for e, c in p.terms.items()]
+                    for s in F.f for p in (s.even_part, s.odd_part)]
+
+        rng = random.Random(47)
+        fields = [rand_field(rng, 4, 6) for _ in range(40)]
+        fields += [F.to_float() for F in fields]
+        fields += [FrameField(*(SphereScalar(
+            Poly4({e: 3 for e in s.even_part.terms}), Poly4())
+            for s in F.f)) for F in fields[:10]]
+        fields += [FrameField.zero()]
+        for F in fields:
+            assert terms(curl(F)) == terms(chain(F))
 
 
 class TestDivergence:

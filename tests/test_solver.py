@@ -11,7 +11,6 @@ from beltrami.frames import FrameField, curl, divergence, grad
 from beltrami.solver import (
     SpectrumError,
     _Block,
-    _integral,
     _solved_block,
     eigenspace_solve,
     field_dmax,
@@ -210,8 +209,3 @@ class TestSpectrumChecks:
         collectors = _Block(1, 1).solve()
         assert {mu: c.rank for mu, c in collectors.items()} == \
             {0: 20, 3: 8, -3: 8}
-
-    def test_non_integral_entry_raises(self):
-        with pytest.raises(SpectrumError):
-            _integral({0: Rat(1), 3: Rat(1, 2)}, "a test vector")
-        assert _integral({0: Rat(-4)}, "a test vector") == {0: -4}
