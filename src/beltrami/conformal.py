@@ -41,6 +41,7 @@ import numpy as np
 from .atlas import eigenspace_solve
 from .exactpoly import (
     Poly4,
+    Rat,
     SphereScalar,
     canonicalize,
     integrate_monomial,
@@ -66,8 +67,9 @@ class ConformalFactor:
     """The factor (1 + t q)^2 scaling the round metric.
 
     q is a polynomial scalar on the sphere and t a real amplitude.  The
-    square root 1 + t q must be positive; positivity is checked on a dense
-    quadrature grid at construction.
+    square root 1 + t q must be positive: monomials are bounded by one on
+    the sphere, so 1 - |t| sum |c_e| > 0 certifies it exactly, and a factor
+    without the certificate must be positive on a dense quadrature grid.
     """
 
     def __init__(self, q: SphereScalar, t: float):
@@ -77,12 +79,14 @@ class ConformalFactor:
         self.t = t
         self._sqrt = SphereScalar.const(1) + q.scale(t) if t else \
             SphereScalar.const(1)
-        values = self._sqrt.evaluate(default_grid().points)
-        low = float(np.min(values))
-        if low <= 0.0:
-            raise ValueError(
-                f"1 + t q reaches {low:.3e} on the sphere; the conformal "
-                "factor must stay positive")
+        coefficients = q.representative().terms.values()
+        if abs(Rat(t)) * sum(abs(Rat(c)) for c in coefficients) >= 1:
+            low = float(np.min(self._sqrt.evaluate(default_grid().points)))
+            if low <= 0.0:
+                raise ValueError(
+                    f"1 + t q reaches {low:.3e} on the sphere; the conformal "
+                    "factor must stay positive")
+        self._volume = integrate_poly(self._sqrt * self._sqrt * self._sqrt)
 
     def sqrt_weight(self) -> SphereScalar:
         """The polynomial 1 + t q (the square root of the metric factor)."""
@@ -97,11 +101,10 @@ class ConformalFactor:
     def volume(self):
         """The volume of (S^3, (1 + t q)^2 g0): integral of (1 + t q)^3.
 
-        Contracted from exact monomial moments; an ExactScalar when both q
-        and t are exact, a float otherwise.
+        Contracted from exact monomial moments at construction; an
+        ExactScalar when both q and t are exact, a float otherwise.
         """
-        cube = self._sqrt * self._sqrt * self._sqrt
-        return integrate_poly(cube)
+        return self._volume
 
 
 def _moment(exponent: Tuple[int, ...]) -> float:
@@ -161,8 +164,8 @@ class _BasisData:
                 for e, coeff in poly.terms.items():
                     P[c, i, exponents[e]] = float(coeff)
         self._shift_tables = {}
-        self._perturbations = {}
-        gram = self._contract(P, (0, 0, 0, 0))
+        self._last_perturbation = (None, None)
+        gram = self._contract(P, self._table((0, 0, 0, 0)))
         scale = 1.0 / np.sqrt(np.diag(gram))
         self.P = P * scale[None, :, None]
         self.scales = scale
@@ -187,24 +190,21 @@ class _BasisData:
             self._shift_tables[shift] = table
         return table
 
-    def _contract(self, P: np.ndarray, shift: Tuple[int, ...]) -> np.ndarray:
-        table = self._table(shift)
+    def _contract(self, P: np.ndarray, table: np.ndarray) -> np.ndarray:
         out = np.zeros((P.shape[1], P.shape[1]))
         for c in range(3):
             out += P[c] @ table @ P[c].T
         return 0.5 * (out + out.T)
 
     def perturbation(self, q: SphereScalar) -> np.ndarray:
-        """The matrix of integral q <e_i, e_j> over the basis."""
+        """The matrix of integral q <e_i, e_j> over the basis, with one
+        contraction per frame leg; the matrix of the latest q is kept."""
         terms = tuple(sorted((e, float(c)) for e, c in
                              q.representative().terms.items()))
-        cached = self._perturbations.get(terms)
-        if cached is None:
-            cached = np.zeros_like(self.gram)
-            for e, coeff in terms:
-                cached += coeff * self._contract(self.P, e)
-            self._perturbations[terms] = cached
-        return cached
+        if self._last_perturbation[0] != terms:
+            table = sum(c * self._table(e) for e, c in terms)
+            self._last_perturbation = (terms, self._contract(self.P, table))
+        return self._last_perturbation[1]
 
 
 @functools.cache

@@ -119,7 +119,7 @@ class HopfPerturbation:
         self.a = tuple(float(x) for x in a)
         self.b = tuple(float(x) for x in b)
         self.extra = dict(extra or {})
-        self._field: Optional[FrameField] = None
+        self._parts: Dict[str, FrameField] = {}
         if len(self.beta) != 3 or len(self.a) != 8 or len(self.b) != 15:
             raise ValueError("expected 3 beta, 8 a, and 15 b coefficients")
         for index, field in self.extra.items():
@@ -134,13 +134,17 @@ class HopfPerturbation:
 
     # ---- assembly ------------------------------------------------------
 
+    def _part(self, name: str, coeffs, fields) -> FrameField:
+        if name not in self._parts:
+            self._parts[name] = _combine(coeffs, fields)
+        return self._parts[name]
+
     def field(self) -> FrameField:
         """W as one float FrameField, assembled on the first call."""
-        if self._field is None:
-            basis = _basis("anti_hopf") + _basis("u") + _basis("v")
-            self._field = sum((f.to_float() for f in self.extra.values()),
-                              _combine(self.beta + self.a + self.b, basis))
-        return self._field
+        extra = list(self.extra.values())
+        return self._part(
+            "field", self.beta + self.a + self.b + (1.0,) * len(extra),
+            _basis("anti_hopf") + _basis("u") + _basis("v") + extra)
 
     # ---- exact quadratic data -----------------------------------------
 
@@ -163,13 +167,13 @@ class HopfPerturbation:
     # ---- structured pieces --------------------------------------------
 
     def z2(self) -> FrameField:
-        return _combine(self.a[4:], _basis("u")[4:])
+        return self._part("z2", self.a[4:], _basis("u")[4:])
 
     def w3(self) -> FrameField:
-        return _combine(self.b, _basis("v"))
+        return self._part("w3", self.b, _basis("v"))
 
     def w_minus1(self) -> FrameField:
-        return _combine(self.beta, _basis("anti_hopf"))
+        return self._part("w_minus1", self.beta, _basis("anti_hopf"))
 
 
 def _combine(coeffs: Sequence[float], fields: Sequence[FrameField]) -> FrameField:

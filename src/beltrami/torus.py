@@ -13,6 +13,7 @@ rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -282,6 +283,32 @@ def beltrami_basis(kmax: int) -> Tuple[List[TorusField], List[float]]:
     return fields, eigenvalues
 
 
+@functools.cache
+def _pair_tables(kmax: int):
+    """The Beltrami basis and its pairwise mode products, once per kmax.
+
+    waves[:, s, r, i, j] sums the wavevectors of mode s of field i and mode r
+    of field j, and products[s, r, i, j] dots their amplitudes."""
+    fields, mus = beltrami_basis(kmax)
+    k = np.array([list(f.modes) for f in fields]).T
+    waves = np.ascontiguousarray(k[:, :, None, :, None] +
+                                 k[:, None, :, None, :])
+    a = np.array([list(f.modes.values()) for f in fields]).swapaxes(0, 1)
+    a = a.reshape(-1, 3)
+    products = (a @ a.T).reshape(2, len(fields), 2, -1).swapaxes(1, 2).copy()
+    return (fields, np.array(mus), waves, products,
+            _weighted_mass(waves, products, {(0, 0, 0): 1.0}))
+
+
+def _weighted_mass(waves, products, modes: Dict[Wavevector, complex]):
+    """The matrix of integral q <e_i, e_j> for q with the given modes."""
+    total = np.zeros(products.shape[2:], dtype=complex)
+    for k, c in modes.items():
+        match = np.all(waves == np.reshape(_neg(k), (3, 1, 1, 1, 1)), axis=0)
+        total += c * np.where(match, products, 0).sum(axis=(0, 1))
+    return total.real * VOLUME
+
+
 class TorusPencil:
     """The pencil A c = mu B(t) c for the metric (1 + t q)^2 delta on T^3.
 
@@ -294,27 +321,11 @@ class TorusPencil:
         self.q = q
         self.t = t
         self.kmax = kmax
-        fields, mus = beltrami_basis(kmax)
-        self.fields = fields
-        self.mus = np.array(mus)
-        n = len(fields)
-        gram = np.zeros((n, n))
-        mass_q = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1):
-                product = fields[i].dot(fields[j])
-                gram[i, j] = gram[j, i] = product.integral()
-                weighted = 0j
-                for k, c in q.modes.items():
-                    partner = product.modes.get(_neg(k))
-                    if partner is not None:
-                        weighted += c * partner
-                mass_q[i, j] = mass_q[j, i] = weighted.real * VOLUME
-        self.gram = gram
-        self.mass_q = mass_q
-        weighted = self.mus[:, None] * gram
+        self.fields, self.mus, waves, products, self.gram = _pair_tables(kmax)
+        self.mass_q = _weighted_mass(waves, products, q.modes)
+        weighted = self.mus[:, None] * self.gram
         self.a = 0.5 * (weighted + weighted.T)
-        self.b = gram + t * mass_q
+        self.b = self.gram + t * self.mass_q
 
     def eigenvalues(self) -> np.ndarray:
         return eigvalsh_definite(self.a, self.b)

@@ -24,7 +24,8 @@ from beltrami.conformal import (
     optimality_scan,
     _basis_data,
 )
-from beltrami.exactpoly import Poly4, SphereScalar, canonicalize, integrate_poly
+from beltrami.exactpoly import (Poly4, Rat, SphereScalar, canonicalize,
+                                integrate_poly)
 from beltrami.frames import hopf_frame
 from beltrami.functionals import l32_energy
 from beltrami.quadrature import (default_grid, grid_for_degree,
@@ -58,6 +59,33 @@ class TestConformalFactor:
     def test_rejects_non_scalar(self):
         with pytest.raises(TypeError):
             ConformalFactor(x(1), 0.01)
+
+    def test_certified_factor_skips_the_grid(self, monkeypatch):
+        # |t| sum |c_e| < 1 proves 1 + t q > 0 on the sphere; the grid must
+        # not be consulted.
+        def no_grid():
+            raise AssertionError("the certified factor evaluated the grid")
+
+        monkeypatch.setattr(conformal, "default_grid", no_grid)
+        for q, t in ((Q_EVEN, 0.49), (Q_EVEN, -0.49), (Q_ODD, 0.99),
+                     (Q_EVEN, Rat(1, 3)), (SphereScalar.zero(), 7.0)):
+            ConformalFactor(q, t)
+        optimality_scan([("x1^2-x2^2", Q_EVEN)], "rp3", dmax=1)
+
+    @pytest.mark.parametrize("t", [0.5, 0.9, -0.9])
+    def test_grid_accepts_positive_uncertified_factor(self, monkeypatch, t):
+        # 1 + t (x1^2 - x2^2) >= 1 - |t| > 0, but |t| (1 + 1) >= 1 fails the
+        # certificate, so the grid decides.
+        calls = []
+
+        def counted_grid():
+            calls.append(1)
+            return default_grid()
+
+        monkeypatch.setattr(conformal, "default_grid", counted_grid)
+        cf = ConformalFactor(Q_EVEN, t)
+        assert calls == [1]
+        assert float(cf.volume()) > 0
 
 
 class TestPencilSpectrum:
@@ -197,6 +225,70 @@ class TestAssemblyAgainstExactIntegrals:
                 data.fields[i].dot(data.fields[j]))) * mu
             exact *= data.scales[i] * data.scales[j]
             assert data.a[i, j] == pytest.approx(exact, abs=1e-12)
+
+
+def per_monomial_perturbation(data, q) -> np.ndarray:
+    """Reference: integral q <e_i, e_j> summed one monomial of q at a time,
+    with three sandwich products per monomial."""
+    out = np.zeros_like(data.gram)
+    for e, c in sorted((e, float(c))
+                       for e, c in q.representative().terms.items()):
+        table = data._table(e)
+        part = sum(data.P[leg] @ table @ data.P[leg].T for leg in range(3))
+        out += c * 0.5 * (part + part.T)
+    return out
+
+
+def random_rational_factor(rng, degrees) -> SphereScalar:
+    monomials = [(a, b, c, d - a - b - c) for d in degrees
+                 for a in range(d + 1) for b in range(d + 1 - a)
+                 for c in range(d + 1 - a - b)]
+    poly = Poly4.zero()
+    for i in rng.choice(len(monomials), size=min(6, len(monomials)),
+                        replace=False):
+        numerator = int(rng.integers(1, 10)) * int(rng.choice((-1, 1)))
+        poly = poly + Poly4.monomial(monomials[i],
+                                     Rat(numerator, int(rng.integers(1, 8))))
+    return canonicalize(poly)
+
+
+class TestPerturbationContraction:
+    @pytest.mark.parametrize("manifold,degrees", [
+        ("s3", (0, 1, 2)), ("s3", (1, 2, 3)), ("rp3", (0, 2))])
+    @pytest.mark.parametrize("dmax", [1, 2, 3, 4])
+    def test_matches_per_monomial_sum(self, manifold, degrees, dmax):
+        # Errors are relative to the rounding scale of the contraction,
+        # sum_e |c_e| sum_leg |P| |T_e| |P|^T, entry by entry.  Against the
+        # largest entry alone, the two summation orders differ by up to
+        # 1e-12 at dmax 4, where the moment tables cancel strongly.
+        rng = np.random.default_rng([dmax, len(degrees), max(degrees)])
+        data = _basis_data(manifold, dmax)
+        for _ in range(2):
+            q = random_rational_factor(rng, degrees)
+            reference = per_monomial_perturbation(data, q)
+            table = sum(abs(float(c)) * np.abs(data._table(e))
+                        for e, c in q.representative().terms.items())
+            scale = sum(np.abs(p) @ table @ np.abs(p).T for p in data.P)
+            error = np.abs(data.perturbation(q) - reference)
+            assert np.all(error <= 1e-13 * scale)
+
+    def test_keeps_only_the_latest_factor(self):
+        # A scan asks for one q at every amplitude; matrices of earlier
+        # factors must not accumulate over distinct scans.
+        dmax = 1
+        qs = [canonicalize(x(1) * x(2) + x(3).scale(Rat(k + 1, 40))
+                           + x(1) * x(1)) for k in range(21)]
+        order = _basis_data("s3", dmax + 1).gram.shape[0]
+        tracemalloc.start()
+        try:
+            optimality_scan([("warm-up", qs[0])], "s3", dmax=dmax)
+            before = tracemalloc.get_traced_memory()[0]
+            for k, q in enumerate(qs[1:]):
+                optimality_scan([(f"q{k}", q)], "s3", dmax=dmax)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 2 * order * order * 8
 
 
 class TestOptimalityScan:

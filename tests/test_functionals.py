@@ -247,6 +247,40 @@ class TestDerivativesAtHopf:
             HopfPerturbation(extra={4: explicit_basis(4).fields[0]})
 
 
+def summed_fields(coeffs, fields) -> FrameField:
+    """Reference: the float sum of c * e over nonzero c, term by term."""
+    out = FrameField.zero()
+    for c, e in zip(coeffs, fields):
+        if c:
+            out = out + e.scale(float(c))
+    return out
+
+
+class TestPerturbationParts:
+    def test_parts_are_assembled_once(self):
+        rng = np.random.default_rng(61)
+        w1 = explicit_basis(5).fields[0].to_float().scale(0.4)
+        minus4 = explicit_basis(-4).fields[2]
+        W = HopfPerturbation(beta=rng.standard_normal(3),
+                             a=rng.standard_normal(8),
+                             b=rng.standard_normal(15),
+                             extra={4: w1, -3: minus4})
+        basis = _basis("anti_hopf") + _basis("u") + _basis("v")
+        expected = {
+            "field": sum((f.to_float() for f in W.extra.values()),
+                         summed_fields(W.beta + W.a + W.b, basis)),
+            "z2": summed_fields(W.a[4:], _basis("u")[4:]),
+            "w3": summed_fields(W.b, _basis("v")),
+            "w_minus1": summed_fields(W.beta, _basis("anti_hopf")),
+        }
+        for name, reference in expected.items():
+            part = getattr(W, name)()
+            assert getattr(W, name)() is part, name
+            # Bit-identical coefficients, not merely close ones.
+            assert ([c.representative().terms for c in part.f]
+                    == [c.representative().terms for c in reference.f]), name
+
+
 def reference_energy_series(field: FrameField):
     """Taylor coefficients of t -> E(B1 + tW) and int B1 . W from moments.
 

@@ -162,3 +162,51 @@ class TestTorusPencil:
         fd = (positive - 1.0) / h
         predicted = np.sort(torus_pencil(q).mu1_group_derivatives())
         np.testing.assert_allclose(fd, predicted, atol=1e-5)
+
+
+def dot_pair_matrices(fields, q: TorusScalar):
+    """Reference gram and mass_q: one TorusField.dot per pair of fields."""
+    n = len(fields)
+    gram = np.zeros((n, n))
+    mass_q = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            product = fields[i].dot(fields[j])
+            gram[i, j] = gram[j, i] = product.integral()
+            weighted = 0j
+            for k, c in q.modes.items():
+                partner = product.modes.get((-k[0], -k[1], -k[2]))
+                if partner is not None:
+                    weighted += c * partner
+            mass_q[i, j] = mass_q[j, i] = weighted.real * VOLUME
+    return gram, mass_q
+
+
+def random_torus_factor(rng, modes: int) -> TorusScalar:
+    q = TorusScalar.const(float(rng.standard_normal()))
+    for _ in range(modes - 1):
+        k = (0, 0, 0)
+        while k == (0, 0, 0):
+            k = tuple(int(v) for v in rng.integers(-3, 4, size=3))
+        mode = TorusScalar.cosine if rng.random() < 0.5 else TorusScalar.sine
+        q = q + mode(k, float(rng.standard_normal()))
+    return q
+
+
+class TestPencilAssembly:
+    @pytest.mark.parametrize("kmax", [1, 2])
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_matches_pairwise_dot_products(self, kmax, modes):
+        # The constant mode is always present; wavevectors up to 3 per
+        # component reach beyond the pair sums of the basis, which pair
+        # with nothing.
+        rng = np.random.default_rng([kmax, modes])
+        for _ in range(3):
+            q = random_torus_factor(rng, modes)
+            pencil = torus_pencil(q, 0.03, kmax)
+            gram, mass_q = dot_pair_matrices(pencil.fields, q)
+            np.testing.assert_allclose(pencil.gram, gram, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(pencil.mass_q, mass_q, rtol=0,
+                                       atol=1e-14)
+            np.testing.assert_allclose(pencil.b, gram + 0.03 * mass_q,
+                                       rtol=0, atol=1e-14)
