@@ -34,12 +34,13 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .atlas import eigenspace_solve
 from .exactpoly import (
+    ExactScalar,
     Poly4,
     Rat,
     SphereScalar,
@@ -47,7 +48,7 @@ from .exactpoly import (
     integrate_monomial,
     integrate_poly,
 )
-from .frames import FrameField, grad
+from .frames import FrameField, coefficient_tensor, grad
 from .pencil import eigvalsh_definite
 from .quadrature import HopfGrid, default_grid
 from .solver import DEFAULT_DMAX_LIMIT, _reduced_monomials
@@ -79,14 +80,19 @@ class ConformalFactor:
         self.t = t
         self._sqrt = SphereScalar.const(1) + q.scale(t) if t else \
             SphereScalar.const(1)
-        coefficients = q.representative().terms.values()
-        if abs(Rat(t)) * sum(abs(Rat(c)) for c in coefficients) >= 1:
+        i1, i2, i3, size = _factor_moments(tuple(sorted(
+            (e, type(c), c) for e, c in q.representative().terms.items())))
+        if abs(Rat(t)) * size >= 1:
             low = float(np.min(self._sqrt.evaluate(default_grid().points)))
             if low <= 0.0:
                 raise ValueError(
                     f"1 + t q reaches {low:.3e} on the sphere; the conformal "
                     "factor must stay positive")
-        self._volume = integrate_poly(self._sqrt * self._sqrt * self._sqrt)
+        # The volume is the integral of (1 + t q)^3, expanded in powers of t.
+        base = ExactScalar({2: Rat(2)})
+        if isinstance(t, float) or not isinstance(i1, ExactScalar):
+            base, i1, i2, i3 = 2 * math.pi ** 2, float(i1), float(i2), float(i3)
+        self._volume = base + i1 * (3 * t) + i2 * (3 * t * t) + i3 * t ** 3
 
     def sqrt_weight(self) -> SphereScalar:
         """The polynomial 1 + t q (the square root of the metric factor)."""
@@ -101,10 +107,21 @@ class ConformalFactor:
     def volume(self):
         """The volume of (S^3, (1 + t q)^2 g0): integral of (1 + t q)^3.
 
-        Contracted from exact monomial moments at construction; an
+        Read at construction as 2 pi^2 + 3 t I1 + 3 t^2 I2 + t^3 I3 from
+        the integrals I_k of q^k, which are computed once per q; an
         ExactScalar when both q and t are exact, a float otherwise.
         """
         return self._volume
+
+
+@functools.lru_cache(maxsize=1)
+def _factor_moments(terms: tuple) -> tuple:
+    """The integrals of q, q^2, q^3 over S^3 and the exact sum of |c_e| for
+    q = sum c_e x^e, given as sorted (e, type of c_e, c_e); a scan keeps q
+    fixed across its amplitudes."""
+    q = Poly4({e: c for e, _, c in terms})
+    return (integrate_poly(q), integrate_poly(q * q), integrate_poly(q * q * q),
+            sum(abs(Rat(c)) for c in q.terms.values()))
 
 
 def _moment(exponent: Tuple[int, ...]) -> float:
@@ -149,20 +166,8 @@ class _BasisData:
         self.mus = np.array(mus, dtype=float)
         self.eigen_count = len(fields) - self.gradient_count
 
-        # Sparse coefficient matrix over reduced monomials, per frame leg.
-        exponents: Dict[Tuple[int, ...], int] = {}
-        comps = [[c.representative() for c in f.f] for f in fields]
-        for trio in comps:
-            for poly in trio:
-                for e in poly.terms:
-                    exponents.setdefault(e, len(exponents))
-        self.exponents = list(exponents)
-        n, m = len(fields), len(self.exponents)
-        P = np.zeros((3, n, m))
-        for i, trio in enumerate(comps):
-            for c, poly in enumerate(trio):
-                for e, coeff in poly.terms.items():
-                    P[c, i, exponents[e]] = float(coeff)
+        # Coefficients over the reduced monomials, one matrix per frame leg.
+        self.exponents, P = coefficient_tensor(fields)
         self._shift_tables = {}
         self._last_perturbation = (None, None)
         gram = self._contract(P, self._table((0, 0, 0, 0)))

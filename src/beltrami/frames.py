@@ -52,6 +52,7 @@ from beltrami.exactpoly import (
     _monomial_normal_form,
     _mpq,
     canonicalize,
+    evaluate_polys,
     integrate_poly,
     integrate_products,
 )
@@ -226,9 +227,9 @@ class FrameField:
         The points must lie on S^3: each coefficient is stored as a normal
         form modulo the sphere relation, which gives its value only there.
         Because the frame is orthonormal, |F|^2 and F . G are the row sums
-        of f_i^2 and f_i g_i.
+        of f_i^2 and f_i g_i.  The three share one set of power tables.
         """
-        return np.stack([c.evaluate(pts) for c in self.f], axis=1)
+        return evaluate_polys([c.representative() for c in self.f], pts).T
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """The Cartesian components at (N, 4) points on S^3 -> (N, 4).
@@ -240,6 +241,23 @@ class FrameField:
         pts = np.asarray(pts, dtype=float)
         frame = pts @ _GENERATOR_ARRAY.transpose(0, 2, 1)  # (3, N, 4)
         return np.einsum("ni,ina->na", self.coefficient_values(pts), frame)
+
+
+def coefficient_tensor(fields: Sequence[FrameField]
+                       ) -> Tuple[List[Exponent], np.ndarray]:
+    """The frame coefficients of fields over the union of their monomials:
+    the exponents, in order of first appearance, and the float array T of
+    shape (3, len(fields), m) with T[a, i, j] the coefficient of
+    x^exponents[j] in the a-th frame coefficient of fields[i]."""
+    comps = [[c.representative().terms for c in f.f] for f in fields]
+    index = {e: j for j, e in enumerate(dict.fromkeys(
+        e for trio in comps for terms in trio for e in terms))}
+    tensor = np.zeros((3, len(fields), len(index)))
+    for i, trio in enumerate(comps):
+        for a, terms in enumerate(trio):
+            tensor[a, i, [index[e] for e in terms]] = [
+                float(c) for c in terms.values()]
+    return list(index), tensor
 
 
 def hopf_frame() -> Tuple[FrameField, FrameField, FrameField]:

@@ -35,14 +35,17 @@ import numpy as np
 
 from beltrami.atlas import explicit_basis
 from beltrami import atlas as _atlas
-from beltrami.exactpoly import Poly4, SphereScalar, canonicalize, integrate_poly
-from beltrami.frames import FrameField, curl, divergence, grad, hopf_frame
+from beltrami.exactpoly import (Poly4, SphereScalar, canonicalize,
+                                integrate_poly, monomial_rows, power_tables)
+from beltrami.frames import (FrameField, coefficient_tensor, curl, divergence,
+                             grad, hopf_frame)
 from beltrami.quadrature import (
     DEFAULT_ANGULAR_ORDER,
     DEFAULT_RADIAL_ORDER,
     HopfGrid,
     grid_for_degree,
     integrate_scalar,
+    shared_grid,
 )
 from beltrami import solver as _solver
 
@@ -52,7 +55,7 @@ MU1 = 2  # first positive curl eigenvalue on the round S^3
 class QuadratureSpec:
     """Grid orders for the floating functionals."""
 
-    __slots__ = ("radial_order", "angular_order", "_grid")
+    __slots__ = ("radial_order", "angular_order")
 
     def __init__(self, radial_order: int = DEFAULT_RADIAL_ORDER,
                  angular_order: int = DEFAULT_ANGULAR_ORDER):
@@ -60,12 +63,9 @@ class QuadratureSpec:
             raise ValueError("quadrature orders must be positive")
         self.radial_order = radial_order
         self.angular_order = angular_order
-        self._grid: Optional[HopfGrid] = None
 
     def grid(self) -> HopfGrid:
-        if self._grid is None:
-            self._grid = HopfGrid(self.radial_order, self.angular_order)
-        return self._grid
+        return shared_grid(self.radial_order, self.angular_order)
 
     def exactness(self) -> Tuple[int, int]:
         """(radial polynomial degree, per-angle trigonometric degree)."""
@@ -568,7 +568,10 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
 
     Samples perturbations W over all explicit eigenspaces with sup norm at
     most radius, and reports any sample where R increases beyond 1e-9 or
-    where equality holds although W has a non-E1 part.
+    where equality holds although W has a non-E1 part.  The basis is kept
+    as frame coefficients over the union of its monomials (degree <= 5),
+    so a sample is one combination of coefficients and one product with
+    the monomial rows on the grid.
     """
     if not 0 < radius <= 0.1 or samples < 1:
         raise ValueError("local_max_scan needs 0 < radius <= 0.1 and "
@@ -587,9 +590,8 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     bases += [(-5, f) for f in _unit_fields(-5)]
     # Frame coefficients suffice: the frame is orthonormal, so pointwise
     # norms are those of the coefficient rows.
-    values = np.empty((len(bases), grid.size, 3))
-    for row, (_, f) in zip(values, bases):
-        row[...] = f.coefficient_values(grid.points)
+    exponents, tensor = coefficient_tensor([f for _, f in bases])
+    rows = monomial_rows(exponents, power_tables(grid.points, exponents))
     mus = np.array([mu for mu, _ in bases], dtype=float)
     b1_values = _b1_float().coefficient_values(grid.points)
     results = []
@@ -599,7 +601,7 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
         if index % 5 == 4:
             # Every fifth sample stays inside E1, probing exact equality.
             coeffs[3:] = 0.0
-        w_values = np.tensordot(coeffs, values, axes=(0, 0))
+        w_values = (np.tensordot(coeffs, tensor, axes=(0, 1)) @ rows).T
         sup = float(np.max(np.linalg.norm(w_values, axis=1)))
         scale = radius / sup if sup > 0 else 0.0
         coeffs *= scale

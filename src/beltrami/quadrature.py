@@ -123,9 +123,14 @@ def convergence_probe(f, orders: Sequence[Tuple[int, int]]) -> List[dict]:
     return table
 
 
-@functools.cache
 def default_grid() -> HopfGrid:
-    return HopfGrid()
+    return shared_grid(DEFAULT_RADIAL_ORDER, DEFAULT_ANGULAR_ORDER)
+
+
+@functools.lru_cache(maxsize=8)
+def shared_grid(radial_order: int, angular_order: int) -> HopfGrid:
+    """The cached grid of the given orders: equal orders share one object."""
+    return HopfGrid(radial_order, angular_order)
 
 
 def grid_for_degree(degree: int) -> HopfGrid:

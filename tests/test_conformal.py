@@ -13,6 +13,7 @@ import pytest
 from beltrami import conformal
 from beltrami.atlas import explicit_basis
 from beltrami.conformal import (
+    DEFAULT_AMPLITUDES,
     ConformalFactor,
     GalerkinPencil,
     ParityError,
@@ -86,6 +87,37 @@ class TestConformalFactor:
         cf = ConformalFactor(Q_EVEN, t)
         assert calls == [1]
         assert float(cf.volume()) > 0
+
+
+class TestFactorVolume:
+    def factors(self):
+        rng = np.random.default_rng(17)
+        qs = [Q_EVEN, Q_ODD, SphereScalar.zero()]
+        qs += [random_rational_factor(rng, degrees)
+               for degrees in ((0, 1, 2), (1, 2, 3), (2, 4), (3,))]
+        return qs + [q.to_float() for q in qs[3:]]
+
+    def test_float_amplitudes_match_the_integrated_cube(self):
+        for q in self.factors():
+            for t in DEFAULT_AMPLITUDES + (0.013,):
+                cf = ConformalFactor(q, t)
+                w = cf.sqrt_weight()
+                assert float(cf.volume()) == pytest.approx(
+                    float(integrate_poly(w * w * w)), rel=1e-14, abs=0)
+
+    def test_rational_amplitudes_are_exact(self):
+        for q in self.factors()[:-4]:
+            for t in (0, Rat(1, 50), Rat(-3, 100)):
+                cf = ConformalFactor(q, t)
+                w = cf.sqrt_weight()
+                assert cf.volume() == integrate_poly(w * w * w)
+
+    def test_moments_are_computed_once_per_factor(self):
+        conformal._factor_moments.cache_clear()
+        for t in DEFAULT_AMPLITUDES:
+            ConformalFactor(Q_EVEN, t)
+        info = conformal._factor_moments.cache_info()
+        assert (info.misses, info.hits) == (1, len(DEFAULT_AMPLITUDES) - 1)
 
 
 class TestPencilSpectrum:

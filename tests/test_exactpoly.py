@@ -17,10 +17,13 @@ from beltrami.exactpoly import (
     SphereScalar,
     canonicalize,
     directional_derivative,
+    evaluate_polys,
     format_exact,
     integrate_monomial,
     integrate_poly,
+    monomial_rows,
     parse_exact,
+    power_tables,
 )
 from conftest import rand_poly, rand_sphere_scalar, sphere_points
 
@@ -274,3 +277,43 @@ class TestEvaluate:
         assert not np.any(Poly4.zero().evaluate(pts))
         np.testing.assert_array_equal(Poly4.const(Rat(7, 3)).evaluate(pts),
                                       np.full(9000, 7 / 3))
+
+    def test_polynomials_evaluated_together(self):
+        # Each polynomial is contracted with its own rows in its own term
+        # order, so its values do not depend on its companions.
+        rng = random.Random(229)
+        pts = sphere_points(19, 9000)  # more than one block of points
+        polys = [rand_poly(rng, 7, 12) for _ in range(6)]
+        polys += [
+            Poly4.zero(),
+            Poly4.const(Rat(-4, 9)),
+            rand_poly(rng, 5, 8).to_float(),
+            Poly4({(0, 0, 0, 0): Fraction(1, 3), (1, 4, 0, 2): Fraction(-5, 7),
+                   (0, 0, 0, 6): Fraction(9, 2)}),
+        ]
+        together = evaluate_polys(polys, pts)
+        assert together.shape == (len(polys), 9000)
+        for p, values in zip(polys, together):
+            expected = naive_evaluate(p, pts)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            np.testing.assert_allclose(values, expected, rtol=1e-13,
+                                       atol=1e-13 * scale)
+            np.testing.assert_array_equal(values, p.evaluate(pts))
+        np.testing.assert_array_equal(evaluate_polys(polys[::-1], pts),
+                                      together[::-1])
+        assert not np.any(together[6])
+        np.testing.assert_array_equal(together[7], np.full(9000, -4 / 9))
+        assert evaluate_polys([], pts).shape == (0, 9000)
+
+    def test_monomial_rows(self):
+        pts = sphere_points(23, 500)
+        exponents = [(0, 0, 0, 0), (3, 0, 1, 0), (0, 5, 0, 1), (1, 1, 1, 1),
+                     (0, 0, 0, 6)]
+        rows = monomial_rows(exponents, power_tables(pts, exponents))
+        assert rows.shape == (5, 500)
+        for row, e in zip(rows, exponents):
+            np.testing.assert_allclose(row, np.prod(pts ** np.array(e), axis=1),
+                                       rtol=1e-14, atol=1e-16)
+            # Larger tables of the other exponents leave the row unchanged.
+            alone = monomial_rows([e], power_tables(pts, [e]))
+            np.testing.assert_array_equal(row, alone[0])

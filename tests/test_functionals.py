@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,10 @@ from beltrami.functionals import (
     REPORTED_SIXTH_ORDER_LEADING,
     HopfPerturbation,
     QuadratureSpec,
+    R_AT_HOPF,
     SpanError,
     ZeroHelicityError,
+    _b1_float,
     _basis,
     _series_div,
     _series_power,
@@ -44,8 +47,9 @@ from beltrami.functionals import (
     second_variation_R,
     sixth_order_bracket,
     taylor6_combination,
+    _unit_fields,
 )
-from beltrami.quadrature import grid_for_degree
+from beltrami.quadrature import default_grid, grid_for_degree
 from beltrami.solver import eigenspace_solve
 
 B1 = hopf_frame()[0]
@@ -498,7 +502,76 @@ class TestLowerBoundInequality:
             assert lhs >= rhs - 1e-9 * max(abs(lhs), 1.0)
 
 
+def reference_local_max_scan(radius: float, samples: int, seed: int,
+                             q: QuadratureSpec) -> dict:
+    """The scan with a (fields, N, 3) stack of basis coefficient values,
+    as before the basis was evaluated on monomial rows."""
+    grid = q.grid()
+    rng = np.random.default_rng(seed)
+    bases = [(2, f.to_float().scale(1.0 / math.sqrt(2.0 * math.pi ** 2)))
+             for f in hopf_frame()]
+    bases += [(-2, f) for f in _basis("anti_hopf")]
+    bases += [(3, f) for f in _basis("u")]
+    bases += [(4, f) for f in _basis("v")]
+    bases += [(5, f) for f in _basis("w")]
+    bases += [(mu, f) for mu in (-3, -4, -5) for f in _unit_fields(mu)]
+    values = np.empty((len(bases), grid.size, 3))
+    for row, (_, f) in zip(values, bases):
+        row[...] = np.stack([c.evaluate(grid.points) for c in f.f], axis=1)
+    mus = np.array([mu for mu, _ in bases], dtype=float)
+    b1_values = _b1_float().coefficient_values(grid.points)
+    results = []
+    for index in range(samples):
+        coeffs = rng.standard_normal(len(bases))
+        if index % 5 == 4:
+            coeffs[3:] = 0.0
+        w_values = np.tensordot(coeffs, values, axes=(0, 0))
+        sup = float(np.max(np.linalg.norm(w_values, axis=1)))
+        scale = radius / sup if sup > 0 else 0.0
+        coeffs *= scale
+        w_values *= scale
+        y_values = b1_values + w_values
+        energy = float(np.dot(grid.weights,
+                              np.sum(y_values ** 2, axis=1) ** 0.75))
+        e1 = np.zeros(len(bases))
+        e1[0] = math.sqrt(2.0 * math.pi ** 2)
+        h = float(np.sum((coeffs + e1) ** 2 / mus))
+        non_e1 = float(np.linalg.norm(coeffs[3:]))
+        delta = h / energy ** (4.0 / 3.0) - R_AT_HOPF
+        ok = delta <= 1e-9 and (delta < -1e-9 or non_e1 < 1e-8)
+        results.append({"sample": index, "delta": delta,
+                        "non_e1_norm": non_e1, "pass": bool(ok)})
+    return {"pass": all(r["pass"] for r in results), "results": results}
+
+
 class TestLocalMaxScan:
+    @pytest.mark.parametrize("radius,seed", [(0.05, 3), (0.1, 8)])
+    def test_matches_field_stack_reference(self, radius, seed):
+        spec = QuadratureSpec(8, 16)
+        report = local_max_scan(radius, 15, seed, spec)
+        reference = reference_local_max_scan(radius, 15, seed, spec)
+        assert report["pass"] == reference["pass"]
+        for row, ref in zip(report["results"], reference["results"],
+                            strict=True):
+            assert row["pass"] == ref["pass"]
+            assert abs(row["delta"] - ref["delta"]) <= 1e-12
+            assert abs(row["non_e1_norm"] - ref["non_e1_norm"]) <= 1e-12
+
+    def test_memory_stays_at_the_monomial_rows(self):
+        # The basis is kept as coefficients over its 91 monomials (degree
+        # <= 5); their rows and power tables on the default grid take 111
+        # doubles per point.  The stack of the 100 fields' coefficient
+        # values took 300.
+        grid = default_grid()
+        local_max_scan(samples=1, seed=0)
+        tracemalloc.start()
+        try:
+            local_max_scan(samples=2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * grid.size
+
     def test_scan_passes(self):
         report = local_max_scan(radius=0.05, samples=20, seed=5)
         assert report["pass"]
@@ -542,6 +615,10 @@ class TestQuadratureSpec:
         spec = QuadratureSpec(8, 16)
         assert spec.grid().size == 8 * 16 * 16
         assert spec.exactness() == (15, 15)
+
+    def test_equal_orders_share_one_grid(self):
+        assert QuadratureSpec().grid() is default_grid()
+        assert QuadratureSpec(8, 16).grid() is QuadratureSpec(8, 16).grid()
 
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
