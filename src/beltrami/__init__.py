@@ -20,9 +20,9 @@ from beltrami.atlas import (
 )
 from beltrami.conformal import (
     ConformalFactor,
+    MinimizerMetric,
+    PushforwardField,
     assemble_pencil,
-    conformal_pushforward,
-    metric_from_minimizer,
     mu1_normalized,
     optimality_scan,
 )
@@ -60,7 +60,9 @@ __all__ = [
     "ExactScalar",
     "FrameField",
     "HopfPerturbation",
+    "MinimizerMetric",
     "Poly4",
+    "PushforwardField",
     "RATIONAL_BACKEND",
     "Rat",
     "SphereScalar",
@@ -68,7 +70,6 @@ __all__ = [
     "assemble_pencil",
     "bound_constants",
     "canonicalize",
-    "conformal_pushforward",
     "correction_field",
     "curl",
     "dE_at_hopf",
@@ -88,7 +89,6 @@ __all__ = [
     "integrate_poly",
     "l32_energy",
     "local_max_scan",
-    "metric_from_minimizer",
     "mu1_normalized",
     "optimality_scan",
     "second_variation_R",

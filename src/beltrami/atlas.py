@@ -13,7 +13,8 @@ orientation-reversing reflection x4 -> -x4, which conjugates curl to -curl.
 
 On top of the catalogue sit exact spectral operations for arbitrary
 polynomial frame fields: eigenspace projections, full eigendecompositions,
-helicity, the inverse curl, and the Rayleigh quotient |F|^2_{L^2} / |H(F)|.
+helicity, the inverse curl, the Rayleigh quotient |F|^2_{L^2} / |H(F)|, and
+the inverse Laplacian on mean-free scalars.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from beltrami.frames import (
     divergence,
     hopf_frame,
     isometry_pushforward,
+    laplace_beltrami,
 )
 from beltrami import solver as _solver
 
@@ -257,13 +259,11 @@ class EigenDecomposition:
     """Exact decomposition of a field into curl eigencomponents.
 
     components maps each active eigenvalue (and 0 for the gradient part) to a
-    FrameField; the components sum back to the input exactly, so the residual
-    is zero by construction and is stored only for interface completeness.
+    FrameField; eigen_decompose checks that they sum back to the input.
     """
 
     def __init__(self, components: Dict[int, FrameField]):
         self.components = components
-        self.residual = FrameField.zero()
 
     def component(self, eigenvalue: int) -> FrameField:
         return self.components.get(eigenvalue, FrameField.zero())
@@ -328,6 +328,31 @@ def rayleigh_quotient(F: FrameField, limit: int = _solver.DEFAULT_DMAX_LIMIT):
         return value if value > 0 else -value
     except (ValueError, ZeroDivisionError):
         return abs(float(norm_sq) / float(h))
+
+
+def inverse_laplacian(s: SphereScalar) -> SphereScalar:
+    """The mean-free phi with laplace_beltrami(phi) == s - mean(s).
+
+    The Laplacian is k(k + 2) on the degree-k spherical harmonics, and a
+    parity part of degree d is a sum of harmonics of degree k <= d of its
+    parity.  On that part phi = sum_{lam != 0} P_lam s / lam, with the
+    Lagrange projectors P_lam = prod_{nu != lam} (Delta - nu) / (lam - nu)
+    of the solver, so phi is a polynomial in the Laplacian applied to s.
+    Exact for rational s, float for float s.
+    """
+    out = SphereScalar.zero()
+    for parity, part in ((0, SphereScalar(s.even_part, Poly4.zero())),
+                         (1, SphereScalar(Poly4.zero(), s.odd_part))):
+        spectrum = tuple(k * (k + 2)
+                         for k in range(parity, part.degree() + 1, 2))
+        numerators, _ = _solver._lagrange_numerators(spectrum)
+        for k in range(len(spectrum)):
+            if k:
+                part = laplace_beltrami(part)
+            c = sum(Rat(n[k], lam * d) for lam, (n, d) in numerators.items()
+                    if lam)
+            out = out + part.scale(c)
+    return out
 
 
 # ---------------------------------------------------------------------------

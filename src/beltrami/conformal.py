@@ -404,32 +404,24 @@ class PushforwardField:
         speed_sq = np.sum(self.evaluate(grid.points) ** 2, axis=1) * w ** 2
         return math.fsum(grid.weights * speed_sq ** 0.75 * w ** 3)
 
-    def helicity(self, grid: HopfGrid | None = None) -> float:
+    def helicity(self) -> float:
         """Helicity in the deformed metric via a Galerkin curl inversion.
 
         Solves curl_g W = V weakly over the eigenfield block of the trial
-        basis and integrates <W, V>_g against the deformed volume element
-        by quadrature.
+        basis and returns the pairing of W with V.  The weak equations pair
+        one-forms against the flux two-form of V, whose density in the
+        deformed volume element (1 + t q)^3 cancels the transport's
+        division by (1 + t q)^3.  So the right-hand side is the round L^2
+        pairing of each basis field with the base field, exact for an
+        exact base, and the value is the round-metric helicity of the base
+        on the trial space, whatever the factor.
         """
-        grid = grid or default_grid()
         data = _basis_data("s3", self.dmax)
         ne = data.eigen_count
-        # The weak equations pair one-forms against the flux two-form of
-        # the field, so the right-hand side carries only the deformed
-        # volume element (1 + t q)^3.  Columns are evaluated one at a time.
-        weighted = self.evaluate(grid.points) * (
-            grid.weights * self.factor.sqrt_values(grid.points) ** 3)[:, None]
-        rhs = np.array([data.scales[j] * math.fsum(np.sum(
-            data.fields[j].evaluate(grid.points) * weighted, axis=1))
-            for j in range(ne)])
+        rhs = np.array([data.scales[j] * float(f.l2_inner(self.base))
+                        for j, f in enumerate(data.fields[:ne])])
         x = np.linalg.solve(data.a[:ne, :ne], rhs)
         return float(x @ rhs)
-
-
-def conformal_pushforward(u: FrameField, cf: ConformalFactor,
-                          dmax: int = 3) -> PushforwardField:
-    """Transport a divergence-free field to the metric (1 + t q)^2 g0."""
-    return PushforwardField(u, cf, dmax)
 
 
 class MinimizerMetric:
@@ -478,8 +470,3 @@ class MinimizerMetric:
         w = self.weight_values(pts)
         return np.sqrt(w * np.sum(self.transported_values(pts) ** 2,
                                   axis=1))
-
-
-def metric_from_minimizer(u: FrameField) -> MinimizerMetric:
-    """Conformal metric with weight proportional to the speed of u."""
-    return MinimizerMetric(u)

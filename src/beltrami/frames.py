@@ -84,10 +84,21 @@ def _form_terms(e: Exponent, i: int, a: int) -> List[Tuple[Exponent, int]]:
 
 
 def _times_form(s: SphereScalar, i: int, a: int) -> SphereScalar:
-    """s (L x)_a in normal form, where L = FRAME_GENERATORS[i]."""
-    m, sign = _FRAME_FORMS[i][a]
-    return canonicalize(Poly4({e[:m] + (e[m] + 1,) + e[m + 1:]: c * sign
-                               for e, c in s.representative().terms.items()}))
+    """s (L x)_a in normal form, where L = FRAME_GENERATORS[i]; the linear
+    form swaps the parity parts.  As in exactpoly's normal form, the terms
+    that the sphere relation rewrites (x4 times x4 x^e) are summed after
+    the others, so float results equal those of Poly4 products bit for bit.
+    """
+    x4 = _FRAME_FORMS[i][a][0] == 3
+    image = lambda e, form: _form_terms(e, *form)  # noqa: E731 - shorthand
+
+    def times(p: Poly4) -> Poly4:
+        rewritten = {e: c for e, c in p.terms.items() if x4 and e[3]}
+        kept = {e: c for e, c in p.terms.items() if e not in rewritten}
+        return (_linear_image(Poly4(kept), image, (i, a))
+                + _linear_image(Poly4(rewritten), image, (i, a)))
+
+    return SphereScalar(times(s.odd_part), times(s.even_part))
 
 
 @functools.cache
@@ -107,12 +118,18 @@ def _derivative_table(e: Exponent, i: int) -> Tuple[Tuple[Exponent, int], ...]:
     return tuple(sorted((f, k) for f, k in out.items() if k))
 
 
-def _derive(p: Poly4, i: int) -> Poly4:
+def _linear_image(p: Poly4, image, arg) -> Poly4:
+    """sum_e c_e image(e, arg) for p = sum_e c_e x^e, where image lists the
+    terms of the image of x^e as (exponent, int) pairs."""
     out: Dict[Exponent, object] = {}
     for e, c in p.terms.items():
-        for f, k in _derivative_table(e, i):
+        for f, k in image(e, arg):
             out[f] = out.get(f, 0) + c * k
     return Poly4(out)
+
+
+def _derive(p: Poly4, i: int) -> Poly4:
+    return _linear_image(p, _derivative_table, i)
 
 
 def frame_derivative(s: SphereScalar, i: int) -> SphereScalar:
@@ -382,13 +399,13 @@ def antipodal_parity(F: FrameField) -> str:
 
     Returns 'descends_to_RP3' for invariant fields (all Cartesian components
     odd), 'anti_invariant' when the pushforward negates the field (components
-    even), and 'mixed' otherwise.
+    even), and 'mixed' otherwise.  The frame is linear in x, so the
+    components are odd exactly when every frame coefficient is even.
     """
-    comps = F.cartesian_components()
-    all_odd = all(c.even_part.is_zero() for c in comps)
-    all_even = all(c.odd_part.is_zero() for c in comps)
-    if all_odd and not F.is_zero():
+    if F.is_zero():
+        return "mixed"
+    if all(c.odd_part.is_zero() for c in F.f):
         return "descends_to_RP3"
-    if all_even and not F.is_zero():
+    if all(c.even_part.is_zero() for c in F.f):
         return "anti_invariant"
     return "mixed"

@@ -35,44 +35,15 @@ import numpy as np
 
 from beltrami.atlas import explicit_basis
 from beltrami import atlas as _atlas
-from beltrami.exactpoly import (Poly4, SphereScalar, canonicalize,
-                                integrate_poly, monomial_rows, power_tables)
+from beltrami.exactpoly import (SphereScalar, integrate_poly, monomial_rows,
+                                power_tables)
 from beltrami.frames import (FrameField, coefficient_tensor, curl, divergence,
                              grad, hopf_frame)
-from beltrami.quadrature import (
-    DEFAULT_ANGULAR_ORDER,
-    DEFAULT_RADIAL_ORDER,
-    HopfGrid,
-    grid_for_degree,
-    integrate_scalar,
-    shared_grid,
-)
+from beltrami.quadrature import (HopfGrid, default_grid, grid_for_degree,
+                                 integrate_scalar)
 from beltrami import solver as _solver
 
 MU1 = 2  # first positive curl eigenvalue on the round S^3
-
-
-class QuadratureSpec:
-    """Grid orders for the floating functionals."""
-
-    __slots__ = ("radial_order", "angular_order")
-
-    def __init__(self, radial_order: int = DEFAULT_RADIAL_ORDER,
-                 angular_order: int = DEFAULT_ANGULAR_ORDER):
-        if radial_order < 1 or angular_order < 1:
-            raise ValueError("quadrature orders must be positive")
-        self.radial_order = radial_order
-        self.angular_order = angular_order
-
-    def grid(self) -> HopfGrid:
-        return shared_grid(self.radial_order, self.angular_order)
-
-    def exactness(self) -> Tuple[int, int]:
-        """(radial polynomial degree, per-angle trigonometric degree)."""
-        return 2 * self.radial_order - 1, self.angular_order - 1
-
-
-_DEFAULT_SPEC = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +176,19 @@ class ZeroHelicityError(ValueError):
     """The helicity vanishes, so F and R are undefined."""
 
 
-def l32_energy(F: FrameField, q: QuadratureSpec | None = None) -> float:
+def l32_energy(F: FrameField, grid: HopfGrid | None = None) -> float:
     """The L^{3/2} energy: integral of |F|^{3/2} over S^3."""
-    q = q or _DEFAULT_SPEC
     return integrate_scalar(
         lambda pts: np.sum(F.coefficient_values(pts) ** 2, axis=1) ** 0.75,
-        q.grid())
+        grid or default_grid())
 
 
-def d_energy(F: FrameField, Y: FrameField, q: QuadratureSpec | None = None) -> float:
+def d_energy(F: FrameField, Y: FrameField,
+             grid: HopfGrid | None = None) -> float:
     """First derivative of the energy: (3/2) integral |F|^{-1/2} (F . Y).
 
     Points where F vanishes contribute zero to the integrand.
     """
-    q = q or _DEFAULT_SPEC
 
     def integrand(pts):
         f = F.coefficient_values(pts)
@@ -229,7 +199,7 @@ def d_energy(F: FrameField, Y: FrameField, q: QuadratureSpec | None = None) -> f
         out[mask] = 1.5 * values[mask] / speed_sq[mask] ** 0.25
         return out
 
-    return integrate_scalar(integrand, q.grid())
+    return integrate_scalar(integrand, grid or default_grid())
 
 
 def d_helicity(F: FrameField, Y: FrameField):
@@ -242,7 +212,7 @@ def d2_helicity(Y: FrameField):
     return _atlas.helicity(Y).scale(2)
 
 
-def big_F(F: FrameField, q: QuadratureSpec | None = None,
+def big_F(F: FrameField, grid: HopfGrid | None = None,
           helicity_value: Optional[float] = None) -> float:
     """F(X) = E(X)^{4/3} / H(X); scale invariant.
 
@@ -253,21 +223,21 @@ def big_F(F: FrameField, q: QuadratureSpec | None = None,
         helicity_value = float(_atlas.helicity(F))
     if helicity_value == 0.0:
         raise ZeroHelicityError("helicity vanishes; F is undefined")
-    return l32_energy(F, q) ** (4.0 / 3.0) / helicity_value
+    return l32_energy(F, grid) ** (4.0 / 3.0) / helicity_value
 
 
-def rayleigh_R(F: FrameField, q: QuadratureSpec | None = None,
+def rayleigh_R(F: FrameField, grid: HopfGrid | None = None,
                helicity_value: Optional[float] = None) -> float:
     """R(X) = H(X) / E(X)^{4/3} = 1 / F(X)."""
-    return 1.0 / big_F(F, q, helicity_value)
+    return 1.0 / big_F(F, grid, helicity_value)
 
 
 def f_perturbed(W: HopfPerturbation, t: float,
-                q: QuadratureSpec | None = None) -> float:
+                grid: HopfGrid | None = None) -> float:
     """F(B1 + t W) with the helicity taken from the coefficient structure."""
     field = _b1_float() + W.field().scale(t)
     h = math.pi ** 2 + t * t * W.helicity()
-    return big_F(field, q, helicity_value=h)
+    return big_F(field, grid, helicity_value=h)
 
 
 # ---------------------------------------------------------------------------
@@ -480,67 +450,14 @@ def degenerate_coefficients(a5: float, a8: float) -> Tuple[float, float, float]:
     return b10, b12, b15
 
 
-def _correction_potential(a5: float, a8: float, b10: float, b12: float,
-                          b15: float) -> Poly4:
-    """The degree-3 potential whose gradient removes the divergence of R."""
-    pi = math.pi
-    s3 = math.sqrt(3.0)
-    s21 = math.sqrt(21.0)
-    den = 945 * pi ** 3
-    d = [0.0] * 21
-    d[1] = -(-177 * s21 * a8 * b10 * pi - 259 * a8 ** 2 * a5 * s3
-             - 112 * a5 ** 3 * s3 + 87 * s21 * b12 * a5 * pi
-             + 189 * pi * a5 * b15) / den
-    d[3] = -(267 * s21 * pi * a8 * b12 - 182 * s3 * a8 * a5 ** 2
-             - 189 * pi * b15 * a8 + 259 * a8 ** 3 * s3
-             - 3 * s21 * pi * a5 * b10) / den
-    d[4] = (177 * s21 * pi * a8 * b10 + 259 * s3 * a8 ** 2 * a5
-            - 14 * s3 * a5 ** 3 + 75 * s21 * pi * b12 * a5
-            + 945 * pi * a5 * b15) / den
-    d[5] = -(3 * s21 * pi * a8 * b10 + 182 * s3 * a8 ** 2 * a5
-             - 259 * s3 * a5 ** 3 + 267 * s21 * pi * a5 * b12
-             + 189 * pi * a5 * b15) / den
-    d[7] = -(267 * s21 * pi * a8 * b12 - 14 * s3 * a8 * a5 ** 2
-             - 189 * pi * b15 * a8 + 259 * a8 ** 3 * s3
-             + 15 * s21 * pi * a5 * b10) / den
-    d[10] = -(87 * s21 * pi * a8 * b12 + 259 * s3 * a8 * a5 ** 2
-              - 189 * pi * b15 * a8 + 112 * s3 * a8 ** 3
-              + 177 * s21 * pi * a5 * b10) / den
-    d[12] = -2.0 / (315 * pi ** 3) * (-57 * s21 * a5 * b10 * pi
-                                      - 91 * s3 * a8 * a5 ** 2
-                                      + 27 * s21 * pi * a8 * b12
-                                      + 189 * pi * b15 * a8)
-    d[14] = -(-15 * s21 * pi * a8 * b10 + 14 * s3 * a8 ** 2 * a5
-              - 259 * a5 ** 3 * s3 + 267 * s21 * pi * b12 * a5
-              + 189 * pi * a5 * b15) / den
-    d[17] = -2.0 / (315 * pi ** 3) * (27 * s21 * pi * a5 * b12
-                                      + 91 * s3 * a8 ** 2 * a5
-                                      - 189 * pi * a5 * b15
-                                      + 57 * s21 * pi * a8 * b10)
-    d[18] = (75 * s21 * pi * a8 * b12 - 259 * s3 * a8 * a5 ** 2
-             - 945 * pi * b15 * a8 + 14 * s3 * a8 ** 3
-             - 177 * s21 * pi * a5 * b10) / den
-    monomials = [
-        None,
-        (3, 0, 0, 0), (2, 1, 0, 0), (2, 0, 1, 0), (1, 2, 0, 0), (1, 0, 2, 0),
-        (1, 1, 1, 0), (0, 2, 1, 0), (0, 1, 2, 0), (0, 3, 0, 0), (0, 0, 3, 0),
-        (2, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 0, 0, 2), (0, 2, 0, 1),
-        (0, 0, 2, 1), (0, 1, 1, 1), (0, 0, 1, 2), (0, 1, 0, 2), (0, 0, 0, 3),
-    ]
-    out = Poly4.zero()
-    for i in range(1, 21):
-        if d[i]:
-            out = out + Poly4.monomial(monomials[i], d[i])
-    return out
-
-
 def correction_field(a5: float, a8: float) -> Tuple[FrameField, float]:
     """The divergence-free projection C of the remainder field, with |C|^2.
 
     The coefficients b10, b12, b15 are set to their degenerate-locus values,
-    R is assembled from span{v10, v12, v15} and span{u5, u8}, and a cubic
-    gradient is subtracted so that divergence(C) = 0.  The squared norm
-    satisfies |C|^2 = 151/(90 pi^4) (a5^2 + a8^2)^3.
+    R is assembled from span{v10, v12, v15} and span{u5, u8}, and its
+    Hodge projection C = R + grad(inverse_laplacian(divergence(R))) has
+    divergence(C) = 0.  The squared norm satisfies
+    |C|^2 = 151/(90 pi^4) (a5^2 + a8^2)^3.
     """
     b10, b12, b15 = degenerate_coefficients(a5, a8)
     v = _basis("v")
@@ -548,8 +465,7 @@ def correction_field(a5: float, a8: float) -> Tuple[FrameField, float]:
     P23 = v[9].scale(b10) + v[11].scale(b12) + v[14].scale(b15)
     Z2 = u[4].scale(a5) + u[7].scale(a8)
     R = remainder_field(P23, Z2)
-    potential = canonicalize(_correction_potential(a5, a8, b10, b12, b15))
-    C = R - grad(potential)
+    C = R + grad(_atlas.inverse_laplacian(divergence(R)))
     if _max_scalar_coefficient(divergence(C)) > 1e-10:
         raise RuntimeError("correction field failed to be divergence free")
     return C, float(integrate_poly(C.norm_sq()))
@@ -563,7 +479,7 @@ R_AT_HOPF = math.pi ** 2 / (2 * math.pi ** 2) ** (4.0 / 3.0)
 
 
 def local_max_scan(radius: float = 0.05, samples: int = 50,
-                   seed: int = 0, q: QuadratureSpec | None = None) -> dict:
+                   seed: int = 0, grid: HopfGrid | None = None) -> dict:
     """Randomized check that R(B1 + W) <= R(B1) near B1.
 
     Samples perturbations W over all explicit eigenspaces with sup norm at
@@ -576,8 +492,7 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     if not 0 < radius <= 0.1 or samples < 1:
         raise ValueError("local_max_scan needs 0 < radius <= 0.1 and "
                          f"samples >= 1, got {radius} and {samples}")
-    q = q or _DEFAULT_SPEC
-    grid = q.grid()
+    grid = grid or default_grid()
     rng = np.random.default_rng(seed)
     bases: List[Tuple[int, FrameField]] = [(2, f.to_float().scale(
         1.0 / math.sqrt(2.0 * math.pi ** 2))) for f in hopf_frame()]

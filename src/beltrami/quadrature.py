@@ -139,6 +139,7 @@ def grid_for_degree(degree: int) -> HopfGrid:
     The radial order must cover u-degree degree/2 + 1 and the angular order
     must exceed the trigonometric degree.  The grid can be far smaller than
     the default one: degree 12 gives HopfGrid(4, 13), 676 points.  For a
-    polynomial integrand the only error left is rounding.
+    polynomial integrand the only error left is rounding.  Grids of equal
+    orders are one cached object (shared_grid).
     """
-    return HopfGrid((degree // 2 + 1) // 2 + 1, degree + 1)
+    return shared_grid((degree // 2 + 1) // 2 + 1, degree + 1)

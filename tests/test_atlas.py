@@ -17,11 +17,13 @@ from beltrami.atlas import (
     eigen_decompose,
     explicit_basis,
     helicity,
+    inverse_laplacian,
     project_eigen,
     rayleigh_quotient,
 )
 from beltrami.exactpoly import ExactScalar, Rat, SphereScalar, parse_exact
-from beltrami.frames import FrameField, curl, divergence, grad, hopf_frame
+from beltrami.frames import (FrameField, curl, divergence, grad, hopf_frame,
+                             laplace_beltrami)
 from conftest import rand_sphere_scalar
 
 
@@ -107,7 +109,7 @@ class TestEigenDecompose:
         F = sample_exact_field()
         decomposition = eigen_decompose(F)
         assert sorted(decomposition.components) == [-5, 2, 3, 4]
-        assert decomposition.residual.is_zero()
+        assert sum(decomposition.components.values(), FrameField.zero()) == F
         B1, _, _ = hopf_frame()
         assert decomposition.component(2) == B1.scale(2)
         assert decomposition.component(-3).is_zero()
@@ -148,6 +150,30 @@ class TestCurlInverse:
     def test_rejects_gradient_part(self):
         with pytest.raises(NotExactFieldError):
             curl_inverse(grad(SphereScalar.coordinate(2)))
+
+
+class TestInverseLaplacian:
+    @pytest.mark.parametrize("degree", range(8))
+    def test_exact_inverse_away_from_the_mean(self, degree):
+        rng = random.Random(300 + degree)
+        for _ in range(3):
+            s = rand_sphere_scalar(rng, degree, n_terms=8)
+            phi = inverse_laplacian(s)
+            mean = s.integral().terms.get(2, Rat(0)) / 2
+            assert laplace_beltrami(phi) == s - SphereScalar.const(mean)
+            assert phi.integral().is_zero()
+
+    def test_float_scalars(self):
+        rng = random.Random(311)
+        for degree in range(1, 8):
+            s = rand_sphere_scalar(rng, degree, n_terms=8)
+            phi = inverse_laplacian(s.to_float())
+            terms = (phi - inverse_laplacian(s).to_float()).representative()
+            scale = max(abs(float(c))
+                        for c in s.representative().terms.values())
+            assert all(isinstance(c, float)
+                       for c in phi.representative().terms.values())
+            assert all(abs(c) <= 1e-12 * scale for c in terms.terms.values())
 
 
 class TestRayleighQuotient:

@@ -16,11 +16,11 @@ from beltrami.conformal import (
     DEFAULT_AMPLITUDES,
     ConformalFactor,
     GalerkinPencil,
+    MinimizerMetric,
     ParityError,
+    PushforwardField,
     SCAN_LOWER_BOUND,
     assemble_pencil,
-    conformal_pushforward,
-    metric_from_minimizer,
     mu1_normalized,
     optimality_scan,
     _basis_data,
@@ -376,41 +376,60 @@ class TestPushforward:
 
     def test_identity_at_zero_amplitude(self):
         cf = ConformalFactor(Q_EVEN, 0.0)
-        v = conformal_pushforward(self.B1, cf)
+        v = PushforwardField(self.B1, cf)
         pts = default_grid().points[:200]
         np.testing.assert_allclose(v.evaluate(pts), self.B1.evaluate(pts))
 
     def test_preserves_energy(self):
         cf = ConformalFactor(Q_EVEN, 0.03)
         u = self.B1.to_float() + self.u5.scale(0.1)
-        v = conformal_pushforward(u, cf)
+        v = PushforwardField(u, cf)
         assert v.l32_energy() == pytest.approx(l32_energy(u), rel=1e-8)
 
     def test_preserves_helicity(self):
         cf = ConformalFactor(Q_EVEN, 0.03)
-        v = conformal_pushforward(self.B1, cf)
+        v = PushforwardField(self.B1, cf)
         assert v.helicity() == pytest.approx(math.pi ** 2, abs=1e-10)
         u = self.B1.to_float() + self.u5.scale(0.1)
         # The added eigenfield has curl eigenvalue 3 and unit norm, so the
         # helicity shifts by 0.01 / 3.
-        v = conformal_pushforward(u, cf)
+        v = PushforwardField(u, cf)
         assert v.helicity() == pytest.approx(math.pi ** 2 + 0.01 / 3,
                                              abs=1e-10)
 
     def test_helicity_memory_stays_at_grid_size(self):
-        # The right-hand side is accumulated one basis column at a time, so
-        # the peak is a few (N, 4) arrays, not one per column.
+        # The right-hand side is read from exact L^2 pairings, so nothing is
+        # evaluated on a grid; the bound is the one the grid path met.
         grid = grid_for_degree(24)
-        v = conformal_pushforward(self.B1, ConformalFactor(Q_EVEN, 0.03))
+        v = PushforwardField(self.B1, ConformalFactor(Q_EVEN, 0.03))
         _basis_data("s3", 3)
         tracemalloc.start()
         try:
-            helicity = v.helicity(grid)
+            helicity = v.helicity()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert helicity == pytest.approx(math.pi ** 2, abs=1e-10)
         assert peak < 16 * grid.points.nbytes
+
+
+    def test_transport_cancels_the_volume_density(self):
+        # On the grid, the weak right-hand side of a column pairs it with the
+        # transported field against (1 + t q)^3; it equals the round L^2
+        # pairing with the base field only for the transport power 3.
+        grid = grid_for_degree(24)
+        cf = ConformalFactor(Q_EVEN, 0.03)
+        u = self.B1.to_float() + self.u5.scale(0.1)
+        v = PushforwardField(u, cf)
+        data = _basis_data("s3", 3)
+        density = grid.weights * cf.sqrt_values(grid.points) ** 3
+        mus = list(data.mus[:data.eigen_count])
+        for j in (mus.index(2), mus.index(3), mus.index(3) + 4, 0):
+            f = data.fields[j]
+            on_grid = math.fsum(density * np.sum(
+                f.evaluate(grid.points) * v.evaluate(grid.points), axis=1))
+            assert on_grid == pytest.approx(float(f.l2_inner(u)), rel=1e-12,
+                                            abs=1e-12)
 
 
 class TestMinimizerMetric:
@@ -419,7 +438,7 @@ class TestMinimizerMetric:
         self.u5 = explicit_basis(3).orthonormal_float_fields()[4]
 
     def test_hopf_field_gives_round_weight(self):
-        metric = metric_from_minimizer(self.B1)
+        metric = MinimizerMetric(self.B1)
         assert metric.kappa == pytest.approx(1.0, abs=1e-13)
         pts = default_grid().points[:300]
         np.testing.assert_allclose(metric.weight_values(pts), 1.0,
@@ -427,13 +446,13 @@ class TestMinimizerMetric:
 
     def test_volume_is_preserved(self):
         u = self.B1.to_float() + self.u5.scale(0.1)
-        metric = metric_from_minimizer(u)
+        metric = MinimizerMetric(u)
         assert metric.volume() == pytest.approx(2 * math.pi ** 2,
                                                 abs=1e-10)
 
     def test_transported_speed_is_constant(self):
         u = self.B1.to_float() + self.u5.scale(0.1)
-        metric = metric_from_minimizer(u)
+        metric = MinimizerMetric(u)
         pts = default_grid().points[:500]
         np.testing.assert_allclose(metric.transported_speed(pts),
                                    1.0 / metric.kappa, atol=1e-10)
@@ -441,6 +460,6 @@ class TestMinimizerMetric:
     def test_rejects_vanishing_field(self):
         vanishing = self.B1 * canonicalize(x(1))
         with pytest.raises(ValueError):
-            metric_from_minimizer(vanishing)
+            MinimizerMetric(vanishing)
         with pytest.raises(ValueError):
-            metric_from_minimizer(self.B1.scale(0))
+            MinimizerMetric(self.B1.scale(0))

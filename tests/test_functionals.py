@@ -11,14 +11,13 @@ import pytest
 
 from beltrami.atlas import explicit_basis
 from beltrami.exactpoly import ExactScalar, Rat, SphereScalar, integrate_poly
-from beltrami.frames import FrameField, hopf_frame
+from beltrami.frames import FrameField, curl, hopf_frame
 from beltrami.functionals import (
     D6_Z2_COEFFICIENT,
     DEGENERATE_LEADING,
     REPORTED_D6_Z2_COEFFICIENT,
     REPORTED_SIXTH_ORDER_LEADING,
     HopfPerturbation,
-    QuadratureSpec,
     R_AT_HOPF,
     SpanError,
     ZeroHelicityError,
@@ -49,7 +48,8 @@ from beltrami.functionals import (
     taylor6_combination,
     _unit_fields,
 )
-from beltrami.quadrature import default_grid, grid_for_degree
+from beltrami.quadrature import (HopfGrid, default_grid, grid_for_degree,
+                                 shared_grid)
 from beltrami.solver import eigenspace_solve
 
 B1 = hopf_frame()[0]
@@ -446,6 +446,19 @@ class TestRemainderAndCorrection:
                                         rel=1e-10)
 
 
+    @pytest.mark.parametrize("a5,a8", [(1.0, 0.0), (0.3, -0.8)])
+    def test_correction_is_a_gradient_step(self, a5, a8):
+        C, _ = correction_field(a5, a8)
+        b10, b12, b15 = degenerate_coefficients(a5, a8)
+        v, u = _basis("v"), _basis("u")
+        R = remainder_field(
+            v[9].scale(b10) + v[11].scale(b12) + v[14].scale(b15),
+            u[4].scale(a5) + u[7].scale(a8))
+        assert not (C - R).is_zero()
+        assert all(abs(c) <= 1e-12 for comp in curl(C - R).f
+                   for c in comp.representative().terms.values())
+
+
 class TestSecondVariation:
     def test_examples(self):
         denom = 2 * (2 * PI ** 2) ** (4 / 3)
@@ -503,10 +516,9 @@ class TestLowerBoundInequality:
 
 
 def reference_local_max_scan(radius: float, samples: int, seed: int,
-                             q: QuadratureSpec) -> dict:
+                             grid: HopfGrid) -> dict:
     """The scan with a (fields, N, 3) stack of basis coefficient values,
     as before the basis was evaluated on monomial rows."""
-    grid = q.grid()
     rng = np.random.default_rng(seed)
     bases = [(2, f.to_float().scale(1.0 / math.sqrt(2.0 * math.pi ** 2)))
              for f in hopf_frame()]
@@ -547,9 +559,9 @@ def reference_local_max_scan(radius: float, samples: int, seed: int,
 class TestLocalMaxScan:
     @pytest.mark.parametrize("radius,seed", [(0.05, 3), (0.1, 8)])
     def test_matches_field_stack_reference(self, radius, seed):
-        spec = QuadratureSpec(8, 16)
-        report = local_max_scan(radius, 15, seed, spec)
-        reference = reference_local_max_scan(radius, 15, seed, spec)
+        grid = shared_grid(8, 16)
+        report = local_max_scan(radius, 15, seed, grid)
+        reference = reference_local_max_scan(radius, 15, seed, grid)
         assert report["pass"] == reference["pass"]
         for row, ref in zip(report["results"], reference["results"],
                             strict=True):
@@ -608,18 +620,3 @@ class TestIdentityReport:
         rows = identity_report(seed=1, draws=2)
         flagged = [r for r in rows if r["note"].startswith("discrepancy")]
         assert len(flagged) == 2
-
-
-class TestQuadratureSpec:
-    def test_grid_shape(self):
-        spec = QuadratureSpec(8, 16)
-        assert spec.grid().size == 8 * 16 * 16
-        assert spec.exactness() == (15, 15)
-
-    def test_equal_orders_share_one_grid(self):
-        assert QuadratureSpec().grid() is default_grid()
-        assert QuadratureSpec(8, 16).grid() is QuadratureSpec(8, 16).grid()
-
-    def test_rejects_bad_orders(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(0, 8)

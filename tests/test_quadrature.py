@@ -17,6 +17,7 @@ from beltrami.quadrature import (
     default_grid,
     grid_for_degree,
     integrate_scalar,
+    shared_grid,
 )
 
 
@@ -39,6 +40,22 @@ class TestHopfGrid:
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
             HopfGrid(0, 8)
+
+
+class TestSharedGrid:
+    def test_grid_shape(self):
+        grid = shared_grid(8, 16)
+        assert grid.size == 8 * 16 * 16
+        assert grid.exact_cartesian_degree() == 15
+
+    def test_equal_orders_share_one_grid(self):
+        assert shared_grid(24, 48) is default_grid()
+        assert shared_grid(8, 16) is shared_grid(8, 16)
+        assert grid_for_degree(12) is grid_for_degree(12)
+
+    def test_rejects_bad_orders(self):
+        with pytest.raises(ValueError):
+            shared_grid(0, 8)
 
 
 class TestPolynomialExactness:
