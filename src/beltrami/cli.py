@@ -489,6 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dmax", type=int)
     parser.add_argument("--tol-exact", type=float, dest="tol_exact")
     parser.add_argument("--manifold", choices=("s3", "rp3", "t3"))
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--radius", type=float)
     return parser
 
 

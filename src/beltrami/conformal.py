@@ -50,7 +50,7 @@ from .exactpoly import (
 )
 from .frames import FrameField, coefficient_tensor, grad
 from .pencil import eigvalsh_definite
-from .quadrature import HopfGrid, default_grid
+from .quadrature import HopfGrid, default_grid, integrate_scalar
 from .solver import DEFAULT_DMAX_LIMIT, _reduced_monomials
 
 MANIFOLDS = ("s3", "rp3")
@@ -399,10 +399,11 @@ class PushforwardField:
         deformed volume element carries (1 + t q)^3, evaluated pointwise
         without using the algebraic cancellation against the transport.
         """
-        grid = grid or default_grid()
-        w = self.factor.sqrt_values(grid.points)
-        speed_sq = np.sum(self.evaluate(grid.points) ** 2, axis=1) * w ** 2
-        return math.fsum(grid.weights * speed_sq ** 0.75 * w ** 3)
+        def density(pts):
+            w = self.factor.sqrt_values(pts)
+            return (np.sum(self.evaluate(pts) ** 2, axis=1) * w ** 2) ** 0.75 * w ** 3
+
+        return integrate_scalar(density, grid or default_grid())
 
     def helicity(self) -> float:
         """Helicity in the deformed metric via a Galerkin curl inversion.
@@ -442,7 +443,7 @@ class MinimizerMetric:
         if top == 0.0 or float(np.min(speed_sq)) <= 1e-12 * top:
             raise ValueError("the field vanishes somewhere on the sphere; "
                              "its speed cannot serve as a metric weight")
-        energy = math.fsum(grid.weights * speed_sq ** 0.75)
+        energy = integrate_scalar(lambda pts: speed_sq ** 0.75, grid)
         self.kappa = (2.0 * math.pi ** 2 / energy) ** (2.0 / 3.0)
 
     def weight_values(self, pts: np.ndarray) -> np.ndarray:
@@ -452,9 +453,8 @@ class MinimizerMetric:
 
     def volume(self, grid: HopfGrid | None = None) -> float:
         """Total volume of the weighted metric: integral of weight^(3/2)."""
-        grid = grid or self._grid
-        return math.fsum(grid.weights *
-                         self.weight_values(grid.points) ** 1.5)
+        return integrate_scalar(lambda pts: self.weight_values(pts) ** 1.5,
+                                grid or self._grid)
 
     def transported_values(self, pts: np.ndarray) -> np.ndarray:
         """Cartesian components (N, 4) of u / weight^(3/2)."""

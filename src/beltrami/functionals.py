@@ -90,7 +90,7 @@ class HopfPerturbation:
         self.a = tuple(float(x) for x in a)
         self.b = tuple(float(x) for x in b)
         self.extra = dict(extra or {})
-        self._parts: Dict[str, FrameField] = {}
+        self._parts: Dict[object, object] = {}
         if len(self.beta) != 3 or len(self.a) != 8 or len(self.b) != 15:
             raise ValueError("expected 3 beta, 8 a, and 15 b coefficients")
         for index, field in self.extra.items():
@@ -105,46 +105,53 @@ class HopfPerturbation:
 
     # ---- assembly ------------------------------------------------------
 
-    def _part(self, name: str, coeffs, fields) -> FrameField:
-        if name not in self._parts:
-            self._parts[name] = _combine(coeffs, fields)
-        return self._parts[name]
+    def _memo(self, key, build):
+        if key not in self._parts:
+            self._parts[key] = build()
+        return self._parts[key]
 
     def field(self) -> FrameField:
         """W as one float FrameField, assembled on the first call."""
         extra = list(self.extra.values())
-        return self._part(
-            "field", self.beta + self.a + self.b + (1.0,) * len(extra),
-            _basis("anti_hopf") + _basis("u") + _basis("v") + extra)
+        return self._memo("field", lambda: _combine(
+            self.beta + self.a + self.b + (1.0,) * len(extra),
+            _basis("anti_hopf") + _basis("u") + _basis("v") + extra))
+
+    def values(self, grid: HopfGrid) -> np.ndarray:
+        """W's (N, 3) frame-coefficient values on grid.points, kept per grid."""
+        return self._memo(("values", grid.radial_order, grid.angular_order),
+                          lambda: self.field().coefficient_values(grid.points))
 
     # ---- exact quadratic data -----------------------------------------
 
+    def extra_norms(self) -> Dict[int, float]:
+        """Squared L^2 norms of the extra fields, kept after the first call."""
+        return self._memo("extra_norms", lambda: {
+            i: float(f.to_float().l2_inner(f.to_float()))
+            for i, f in self.extra.items()})
+
     def norm_sq(self) -> float:
-        out = (sum(c * c for c in self.beta) + sum(c * c for c in self.a)
-               + sum(c * c for c in self.b))
-        for field in self.extra.values():
-            out += float(field.to_float().l2_inner(field.to_float()))
-        return out
+        return (sum(c * c for c in self.beta) + sum(c * c for c in self.a)
+                + sum(c * c for c in self.b) + sum(self.extra_norms().values()))
 
     def helicity(self) -> float:
-        out = (sum(c * c for c in self.beta) / -2.0
-               + sum(c * c for c in self.a) / 3.0
-               + sum(c * c for c in self.b) / 4.0)
-        for index, field in self.extra.items():
-            mu = _index_to_eigenvalue(index)
-            out += float(field.to_float().l2_inner(field.to_float())) / mu
-        return out
+        return (sum(c * c for c in self.beta) / -2.0
+                + sum(c * c for c in self.a) / 3.0
+                + sum(c * c for c in self.b) / 4.0
+                + sum(n / _index_to_eigenvalue(i)
+                      for i, n in self.extra_norms().items()))
 
     # ---- structured pieces --------------------------------------------
 
     def z2(self) -> FrameField:
-        return self._part("z2", self.a[4:], _basis("u")[4:])
+        return self._memo("z2", lambda: _combine(self.a[4:], _basis("u")[4:]))
 
     def w3(self) -> FrameField:
-        return self._part("w3", self.b, _basis("v"))
+        return self._memo("w3", lambda: _combine(self.b, _basis("v")))
 
     def w_minus1(self) -> FrameField:
-        return self._part("w_minus1", self.beta, _basis("anti_hopf"))
+        return self._memo("w_minus1",
+                          lambda: _combine(self.beta, _basis("anti_hopf")))
 
 
 def _combine(coeffs: Sequence[float], fields: Sequence[FrameField]) -> FrameField:
@@ -176,11 +183,12 @@ class ZeroHelicityError(ValueError):
     """The helicity vanishes, so F and R are undefined."""
 
 
-def l32_energy(F: FrameField, grid: HopfGrid | None = None) -> float:
-    """The L^{3/2} energy: integral of |F|^{3/2} over S^3."""
-    return integrate_scalar(
-        lambda pts: np.sum(F.coefficient_values(pts) ** 2, axis=1) ** 0.75,
-        grid or default_grid())
+def l32_energy(F, grid: HopfGrid | None = None) -> float:
+    """The L^{3/2} energy of F, or of its (N, 3) frame coefficients on grid."""
+    def density(pts):
+        values = F.coefficient_values(pts) if isinstance(F, FrameField) else F
+        return np.sum(values ** 2, axis=1) ** 0.75
+    return integrate_scalar(density, grid or default_grid())
 
 
 def d_energy(F: FrameField, Y: FrameField,
@@ -212,12 +220,12 @@ def d2_helicity(Y: FrameField):
     return _atlas.helicity(Y).scale(2)
 
 
-def big_F(F: FrameField, grid: HopfGrid | None = None,
+def big_F(F, grid: HopfGrid | None = None,
           helicity_value: Optional[float] = None) -> float:
     """F(X) = E(X)^{4/3} / H(X); scale invariant.
 
-    The helicity is computed exactly for exact fields; floating fields must
-    supply helicity_value.
+    The helicity is computed exactly for exact fields; floating fields and
+    coefficient values (as taken by l32_energy) must supply helicity_value.
     """
     if helicity_value is None:
         helicity_value = float(_atlas.helicity(F))
@@ -234,10 +242,15 @@ def rayleigh_R(F: FrameField, grid: HopfGrid | None = None,
 
 def f_perturbed(W: HopfPerturbation, t: float,
                 grid: HopfGrid | None = None) -> float:
-    """F(B1 + t W) with the helicity taken from the coefficient structure."""
-    field = _b1_float() + W.field().scale(t)
+    """F(B1 + t W) with the helicity taken from the coefficient structure.
+
+    B1's frame coefficients are exactly (1, 0, 0), so B1 + t W has the values
+    t V with 1 added to column 0, V = W.values(grid).
+    """
+    values = t * W.values(grid or default_grid())
+    values[:, 0] += 1.0
     h = math.pi ** 2 + t * t * W.helicity()
-    return big_F(field, grid, helicity_value=h)
+    return big_F(values, grid, helicity_value=h)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +267,21 @@ def _binomial(alpha: float, j: int) -> float:
     return out
 
 
-def _series_at_hopf(W) -> Tuple[List[float], float]:
+def _series_at_hopf(W) -> Tuple[Tuple[float, ...], float]:
     """The Taylor coefficients of t -> E(B1 + tW), and int B1 . W.
 
     Along B1 + tW the energy density is (1 + 2 t w1 + t^2 |W|^2)^{3/4}, where
     w1 = B1 . W is the first frame coefficient of W.  Its t^k coefficient,
     sum over j + i = k of C(3/4, j) C(j, i) (2 w1)^(j - i) |W|^(2i), has
     Cartesian degree k d for coefficients of degree d, so the grid of
-    degree SERIES_ORDER * d integrates every coefficient exactly.
+    degree SERIES_ORDER * d integrates every coefficient exactly.  The sums
+    stay math.fsum: cancellation limits the sixth-order constants from them.
     """
     field = W.field() if isinstance(W, HopfPerturbation) else W
     grid = grid_for_degree(SERIES_ORDER * max(field.coefficient_degree(), 0))
+    if isinstance(W, HopfPerturbation):
+        return W._memo(("series", grid.radial_order, grid.angular_order),
+                       lambda: _series_at_hopf(field))
     values = field.coefficient_values(grid.points)
     p = 2.0 * values[:, 0]
     m = np.sum(values ** 2, axis=1)
@@ -280,7 +297,7 @@ def _series_at_hopf(W) -> Tuple[List[float], float]:
                       * p_powers[k - 2 * i] * m_powers[i]
                       for i in range(k // 2 + 1))
         series.append(math.fsum(grid.weights * density))
-    return series, math.fsum(grid.weights * values[:, 0])
+    return tuple(series), math.fsum(grid.weights * values[:, 0])
 
 
 def dE_at_hopf(k: int, W) -> float:
@@ -508,7 +525,6 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     exponents, tensor = coefficient_tensor([f for _, f in bases])
     rows = monomial_rows(exponents, power_tables(grid.points, exponents))
     mus = np.array([mu for mu, _ in bases], dtype=float)
-    b1_values = _b1_float().coefficient_values(grid.points)
     results = []
     violations = []
     for index in range(samples):
@@ -521,9 +537,8 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
         scale = radius / sup if sup > 0 else 0.0
         coeffs *= scale
         w_values *= scale
-        y_values = b1_values + w_values
-        energy = float(np.dot(grid.weights,
-                              np.sum(y_values ** 2, axis=1) ** 0.75))
+        w_values[:, 0] += 1.0  # B1's coefficients are exactly (1, 0, 0)
+        energy = l32_energy(w_values, grid)
         e1 = np.zeros(len(bases))
         e1[0] = math.sqrt(2.0 * math.pi ** 2)
         total = coeffs + e1
@@ -738,9 +753,7 @@ def fourth_order_terms(W: HopfPerturbation) -> float:
     w3 = W.w3()
     z2 = W.z2()
     w_minus1 = W.w_minus1()
-    hat_sq = 0.0
-    for field in W.extra.values():
-        hat_sq += float(field.to_float().l2_inner(field.to_float()))
+    hat_sq = sum(W.extra_norms().values())
     I = lambda s: float(integrate_poly(s))
     zb = b1.dot(z2)
     wb = b1.dot(w3)

@@ -274,6 +274,33 @@ class TestVacuousRuns:
         message = capsys.readouterr().err
         assert key in message and message.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,value,shown", [
+        ("--radius", "0.2", "got 0.2 and 50"),
+        ("--samples", "0", "got 0.05 and 0"),
+    ])
+    def test_scan_flags_exit_two(self, capsys, flag, value, shown):
+        with pytest.raises(SystemExit) as info:
+            main(["--command", "local-max-scan", flag, value])
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert shown in message and message.count("\n") == 1
+
+    def test_samples_flag_sets_the_scan(self, tmp_path, monkeypatch):
+        scans = []
+        real_scan = cli._functionals.local_max_scan
+
+        def recorded(**kwargs):
+            scans.append(real_scan(**kwargs))
+            return scans[-1]
+
+        monkeypatch.setattr(cli._functionals, "local_max_scan", recorded)
+        out = tmp_path / "scan.json"
+        assert main(["--command", "local-max-scan", "--samples", "3",
+                     "--radius", "0.02", "--out", str(out)]) == 0
+        assert [len(s["results"]) for s in scans] == [3]
+        assert scans[0]["radius"] == 0.02
+        assert json.loads(out.read_text())["config"]["samples"] == 3
+
     def test_functions_reject_them(self):
         with pytest.raises(ValueError, match="draws"):
             identity_report(draws=0)

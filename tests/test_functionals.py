@@ -285,6 +285,66 @@ class TestPerturbationParts:
                     == [c.representative().terms for c in reference.f]), name
 
 
+class TestHopfLine:
+    """F(B1 + tW) from W's coefficient values, kept once per grid."""
+
+    @staticmethod
+    def perturbation(extra: bool) -> HopfPerturbation:
+        rng = np.random.default_rng(71)
+        fields = {4: explicit_basis(5).fields[0].to_float().scale(0.4)}
+        return HopfPerturbation(beta=rng.standard_normal(3),
+                                a=rng.standard_normal(8),
+                                b=rng.standard_normal(15),
+                                extra=fields if extra else None)
+
+    @pytest.mark.parametrize("orders", [(24, 48), (8, 16)])
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_matches_the_assembled_field(self, orders, extra):
+        grid = shared_grid(*orders)
+        W = self.perturbation(extra)
+        for t in (1e-3, -1e-3, 0.05, -0.05, 0.5):
+            h = PI ** 2 + t * t * W.helicity()
+            reference = big_F(_b1_float() + W.field().scale(t), grid, h)
+            assert f_perturbed(W, t, grid) == pytest.approx(reference,
+                                                            rel=1e-13)
+
+    def test_bit_identical_whichever_grid_comes_first(self):
+        grids = (default_grid(), shared_grid(8, 16))
+        results = []
+        for order in (grids, grids[::-1]):
+            W = self.perturbation(True)
+            values = {g.size: [f_perturbed(W, t, g) for t in (0.05, -0.5)]
+                      for g in order}
+            values["dF"] = [dF_at_hopf(k, W) for k in range(1, 7)]
+            results.append(values)
+        assert results[0] == results[1]
+
+    def test_one_evaluation_per_grid(self, monkeypatch):
+        sizes = []
+        original = FrameField.coefficient_values
+
+        def counted(field, pts):
+            sizes.append(len(pts))
+            return original(field, pts)
+
+        monkeypatch.setattr(FrameField, "coefficient_values", counted)
+        W = rand_perturbation(np.random.default_rng(72))
+        for k in range(2, 7):
+            dE_at_hopf(k, W)
+        for k in range(1, 7):
+            dF_at_hopf(k, W)
+        for t in (1e-3, -1e-3, 2e-3, -2e-3, 0.05, -0.05, 0.1, -0.1):
+            f_perturbed(W, t)
+        series_grid = grid_for_degree(6 * W.field().coefficient_degree())
+        assert sorted(sizes) == sorted([series_grid.size,
+                                        default_grid().size])
+
+    def test_zero_helicity_raises(self):
+        W = HopfPerturbation(beta=(1.0, 1.0, 0.0))
+        with pytest.raises(ZeroHelicityError):
+            f_perturbed(W, math.pi)
+
+
 def reference_energy_series(field: FrameField):
     """Taylor coefficients of t -> E(B1 + tW) and int B1 . W from moments.
 
