@@ -271,16 +271,19 @@ class EigenDecomposition:
 
 def eigen_decompose(F: FrameField,
                     limit: int = _solver.DEFAULT_DMAX_LIMIT) -> EigenDecomposition:
+    """The curl eigencomponents of F, from one checked pass per parity block.
+
+    The sum-back check follows from sum_mu L_mu == 1 for the Lagrange
+    polynomials L_mu; the spectral certificate is p(C) v == 0 (solver).
+    """
     dmax = _solver.field_dmax(F, limit)
     spectrum = [0] + [s * m for m in range(2, dmax + 3) for s in (1, -1)]
     components: Dict[int, FrameField] = {}
-    total = FrameField.zero()
     for mu in spectrum:
         piece = _solver.project_vector(F, mu, dmax)
         if not piece.is_zero():
             components[mu] = piece
-            total = total + piece
-    if not (total - F).is_zero():
+    if sum(components.values(), FrameField.zero()) != F:
         raise _solver.SpectrumError("eigencomponents do not sum to the field")
     return EigenDecomposition(components)
 

@@ -227,13 +227,14 @@ def _cmd_taylor_check(config: RunConfig) -> List[CheckRecord]:
     W = _functionals.HopfPerturbation(
         beta=[scale * x for x in W.beta], a=[scale * x for x in W.a],
         b=[scale * x for x in W.b])
-    records = []
+    records, differences = [], []
     f = lambda t: _functionals.f_perturbed(W, t)
     for k in range(1, 7):
         elapsed = _timer()
         derivative = _functionals.dF_at_hopf(k, W)
         step = (k * 1e-13) ** (1.0 / (k + 4))
         difference = _richardson(f, k, step)
+        differences.append(difference)
         tolerance = 1e-5 if k <= 3 else 1e-3
         span = max(abs(derivative), abs(difference), 1.0)
         records.append(CheckRecord.compare(
@@ -244,10 +245,8 @@ def _cmd_taylor_check(config: RunConfig) -> List[CheckRecord]:
             wall_time=elapsed()))
     elapsed = _timer()
     combination = _functionals.taylor6_combination(W)
-    stencil = sum(
-        weight * _richardson(f, k, (k * 1e-13) ** (1.0 / (k + 4)))
-        for k, weight in ((1, 6.0), (2, 3.0), (3, 1.0), (4, 0.25),
-                          (5, 0.05), (6, 1.0 / 120.0)))
+    stencil = sum(weight * difference for weight, difference in
+                  zip((6.0, 3.0, 1.0, 0.25, 0.05, 1.0 / 120.0), differences))
     span = max(abs(combination), abs(stencil), 1.0)
     records.append(CheckRecord.compare(
         "taylor-combination",

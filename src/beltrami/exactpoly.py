@@ -552,6 +552,7 @@ def _half_moment(b: Tuple[int, ...]):
     return num / math.factorial(sum(b) + 1)
 
 
+@functools.cache
 def _monomial_moment_float(e: Exponent) -> float:
     return float(integrate_monomial(e))
 

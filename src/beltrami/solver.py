@@ -22,19 +22,18 @@ backend:
   projector P_mu = prod_{nu != mu} (C - nu) / (mu - nu) is kept as the
   integer polynomial D_mu P_mu = sum_k n_{mu,k} C^k, where
   D_mu = prod_{nu != mu} (mu - nu);
-* one Krylov pass b, C b, ..., C^(|S|-1) b per vector gives every
-  D_mu P_mu b at once, with |S| - 1 integer matvecs (the solver takes one
-  more power for its check);
+* one Krylov pass b, C b, ..., C^|S| b per vector gives every D_mu P_mu b
+  at once, with |S| integer matvecs (the last power serves the check);
 * the eigenbases come from fraction-free elimination of those vectors, and
   rationals appear only when an eigenvector is handed out (normalised to
   pivot 1) or when project_vector, having cleared the denominators of its
   input with their lcm den, divides its result once by den * D_mu.
 
-The exact checks run inside _Block.solve on every basis vector b.  With
-p(x) = prod_{nu in S} (x - nu) the solver requires p(C) b == 0, which holds
-exactly when b is a sum of curl eigenvectors with eigenvalues in S, and
-with L = lcm(D_mu) it requires the resolution of the identity
-sum_mu (L / D_mu) (D_mu P_mu b) == L b.  Either failure raises
+The exact checks run in _Block.pieces, on every basis vector and on every
+projected vector b.  With p(x) = prod_{nu in S} (x - nu) it requires
+p(C) b == 0, which holds exactly when b is a sum of curl eigenvectors with
+eigenvalues in S, and with L = lcm(D_mu) it requires the resolution of the
+identity sum_mu (L / D_mu) (D_mu P_mu b) == L b.  Either failure raises
 SpectrumError.  The second check is an identity of the Lagrange
 polynomials, so it guards the integer numerators; only the first can detect
 an eigenvalue missing from S.
@@ -148,6 +147,7 @@ def _combine(coefficients: Sequence[int], vectors) -> Dict[int, int]:
     return {j: c for j, c in out.items() if c}
 
 
+@functools.cache
 def _lagrange_numerators(spectrum: Tuple[int, ...]):
     """Integer Lagrange data of a candidate spectrum S.
 
@@ -290,32 +290,30 @@ class _Block:
             powers.append(_matvec(self.curl_columns, powers[-1]))
         return powers
 
-    def scaled_projection(self, vec: Dict[int, int], mu: int):
-        """(D_mu P_mu vec, D_mu) for an integer vector vec."""
-        numerators, _ = _lagrange_numerators(tuple(self.spectrum))
-        coefficients, denominator = numerators[mu]
-        powers = self.krylov(vec, len(self.spectrum))
-        return _combine(coefficients, powers), denominator
+    def pieces(self, vec: Dict[int, int]) -> Dict[int, Dict[int, int]]:
+        """Every D_mu P_mu vec of an integer vector, from one checked pass."""
+        spectrum = tuple(self.spectrum)
+        numerators, annihilator = _lagrange_numerators(spectrum)
+        powers = self.krylov(vec, len(spectrum) + 1)
+        if _combine(annihilator, powers):
+            raise SpectrumError(
+                "curl has an eigenvalue outside the candidate spectrum "
+                f"{sorted(spectrum)} on the trial space")
+        common = lcm(*(denominator for _, denominator in numerators.values()))
+        pieces = {mu: _combine(numerators[mu][0], powers) for mu in spectrum}
+        if (_combine([common // numerators[mu][1] for mu in spectrum],
+                     pieces.values())
+                != {j: common * c for j, c in vec.items()}):
+            raise SpectrumError(
+                "spectral projections do not resolve the identity on the "
+                "trial space; the candidate spectrum is incomplete")
+        return pieces
 
     def solve(self) -> Dict[int, _Echelon]:
         """Eigenbases per eigenvalue, verifying the spectrum on every vector."""
-        spectrum = tuple(self.spectrum)
-        numerators, annihilator = _lagrange_numerators(spectrum)
-        common = lcm(*(denominator for _, denominator in numerators.values()))
-        weights = [common // numerators[mu][1] for mu in spectrum]
-        collectors = {mu: _Echelon() for mu in spectrum}
+        collectors = {mu: _Echelon() for mu in self.spectrum}
         for b in self.basis:
-            powers = self.krylov(b, len(spectrum) + 1)
-            if _combine(annihilator, powers):
-                raise SpectrumError(
-                    "curl has an eigenvalue outside the candidate spectrum "
-                    f"{sorted(spectrum)} on the trial space")
-            pieces = [_combine(numerators[mu][0], powers) for mu in spectrum]
-            if _combine(weights, pieces) != {j: common * c for j, c in b.items()}:
-                raise SpectrumError(
-                    "spectral projections do not resolve the identity on the "
-                    "trial space; the candidate spectrum is incomplete")
-            for mu, piece in zip(spectrum, pieces):
+            for mu, piece in self.pieces(b).items():
                 if piece:
                     collectors[mu].insert(piece)
         return collectors
@@ -352,34 +350,44 @@ def eigenspace_solve(dmax: int, limit: int = DEFAULT_DMAX_LIMIT) -> SolverResult
     return SolverResult(dmax, eigenspaces, gradient_dimension, trial_dimension)
 
 
+# The projections of the latest (field, dmax) that project_vector resolved.
+_latest = (None, None, {})
+
+
 def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
     """Exact spectral projection of a polynomial frame field.
 
-    The field is split into its two coefficient-parity parts, each projected
+    The field is split into its two coefficient-parity parts, each resolved
     in the corresponding block of the order-dmax trial space: its
-    denominators are cleared with one lcm, one integer Krylov pass gives
-    den * D_mu * P_mu, and the result is divided once.
+    denominators are cleared with one lcm, one checked Krylov pass gives
+    den * D_nu * P_nu for every nu of the block, and each is divided once.
+    Every projection of the latest (field, dmax) is kept, so the calls of
+    one decomposition cost one pass per block.
     """
-    even = FrameField(*(SphereScalar(c.even_part, Poly4.zero()) for c in field.f))
-    odd = FrameField(*(SphereScalar(Poly4.zero(), c.odd_part) for c in field.f))
-    out = FrameField.zero()
-    for parity, part in ((0, even), (1, odd)):
-        if part.is_zero():
-            continue
-        block, _ = _solved_block(dmax, parity)
-        if mu not in block.spectrum:
-            continue
-        vec = block.coords.to_vector(part)
-        if any(isinstance(c, float) for c in vec.values()):
-            raise TypeError("project_vector needs exact rational coefficients")
-        den = lcm(*(int(c.denominator) for c in vec.values()))
-        piece, denominator = block.scaled_projection(
-            {j: int(c.numerator) * (den // int(c.denominator))
-             for j, c in vec.items()}, mu)
-        scale = den * denominator
-        out = out + block.coords.to_field(
-            {j: Rat(c, scale) for j, c in piece.items()})
-    return out
+    global _latest
+    if field._has_float():
+        raise TypeError("project_vector needs exact rational coefficients")
+    if _latest[1] != dmax or _latest[0] != field:
+        even = FrameField(*(SphereScalar(c.even_part, Poly4.zero()) for c in field.f))
+        odd = FrameField(*(SphereScalar(Poly4.zero(), c.odd_part) for c in field.f))
+        fields: Dict[int, FrameField] = {}
+        for parity, part in ((0, even), (1, odd)):
+            if part.is_zero():
+                continue
+            block, _ = _solved_block(dmax, parity)
+            numerators, _ = _lagrange_numerators(tuple(block.spectrum))
+            vec = block.coords.to_vector(part)
+            den = lcm(*(int(c.denominator) for c in vec.values()))
+            pieces = block.pieces({j: int(c.numerator) * (den // int(c.denominator))
+                                   for j, c in vec.items()})
+            for nu, piece in pieces.items():
+                if piece:
+                    scale = den * numerators[nu][1]
+                    fields[nu] = fields.get(nu, FrameField.zero()) + \
+                        block.coords.to_field({j: Rat(c, scale)
+                                               for j, c in piece.items()})
+        _latest = (field, dmax, fields)
+    return _latest[2].get(mu, FrameField.zero())
 
 
 def field_dmax(field: FrameField, limit: int = DEFAULT_DMAX_LIMIT) -> int:

@@ -24,6 +24,7 @@ from beltrami.atlas import (
 from beltrami.exactpoly import ExactScalar, Rat, SphereScalar, parse_exact
 from beltrami.frames import (FrameField, curl, divergence, grad, hopf_frame,
                              laplace_beltrami)
+from beltrami import solver
 from conftest import rand_sphere_scalar
 
 
@@ -114,6 +115,42 @@ class TestEigenDecompose:
         assert decomposition.component(2) == B1.scale(2)
         assert decomposition.component(-3).is_zero()
         assert project_eigen(F, 3) == explicit_basis(3).fields[4]
+
+    def test_one_krylov_pass_per_parity_block(self, monkeypatch):
+        # A pass of |S| + 1 Krylov powers takes |S| matvecs per block.
+        F = sample_exact_field()
+        eigen_decompose(F)
+        dmax = solver.field_dmax(F)
+        monkeypatch.setattr(solver, "_latest", (None, None, {}))
+        calls = []
+        real_matvec = solver._matvec
+
+        def counting(columns, vec):
+            calls.append(columns)
+            return real_matvec(columns, vec)
+
+        monkeypatch.setattr(solver, "_matvec", counting)
+        eigen_decompose(F)
+        blocks = [solver._solved_block(dmax, p)[0] for p in (0, 1)]
+        for block in blocks:
+            assert sum(c is block.curl_columns for c in calls) == \
+                len(block.spectrum)
+        assert len(calls) == sum(len(block.spectrum) for block in blocks)
+
+    def test_goes_through_project_vector(self, monkeypatch):
+        # The benchmark's trace counts these calls as solver.project_calls.
+        calls = []
+        real_project = solver.project_vector
+
+        def counting(field, mu, dmax):
+            calls.append(mu)
+            return real_project(field, mu, dmax)
+
+        monkeypatch.setattr(solver, "project_vector", counting)
+        eigen_decompose(sample_exact_field())
+        dmax = solver.field_dmax(sample_exact_field())
+        assert sorted(calls) == sorted(
+            [0] + [s * m for m in range(2, dmax + 3) for s in (1, -1)])
 
     def test_gradient_part_detected(self):
         s = rand_sphere_scalar(random.Random(97), 3)

@@ -95,6 +95,38 @@ class TestCommands:
             assert records[f"atlas-exactness-{mu}"] >= delay * count
             assert records[f"atlas-dimension-{mu}"] < delay
 
+    def test_taylor_check_evaluates_each_stencil_once(self, monkeypatch):
+        # The combination row reuses the six per-order stencils; each row
+        # must equal the stencil evaluated afresh, bit for bit.
+        calls = []
+        real_f = cli._functionals.f_perturbed
+
+        def counting(W, t, grid=None):
+            calls.append((W, t))
+            return real_f(W, t, grid)
+
+        monkeypatch.setattr(cli._functionals, "f_perturbed", counting)
+        records, code = run(RunConfig(command="taylor-check",
+                                      out=os.devnull))
+        assert code == 0
+        assert len(calls) == 54
+        assert len({t for _, t in calls}) == 45
+        W = calls[0][0]
+        f = lambda t: real_f(W, t)  # noqa: E731 - local shorthand
+        differences = [cli._richardson(f, k, (k * 1e-13) ** (1.0 / (k + 4)))
+                       for k in range(1, 7)]
+        for k, (record, difference) in enumerate(
+                zip(records, differences), start=1):
+            derivative = cli._functionals.dF_at_hopf(k, W)
+            span = max(abs(derivative), abs(difference), 1.0)
+            assert record.computed == difference / span
+        combination = cli._functionals.taylor6_combination(W)
+        stencil = sum(weight * d for weight, d in zip(
+            (6.0, 3.0, 1.0, 0.25, 0.05, 1.0 / 120.0), differences))
+        span = max(abs(combination), abs(stencil), 1.0)
+        assert records[-1].check == "taylor-combination"
+        assert records[-1].computed == stencil / span
+
     def test_verify_identities_csv(self, tmp_path):
         config_path = tmp_path / "config.json"
         out = tmp_path / "identities.csv"

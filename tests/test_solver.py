@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from beltrami import solver
 from beltrami.exactpoly import Poly4, Rat, SphereScalar
 from beltrami.frames import FrameField, curl, divergence, grad
 from beltrami.solver import (
@@ -83,6 +84,28 @@ class TestProjection:
         dmax = field_dmax(g)
         assert project_vector(g, 0, dmax) == g
         assert project_vector(g, 2, dmax).is_zero()
+
+    def test_float_field_raises_even_after_its_exact_twin(self):
+        # Poly4 equality has 1 == 1.0, so the float field compares equal to
+        # the exact field whose projections are kept.
+        rng = random.Random(91)
+        F = rand_field(rng, 2, 2)
+        dmax = field_dmax(F)
+        project_vector(F, 2, dmax)
+        assert F.to_float() == F
+        with pytest.raises(TypeError):
+            project_vector(F.to_float(), 2, dmax)
+
+    def test_latest_field_is_not_reused_for_another(self, monkeypatch):
+        rng = random.Random(93)
+        A, B = rand_field(rng, 2, 3), rand_field(rng, 2, 3)
+        dmax = max(field_dmax(A), field_dmax(B))
+        for mu in (0, 2, -2, 4):
+            a_piece = project_vector(A, mu, dmax)
+            b_piece = project_vector(B, mu, dmax)
+            assert not b_piece.is_zero() and b_piece != a_piece
+            monkeypatch.setattr(solver, "_latest", (None, None, {}))
+            assert b_piece == project_vector(B, mu, dmax)
 
 
 class TestFieldDmax:
@@ -204,6 +227,20 @@ class TestSpectrumChecks:
         block.spectrum = [mu for mu in block.spectrum if abs(mu) != 3]
         with pytest.raises(SpectrumError):
             block.solve()
+
+    def test_pieces_checks_a_projected_vector(self):
+        # u = (0, x1, -x2) is a mu = 3 field of the odd block at order 1.
+        u = FrameField(SphereScalar.zero(), SphereScalar.coordinate(1),
+                       -SphereScalar.coordinate(2))
+        block = _Block(1, 1)
+        vec = {j: int(c) for j, c in block.coords.to_vector(u).items()}
+        pieces = block.pieces(vec)
+        # D_3 = (3 - 0)(3 + 3) over the block spectrum {0, 3, -3}.
+        assert pieces[3] == {j: 18 * c for j, c in vec.items()}
+        assert not any(piece for mu, piece in pieces.items() if mu != 3)
+        block.spectrum = [mu for mu in block.spectrum if abs(mu) != 3]
+        with pytest.raises(SpectrumError):
+            block.pieces(vec)
 
     def test_complete_spectrum_solves(self):
         collectors = _Block(1, 1).solve()
