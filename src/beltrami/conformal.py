@@ -44,8 +44,8 @@ from .exactpoly import (
     Poly4,
     Rat,
     SphereScalar,
+    _monomial_moment_float,
     canonicalize,
-    integrate_monomial,
     integrate_poly,
 )
 from .frames import FrameField, coefficient_tensor, grad
@@ -124,18 +124,6 @@ def _factor_moments(terms: tuple) -> tuple:
             sum(abs(Rat(c)) for c in q.terms.values()))
 
 
-def _moment(exponent: Tuple[int, ...]) -> float:
-    """Float value of the exact moment, memoized up to coordinate symmetry."""
-    if any(a % 2 for a in exponent):
-        return 0.0
-    return _sorted_moment(tuple(sorted(exponent)))
-
-
-@functools.cache
-def _sorted_moment(exponent: Tuple[int, ...]) -> float:
-    return float(integrate_monomial(exponent))
-
-
 class _BasisData:
     """Assembled trial basis for one (manifold, dmax) pair.
 
@@ -189,8 +177,8 @@ class _BasisData:
             table = np.empty((len(exps), len(exps)))
             for i, ei in enumerate(exps):
                 for j in range(i + 1):
-                    value = _moment(tuple(a + b + s for a, b, s in
-                                          zip(ei, exps[j], shift)))
+                    value = _monomial_moment_float(tuple(
+                        a + b + s for a, b, s in zip(ei, exps[j], shift)))
                     table[i, j] = table[j, i] = value
             self._shift_tables[shift] = table
         return table

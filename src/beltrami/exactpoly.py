@@ -22,8 +22,9 @@ exact backend.  Rationals come from gmpy2 when available (much faster) and
 fall back to the stdlib Fraction otherwise; both are arbitrary precision.
 
 Coefficients may alternatively be Python floats.  All ring operations work
-unchanged, which gives a floating mirror of the polynomial calculus used for
-fields whose natural coefficients involve irrational normalizers.
+unchanged, which gives a floating mirror of the polynomial calculus.  Its
+remaining users are functionals' remainder_field/correction_field and
+HopfPerturbation.field, float l2_inner and float conformal factors.
 """
 
 from __future__ import annotations

@@ -14,6 +14,11 @@ product grid that is exact through their Cartesian degree, so the only error
 left is rounding; the derivatives of F follow by truncated power series
 composition of E^{4/3} / H.
 
+Every other float integral of a product of fields is a product of
+frame-coefficient columns on the grid exact through the factors' summed
+coefficient_degree(): B_i . X is column i of X's values and X . Y the row
+sum of their product.
+
 Perturbation directions are organized by the HopfPerturbation type, a
 coefficient vector over the orthonormal eigenbases of the low curl
 eigenvalues plus explicit fields for the higher eigenspaces; its helicity and
@@ -35,8 +40,7 @@ import numpy as np
 
 from beltrami.atlas import explicit_basis
 from beltrami import atlas as _atlas
-from beltrami.exactpoly import (SphereScalar, integrate_poly, monomial_rows,
-                                power_tables)
+from beltrami.exactpoly import SphereScalar, monomial_rows, power_tables
 from beltrami.frames import (FrameField, coefficient_tensor, curl, divergence,
                              grad, hopf_frame)
 from beltrami.quadrature import (HopfGrid, default_grid, grid_for_degree,
@@ -55,12 +59,32 @@ def _unit_fields(eigenvalue: int) -> List[FrameField]:
 
 
 @functools.cache
-def _basis(name: str) -> List[FrameField]:
+def _basis(name) -> List[FrameField]:
+    """The unit anti-Hopf fields, u, v, w (eigenvalues 3, 4, 5), or the
+    unit fields of an explicit eigenvalue given as an int."""
     if name == "anti_hopf":
         # The anti-Hopf frame normalized to unit L^2 norm.
         scale = 1.0 / math.sqrt(2.0 * math.pi ** 2)
         return [f.to_float().scale(scale) for f in _atlas.anti_hopf_frame()]
-    return _unit_fields({"u": 3, "v": 4, "w": 5}[name])
+    return _unit_fields({"u": 3, "v": 4, "w": 5}.get(name, name))
+
+
+@functools.cache
+def _basis_degree(name) -> int:
+    return max(f.coefficient_degree() for f in _basis(name))
+
+
+@functools.cache
+def _basis_values(name, degree: int) -> np.ndarray:
+    """The (N, 3, k) frame-coefficient values of the k fields _basis(name)
+    on grid_for_degree(degree); values @ c are those of sum_k c_k X_k."""
+    points = grid_for_degree(degree).points
+    return np.stack([f.coefficient_values(points) for f in _basis(name)], -1)
+
+
+def _integral(grid: HopfGrid, density: np.ndarray) -> float:
+    """The integral of a density given by its values on grid.points."""
+    return float(np.sum(grid.weights * density))
 
 
 def _index_to_eigenvalue(index: int) -> int:
@@ -140,18 +164,6 @@ class HopfPerturbation:
                 + sum(c * c for c in self.b) / 4.0
                 + sum(n / _index_to_eigenvalue(i)
                       for i, n in self.extra_norms().items()))
-
-    # ---- structured pieces --------------------------------------------
-
-    def z2(self) -> FrameField:
-        return self._memo("z2", lambda: _combine(self.a[4:], _basis("u")[4:]))
-
-    def w3(self) -> FrameField:
-        return self._memo("w3", lambda: _combine(self.b, _basis("v")))
-
-    def w_minus1(self) -> FrameField:
-        return self._memo("w_minus1",
-                          lambda: _combine(self.beta, _basis("anti_hopf")))
 
 
 def _combine(coeffs: Sequence[float], fields: Sequence[FrameField]) -> FrameField:
@@ -383,30 +395,25 @@ def second_variation_R(Y1: FrameField, W) -> float:
     """Second variation of R at a first eigenfield Y1 in direction W.
 
     Evaluates (2 mu1 H(W) - 2 |W|^2 + int (Y1 . W)^2 / |Y1|^2) divided by
-    mu1 E(Y1)^{4/3}.  Y1 must lie in the first eigenspace (constant speed)
-    and W must be L^2-orthogonal to it.
+    mu1 E(Y1)^{4/3}.  Y1 must lie in the first eigenspace span{B1, B2, B3}
+    (constant coefficients y) and W must be L^2-orthogonal to it.
     """
     if not curl(Y1) == Y1.scale(MU1):
         raise ValueError("base point is not a first curl eigenfield")
-    speed_sq = Y1.norm_sq()
-    if not speed_sq.odd_part.is_zero() or speed_sq.even_part.degree() > 0:
-        raise ValueError("first eigenfield must have constant speed")
-    speed2 = float(speed_sq.representative().terms.get((0, 0, 0, 0), 0))
+    y = np.array([float(c.representative().terms.get((0, 0, 0, 0), 0))
+                  for c in Y1.f])
+    speed2 = float(y @ y)
     if isinstance(W, HopfPerturbation):
-        w_field = W.field()
-        h = W.helicity()
-        norm_sq = W.norm_sq()
+        field, h, norm_sq = W.field(), W.helicity(), W.norm_sq()
     else:
-        h = float(_atlas.helicity(W))
-        w_field = W.to_float()
-        norm_sq = float(W.l2_inner(W))
-    for B in hopf_frame():
-        overlap = float(integrate_poly(w_field.dot(B.to_float())))
-        if abs(overlap) > 1e-10:
-            raise ValueError("direction is not orthogonal to the first "
-                             "eigenspace")
-    pointwise = Y1.to_float().dot(w_field)
-    cross = float(integrate_poly(pointwise * pointwise)) / speed2
+        field, h, norm_sq = W, float(_atlas.helicity(W)), float(W.l2_inner(W))
+    grid = grid_for_degree(2 * max(field.coefficient_degree(), 0))
+    values = field.coefficient_values(grid.points)
+    # The integral of W . B_i is that of column i of W's values.
+    if np.max(np.abs(grid.weights @ values)) > 1e-10:
+        raise ValueError("direction is not orthogonal to the first "
+                         "eigenspace")
+    cross = _integral(grid, (values @ y) ** 2) / speed2
     numerator = 2 * MU1 * h - 2 * norm_sq + cross
     energy = speed2 ** 0.75 * 2 * math.pi ** 2
     return numerator / (MU1 * energy ** (4.0 / 3.0))
@@ -420,15 +427,17 @@ class SpanError(ValueError):
     """An input field lies outside the required eigenspace span."""
 
 
-def _check_span(field: FrameField, basis: Sequence[FrameField],
+def _check_span(field: FrameField, name: str, indices: Sequence[int],
                 what: str) -> None:
-    field = field.to_float()
-    residual = field
-    for e in basis:
-        c = float(integrate_poly(field.dot(e)))
-        residual = residual - e.scale(c)
-    norm = float(integrate_poly(field.norm_sq()))
-    if float(integrate_poly(residual.norm_sq())) > 1e-18 * (norm + 1.0):
+    """Raise SpanError unless field is in the span of _basis(name)[indices]."""
+    degree = 2 * max(field.coefficient_degree(), _basis_degree(name))
+    grid = grid_for_degree(degree)
+    basis = _basis_values(name, degree)[..., list(indices)]
+    values = field.coefficient_values(grid.points)
+    residual = values - basis @ (
+        grid.weights @ np.sum(basis * values[..., None], axis=1))
+    norm = _integral(grid, np.sum(values ** 2, axis=1))
+    if _integral(grid, np.sum(residual ** 2, axis=1)) > 1e-18 * (norm + 1.0):
         raise SpanError(f"{what} lies outside its required span")
 
 
@@ -442,10 +451,8 @@ def remainder_field(P23: FrameField, Z2: FrameField) -> FrameField:
 
     with P23 restricted to span{v10, v12, v15} and Z2 to span{u5, u8}.
     """
-    v = _basis("v")
-    u = _basis("u")
-    _check_span(P23, [v[9], v[11], v[14]], "P23")
-    _check_span(Z2, [u[4], u[7]], "Z2")
+    _check_span(P23, "v", (9, 11, 14), "P23")
+    _check_span(Z2, "u", (4, 7), "Z2")
     P23, Z2 = P23.to_float(), Z2.to_float()
     b1 = _b1_float()
     pz = P23.dot(Z2)
@@ -485,7 +492,9 @@ def correction_field(a5: float, a8: float) -> Tuple[FrameField, float]:
     C = R + grad(_atlas.inverse_laplacian(divergence(R)))
     if _max_scalar_coefficient(divergence(C)) > 1e-10:
         raise RuntimeError("correction field failed to be divergence free")
-    return C, float(integrate_poly(C.norm_sq()))
+    grid = grid_for_degree(2 * max(C.coefficient_degree(), 0))
+    return C, _integral(grid, np.sum(C.coefficient_values(grid.points) ** 2,
+                                     axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -749,25 +758,22 @@ def fourth_order_terms(W: HopfPerturbation) -> float:
 
     where W0_hat collects the explicit higher eigenspace parts.
     """
-    b1 = _b1_float()
-    w3 = W.w3()
-    z2 = W.z2()
-    w_minus1 = W.w_minus1()
-    hat_sq = sum(W.extra_norms().values())
-    I = lambda s: float(integrate_poly(s))
-    zb = b1.dot(z2)
-    wb = b1.dot(w3)
-    z_sq = z2.norm_sq()
-    pi = math.pi
-    B2, B3 = (B.to_float() for B in hopf_frame()[1:])
-    return (0.6 * hat_sq + 2 * sum(c * c for c in W.a[:4])
-            + 11 * sum(c * c for c in W.beta)
-            + 3 * sum(c * c for c in W.b) - 3 * I(wb * wb)
-            - 6 * I(b1.dot(w_minus1) * wb)
-            + 7.5 * I(wb * zb * zb) - 6 * I(w3.dot(z2) * zb)
-            - 3 * I(wb * z_sq) + 13.0 / (36 * pi ** 2) * I(z_sq) ** 2
-            - 6 * I(zb * (B2.dot(w_minus1) * B2.dot(z2)
-                          + B3.dot(w_minus1) * B3.dot(z2))))
+    du, dv, dm = (_basis_degree(n) for n in ("u", "v", "anti_hopf"))
+    degree = max(2 * dv, dm + dv, 2 * du + max(dv, dm))
+    grid = grid_for_degree(degree)
+    z2 = _basis_values("u", degree)[..., 4:] @ W.a[4:]
+    w3 = _basis_values("v", degree) @ W.b
+    w_minus1 = _basis_values("anti_hopf", degree) @ W.beta
+    zb, wb = z2[:, 0], w3[:, 0]
+    z_sq = np.sum(z2 * z2, axis=1)
+    density = (-3 * wb * wb - 6 * w_minus1[:, 0] * wb + 7.5 * wb * zb * zb
+               - 6 * np.sum(w3 * z2, axis=1) * zb - 3 * wb * z_sq
+               - 6 * zb * np.sum(w_minus1[:, 1:] * z2[:, 1:], axis=1))
+    return (0.6 * sum(W.extra_norms().values())
+            + 2 * sum(c * c for c in W.a[:4])
+            + 11 * sum(c * c for c in W.beta) + 3 * sum(c * c for c in W.b)
+            + _integral(grid, density)
+            + 13.0 / (36 * math.pi ** 2) * _integral(grid, z_sq) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +801,6 @@ def identity_report(seed: int = 0, draws: int = 20) -> List[dict]:
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.default_rng(seed)
-    I = lambda s: float(integrate_poly(s))
-    b1 = _b1_float()
     rows: List[dict] = []
     rows.append(_report_row(
         "hopf-helicity", "helicity of the Hopf field",
@@ -809,56 +813,63 @@ def identity_report(seed: int = 0, draws: int = 20) -> List[dict]:
         if prev is None or abs(computed - expected) > abs(prev[1] - prev[0]):
             worst[identity] = (expected, computed)
 
-    u = _basis("u")
-    minus3 = _unit_fields(-3)
+    # The integrands: squares of the W_{-2}, W_{-1}, W3 and W4 parts, and
+    # (B1 . Z2) Z2 times two more Z2 factors, W3 or W_{-1}.
+    du, dv, dm, dw, d3 = (_basis_degree(n)
+                          for n in ("u", "v", "anti_hopf", "w", -3))
+    degree = max(2 * dw, 2 * d3, 2 * max(dv, dm), 2 * du + max(2 * du, dv, dm))
+    grid = grid_for_degree(degree)
+    u58 = _basis_values("u", degree)[..., [4, 7]]
+    v, anti_hopf, w, minus3 = (_basis_values(n, degree)
+                               for n in ("v", "anti_hopf", "w", -3))
     for _ in range(draws):
         a5, a8 = rng.standard_normal(2)
         beta = rng.standard_normal(3)
         b = rng.standard_normal(15)
-        z2 = u[4].scale(a5) + u[7].scale(a8)
+        z2 = u58 @ (a5, a8)
         n2 = a5 * a5 + a8 * a8
-        zb = b1.dot(z2)
-        z_sq = z2.norm_sq()
+        zb = z2[:, 0]
+        z_sq = np.sum(z2 * z2, axis=1)
         # Z2 is a curl eigenfield of eigenvalue 3, so its helicity is the
         # integral of |Z2|^2 / 3; the check exercises the orthonormality of
         # u5 and u8 under the exact integral.
-        record("z2-helicity", n2 / 3, I(z_sq) / 3)
-        record("z2-b1-square", 2.0 / 3.0 * n2, I(zb * zb))
-        record("z2-quartic", 2.0 / (3 * math.pi ** 2) * n2 ** 2, I(z_sq * z_sq))
+        record("z2-helicity", n2 / 3, _integral(grid, z_sq) / 3)
+        record("z2-b1-square", 2.0 / 3.0 * n2, _integral(grid, zb * zb))
+        record("z2-quartic", 2.0 / (3 * math.pi ** 2) * n2 ** 2,
+               _integral(grid, z_sq * z_sq))
         record("z2-mixed-quartic", 14.0 / (27 * math.pi ** 2) * n2 ** 2,
-               I(z_sq * zb * zb))
+               _integral(grid, z_sq * zb * zb))
         record("z2-b1-quartic", 4.0 / (9 * math.pi ** 2) * n2 ** 2,
-               I(zb * zb * zb * zb))
-        w_minus2 = _combine(rng.standard_normal(len(minus3)), minus3)
+               _integral(grid, zb ** 4))
+        w_minus2 = minus3 @ rng.standard_normal(minus3.shape[-1])
         record("negative-eigenfield-b1-square",
-               float(integrate_poly(w_minus2.norm_sq())) / 3,
-               I(b1.dot(w_minus2) * b1.dot(w_minus2)))
+               _integral(grid, np.sum(w_minus2 ** 2, axis=1)) / 3,
+               _integral(grid, w_minus2[:, 0] ** 2))
         W = HopfPerturbation(beta=beta, b=b)
-        w3, wm1 = W.w3(), W.w_minus1()
+        w3, wm1 = v @ b, anti_hopf @ beta
         record("w3-b1-component-norm", b1_component_norm_sq(b),
-               I(b1.dot(w3) * b1.dot(w3)))
+               _integral(grid, w3[:, 0] ** 2))
         record("anti-hopf-w3-cross", anti_hopf_w3_cross(beta, b),
-               I(b1.dot(wm1) * b1.dot(w3)))
-        B2, B3 = (B.to_float() for B in hopf_frame()[1:])
+               _integral(grid, wm1[:, 0] * w3[:, 0]))
         record("anti-hopf-z2-cubic", anti_hopf_z2_cubic(beta, a5, a8),
-               I(zb * (B2.dot(z2) * B2.dot(wm1) + B3.dot(z2) * B3.dot(wm1))))
+               _integral(grid, zb * np.sum(z2[:, 1:] * wm1[:, 1:], axis=1)))
         record("w3-z2-cubic-b1", w3_z2_cubic_b1(b, a5, a8),
-               0.5 * I(b1.dot(w3) * (zb * zb - z_sq.scale(2.0))))
+               0.5 * _integral(grid, w3[:, 0] * (zb * zb - 2.0 * z_sq)))
         record("w3-z2-cubic-b2", w3_z2_cubic_b2(b, a5, a8),
-               I(zb * B2.dot(z2) * B2.dot(w3)))
+               _integral(grid, zb * z2[:, 1] * w3[:, 1]))
         record("w3-z2-cubic-b3", w3_z2_cubic_b3(b, a5, a8),
-               I(zb * B3.dot(z2) * B3.dot(w3)))
-        we = wm1 + w3
+               _integral(grid, zb * z2[:, 2] * w3[:, 2]))
         lhs = (2 * (sum(x * x for x in beta) + sum(x * x for x in b))
-               - 4 * W.helicity() - I(b1.dot(we) * b1.dot(we)))
+               - 4 * W.helicity()
+               - _integral(grid, (wm1[:, 0] + w3[:, 0]) ** 2))
         rhs = (11.0 / 3.0 * sum(x * x for x in beta) + sum(x * x for x in b)
                - b1_component_norm_sq(b) - 2 * anti_hopf_w3_cross(beta, b))
         record("anti-hopf-w3-quadratic-identity", lhs, rhs)
         c = rng.standard_normal(24)
-        w4 = _combine(c, _basis("w"))
         closed = sum(e4_b1_component_form(*(c[i - 1] for i in quad))
                      for quad in E4_COMPONENT_QUADRUPLES)
-        record("e4-b1-component-sum", closed, I(b1.dot(w4) * b1.dot(w4)))
+        record("e4-b1-component-sum", closed,
+               _integral(grid, (w @ c)[:, 0] ** 2))
     for identity, (expected, computed) in worst.items():
         rows.append(_report_row(identity, _IDENTITY_ANCHORS[identity],
                                 expected, computed))
@@ -883,19 +894,15 @@ def identity_report(seed: int = 0, draws: int = 20) -> List[dict]:
 
     # Norm of the degenerate-locus correction field, checked for a few
     # coefficient pairs (each build verifies divergence-freeness too).
-    worst_correction = None
     for _ in range(min(draws, 5)):
         a5, a8 = rng.standard_normal(2)
-        _, norm_sq = correction_field(a5, a8)
-        expected = 151.0 / (90 * math.pi ** 4) * (a5 * a5 + a8 * a8) ** 3
-        if worst_correction is None or abs(norm_sq - expected) > \
-                abs(worst_correction[1] - worst_correction[0]):
-            worst_correction = (expected, norm_sq)
+        record("correction-field-norm",
+               151.0 / (90 * math.pi ** 4) * (a5 * a5 + a8 * a8) ** 3,
+               correction_field(a5, a8)[1])
     rows.append(_report_row(
         "correction-field-norm",
         "squared norm of the correction field equals "
-        "(151/(90 pi^4)) |Z2|^6", worst_correction[0], worst_correction[1],
-        tol=1e-8))
+        "(151/(90 pi^4)) |Z2|^6", *worst["correction-field-norm"], tol=1e-8))
 
     # Sixth-order constants: derived versus reference values.
     W1 = HopfPerturbation(a=[0, 0, 0, 0, 1.0, 0, 0, 0])

@@ -49,7 +49,7 @@ import functools
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from beltrami.exactpoly import Poly4, Rat, SphereScalar, canonicalize
+from beltrami.exactpoly import Poly4, Rat, SphereScalar
 from beltrami.frames import FrameField, _derivative_table, _form_terms
 
 DEFAULT_DMAX_LIMIT = 5
@@ -81,6 +81,7 @@ class _Coordinates:
     """Index of the sparse coordinates (frame slot, reduced monomial)."""
 
     def __init__(self, max_degree: int, parity: int):
+        self.parity = parity
         self.monomials = _reduced_monomials(max_degree, parity)
         self.index = {e: k for k, e in enumerate(self.monomials)}
         self.size = 3 * len(self.monomials)
@@ -97,12 +98,14 @@ class _Coordinates:
         return vec
 
     def to_field(self, vec: Dict[int, object]) -> FrameField:
+        # One parity per block: each map is already a part of a normal form.
         n = len(self.monomials)
-        polys = [{}, {}, {}]
+        parts = [({}, {}) for _ in range(3)]
         for j, c in vec.items():
             i, k = divmod(j, n)
-            polys[i][self.monomials[k]] = c
-        return FrameField(*(canonicalize(Poly4(p)) for p in polys))
+            parts[i][self.parity][self.monomials[k]] = c
+        return FrameField(*(SphereScalar(Poly4(even), Poly4(odd))
+                            for even, odd in parts))
 
 
 def _curl_operator(coords: _Coordinates) -> Dict[int, List[Tuple[int, int]]]:

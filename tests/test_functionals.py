@@ -9,8 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beltrami.atlas import explicit_basis
-from beltrami.exactpoly import ExactScalar, Rat, SphereScalar, integrate_poly
+from beltrami.atlas import explicit_basis, helicity
+from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
+                                integrate_poly, integrate_products)
 from beltrami.frames import FrameField, curl, hopf_frame
 from beltrami.functionals import (
     D6_Z2_COEFFICIENT,
@@ -23,6 +24,7 @@ from beltrami.functionals import (
     ZeroHelicityError,
     _b1_float,
     _basis,
+    _check_span,
     _series_div,
     _series_power,
     big_F,
@@ -273,9 +275,6 @@ class TestPerturbationParts:
         expected = {
             "field": sum((f.to_float() for f in W.extra.values()),
                          summed_fields(W.beta + W.a + W.b, basis)),
-            "z2": summed_fields(W.a[4:], _basis("u")[4:]),
-            "w3": summed_fields(W.b, _basis("v")),
-            "w_minus1": summed_fields(W.beta, _basis("anti_hopf")),
         }
         for name, reference in expected.items():
             part = getattr(W, name)()
@@ -544,6 +543,48 @@ class TestSecondVariation:
     def test_rejects_direction_in_first_eigenspace(self):
         with pytest.raises(ValueError):
             second_variation_R(B1, hopf_frame()[1])
+
+    def test_matches_exact_value_at_high_degree(self):
+        # W has coefficient degree 4, so the cross term int (B1 . W)^2 has
+        # Cartesian degree 8; a grid exact only through degree 7 misses it.
+        W = (eigenspace_solve(4).eigenspaces[6].fields()[16]
+             + explicit_basis(-4).fields[2].scale(Rat(2, 3)))
+        assert W.coefficient_degree() >= 4
+        numerator = (4 * helicity(W) - W.l2_inner(W).scale(2)
+                     + integrate_products([(W.f[0], W.f[0])]))
+        expected = float(numerator) / (2 * (2 * PI ** 2) ** (4 / 3))
+        assert second_variation_R(B1, W) == pytest.approx(expected,
+                                                          rel=1e-12)
+
+
+class TestNoFloatPolynomialProducts:
+    """The float integrals of products of fields come from grid values."""
+
+    def test_zero_poly4_products(self, monkeypatch):
+        rng = np.random.default_rng(83)
+
+        def direction():
+            return HopfPerturbation(beta=rng.standard_normal(3),
+                                    a=rng.standard_normal(8),
+                                    b=rng.standard_normal(15))
+
+        v = _basis("v")
+        P23 = v[9].scale(0.3) + v[11].scale(-0.2) + v[14].scale(0.5)
+        Y1 = hopf_frame()[1]
+        calls = []
+        original = Poly4.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        for counted in (False, True):  # the first round builds the caches
+            if counted:
+                monkeypatch.setattr(Poly4, "__mul__", counting)
+            fourth_order_terms(direction())
+            second_variation_R(Y1, direction())
+            _check_span(P23, "v", (9, 11, 14), "P23")
+        assert calls == []
 
 
 class TestLowerBoundInequality:
