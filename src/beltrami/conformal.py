@@ -12,14 +12,15 @@ over a trial space of one-forms, with
     A_ij = <curl e_i, e_j>,    B_ij(t) = integral (1 + t q) <e_i, e_j>.
 
 The trial space spans the exact curl eigenfields up to a frame-coefficient
-degree cap together with gradient fields.  Curl annihilates gradients, so
-A vanishes exactly on the gradient rows and columns.  Each gradient gives
-one exact zero eigenvalue, and every nonzero eigenvalue solves the smaller
-pencil over the eigenfield block e,
-
-    A_ee c = mu S c,    S = B_ee - B_eg B_gg^-1 B_ge,
-
-whose Schur complement S is symmetric positive definite.  No tolerance
+degree cap together with gradient fields.  Distinct curl eigenspaces, and
+gradients against divergence-free fields, are L^2-orthogonal exactly, so
+the basis is made orthonormal with one Cholesky factor per eigenspace and
+one for the gradients.  In that basis B(0) = I and A = diag(mu), with
+exact zeros on the gradients, whatever the rounding of the Gram matrix.
+Each gradient gives one exact zero eigenvalue, and the other eigenvalues
+are the reciprocals of the symmetric problem U^T diag(mu)^-1 U, where
+U U^T is the Schur complement of the gradient block of B(t), read off one
+Cholesky factor of B(t) (see pencil.eigvalsh_diagonal).  No tolerance
 decides which eigenvalues are zero.
 
 Matrix entries are contracted from exact monomial moments of the sphere
@@ -44,12 +45,13 @@ from .exactpoly import (
     Poly4,
     Rat,
     SphereScalar,
+    _even_moment,
     _monomial_moment_float,
     canonicalize,
     integrate_poly,
 )
 from .frames import FrameField, coefficient_tensor, grad
-from .pencil import eigvalsh_definite
+from .pencil import eigvalsh_diagonal, inverse_cholesky
 from .quadrature import HopfGrid, default_grid, integrate_scalar
 from .solver import DEFAULT_DMAX_LIMIT, _reduced_monomials
 
@@ -80,8 +82,8 @@ class ConformalFactor:
         self.t = t
         self._sqrt = SphereScalar.const(1) + q.scale(t) if t else \
             SphereScalar.const(1)
-        i1, i2, i3, size = _factor_moments(tuple(sorted(
-            (e, type(c), c) for e, c in q.representative().terms.items())))
+        self.terms = _factor_terms(q)
+        i1, i2, i3, size = _factor_moments(self.terms)
         if abs(Rat(t)) * size >= 1:
             low = float(np.min(self._sqrt.evaluate(default_grid().points)))
             if low <= 0.0:
@@ -114,23 +116,51 @@ class ConformalFactor:
         return self._volume
 
 
+def _factor_terms(q: SphereScalar) -> tuple:
+    """The terms of q's representative as sorted (e, type of c_e, c_e);
+    the type tells an exact coefficient from an equal float."""
+    return tuple(sorted((e, type(c), c)
+                        for e, c in q.representative().terms.items()))
+
+
 @functools.lru_cache(maxsize=1)
 def _factor_moments(terms: tuple) -> tuple:
     """The integrals of q, q^2, q^3 over S^3 and the exact sum of |c_e| for
-    q = sum c_e x^e, given as sorted (e, type of c_e, c_e); a scan keeps q
-    fixed across its amplitudes."""
+    q = sum c_e x^e, given by its _factor_terms; a scan keeps q fixed
+    across its amplitudes.
+
+    Exact coefficients are cleared to integers n_e = den c_e with one lcm,
+    so the powers are integer products and the integral of q^k is one sum
+    of n-coefficients times exact moments, divided by den^k.
+    """
     q = Poly4({e: c for e, _, c in terms})
-    return (integrate_poly(q), integrate_poly(q * q), integrate_poly(q * q * q),
-            sum(abs(Rat(c)) for c in q.terms.values()))
+    size = sum(abs(Rat(c)) for _, _, c in terms)
+    if q._has_float():
+        return (integrate_poly(q), integrate_poly(q * q),
+                integrate_poly(q * q * q), size)
+    den = math.lcm(*(int(Rat(c).denominator) for _, _, c in terms))
+    n = Poly4({e: int(Rat(c) * den) for e, _, c in terms})
+    n2 = n * n
+
+    def integral(power: Poly4, k: int) -> ExactScalar:
+        total = sum((c * _even_moment(e) for e, c in power.terms.items()
+                     if not (e[0] | e[1] | e[2] | e[3]) & 1), Rat(0))
+        return ExactScalar({2: total / den ** k})
+
+    return integral(n, 1), integral(n2, 2), integral(n2 * n, 3), size
 
 
 class _BasisData:
-    """Assembled trial basis for one (manifold, dmax) pair.
+    """Assembled orthonormal trial basis for one (manifold, dmax) pair.
 
-    Columns are the exact curl eigenfields with frame-coefficient degree up
-    to dmax followed by gradients of scalar monomials up to degree dmax + 1,
-    rescaled to unit L^2 norm for conditioning.  On RP^3 only the fields and
-    scalars that descend through the antipodal map are kept.
+    The fields are the exact curl eigenfields with frame-coefficient degree
+    up to dmax followed by gradients of scalar monomials up to degree
+    dmax + 1.  On RP^3 only the fields and scalars that descend through the
+    antipodal map are kept.  The pencil's columns are the combinations
+    whitening @ fields: the inverse Cholesky factor of the float Gram block
+    of each eigenspace and of the gradients, so the round Gram matrix is I
+    and the curl matrix a is diag(mus), both exactly in rationals.  P holds
+    the whitened columns' coefficients.
     """
 
     def __init__(self, manifold: str, dmax: int):
@@ -151,24 +181,25 @@ class _BasisData:
         self.gradient_count = len(gradients)
         fields.extend(gradients)
         mus.extend([0] * len(gradients))
+        self.fields = fields
+        self.column_eigenvalues = tuple(mus)
         self.mus = np.array(mus, dtype=float)
         self.eigen_count = len(fields) - self.gradient_count
+        self.a = np.diag(self.mus)
 
         # Coefficients over the reduced monomials, one matrix per frame leg.
         self.exponents, P = coefficient_tensor(fields)
         self._shift_tables = {}
         self._last_perturbation = (None, None)
         gram = self._contract(P, self._table((0, 0, 0, 0)))
-        scale = 1.0 / np.sqrt(np.diag(gram))
-        self.P = P * scale[None, :, None]
-        self.scales = scale
-        self.gram = gram * np.outer(scale, scale)
-        weighted = self.mus[:, None] * self.gram
-        self.a = 0.5 * (weighted + weighted.T)
-        # Gradient rows of A are exactly zero: curl annihilates gradients.
-        self.a[self.eigen_count:, :] = 0.0
-        self.a[:, self.eigen_count:] = 0.0
-        self.fields = fields
+        self.whitening = np.zeros_like(gram)
+        # The mus are sorted with the gradients' zeros last, so each block
+        # of equal mus is one eigenspace or the gradients.
+        starts = np.flatnonzero(np.diff(self.mus, prepend=np.nan,
+                                        append=np.nan))
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            self.whitening[lo:hi, lo:hi] = inverse_cholesky(gram[lo:hi, lo:hi])
+        self.P = self.whitening @ P
 
     def _table(self, shift: Tuple[int, ...]) -> np.ndarray:
         table = self._shift_tables.get(shift)
@@ -189,13 +220,14 @@ class _BasisData:
             out += P[c] @ table @ P[c].T
         return 0.5 * (out + out.T)
 
-    def perturbation(self, q: SphereScalar) -> np.ndarray:
-        """The matrix of integral q <e_i, e_j> over the basis, with one
-        contraction per frame leg; the matrix of the latest q is kept."""
-        terms = tuple(sorted((e, float(c)) for e, c in
-                             q.representative().terms.items()))
+    def perturbation(self, q: SphereScalar,
+                     terms: tuple | None = None) -> np.ndarray:
+        """The matrix of integral q <e_i, e_j> over the whitened columns,
+        with one contraction per frame leg; terms, if given, must be
+        _factor_terms(q).  The matrix of the latest q is kept."""
+        terms = terms or _factor_terms(q)
         if self._last_perturbation[0] != terms:
-            table = sum(c * self._table(e) for e, c in terms)
+            table = sum(float(c) * self._table(e) for e, _, c in terms)
             self._last_perturbation = (terms, self._contract(self.P, table))
         return self._last_perturbation[1]
 
@@ -214,9 +246,10 @@ def _basis_data(manifold: str, dmax: int) -> _BasisData:
 class GalerkinPencil:
     """The symmetric pencil (A, B) for one manifold, factor, and degree cap.
 
-    a holds the curl pairings, b the weighted mass matrix, and
-    column_eigenvalues the exact curl eigenvalue of each basis column (zero
-    for gradients).  volume is the total volume of the deformed manifold.
+    a holds the curl pairings, diag(column_eigenvalues) in the orthonormal
+    basis, b the weighted mass matrix, and column_eigenvalues the exact
+    curl eigenvalue of each basis column (zero for gradients).  volume is
+    the total volume of the deformed manifold.
     """
 
     manifold: str
@@ -230,22 +263,13 @@ class GalerkinPencil:
     def eigenvalues(self) -> np.ndarray:
         """All generalized eigenvalues, ascending.
 
-        The last gradient_count columns are the gradient block g, on which
-        A must vanish exactly; a nonzero entry there raises RuntimeError.
-        The block contributes gradient_count exact zeros, and the other
-        eigenvalues solve A_ee c = mu S c with the Schur complement
-        S = B_ee - B_eg B_gg^-1 B_ge of the eigenfield block e.
+        a must be diagonal, zero exactly on the last gradient_count columns
+        (the gradients, which curl annihilates) and nonzero on the others
+        (the eigenfields); any other a raises RuntimeError.  The gradients
+        contribute gradient_count exact zeros, and the other eigenvalues
+        come from one Cholesky factor of b (pencil.eigvalsh_diagonal).
         """
-        ne = self.a.shape[0] - self.gradient_count
-        if np.any(self.a[ne:]) or np.any(self.a[:, ne:]):
-            raise RuntimeError("the curl matrix is nonzero on the gradient "
-                               f"block of dimension {self.gradient_count}")
-        b = self.b
-        schur = b[:ne, :ne] - b[:ne, ne:] @ np.linalg.solve(b[ne:, ne:],
-                                                            b[ne:, :ne])
-        return np.sort(np.concatenate([
-            np.zeros(self.gradient_count),
-            eigvalsh_definite(self.a[:ne, :ne], schur)]))
+        return eigvalsh_diagonal(self.a, self.b, self.gradient_count)
 
     def mu1(self) -> float:
         """Smallest positive eigenvalue; the gradient zeros are exact."""
@@ -274,9 +298,11 @@ def assemble_pencil(manifold: str, cf: ConformalFactor,
         raise ParityError(
             "the conformal factor has an antipodally odd part and does not "
             "descend to RP^3")
-    b = data.gram.copy()
     if cf.t and not cf.q.is_zero():
-        b = b + cf.t * data.perturbation(cf.q)
+        b = float(cf.t) * data.perturbation(cf.q, cf.terms)
+        b.flat[::b.shape[0] + 1] += 1.0
+    else:
+        b = np.eye(data.a.shape[0])
     volume = float(cf.volume())
     if manifold == "rp3":
         volume *= 0.5
@@ -285,7 +311,7 @@ def assemble_pencil(manifold: str, cf: ConformalFactor,
         dmax=dmax,
         a=data.a,
         b=b,
-        column_eigenvalues=tuple(int(m) for m in data.mus),
+        column_eigenvalues=data.column_eigenvalues,
         gradient_count=data.gradient_count,
         volume=volume,
     )
@@ -311,14 +337,21 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     and dmax + 1; a row passes when the refinement moves it by less than
     1e-4, it clears the (16/pi)^(1/3) lower bound, and it is no smaller
     than the t = 0 value of its own factor minus 1e-6 (so the undeformed
-    metric is the grid minimum).  The trial bases at dmax and dmax + 1 are
-    built before the first row, so each row's wall_time is the time, in
-    seconds, to build and solve the two pencils of its amplitude only.
+    metric is the grid minimum).  dmax must be an int (not a bool) and the
+    amplitudes finite and distinct; otherwise ValueError is raised.  The
+    trial bases at dmax and dmax + 1 are built before the first row, so
+    each row's wall_time is the time, in seconds, to build and solve the
+    two pencils of its amplitude only.
     """
-    if not 0 <= dmax < DEFAULT_DMAX_LIMIT:
+    if (isinstance(dmax, bool) or not isinstance(dmax, int)
+            or not 0 <= dmax < DEFAULT_DMAX_LIMIT):
         raise ValueError(
-            f"dmax must be between 0 and {DEFAULT_DMAX_LIMIT - 1} for a scan, "
-            f"which refines at dmax + 1; got {dmax}")
+            f"dmax must be an integer between 0 and {DEFAULT_DMAX_LIMIT - 1} "
+            f"for a scan, which refines at dmax + 1; got {dmax!r}")
+    if not all(math.isfinite(t) for t in amplitudes):
+        raise ValueError(f"amplitudes must be finite, got {amplitudes!r}")
+    if len(set(amplitudes)) != len(amplitudes):
+        raise ValueError(f"amplitudes must be distinct, got {amplitudes!r}")
     if 0.0 not in amplitudes:
         raise ValueError("the amplitude grid must contain t = 0")
     if any(abs(t) > 0.05 for t in amplitudes):
@@ -397,20 +430,20 @@ class PushforwardField:
         """Helicity in the deformed metric via a Galerkin curl inversion.
 
         Solves curl_g W = V weakly over the eigenfield block of the trial
-        basis and returns the pairing of W with V.  The weak equations pair
-        one-forms against the flux two-form of V, whose density in the
+        basis and returns the pairing of W with V.  The weak equations
+        pair one-forms against the flux two-form of V, whose density in the
         deformed volume element (1 + t q)^3 cancels the transport's
-        division by (1 + t q)^3.  So the right-hand side is the round L^2
-        pairing of each basis field with the base field, exact for an
-        exact base, and the value is the round-metric helicity of the base
-        on the trial space, whatever the factor.
+        division by (1 + t q)^3.  So the right-hand side rhs is the round
+        L^2 pairing of each whitened basis column with the base field,
+        exact for an exact base, and the value, sum_k rhs_k^2 / mu_k in the
+        orthonormal basis, is the round-metric helicity of the base on the
+        trial space, whatever the factor.
         """
         data = _basis_data("s3", self.dmax)
         ne = data.eigen_count
-        rhs = np.array([data.scales[j] * float(f.l2_inner(self.base))
-                        for j, f in enumerate(data.fields[:ne])])
-        x = np.linalg.solve(data.a[:ne, :ne], rhs)
-        return float(x @ rhs)
+        rhs = data.whitening[:ne, :ne] @ np.array(
+            [float(f.l2_inner(self.base)) for f in data.fields[:ne]])
+        return float(rhs @ (rhs / data.mus[:ne]))
 
 
 class MinimizerMetric:

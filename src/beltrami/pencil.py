@@ -1,8 +1,24 @@
-"""Eigenvalues of symmetric-definite generalized pencils, in numpy alone."""
+"""Eigenvalues of symmetric-definite generalized pencils, in numpy alone.
+
+eigvalsh_definite solves a general pencil A x = lambda B x by Cholesky
+reduction.  eigvalsh_diagonal solves the curl pencils of an orthonormal
+trial basis, whose A is diagonal with an exactly zero trailing block: one
+Cholesky factor of B and one symmetric eigensolve of the reciprocal pencil,
+with no inverse and no Schur-complement solve.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def inverse_cholesky(b: np.ndarray) -> np.ndarray:
+    """The inverse W of the lower Cholesky factor of b, so W b W^T = I.
+
+    b must be symmetric positive definite; otherwise
+    numpy.linalg.LinAlgError is raised.
+    """
+    return np.linalg.inv(np.linalg.cholesky(b))
 
 
 def eigvalsh_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -15,5 +31,40 @@ def eigvalsh_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     # numpy has no triangular solve; one inverse and two products beat the
     # two general solves that would form L^-1 A L^-T.
-    inverse = np.linalg.inv(np.linalg.cholesky(b))
+    inverse = inverse_cholesky(b)
     return np.linalg.eigvalsh(inverse @ a @ inverse.T)
+
+
+def eigvalsh_diagonal(a: np.ndarray, b: np.ndarray,
+                      zeros: int) -> np.ndarray:
+    """Eigenvalues, ascending, of diag(mu) c = lambda B c.
+
+    a must be the diagonal matrix diag(mu) with mu = 0 exactly on its last
+    `zeros` entries and nonzero on the others, and B symmetric positive
+    definite.  A malformed a (an off-diagonal entry, a nonzero on the zero
+    block or a zero before it) is a fault of the pencil's assembly and
+    raises RuntimeError; a B that is not positive definite raises
+    numpy.linalg.LinAlgError.
+
+    The zero block g gives `zeros` exact zero eigenvalues.  The others are
+    the eigenvalues of D c = lambda S c on the leading block e, where
+    D = diag(mu_e) and S = B_ee - B_eg B_gg^-1 B_ge.  The Cholesky factor
+    of B with its rows and columns reversed holds, in its trailing corner,
+    a triangular U with S = U U^T (reversed), and the reciprocals
+    nu = 1 / lambda are the eigenvalues of the symmetric U^T D^-1 U.
+    No square root of mu is taken, so mu may have either sign.
+    """
+    mu = np.diag(a)
+    count = mu.size - zeros
+    if np.count_nonzero(a) != np.count_nonzero(mu):
+        raise RuntimeError("the curl matrix has an off-diagonal entry")
+    if np.any(mu[count:]):
+        raise RuntimeError("the curl matrix is nonzero on the gradient "
+                           f"block of dimension {zeros}")
+    if not np.all(mu[:count]):
+        raise RuntimeError("the curl matrix has a zero on the eigenfield "
+                           "diagonal")
+    corner = np.linalg.cholesky(b[::-1, ::-1])[zeros:, zeros:]
+    reciprocal = corner.T @ (corner / mu[:count][::-1, None])
+    return np.sort(np.concatenate([np.zeros(zeros),
+                                   1.0 / np.linalg.eigvalsh(reciprocal)]))

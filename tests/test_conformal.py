@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 import tracemalloc
@@ -230,6 +231,14 @@ class TestGradientBlock:
 
 
 class TestAssemblyAgainstExactIntegrals:
+    # The pencil's columns are whitening @ fields, so each entry is
+    # W E W^T for the exact matrix E of integrals over the fields.
+    @staticmethod
+    def whitened(data, i, j, exact_entry):
+        W = data.whitening
+        return sum(W[i, k] * exact_entry(k, l) * W[j, l]
+                   for k in np.flatnonzero(W[i]) for l in np.flatnonzero(W[j]))
+
     def test_mass_matrix_entries(self):
         # Spot-check the float-contracted weighted mass matrix against
         # fully exact polynomial integration on a small basis.
@@ -237,32 +246,59 @@ class TestAssemblyAgainstExactIntegrals:
         data = _basis_data("s3", 1)
         pencil = assemble_pencil("s3", ConformalFactor(Q_EVEN, t), 1)
         weight = SphereScalar.const(1) + Q_EVEN.scale(t)
+
+        @functools.cache
+        def exact_entry(k, l):
+            return float(integrate_poly(weight * data.fields[k].dot(
+                data.fields[l])))
+
         rng = np.random.default_rng(5)
         n = len(data.fields)
         for _ in range(12):
             i, j = rng.integers(0, n, size=2)
-            exact = integrate_poly(weight * data.fields[i].dot(
-                data.fields[j]))
-            exact = float(exact) * data.scales[i] * data.scales[j]
+            exact = self.whitened(data, i, j, exact_entry)
             assert pencil.b[i, j] == pytest.approx(exact, abs=1e-12)
 
     def test_curl_matrix_entries(self):
         data = _basis_data("s3", 1)
+
+        @functools.cache
+        def exact_entry(k, l):
+            return data.mus[k] * float(integrate_poly(
+                data.fields[k].dot(data.fields[l])))
+
         n = len(data.fields)
         rng = np.random.default_rng(6)
         for _ in range(12):
             i, j = rng.integers(0, n, size=2)
-            mu = data.mus[i]
-            exact = float(integrate_poly(
-                data.fields[i].dot(data.fields[j]))) * mu
-            exact *= data.scales[i] * data.scales[j]
+            exact = self.whitened(data, i, j, exact_entry)
             assert data.a[i, j] == pytest.approx(exact, abs=1e-12)
+
+
+class TestOrthonormalBasis:
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    @pytest.mark.parametrize("dmax", [1, 2, 3, 4])
+    def test_whitened_gram_is_identity(self, manifold, dmax):
+        # Exactly I in rationals; the float contraction rounds at about
+        # 6e-13 at dmax 4.
+        data = _basis_data(manifold, dmax)
+        gram = data._contract(data.P, data._table((0, 0, 0, 0)))
+        np.testing.assert_allclose(gram, np.eye(len(data.mus)), rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    def test_round_spectrum_is_the_column_eigenvalues(self, manifold):
+        pencil = assemble_pencil(
+            manifold, ConformalFactor(SphereScalar.zero(), 0.0), 3)
+        assert np.array_equal(pencil.eigenvalues(),
+                              np.sort(pencil.column_eigenvalues))
+        assert pencil.mu1() == 2.0
 
 
 def per_monomial_perturbation(data, q) -> np.ndarray:
     """Reference: integral q <e_i, e_j> summed one monomial of q at a time,
     with three sandwich products per monomial."""
-    out = np.zeros_like(data.gram)
+    out = np.zeros((len(data.mus),) * 2)
     for e, c in sorted((e, float(c))
                        for e, c in q.representative().terms.items()):
         table = data._table(e)
@@ -310,7 +346,7 @@ class TestPerturbationContraction:
         dmax = 1
         qs = [canonicalize(x(1) * x(2) + x(3).scale(Rat(k + 1, 40))
                            + x(1) * x(1)) for k in range(21)]
-        order = _basis_data("s3", dmax + 1).gram.shape[0]
+        order = len(_basis_data("s3", dmax + 1).mus)
         tracemalloc.start()
         try:
             optimality_scan([("warm-up", qs[0])], "s3", dmax=dmax)
@@ -367,6 +403,24 @@ class TestOptimalityScan:
         with pytest.raises(ValueError):
             optimality_scan([("q", Q_EVEN)], "s3",
                             amplitudes=(0.0, 0.3))
+
+    @pytest.mark.parametrize("dmax", [True, False, 1.0, "1", None])
+    def test_rejects_a_dmax_that_is_not_an_int(self, dmax):
+        with pytest.raises(ValueError, match="dmax must be an integer"):
+            optimality_scan([("q", Q_EVEN)], "s3", dmax=dmax)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_amplitudes(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            optimality_scan([("q", Q_EVEN)], "s3", amplitudes=(0.0, t),
+                            dmax=1)
+
+    @pytest.mark.parametrize("amplitudes", [
+        (0.0, 0.01, 0.01), (-0.0, 0.0, 0.02), (0, 0.0, 0.02)])
+    def test_rejects_duplicate_amplitudes(self, amplitudes):
+        with pytest.raises(ValueError, match="distinct"):
+            optimality_scan([("q", Q_EVEN)], "s3", amplitudes=amplitudes,
+                            dmax=1)
 
 
 class TestPushforward:
