@@ -35,7 +35,6 @@ from beltrami.frames import (
     FrameField,
     REFLECTION,
     curl,
-    divergence,
     hopf_frame,
     isometry_pushforward,
     laplace_beltrami,
@@ -289,9 +288,10 @@ def eigen_decompose(F: FrameField,
 
 
 def _exact_components(F: FrameField, limit: int) -> Dict[int, FrameField]:
-    """Eigencomponents of an exact field; rejects gradient parts."""
+    """Eigencomponents of an exact field; rejects gradient parts.  With no
+    mu = 0 part, F = sum_mu curl(P_mu F) / mu is divergence-free exactly."""
     decomposition = eigen_decompose(F, limit)
-    if 0 in decomposition.components or not divergence(F).is_zero():
+    if 0 in decomposition.components:
         raise NotExactFieldError(
             "field has a nonzero divergence or gradient part; helicity and "
             "the inverse curl are defined for exact fields only")

@@ -364,29 +364,33 @@ def laplace_beltrami_homogeneous(s: SphereScalar) -> SphereScalar:
 
 
 def isometry_pushforward(F: FrameField, O: Sequence[Sequence[object]]) -> FrameField:
-    """Pushforward of F by the isometry x -> O x of S^3 (O exactly orthogonal).
+    """Pushforward of F by the isometry x -> O x of S^3, O a signed permutation.
 
-    (O_* F)(x) = O F(O^T x) computed on Cartesian components, then re-expressed
-    in the frame.  Preserves pointwise and L^2 norms; an orientation-reversing
-    O maps curl eigenfields of eigenvalue mu to eigenvalue -mu.
+    (O_* F)(x) = O F(O^T x).  If s = O[a][p] is the nonzero entry of row a,
+    component a of O_* F is s times component p at O^T x, where
+    (O^T x)_p = s x_a: a signed relabel of exponents, which needs the normal
+    form again only if it moves x4.  Preserves pointwise and L^2 norms; an
+    orientation-reversing O maps curl eigenfields of eigenvalue mu to -mu.
+    Any other matrix raises ValueError.
     """
-    O = [[Rat(O[i][j]) for j in range(4)] for i in range(4)]
-    for i in range(4):
-        for j in range(4):
-            s = sum(O[k][i] * O[k][j] for k in range(4))
-            if s != (1 if i == j else 0):
-                raise ValueError("matrix is not exactly orthogonal")
-    transpose = [[O[j][i] for j in range(4)] for i in range(4)]
+    rows = [[(p, Rat(c)) for p, c in enumerate(row) if Rat(c) != 0]
+            for row in O]
+    if ([len(r) for r in rows] != [1] * 4 or sorted(
+            (p, abs(s)) for (p, s), in rows) != [(p, 1) for p in range(4)]):
+        raise ValueError("matrix is not a signed permutation matrix")
+    perm = [r[0] for r in rows]
+    flipped = [p for p, s in perm if s < 0]
+
+    def relabel(poly: Poly4, s) -> Poly4:
+        return Poly4({tuple(e[p] for p, _ in perm):
+                      c * s * (-1) ** sum(e[p] for p in flipped)
+                      for e, c in poly.terms.items()})
+
     comps = F.cartesian_components()
-    rotated = []
-    for a in range(4):
-        ca = Poly4.zero()
-        for b in range(4):
-            if O[a][b] != 0:
-                ca = ca + comps[b].representative().substitute_linear(
-                    transpose).scale(O[a][b])
-        rotated.append(canonicalize(ca))
-    return FrameField.from_cartesian(rotated)
+    return FrameField.from_cartesian([
+        canonicalize(relabel(comps[p].representative(), s)) if perm[3][0] != 3
+        else SphereScalar(relabel(comps[p].even_part, s),
+                          relabel(comps[p].odd_part, s)) for p, s in perm])
 
 
 # The reflection (x1, x2, x3, x4) -> (x1, x2, x3, -x4): orientation reversing,

@@ -9,8 +9,8 @@ eigenspace_solve(dmax) uses D = dmax + 1, which makes the curl spectrum on
 the trial space exactly the integers {0, +-2, ..., +-(dmax + 2)} (0 carrying
 the gradient part).
 
-All of the linear algebra runs on Python ints, whatever the rational
-backend:
+All of the linear algebra is exact integer arithmetic, whatever the
+rational backend:
 
 * fields are sparse coefficient vectors over reduced monomials; each
   generator m * (L_i x)_a is a signed monomial, so its integer vector is
@@ -22,15 +22,20 @@ backend:
   projector P_mu = prod_{nu != mu} (C - nu) / (mu - nu) is kept as the
   integer polynomial D_mu P_mu = sum_k n_{mu,k} C^k, where
   D_mu = prod_{nu != mu} (mu - nu);
-* one Krylov pass b, C b, ..., C^|S| b per vector gives every D_mu P_mu b
-  at once, with |S| integer matvecs (the last power serves the check);
+* one Krylov pass b, C b, ..., C^|S| b gives every D_mu P_mu b at once; a
+  slab of vectors passes together, in |S| gather-multiply-sum steps over C
+  kept as padded integer rows (the last power serves the check);
+* the arrays are int64 while an exact bound stays below 2^62: the largest
+  row sum of |C| times the largest entry for a step, sum_k |a_k| max|x_k|
+  for a combination sum_k a_k x_k.  From the first operation whose bound
+  fails they hold Python ints;
 * the eigenbases come from fraction-free elimination of those vectors, and
   rationals appear only when an eigenvector is handed out (normalised to
   pivot 1) or when project_vector, having cleared the denominators of its
   input with their lcm den, divides its result once by den * D_mu.
 
-The exact checks run in _Block.pieces, on every basis vector and on every
-projected vector b.  With p(x) = prod_{nu in S} (x - nu) it requires
+The exact checks run in _Block.slab_pieces, on every basis vector and on
+every projected vector b.  With p(x) = prod_{nu in S} (x - nu) it requires
 p(C) b == 0, which holds exactly when b is a sum of curl eigenvectors with
 eigenvalues in S, and with L = lcm(D_mu) it requires the resolution of the
 identity sum_mu (L / D_mu) (D_mu P_mu b) == L b.  Either failure raises
@@ -49,10 +54,19 @@ import functools
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from beltrami.exactpoly import Poly4, Rat, SphereScalar
 from beltrami.frames import FrameField, _derivative_table, _form_terms
 
 DEFAULT_DMAX_LIMIT = 5
+
+# Vectors per slab of _Block.solve; keeps the transient arrays small.
+_SLAB_WIDTH = 16
+# Integer arithmetic stays in int64 while its exact bound is below this.
+_INT64_SAFE = 1 << 62
+# Order key of an absent entry in _Block.slab_pieces, above every real key.
+_ABSENT = 1 << 40
 
 
 class SpectrumError(RuntimeError):
@@ -132,22 +146,25 @@ def _curl_operator(coords: _Coordinates) -> Dict[int, List[Tuple[int, int]]]:
     return columns
 
 
-def _matvec(columns, vec: Dict[int, int]) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for j, x in vec.items():
-        for i, c in columns[j]:
-            out[i] = out.get(i, 0) + c * x
-    return {i: c for i, c in out.items() if c}
+def _max_abs(x: np.ndarray) -> int:
+    return int(np.abs(x).max())
 
 
-def _combine(coefficients: Sequence[int], vectors) -> Dict[int, int]:
-    """sum_k coefficients[k] * vectors[k] for sparse integer vectors."""
-    out: Dict[int, int] = {}
-    for a, vec in zip(coefficients, vectors):
-        if a:
-            for j, c in vec.items():
-                out[j] = out.get(j, 0) + a * c
-    return {j: c for j, c in out.items() if c}
+def _combination(coefficients: Sequence[int], arrays, tops) -> np.ndarray:
+    """sum_k coefficients[k] * arrays[k] for integer arrays whose largest
+    entries are tops[k]; in Python ints once the bound reaches 2^62."""
+    terms = [(a, x) for a, x in zip(coefficients, arrays) if a]
+    if sum(abs(a) * t for a, t in zip(coefficients, tops)) >= _INT64_SAFE:
+        terms = [(a, x.astype(object)) for a, x in terms]
+    return sum(a * x for a, x in terms)
+
+
+def _ordered_entries(values: np.ndarray, key) -> Tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries (v, j) of a slab, sorted by vector v, then by
+    key(v, j), then by coordinate j."""
+    v, j = np.nonzero(values)
+    order = np.lexsort((key(v, j), v))
+    return v[order], j[order]
 
 
 @functools.cache
@@ -205,7 +222,11 @@ class _Echelon:
                 self.rows[p] = vec
                 return vec
             g = gcd(row[p], vec[p])
-            vec = _combine((row[p] // g, -(vec[p] // g)), (vec, row))
+            a, b = row[p] // g, -(vec[p] // g)
+            out = {j: a * c for j, c in vec.items()}
+            for j, c in row.items():
+                out[j] = out.get(j, 0) + b * c
+            vec = {j: c for j, c in out.items() if c}
         return None
 
     @property
@@ -261,6 +282,18 @@ class _Block:
         degree_cap = dmax + 2
         self.coords = _Coordinates(degree_cap, parity)
         self.curl_columns = _curl_operator(self.coords)
+        # C as padded rows of (column, value) pairs; the padding (n, 0)
+        # points to a zero coordinate that every slab carries last.
+        n = self.coords.size
+        rows: List[list] = [[] for _ in range(n + 1)]
+        for j, column in self.curl_columns.items():
+            for i, c in column:
+                rows[i].append((j, c))
+        width = max(map(len, rows))
+        self.curl_index, self.curl_values = np.array(
+            [row + [(n, 0)] * (width - len(row)) for row in rows]
+        ).transpose(2, 0, 1).copy()
+        self.row_bound = int(np.abs(self.curl_values).sum(axis=1).max())
         # Eigenvalues of this parity present up to dmax + 2 (plus 0 for the
         # gradient part, which lives in both blocks).
         start = 2 if parity == 0 else 3
@@ -286,40 +319,87 @@ class _Block:
                     yield {i * n + index[f]: c for i in range(3)
                            for f, c in _form_terms(e, i, a)}
 
-    def krylov(self, vec: Dict[int, int], length: int) -> List[Dict[int, int]]:
-        """The Krylov vectors vec, C vec, ..., C^(length - 1) vec."""
-        powers = [vec]
-        for _ in range(length - 1):
-            powers.append(_matvec(self.curl_columns, powers[-1]))
-        return powers
+    def _curl_step(self, x: np.ndarray) -> np.ndarray:
+        """C v for each vector v (a row) of a slab: gather, multiply, sum."""
+        if x.dtype != object and self.row_bound * _max_abs(x) >= _INT64_SAFE:
+            x = x.astype(object)
+        return np.einsum("ik,vik->vi", self.curl_values,
+                         np.take(x, self.curl_index, axis=1))
 
     def pieces(self, vec: Dict[int, int]) -> Dict[int, Dict[int, int]]:
-        """Every D_mu P_mu vec of an integer vector, from one checked pass."""
+        """Every D_mu P_mu vec of an integer vector: a one-vector slab."""
+        return self.slab_pieces([vec])[0]
+
+    def slab_pieces(self, vectors) -> List[Dict[int, Dict[int, int]]]:
+        """Every D_mu P_mu v of each integer vector v, from one checked pass.
+
+        A slab holds one vector per row.  Each Krylov power keeps the ranks
+        of its entries in the order sparse dict arithmetic would first reach
+        them, and the returned dicts come in that order, so the eigenfields'
+        terms, and every float sum over them, do not depend on the kernel.
+        """
         spectrum = tuple(self.spectrum)
         numerators, annihilator = _lagrange_numerators(spectrum)
-        powers = self.krylov(vec, len(spectrum) + 1)
-        if _combine(annihilator, powers):
+        entries = [c for v in vectors for c in v.values()]
+        at = (np.repeat(np.arange(len(vectors)), [len(v) for v in vectors]),
+              [j for v in vectors for j in v])
+        small = max(map(abs, entries), default=0) < _INT64_SAFE
+        x = np.zeros((len(vectors), self.coords.size + 1),
+                     dtype=np.int64 if small else object)
+        x[at] = entries
+        rank = np.full(x.shape, _ABSENT)
+        rank[at] = [k for v in vectors for k in range(len(v))]
+        powers, keys = [x], [rank]
+        for k in range(1, len(spectrum) + 1):
+            powers.append(self._curl_step(powers[-1]))
+            if k < len(spectrum):
+                at = _ordered_entries(powers[-1], lambda v, j: rank[
+                    v[:, None], self.curl_index[j]].min(axis=1))
+                rank = np.full(x.shape, _ABSENT)
+                rank[at] = np.arange(len(at[0]))
+                keys.append(k * x.size + rank)
+        tops = [_max_abs(p) for p in powers]
+        if np.count_nonzero(_combination(annihilator, powers, tops)):
             raise SpectrumError(
                 "curl has an eigenvalue outside the candidate spectrum "
                 f"{sorted(spectrum)} on the trial space")
         common = lcm(*(denominator for _, denominator in numerators.values()))
-        pieces = {mu: _combine(numerators[mu][0], powers) for mu in spectrum}
-        if (_combine([common // numerators[mu][1] for mu in spectrum],
-                     pieces.values())
-                != {j: common * c for j, c in vec.items()}):
+        pieces = [_combination(numerators[mu][0], powers, tops)
+                  for mu in spectrum]
+        if not np.array_equal(
+                _combination([common // numerators[mu][1] for mu in spectrum],
+                             pieces, [_max_abs(p) for p in pieces]),
+                _combination([common], powers, tops)):
             raise SpectrumError(
                 "spectral projections do not resolve the identity on the "
                 "trial space; the candidate spectrum is incomplete")
-        return pieces
+        out = [{} for _ in vectors]
+        for mu, piece in zip(spectrum, pieces):
+            support = [key for key, n in zip(keys, numerators[mu][0]) if n]
+            v, j = _ordered_entries(piece, lambda v, j: np.min(
+                [key[v, j] for key in support], axis=0))
+            coordinates, entries = j.tolist(), piece[v, j].tolist()
+            ends = np.cumsum(np.bincount(v, minlength=len(out))).tolist()
+            for vec, start, end in zip(out, [0] + ends, ends):
+                vec[mu] = dict(zip(coordinates[start:end], entries[start:end]))
+        return out
 
     def solve(self) -> Dict[int, _Echelon]:
         """Eigenbases per eigenvalue, verifying the spectrum on every vector."""
         collectors = {mu: _Echelon() for mu in self.spectrum}
-        for b in self.basis:
-            for mu, piece in self.pieces(b).items():
-                if piece:
-                    collectors[mu].insert(piece)
+        for start in range(0, len(self.basis), _SLAB_WIDTH):
+            slab = self.basis[start:start + _SLAB_WIDTH]
+            for pieces in self.slab_pieces(slab):
+                for mu, piece in pieces.items():
+                    if piece:
+                        collectors[mu].insert(piece)
         return collectors
+
+
+def _check_order(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
+    return value
 
 
 @functools.cache
@@ -334,9 +414,11 @@ def eigenspace_solve(dmax: int, limit: int = DEFAULT_DMAX_LIMIT) -> SolverResult
     Returns the eigenspaces for the integer spectrum {+-2, ..., +-(dmax+2)}
     together with the dimension of the gradient (curl-kernel) part.  Raises
     SpectrumError if that candidate spectrum fails to exhaust the trial
-    space, and ValueError when dmax exceeds the configured limit.
+    space, and ValueError unless dmax and limit are ints (not bools) with
+    0 <= dmax <= limit.
     """
-    if dmax < 0 or dmax > limit:
+    _check_order("limit", limit)
+    if _check_order("dmax", dmax) > limit:
         raise ValueError(f"dmax must be between 0 and {limit}, got {dmax}")
     eigenspaces: Dict[int, SolverEigenspace] = {}
     gradient_dimension = 0
@@ -397,8 +479,10 @@ def field_dmax(field: FrameField, limit: int = DEFAULT_DMAX_LIMIT) -> int:
     """The smallest solver order whose spectrum resolves the field.
 
     A field with coefficient degree D can carry eigencomponents up to
-    +-(D + 2) plus a gradient part, so the order must be D itself.
+    +-(D + 2) plus a gradient part, so the order must be D itself.  The
+    limit must be a nonnegative int (not a bool).
     """
+    _check_order("limit", limit)
     k = max(field.coefficient_degree(), 0)
     if k > limit:
         raise ValueError(

@@ -117,24 +117,23 @@ class TestEigenDecompose:
         assert project_eigen(F, 3) == explicit_basis(3).fields[4]
 
     def test_one_krylov_pass_per_parity_block(self, monkeypatch):
-        # A pass of |S| + 1 Krylov powers takes |S| matvecs per block.
+        # A pass of |S| + 1 Krylov powers takes |S| curl steps per block.
         F = sample_exact_field()
         eigen_decompose(F)
         dmax = solver.field_dmax(F)
         monkeypatch.setattr(solver, "_latest", (None, None, {}))
         calls = []
-        real_matvec = solver._matvec
+        real_step = solver._Block._curl_step
 
-        def counting(columns, vec):
-            calls.append(columns)
-            return real_matvec(columns, vec)
+        def counting(block, x):
+            calls.append(block)
+            return real_step(block, x)
 
-        monkeypatch.setattr(solver, "_matvec", counting)
+        monkeypatch.setattr(solver._Block, "_curl_step", counting)
         eigen_decompose(F)
         blocks = [solver._solved_block(dmax, p)[0] for p in (0, 1)]
         for block in blocks:
-            assert sum(c is block.curl_columns for c in calls) == \
-                len(block.spectrum)
+            assert sum(b is block for b in calls) == len(block.spectrum)
         assert len(calls) == sum(len(block.spectrum) for block in blocks)
 
     def test_goes_through_project_vector(self, monkeypatch):
@@ -187,6 +186,18 @@ class TestCurlInverse:
     def test_rejects_gradient_part(self):
         with pytest.raises(NotExactFieldError):
             curl_inverse(grad(SphereScalar.coordinate(2)))
+
+
+class TestExactFieldsOnly:
+    def test_rejects_hopf_plus_gradient(self):
+        # Divergence-carrying: rejected from the mu = 0 part alone.
+        B1, _, _ = hopf_frame()
+        F = B1 + grad(SphereScalar.coordinate(1) * SphereScalar.coordinate(2))
+        assert not divergence(F).is_zero()
+        with pytest.raises(NotExactFieldError):
+            helicity(F)
+        with pytest.raises(NotExactFieldError):
+            curl_inverse(F)
 
 
 class TestInverseLaplacian:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from beltrami.exactpoly import Poly4, SphereScalar, integrate_poly
+from beltrami.atlas import atlas_export
+from beltrami.exactpoly import (Poly4, Rat, SphereScalar, canonicalize,
+                                integrate_poly)
 from beltrami.frames import (
     FrameField,
     REFLECTION,
@@ -237,6 +241,57 @@ class TestIsometryPushforward:
         with pytest.raises(ValueError):
             isometry_pushforward(F, ((2, 0, 0, 0), (0, 1, 0, 0),
                                      (0, 0, 1, 0), (0, 0, 0, 1)))
+
+    def test_rejects_rational_rotation(self):
+        # Exactly orthogonal, but not a signed permutation.
+        F = rand_field(random.Random(80), 1)
+        rotation = ((Rat(3, 5), Rat(-4, 5), 0, 0),
+                    (Rat(4, 5), Rat(3, 5), 0, 0),
+                    (0, 0, 1, 0), (0, 0, 0, 1))
+        with pytest.raises(ValueError):
+            isometry_pushforward(F, rotation)
+
+    def test_signed_relabel_matches_linear_substitution(self):
+        rng = random.Random(81)
+        perms = list(itertools.permutations(range(4)))
+        matrices = [REFLECTION]
+        for _ in range(12):
+            perm = rng.choice(perms)
+            signs = [rng.choice((1, -1)) for _ in range(4)]
+            matrices.append(tuple(tuple(signs[a] if b == perm[a] else 0
+                                        for b in range(4)) for a in range(4)))
+        assert any(m[3][3] == 0 for m in matrices)
+        for O in matrices:
+            F = rand_field(rng, 3)
+            expected = _substituted_pushforward(F, O)
+            got = isometry_pushforward(F, O)
+            assert got == expected
+            assert [list(p.terms.items()) for c in got.f
+                    for p in (c.even_part, c.odd_part)] == \
+                [list(p.terms.items()) for c in expected.f
+                 for p in (c.even_part, c.odd_part)]
+
+    def test_atlas_export_is_pinned(self):
+        # The reflected entries of the export, byte for byte, as produced by
+        # the linear-substitution pushforward.
+        digest = hashlib.sha256(atlas_export().encode()).hexdigest()
+        assert digest == ("a1345bde1dbae61b15318bb3a29c7b39"
+                          "aec3e9b9437e62c5a239cd772b940138")
+
+
+def _substituted_pushforward(F: FrameField, O) -> FrameField:
+    """O F(O^T x) by linear substitution into the Cartesian components."""
+    transpose = [[Rat(O[j][i]) for j in range(4)] for i in range(4)]
+    comps = F.cartesian_components()
+    rotated = []
+    for a in range(4):
+        ca = Poly4.zero()
+        for b in range(4):
+            if O[a][b] != 0:
+                ca = ca + comps[b].representative().substitute_linear(
+                    transpose).scale(Rat(O[a][b]))
+        rotated.append(canonicalize(ca))
+    return FrameField.from_cartesian(rotated)
 
 
 class TestAntipodalParity:

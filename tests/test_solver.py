@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from beltrami import solver
@@ -47,6 +49,22 @@ class TestEigenspaceDimensions:
             eigenspace_solve(6)
         with pytest.raises(ValueError):
             eigenspace_solve(3, limit=2)
+
+    def test_rejects_float_order(self):
+        with pytest.raises(ValueError):
+            eigenspace_solve(2.5)
+
+    def test_rejects_bool_order(self):
+        with pytest.raises(ValueError):
+            eigenspace_solve(True)
+
+    def test_rejects_float_limit(self):
+        with pytest.raises(ValueError):
+            eigenspace_solve(1, limit=5.0)
+
+    def test_rejects_bool_limit(self):
+        with pytest.raises(ValueError):
+            eigenspace_solve(1, limit=True)
 
 
 class TestEigenfields:
@@ -122,6 +140,75 @@ class TestFieldDmax:
         F = FrameField(SphereScalar(big * Poly4.variable(1), Poly4.zero()), z, z)
         with pytest.raises(ValueError):
             field_dmax(F)
+
+    def test_rejects_float_limit(self):
+        with pytest.raises(ValueError):
+            field_dmax(FrameField.zero(), 5.0)
+
+    def test_rejects_bool_limit(self):
+        with pytest.raises(ValueError):
+            field_dmax(FrameField.zero(), True)
+
+
+# sha256 of every collector row, keys in order, at dmax 0-5 (see
+# _collector_digest), as produced by the dict-based Krylov passes.
+COLLECTOR_DIGEST = ("7321aa8380a0cea7d7327705cb82f89f"
+                    "daca0de38da1dd143a74280c937ad2b2")
+
+
+def _collector_digest() -> str:
+    h = hashlib.sha256()
+    for dmax in range(6):
+        for parity in (0, 1):
+            _, collectors = _solved_block(dmax, parity)
+            for mu, collector in collectors.items():
+                h.update(repr((dmax, parity, mu, [
+                    list(row.items()) for row in collector.rows.values()
+                ])).encode())
+    return h.hexdigest()
+
+
+class TestSlabKernel:
+    def test_eigenbases_are_pinned(self):
+        # Keys in order: the eigenfields' terms, and so every float sum
+        # taken over them, come out as before.
+        assert _collector_digest() == COLLECTOR_DIGEST
+
+    def test_promoted_pass_scales_exactly(self, monkeypatch):
+        block, _ = _solved_block(2, 1)
+        vec = block.basis[7]
+        plain = block.pieces(vec)
+        dtypes = []
+        real_step = _Block._curl_step
+
+        def recording(self, x):
+            out = real_step(self, x)
+            dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(_Block, "_curl_step", recording)
+        big = block.pieces({j: c << 61 for j, c in vec.items()})
+        assert object in dtypes
+        assert big == {mu: {j: c << 61 for j, c in piece.items()}
+                       for mu, piece in plain.items()}
+        assert all(type(c) is int for piece in big.values()
+                   for c in piece.values())
+        assert any(abs(c) >= 1 << 63 for piece in big.values()
+                   for c in piece.values())
+
+    def test_step_promotes_at_the_bound(self):
+        block, _ = _solved_block(1, 1)
+        bound = solver._INT64_SAFE
+        for top, dtype in (((bound - 1) // block.row_bound, np.int64),
+                           (-(-bound // block.row_bound), object)):
+            x = np.zeros((2, block.coords.size + 1), dtype=np.int64)
+            x[1, 3] = -top
+            assert block._curl_step(x).dtype == dtype
+
+    def test_slab_matches_single_vectors(self):
+        block, _ = _solved_block(2, 0)
+        vectors = block.basis[:5]
+        assert block.slab_pieces(vectors) == [block.pieces(v) for v in vectors]
 
 
 # ---------------------------------------------------------------------------
