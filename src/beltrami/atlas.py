@@ -56,11 +56,13 @@ class AtlasEntry:
     """One curl eigenspace: eigenvalue, basis fields, exact Gram data."""
 
     def __init__(self, eigenvalue: int, fields: Sequence[FrameField],
-                 label: str):
+                 label: str, squared_norms: Optional[Sequence] = None):
         self.eigenvalue = eigenvalue
         self.fields = list(fields)
         self.label = label
-        self.squared_norms = [f.l2_inner(f) for f in self.fields]
+        if squared_norms is None:
+            squared_norms = [f.l2_inner(f) for f in self.fields]
+        self.squared_norms = list(squared_norms)
 
     @property
     def dimension(self) -> int:
@@ -148,8 +150,8 @@ def _mu4_fields() -> List[FrameField]:
     return [_poly_field(*s) for s in specs]
 
 
-def _mu5_fields() -> List[FrameField]:
-    """Denominator-cleared orthogonal basis of the eigenvalue 5 space.
+def _mu5_fields() -> Tuple[List[FrameField], list]:
+    """Denominator-cleared orthogonal basis of eigenvalue 5 and its norms.
 
     Each member is a polynomial seed field made orthogonal to all earlier
     members by exact Gram-Schmidt; the correction coefficients come out
@@ -198,17 +200,18 @@ def _mu5_fields() -> List[FrameField]:
     ]
     negated = {14, 16, 17, 20, 21, 23}
     fields: List[FrameField] = []
+    norms: list = []  # exact squared norms, each integrated once
     for j, seed in enumerate(seeds, start=1):
         f = _poly_field(*seed)
-        for prev in fields:
+        for prev, norm in zip(fields, norms):
             overlap = f.l2_inner(prev)
             if not overlap.is_zero():
-                coeff = (overlap / prev.l2_inner(prev)).as_rational()
-                f = f - prev.scale(coeff)
+                f = f - prev.scale((overlap / norm).as_rational())
         if j in negated:
             f = f.scale(-1)
         fields.append(f)
-    return fields
+        norms.append(f.l2_inner(f))
+    return fields, norms
 
 
 @functools.cache
@@ -218,16 +221,16 @@ def explicit_basis(eigenvalue: int) -> AtlasEntry:
         raise UnsupportedEigenvalueError(
             f"no explicit basis for eigenvalue {eigenvalue}; use "
             "eigenspace_solve for other parts of the spectrum")
-    if eigenvalue > 0:
-        fields = {2: list(hopf_frame()), 3: _mu3_fields,
-                  4: _mu4_fields, 5: _mu5_fields}[eigenvalue]
-        if callable(fields):
-            fields = fields()
-        return AtlasEntry(eigenvalue, fields, "explicit")
-    positive = explicit_basis(-eigenvalue)
-    fields = [isometry_pushforward(fld, REFLECTION)
-              for fld in positive.fields]
-    return AtlasEntry(eigenvalue, fields, "reflected")
+    if eigenvalue < 0:  # the reflection is an isometry: norms carry over
+        positive = explicit_basis(-eigenvalue)
+        fields = [isometry_pushforward(f, REFLECTION) for f in positive.fields]
+        return AtlasEntry(eigenvalue, fields, "reflected",
+                          positive.squared_norms)
+    if eigenvalue == 5:
+        fields, norms = _mu5_fields()
+        return AtlasEntry(eigenvalue, fields, "explicit", norms)
+    fields = {2: hopf_frame, 3: _mu3_fields, 4: _mu4_fields}[eigenvalue]()
+    return AtlasEntry(eigenvalue, fields, "explicit")
 
 
 def atlas_entries() -> List[AtlasEntry]:

@@ -7,12 +7,14 @@ The central objects are
     F(X) = E(X)^{4/3} / H(X),  R(X) = 1 / F(X)
 
 together with the derivatives of E and F at the Hopf field B1 up to order 6,
-evaluated in closed form: along B1 + t W every derivative of E reduces to
-integrals of polynomials in the scalars B1 . W and |W|^2.  Those integrands
-are formed pointwise from the frame coefficients of W on the smallest
-product grid that is exact through their Cartesian degree, so the only error
-left is rounding; the derivatives of F follow by truncated power series
-composition of E^{4/3} / H.
+evaluated in closed form.  B1's frame coefficients are (1, 0, 0), so
+|B1 + tW|^2 = 1 + 2 t (B1 . W) + t^2 |W|^2 (_hopf_line): f_perturbed and
+local_max_scan take the energy along that line from those two grid columns,
+and every derivative of E reduces to integrals of polynomials in them.
+Those integrands are formed pointwise from the frame coefficients of W on the
+smallest product grid that is exact through their Cartesian degree, so the
+only error left is rounding; the derivatives of F follow by truncated power
+series composition of E^{4/3} / H.
 
 Every other float integral of a product of fields is a product of
 frame-coefficient columns on the grid exact through the factors' summed
@@ -40,7 +42,8 @@ import numpy as np
 
 from beltrami.atlas import explicit_basis
 from beltrami import atlas as _atlas
-from beltrami.exactpoly import SphereScalar, monomial_rows, power_tables
+from beltrami.exactpoly import (_POINT_BLOCK, SphereScalar, monomial_rows,
+                                power_tables)
 from beltrami.frames import (FrameField, coefficient_tensor, curl, divergence,
                              grad, hopf_frame)
 from beltrami.quadrature import (HopfGrid, default_grid, grid_for_degree,
@@ -141,10 +144,13 @@ class HopfPerturbation:
             self.beta + self.a + self.b + (1.0,) * len(extra),
             _basis("anti_hopf") + _basis("u") + _basis("v") + extra))
 
-    def values(self, grid: HopfGrid) -> np.ndarray:
-        """W's (N, 3) frame-coefficient values on grid.points, kept per grid."""
-        return self._memo(("values", grid.radial_order, grid.angular_order),
-                          lambda: self.field().coefficient_values(grid.points))
+    def line_columns(self, grid: HopfGrid) -> Tuple[np.ndarray, np.ndarray]:
+        """B1 . W and |W|^2 on grid.points (for _hopf_line), kept per grid."""
+        def build():
+            values = self.field().coefficient_values(grid.points)
+            return values[:, 0].copy(), np.einsum("na,na->n", values, values)
+        return self._memo(("line", grid.radial_order, grid.angular_order),
+                          build)
 
     # ---- exact quadratic data -----------------------------------------
 
@@ -196,11 +202,20 @@ class ZeroHelicityError(ValueError):
 
 
 def l32_energy(F, grid: HopfGrid | None = None) -> float:
-    """The L^{3/2} energy of F, or of its (N, 3) frame coefficients on grid."""
-    def density(pts):
-        values = F.coefficient_values(pts) if isinstance(F, FrameField) else F
-        return np.sum(values ** 2, axis=1) ** 0.75
-    return integrate_scalar(density, grid or default_grid())
+    """The L^{3/2} energy of a FrameField F, or of its (N,) |F|^2 on grid."""
+    grid = grid or default_grid()
+    if isinstance(F, FrameField):
+        return integrate_scalar(lambda pts: np.sum(
+            F.coefficient_values(pts) ** 2, axis=1) ** 0.75, grid)
+    if np.shape(F) != (grid.size,):
+        raise ValueError(f"l32_energy takes a FrameField or the squared speed "
+                         f"on grid, shape ({grid.size},); got {np.shape(F)}")
+    return integrate_scalar(lambda pts: F ** 0.75, grid)
+
+
+def _hopf_line(w1: np.ndarray, w_sq: np.ndarray, t: float) -> np.ndarray:
+    """|B1 + tW|^2 from the grid columns w1 = B1 . W and w_sq = |W|^2."""
+    return 1.0 + (2.0 * t) * w1 + (t * t) * w_sq
 
 
 def d_energy(F: FrameField, Y: FrameField,
@@ -237,7 +252,7 @@ def big_F(F, grid: HopfGrid | None = None,
     """F(X) = E(X)^{4/3} / H(X); scale invariant.
 
     The helicity is computed exactly for exact fields; floating fields and
-    coefficient values (as taken by l32_energy) must supply helicity_value.
+    squared speeds (as taken by l32_energy) must supply helicity_value.
     """
     if helicity_value is None:
         helicity_value = float(_atlas.helicity(F))
@@ -256,13 +271,11 @@ def f_perturbed(W: HopfPerturbation, t: float,
                 grid: HopfGrid | None = None) -> float:
     """F(B1 + t W) with the helicity taken from the coefficient structure.
 
-    B1's frame coefficients are exactly (1, 0, 0), so B1 + t W has the values
-    t V with 1 added to column 0, V = W.values(grid).
+    The energy density is _hopf_line of W.line_columns(grid), one (N,) array.
     """
-    values = t * W.values(grid or default_grid())
-    values[:, 0] += 1.0
+    grid = grid or default_grid()
     h = math.pi ** 2 + t * t * W.helicity()
-    return big_F(values, grid, helicity_value=h)
+    return big_F(_hopf_line(*W.line_columns(grid), t), grid, helicity_value=h)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +295,7 @@ def _binomial(alpha: float, j: int) -> float:
 def _series_at_hopf(W) -> Tuple[Tuple[float, ...], float]:
     """The Taylor coefficients of t -> E(B1 + tW), and int B1 . W.
 
-    Along B1 + tW the energy density is (1 + 2 t w1 + t^2 |W|^2)^{3/4}, where
-    w1 = B1 . W is the first frame coefficient of W.  Its t^k coefficient,
+    The t^k coefficient of the density |B1 + tW|^{3/2} (module docstring),
     sum over j + i = k of C(3/4, j) C(j, i) (2 w1)^(j - i) |W|^(2i), has
     Cartesian degree k d for coefficients of degree d, so the grid of
     degree SERIES_ORDER * d integrates every coefficient exactly.  The sums
@@ -294,7 +306,11 @@ def _series_at_hopf(W) -> Tuple[Tuple[float, ...], float]:
     if isinstance(W, HopfPerturbation):
         return W._memo(("series", grid.radial_order, grid.angular_order),
                        lambda: _series_at_hopf(field))
-    values = field.coefficient_values(grid.points)
+    return _energy_series(field.coefficient_values(grid.points), grid)
+
+
+def _energy_series(values, grid: HopfGrid) -> Tuple[tuple, float]:
+    """_series_at_hopf from W's (N, 3) frame coefficients on grid.points."""
     p = 2.0 * values[:, 0]
     m = np.sum(values ** 2, axis=1)
     p_powers = [np.ones(grid.size)]
@@ -313,12 +329,7 @@ def _series_at_hopf(W) -> Tuple[Tuple[float, ...], float]:
 
 
 def dE_at_hopf(k: int, W) -> float:
-    """D^k E(B1)(W, ..., W) for k in 2..6, exact up to rounding.
-
-    Along B1 + tW the energy is the integral of (1 + u)^{3/4} with
-    u = 2 t (B1 . W) + t^2 |W|^2, and the k-th t-derivative at zero is a
-    polynomial integral; coefficients follow from the binomial series.
-    """
+    """D^k E(B1)(W, ..., W) for k in 2..6, exact up to rounding."""
     if not 2 <= k <= 6:
         raise ValueError(f"derivative order must be 2..6, got {k}")
     return math.factorial(k) * _series_at_hopf(W)[0][k]
@@ -362,13 +373,12 @@ def _series_div(a: List[float], b: List[float]) -> List[float]:
     return out
 
 
-def _f_series(W: HopfPerturbation) -> List[float]:
-    """Taylor coefficients of t -> F(B1 + tW) through SERIES_ORDER."""
-    e, h1 = _series_at_hopf(W)
+def _f_series(e: Sequence[float], h1: float, helicity: float) -> List[float]:
+    """Taylor coefficients of F(B1 + tW) from those of E, int B1 . W, H(W)."""
     h = [0.0] * (SERIES_ORDER + 1)
     h[0] = math.pi ** 2
     h[1] = h1  # (B1, W) = 2 (curl^{-1} B1, W)
-    h[2] = W.helicity()
+    h[2] = helicity
     return _series_div(_series_power(e, 4.0 / 3.0), h)
 
 
@@ -376,7 +386,7 @@ def dF_at_hopf(k: int, W: HopfPerturbation) -> float:
     """D^k F(B1)(W, ..., W) for k in 1..6 by series composition of E^{4/3}/H."""
     if not 1 <= k <= 6:
         raise ValueError(f"derivative order must be 1..6, got {k}")
-    return math.factorial(k) * _f_series(W)[k]
+    return math.factorial(k) * _f_series(*_series_at_hopf(W), W.helicity())[k]
 
 
 def taylor6_combination(W: HopfPerturbation) -> float:
@@ -385,9 +395,12 @@ def taylor6_combination(W: HopfPerturbation) -> float:
     Equals 6! times the sum of the first six Taylor coefficients of
     t -> F(B1 + tW).
     """
+    return _taylor6(_f_series(*_series_at_hopf(W), W.helicity()))
+
+
+def _taylor6(series: Sequence[float]) -> float:
     # With D^k F = k! c_k every weight collapses to 6, so the combination is
     # 6 times the sum of the Taylor coefficients c_1 .. c_6.
-    series = _f_series(W)
     return 6.0 * math.fsum(series[1:])
 
 
@@ -502,6 +515,7 @@ def correction_field(a5: float, a8: float) -> Tuple[FrameField, float]:
 
 
 R_AT_HOPF = math.pi ** 2 / (2 * math.pi ** 2) ** (4.0 / 3.0)
+_SCAN_GROUP = 20  # samples per pass over the grid; bounds the scan's memory
 
 
 def local_max_scan(radius: float = 0.05, samples: int = 50,
@@ -511,56 +525,58 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     Samples perturbations W over all explicit eigenspaces with sup norm at
     most radius, and reports any sample where R increases beyond 1e-9 or
     where equality holds although W has a non-E1 part.  The basis is kept
-    as frame coefficients over the union of its monomials (degree <= 5),
-    so a sample is one combination of coefficients and one product with
-    the monomial rows on the grid.
+    as frame coefficients over its monomials (degree <= 5); per group of
+    _SCAN_GROUP samples and block of grid points one product with the
+    block's rows gives the values, of which B1 . W and |W|^2 are kept.
     """
-    if not 0 < radius <= 0.1 or samples < 1:
-        raise ValueError("local_max_scan needs 0 < radius <= 0.1 and "
-                         f"samples >= 1, got {radius} and {samples}")
+    if (isinstance(samples, bool) or not isinstance(samples, int)
+            or samples < 1 or not 0 < radius <= 0.1):
+        raise ValueError("local_max_scan needs 0 < radius <= 0.1 and an int "
+                         f"samples >= 1, got {radius!r} and {samples!r}")
     grid = grid or default_grid()
     rng = np.random.default_rng(seed)
     bases: List[Tuple[int, FrameField]] = [(2, f.to_float().scale(
         1.0 / math.sqrt(2.0 * math.pi ** 2))) for f in hopf_frame()]
-    bases += [(-2, f) for f in _basis("anti_hopf")]
-    bases += [(3, f) for f in _basis("u")]
-    bases += [(4, f) for f in _basis("v")]
-    bases += [(5, f) for f in _basis("w")]
-    bases += [(-3, f) for f in _unit_fields(-3)]
-    bases += [(-4, f) for f in _unit_fields(-4)]
-    bases += [(-5, f) for f in _unit_fields(-5)]
+    for mu, name in ((-2, "anti_hopf"), (3, "u"), (4, "v"), (5, "w"),
+                     (-3, -3), (-4, -4), (-5, -5)):
+        bases += [(mu, f) for f in _basis(name)]
     # Frame coefficients suffice: the frame is orthonormal, so pointwise
     # norms are those of the coefficient rows.
     exponents, tensor = coefficient_tensor([f for _, f in bases])
-    rows = monomial_rows(exponents, power_tables(grid.points, exponents))
     mus = np.array([mu for mu, _ in bases], dtype=float)
+    e1 = np.zeros(len(bases))
+    e1[0] = math.sqrt(2.0 * math.pi ** 2)
+    columns = np.empty((2, min(samples, _SCAN_GROUP), grid.size))
     results = []
     violations = []
-    for index in range(samples):
-        coeffs = rng.standard_normal(len(bases))
-        if index % 5 == 4:
-            # Every fifth sample stays inside E1, probing exact equality.
-            coeffs[3:] = 0.0
-        w_values = (np.tensordot(coeffs, tensor, axes=(0, 1)) @ rows).T
-        sup = float(np.max(np.linalg.norm(w_values, axis=1)))
-        scale = radius / sup if sup > 0 else 0.0
-        coeffs *= scale
-        w_values *= scale
-        w_values[:, 0] += 1.0  # B1's coefficients are exactly (1, 0, 0)
-        energy = l32_energy(w_values, grid)
-        e1 = np.zeros(len(bases))
-        e1[0] = math.sqrt(2.0 * math.pi ** 2)
-        total = coeffs + e1
-        h = float(np.sum(total ** 2 / mus))
-        r_value = h / energy ** (4.0 / 3.0)
-        non_e1 = float(np.linalg.norm(coeffs[3:]))
-        delta = r_value - R_AT_HOPF
-        ok = delta <= 1e-9 and (delta < -1e-9 or non_e1 < 1e-8)
-        row = {"sample": index, "delta": delta, "non_e1_norm": non_e1,
-               "pass": bool(ok)}
-        results.append(row)
-        if not ok:
-            violations.append({**row, "coefficients": coeffs.tolist()})
+    for first in range(0, samples, _SCAN_GROUP):
+        count = min(_SCAN_GROUP, samples - first)
+        coeffs = rng.standard_normal((count, len(bases)))
+        # Every fifth sample stays inside E1, probing exact equality.
+        coeffs[(4 - first) % 5::5, 3:] = 0.0
+        mixed = np.tensordot(coeffs, tensor, (1, 1)).reshape(3 * count, -1)
+        w1, w_sq = columns[:, :count]
+        for start in range(0, grid.size, _POINT_BLOCK):
+            block = slice(start, start + _POINT_BLOCK)
+            values = (mixed @ monomial_rows(exponents, power_tables(
+                grid.points[block], exponents))).reshape(count, 3, -1)
+            w1[:, block] = values[:, 0]
+            np.einsum("sab,sab->sb", values, values, out=w_sq[:, block])
+            del values  # before the next block's product
+        for index, sup in enumerate(np.sqrt(np.max(w_sq, axis=1))):
+            scale = radius / sup if sup > 0 else 0.0
+            sample = coeffs[index] * scale
+            energy = l32_energy(_hopf_line(w1[index], w_sq[index], scale),
+                                grid)
+            h = float(np.sum((sample + e1) ** 2 / mus))
+            delta = h / energy ** (4.0 / 3.0) - R_AT_HOPF
+            non_e1 = float(np.linalg.norm(sample[3:]))
+            ok = delta <= 1e-9 and (delta < -1e-9 or non_e1 < 1e-8)
+            row = {"sample": first + index, "delta": delta,
+                   "non_e1_norm": non_e1, "pass": bool(ok)}
+            results.append(row)
+            if not ok:
+                violations.append({**row, "coefficients": sample.tolist()})
     return {"radius": radius, "samples": samples, "seed": seed,
             "violations": violations, "pass": not violations,
             "results": results}
@@ -592,14 +608,24 @@ def graded_coefficient(W1: HopfPerturbation, W2: HopfPerturbation,
 
     The combination is a polynomial of degree at most 12 in s; its even part
     is sampled at positive nodes and the coefficient is recovered from a
-    Vandermonde solve in s^2 (odd degrees use the odd part).
+    Vandermonde solve in s^2 (odd degrees use the odd part).  A sample's
+    values are s (V1 + s V2) on the series grid, its helicity by polarization.
     """
+    grid = grid_for_degree(SERIES_ORDER * max(
+        W1.field().coefficient_degree(), W2.field().coefficient_degree(), 0))
+    v1, v2 = (W.field().coefficient_values(grid.points) for W in (W1, W2))
+    h1, h2 = W1.helicity(), W2.helicity()
+    h12 = perturbation_scaled(W1, W2, 1.0).helicity() - h1 - h2
+
+    def combination(s: float) -> float:
+        return _taylor6(_f_series(*_energy_series(s * (v1 + s * v2), grid),
+                                  s * s * (h1 + s * h12 + s * s * h2)))
+
     nodes = np.linspace(0.4, 1.0, 7)
     even = degree % 2 == 0
     samples = []
     for s in nodes:
-        g_plus = taylor6_combination(perturbation_scaled(W1, W2, float(s)))
-        g_minus = taylor6_combination(perturbation_scaled(W1, W2, float(-s)))
+        g_plus, g_minus = combination(float(s)), combination(float(-s))
         samples.append((g_plus + g_minus) / 2 if even else (g_plus - g_minus) / 2)
     x = nodes ** 2
     vander = np.vander(x, 7, increasing=True)

@@ -69,6 +69,13 @@ class TestExplicitBases:
         assert entry.squared_norms == EXPECTED_NORMS[abs(mu)]
 
     @pytest.mark.parametrize("mu", SUPPORTED_EXPLICIT)
+    def test_kept_norms_are_the_integrals(self, mu):
+        # Reflected entries take their norms from the positive entry and the
+        # eigenvalue 5 entry from its Gram-Schmidt; both equal the integrals.
+        entry = explicit_basis(mu)
+        assert entry.squared_norms == [f.l2_inner(f) for f in entry.fields]
+
+    @pytest.mark.parametrize("mu", SUPPORTED_EXPLICIT)
     def test_gram_diagonal(self, mu):
         # Pairwise exact orthogonality; this pins down the one recursive
         # tail coefficient that the basis relations force to be 8/48.

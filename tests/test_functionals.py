@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from beltrami import functionals
 from beltrami.atlas import explicit_basis, helicity
-from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
-                                integrate_poly, integrate_products)
+from beltrami.exactpoly import (_POINT_BLOCK, ExactScalar, Poly4, Rat,
+                                SphereScalar, integrate_poly,
+                                integrate_products)
 from beltrami.frames import FrameField, curl, hopf_frame
 from beltrami.functionals import (
     D6_Z2_COEFFICIENT,
@@ -102,6 +105,12 @@ class TestEnergy:
         u1 = _basis("u")[0]
         assert l32_energy(u1) == pytest.approx(8 * math.sqrt(PI) / 7,
                                                rel=1e-5)
+
+    def test_rejects_coefficient_values(self):
+        # Only a FrameField or the (N,) squared speed on the grid is taken.
+        grid = default_grid()
+        with pytest.raises(ValueError, match=r"got \(%d, 3\)" % grid.size):
+            l32_energy(B1.to_float().coefficient_values(grid.points), grid)
 
     def test_scaling_homogeneity(self):
         field = B1.to_float() + _basis("u")[4].scale(0.3)
@@ -658,11 +667,16 @@ def reference_local_max_scan(radius: float, samples: int, seed: int,
 
 
 class TestLocalMaxScan:
-    @pytest.mark.parametrize("radius,seed", [(0.05, 3), (0.1, 8)])
-    def test_matches_field_stack_reference(self, radius, seed):
-        grid = shared_grid(8, 16)
-        report = local_max_scan(radius, 15, seed, grid)
-        reference = reference_local_max_scan(radius, 15, seed, grid)
+    @pytest.mark.parametrize("radius,seed,orders,samples", [
+        pytest.param(0.05, 3, (8, 16), 15, id="0.05-3"),
+        pytest.param(0.1, 8, (8, 16), 15, id="0.1-8"),
+        pytest.param(0.05, 5, (24, 48), 20, id="default-grid"),
+        pytest.param(0.1, 4, (8, 16), 47, id="three-groups")])
+    def test_matches_field_stack_reference(self, radius, seed, orders,
+                                           samples):
+        grid = shared_grid(*orders)
+        report = local_max_scan(radius, samples, seed, grid)
+        reference = reference_local_max_scan(radius, samples, seed, grid)
         assert report["pass"] == reference["pass"]
         for row, ref in zip(report["results"], reference["results"],
                             strict=True):
@@ -684,6 +698,42 @@ class TestLocalMaxScan:
         finally:
             tracemalloc.stop()
         assert peak < 1000 * grid.size
+
+    @pytest.mark.parametrize("samples", [1, 7, 20, 21, 45])
+    def test_one_monomial_row_block_per_point_and_sample_block(
+            self, monkeypatch, samples):
+        calls = []
+        original = functionals.monomial_rows
+
+        def counted(exponents, tables):
+            calls.append(tables[0].shape[1])
+            return original(exponents, tables)
+
+        monkeypatch.setattr(functionals, "monomial_rows", counted)
+        local_max_scan(samples=samples, seed=2)
+        grid = default_grid()
+        groups = -(-samples // functionals._SCAN_GROUP)
+        assert len(calls) == groups * -(-grid.size // _POINT_BLOCK)
+        assert sum(calls) == groups * grid.size
+
+    @pytest.mark.parametrize("samples", [20, 200])
+    def test_memory_stays_under_the_row_matrix(self, samples):
+        # The (91, N) row matrix of the default grid alone takes 38 MiB; a
+        # group of samples keeps two doubles per point each, plus one block,
+        # whatever the number of samples.
+        local_max_scan(samples=1, seed=0)
+        tracemalloc.start()
+        try:
+            local_max_scan(samples=samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 38 * 2 ** 20
+
+    @pytest.mark.parametrize("samples", [True, 2.5])
+    def test_rejects_non_int_samples(self, samples):
+        with pytest.raises(ValueError, match=re.escape(repr(samples))):
+            local_max_scan(samples=samples)
 
     def test_scan_passes(self):
         report = local_max_scan(radius=0.05, samples=20, seed=5)
