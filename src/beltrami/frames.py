@@ -262,13 +262,13 @@ class FrameField:
 
 def coefficient_tensor(fields: Sequence[FrameField]
                        ) -> Tuple[List[Exponent], np.ndarray]:
-    """The frame coefficients of fields over the union of their monomials:
-    the exponents, in order of first appearance, and the float array T of
-    shape (3, len(fields), m) with T[a, i, j] the coefficient of
+    """The frame coefficients of fields over their monomials, in sorted order
+    (independent of the fields' term order): the exponents and the float
+    array T of shape (3, len(fields), m), T[a, i, j] the coefficient of
     x^exponents[j] in the a-th frame coefficient of fields[i]."""
     comps = [[c.representative().terms for c in f.f] for f in fields]
-    index = {e: j for j, e in enumerate(dict.fromkeys(
-        e for trio in comps for terms in trio for e in terms))}
+    index = {e: j for j, e in enumerate(sorted(
+        {e for trio in comps for terms in trio for e in terms}))}
     tensor = np.zeros((3, len(fields), len(index)))
     for i, trio in enumerate(comps):
         for a, terms in enumerate(trio):

@@ -22,9 +22,11 @@ rational backend:
   projector P_mu = prod_{nu != mu} (C - nu) / (mu - nu) is kept as the
   integer polynomial D_mu P_mu = sum_k n_{mu,k} C^k, where
   D_mu = prod_{nu != mu} (mu - nu);
-* one Krylov pass b, C b, ..., C^|S| b gives every D_mu P_mu b at once; a
-  slab of vectors passes together, in |S| gather-multiply-sum steps over C
-  kept as padded integer rows (the last power serves the check);
+* one Krylov pass b, C b, ..., C^|S| b gives every D_mu P_mu b at once, in
+  increasing coordinate order (term order is no part of an exact result;
+  frames.coefficient_tensor sorts the monomials of float sums); a slab of
+  vectors passes together, in |S| gather-multiply-sum steps over C kept as
+  padded integer rows (the last power serves the check);
 * the arrays are int64 while an exact bound stays below 2^62: the largest
   row sum of |C| times the largest entry for a step, sum_k |a_k| max|x_k|
   for a combination sum_k a_k x_k.  From the first operation whose bound
@@ -65,8 +67,6 @@ DEFAULT_DMAX_LIMIT = 5
 _SLAB_WIDTH = 16
 # Integer arithmetic stays in int64 while its exact bound is below this.
 _INT64_SAFE = 1 << 62
-# Order key of an absent entry in _Block.slab_pieces, above every real key.
-_ABSENT = 1 << 40
 
 
 class SpectrumError(RuntimeError):
@@ -157,14 +157,6 @@ def _combination(coefficients: Sequence[int], arrays, tops) -> np.ndarray:
     if sum(abs(a) * t for a, t in zip(coefficients, tops)) >= _INT64_SAFE:
         terms = [(a, x.astype(object)) for a, x in terms]
     return sum(a * x for a, x in terms)
-
-
-def _ordered_entries(values: np.ndarray, key) -> Tuple[np.ndarray, np.ndarray]:
-    """The nonzero entries (v, j) of a slab, sorted by vector v, then by
-    key(v, j), then by coordinate j."""
-    v, j = np.nonzero(values)
-    order = np.lexsort((key(v, j), v))
-    return v[order], j[order]
 
 
 @functools.cache
@@ -296,15 +288,12 @@ class _Block:
         self.row_bound = int(np.abs(self.curl_values).sum(axis=1).max())
         # Eigenvalues of this parity present up to dmax + 2 (plus 0 for the
         # gradient part, which lives in both blocks).
-        start = 2 if parity == 0 else 3
-        magnitudes = list(range(start, dmax + 3, 2))
-        self.spectrum = [0] + [s * m for m in magnitudes for s in (1, -1)]
+        self.spectrum = (0,) + tuple(
+            s * m for m in range(2 + parity, dmax + 3, 2) for s in (1, -1))
         echelon = _Echelon()
-        self.basis = []
         for gen in self._generators(dmax + 1, parity):
-            row = echelon.insert(gen)
-            if row is not None:
-                self.basis.append(row)
+            echelon.insert(gen)
+        self.basis = list(echelon.rows.values())
 
     def _generators(self, cartesian_degree: int, parity: int):
         """Integer coordinate vectors of tangential monomial projections."""
@@ -333,31 +322,20 @@ class _Block:
     def slab_pieces(self, vectors) -> List[Dict[int, Dict[int, int]]]:
         """Every D_mu P_mu v of each integer vector v, from one checked pass.
 
-        A slab holds one vector per row.  Each Krylov power keeps the ranks
-        of its entries in the order sparse dict arithmetic would first reach
-        them, and the returned dicts come in that order, so the eigenfields'
-        terms, and every float sum over them, do not depend on the kernel.
+        A slab holds one vector per row; each returned dict lists its
+        coordinates in increasing order.
         """
         spectrum = tuple(self.spectrum)
         numerators, annihilator = _lagrange_numerators(spectrum)
         entries = [c for v in vectors for c in v.values()]
-        at = (np.repeat(np.arange(len(vectors)), [len(v) for v in vectors]),
-              [j for v in vectors for j in v])
         small = max(map(abs, entries), default=0) < _INT64_SAFE
         x = np.zeros((len(vectors), self.coords.size + 1),
                      dtype=np.int64 if small else object)
-        x[at] = entries
-        rank = np.full(x.shape, _ABSENT)
-        rank[at] = [k for v in vectors for k in range(len(v))]
-        powers, keys = [x], [rank]
-        for k in range(1, len(spectrum) + 1):
+        x[np.repeat(np.arange(len(vectors)), [len(v) for v in vectors]),
+          [j for v in vectors for j in v]] = entries
+        powers = [x]
+        for _ in spectrum:
             powers.append(self._curl_step(powers[-1]))
-            if k < len(spectrum):
-                at = _ordered_entries(powers[-1], lambda v, j: rank[
-                    v[:, None], self.curl_index[j]].min(axis=1))
-                rank = np.full(x.shape, _ABSENT)
-                rank[at] = np.arange(len(at[0]))
-                keys.append(k * x.size + rank)
         tops = [_max_abs(p) for p in powers]
         if np.count_nonzero(_combination(annihilator, powers, tops)):
             raise SpectrumError(
@@ -375,9 +353,7 @@ class _Block:
                 "trial space; the candidate spectrum is incomplete")
         out = [{} for _ in vectors]
         for mu, piece in zip(spectrum, pieces):
-            support = [key for key, n in zip(keys, numerators[mu][0]) if n]
-            v, j = _ordered_entries(piece, lambda v, j: np.min(
-                [key[v, j] for key in support], axis=0))
+            v, j = np.nonzero(piece)
             coordinates, entries = j.tolist(), piece[v, j].tolist()
             ends = np.cumsum(np.bincount(v, minlength=len(out))).tolist()
             for vec, start, end in zip(out, [0] + ends, ends):
@@ -388,11 +364,10 @@ class _Block:
         """Eigenbases per eigenvalue, verifying the spectrum on every vector."""
         collectors = {mu: _Echelon() for mu in self.spectrum}
         for start in range(0, len(self.basis), _SLAB_WIDTH):
-            slab = self.basis[start:start + _SLAB_WIDTH]
-            for pieces in self.slab_pieces(slab):
+            for pieces in self.slab_pieces(
+                    self.basis[start:start + _SLAB_WIDTH]):
                 for mu, piece in pieces.items():
-                    if piece:
-                        collectors[mu].insert(piece)
+                    collectors[mu].insert(piece)
         return collectors
 
 
@@ -421,8 +396,7 @@ def eigenspace_solve(dmax: int, limit: int = DEFAULT_DMAX_LIMIT) -> SolverResult
     if _check_order("dmax", dmax) > limit:
         raise ValueError(f"dmax must be between 0 and {limit}, got {dmax}")
     eigenspaces: Dict[int, SolverEigenspace] = {}
-    gradient_dimension = 0
-    trial_dimension = 0
+    gradient_dimension = trial_dimension = 0
     for parity in (0, 1):
         block, collectors = _solved_block(dmax, parity)
         trial_dimension += len(block.basis)
@@ -460,7 +434,7 @@ def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
             if part.is_zero():
                 continue
             block, _ = _solved_block(dmax, parity)
-            numerators, _ = _lagrange_numerators(tuple(block.spectrum))
+            numerators, _ = _lagrange_numerators(block.spectrum)
             vec = block.coords.to_vector(part)
             den = lcm(*(int(c.denominator) for c in vec.values()))
             pieces = block.pieces({j: int(c.numerator) * (den // int(c.denominator))

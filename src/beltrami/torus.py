@@ -259,8 +259,8 @@ def beltrami_basis(kmax: int) -> Tuple[List[TorusField], List[float]]:
     two real parts of the helical mode are returned, along with the list of
     curl eigenvalues +-|k|.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be at least one")
+    if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 1:
+        raise ValueError(f"kmax must be an int >= 1, got {kmax!r}")
     fields: List[TorusField] = []
     eigenvalues: List[float] = []
     bound = kmax * kmax
@@ -283,9 +283,9 @@ def beltrami_basis(kmax: int) -> Tuple[List[TorusField], List[float]]:
     return fields, eigenvalues
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def _pair_tables(kmax: int):
-    """The Beltrami basis and its pairwise mode products, once per kmax.
+    """The Beltrami basis and its pairwise mode products, once per int kmax.
 
     waves[:, s, r, i, j] sums the wavevectors of mode s of field i and mode r
     of field j, and products[s, r, i, j] dots their amplitudes."""

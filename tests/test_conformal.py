@@ -28,7 +28,7 @@ from beltrami.conformal import (
 )
 from beltrami.exactpoly import (Poly4, Rat, SphereScalar, canonicalize,
                                 integrate_poly)
-from beltrami.frames import hopf_frame
+from beltrami.frames import FrameField, coefficient_tensor, hopf_frame
 from beltrami.functionals import l32_energy
 from beltrami.quadrature import (default_grid, grid_for_degree,
                                  integrate_scalar)
@@ -357,6 +357,37 @@ class TestPerturbationContraction:
         finally:
             tracemalloc.stop()
         assert grown < 2 * order * order * 8
+
+
+def reversed_terms(field: FrameField) -> FrameField:
+    """The same field with the terms of every coefficient in reverse order."""
+    return FrameField(*(SphereScalar(
+        Poly4(dict(reversed(c.even_part.terms.items()))),
+        Poly4(dict(reversed(c.odd_part.terms.items())))) for c in field.f))
+
+
+class TestTermOrder:
+    def test_floats_do_not_depend_on_term_order(self, monkeypatch):
+        # The float tensor and every sum over it are fixed by the values of
+        # the fields alone, not by the order of their terms.
+        data = _basis_data("s3", 3)
+        flipped = [reversed_terms(f) for f in data.fields]
+        assert any(list(f.f[0].representative().terms)
+                   != list(g.f[0].representative().terms)
+                   for f, g in zip(data.fields, flipped))
+        exponents, tensor = coefficient_tensor(data.fields)
+        flipped_exponents, flipped_tensor = coefficient_tensor(flipped)
+        assert exponents == sorted(exponents) == flipped_exponents
+        assert flipped_tensor.tobytes() == tensor.tobytes()
+        monkeypatch.setattr(conformal, "coefficient_tensor", lambda fields:
+                            coefficient_tensor([reversed_terms(f)
+                                                for f in fields]))
+        flipped_data = conformal._BasisData("s3", 3)
+        rng = np.random.default_rng(18)
+        for degrees in ((0, 1, 2), (1, 2, 3)):
+            q = random_rational_factor(rng, degrees)
+            assert (flipped_data.perturbation(q).tobytes()
+                    == data.perturbation(q).tobytes())
 
 
 class TestOptimalityScan:

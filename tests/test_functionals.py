@@ -735,6 +735,11 @@ class TestLocalMaxScan:
         with pytest.raises(ValueError, match=re.escape(repr(samples))):
             local_max_scan(samples=samples)
 
+    def test_basis_is_built_once(self, monkeypatch):
+        local_max_scan(samples=1, seed=0)
+        monkeypatch.setattr(functionals, "coefficient_tensor", None)
+        assert local_max_scan(samples=1, seed=1)["pass"]
+
     def test_scan_passes(self):
         report = local_max_scan(radius=0.05, samples=20, seed=5)
         assert report["pass"]
@@ -766,6 +771,11 @@ class TestIdentityReport:
                 assert not row["pass"]
             else:
                 assert row["pass"], row
+
+    @pytest.mark.parametrize("draws", [True, 2.5])
+    def test_rejects_non_int_draws(self, draws):
+        with pytest.raises(ValueError, match=re.escape(repr(draws))):
+            identity_report(draws=draws)
 
     def test_reference_rows_flagged(self):
         rows = identity_report(seed=1, draws=2)

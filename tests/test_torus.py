@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ class TestBeltramiBasis:
     def test_rejects_empty_cutoff(self):
         with pytest.raises(ValueError):
             beltrami_basis(0)
+
+    @pytest.mark.parametrize("kmax", [True, 2.0, 0])
+    def test_rejects_non_int_cutoff(self, kmax):
+        # True would hit the cached kmax-1 tables, 2.0 fail inside range.
+        torus_pencil(TorusScalar.zero(), 0.0, 1)
+        for build in (beltrami_basis,
+                      lambda k: torus_pencil(TorusScalar.zero(), 0.0, k)):
+            with pytest.raises(ValueError, match=re.escape(repr(kmax))):
+                build(kmax)
 
 
 class TestTorusPencil:
