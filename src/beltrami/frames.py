@@ -265,7 +265,9 @@ def coefficient_tensor(fields: Sequence[FrameField]
     """The frame coefficients of fields over their monomials, in sorted order
     (independent of the fields' term order): the exponents and the float
     array T of shape (3, len(fields), m), T[a, i, j] the coefficient of
-    x^exponents[j] in the a-th frame coefficient of fields[i]."""
+    x^exponents[j] in the a-th frame coefficient of fields[i].  Float sums
+    over T therefore do not depend on term order; evaluate_polys and float
+    curl still sum in each field's term order."""
     comps = [[c.representative().terms for c in f.f] for f in fields]
     index = {e: j for j, e in enumerate(sorted(
         {e for trio in comps for terms in trio for e in terms}))}

@@ -518,20 +518,6 @@ R_AT_HOPF = math.pi ** 2 / (2 * math.pi ** 2) ** (4.0 / 3.0)
 _SCAN_GROUP = 20  # samples per pass over the grid; bounds the scan's memory
 
 
-@functools.cache
-def _scan_basis() -> Tuple[list, np.ndarray, np.ndarray]:
-    """coefficient_tensor of the unit fields of every explicit eigenspace,
-    the Hopf frame first, and their eigenvalues.  The frame is orthonormal,
-    so pointwise norms are those of the coefficient rows."""
-    bases: List[Tuple[int, FrameField]] = [(2, f.to_float().scale(
-        1.0 / math.sqrt(2.0 * math.pi ** 2))) for f in hopf_frame()]
-    for mu, name in ((-2, "anti_hopf"), (3, "u"), (4, "v"), (5, "w"),
-                     (-3, -3), (-4, -4), (-5, -5)):
-        bases += [(mu, f) for f in _basis(name)]
-    exponents, tensor = coefficient_tensor([f for _, f in bases])
-    return exponents, tensor, np.array([mu for mu, _ in bases], dtype=float)
-
-
 def local_max_scan(radius: float = 0.05, samples: int = 50,
                    seed: int = 0, grid: HopfGrid | None = None) -> dict:
     """Randomized check that R(B1 + W) <= R(B1) near B1.
@@ -549,15 +535,23 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
                          f"samples >= 1, got {radius!r} and {samples!r}")
     grid = grid or default_grid()
     rng = np.random.default_rng(seed)
-    exponents, tensor, mus = _scan_basis()
-    e1 = np.zeros(len(mus))
+    bases: List[Tuple[int, FrameField]] = [(2, f.to_float().scale(
+        1.0 / math.sqrt(2.0 * math.pi ** 2))) for f in hopf_frame()]
+    for mu, name in ((-2, "anti_hopf"), (3, "u"), (4, "v"), (5, "w"),
+                     (-3, -3), (-4, -4), (-5, -5)):
+        bases += [(mu, f) for f in _basis(name)]
+    # Frame coefficients suffice: the frame is orthonormal, so pointwise
+    # norms are those of the coefficient rows.
+    exponents, tensor = coefficient_tensor([f for _, f in bases])
+    mus = np.array([mu for mu, _ in bases], dtype=float)
+    e1 = np.zeros(len(bases))
     e1[0] = math.sqrt(2.0 * math.pi ** 2)
     columns = np.empty((2, min(samples, _SCAN_GROUP), grid.size))
     results = []
     violations = []
     for first in range(0, samples, _SCAN_GROUP):
         count = min(_SCAN_GROUP, samples - first)
-        coeffs = rng.standard_normal((count, len(mus)))
+        coeffs = rng.standard_normal((count, len(bases)))
         # Every fifth sample stays inside E1, probing exact equality.
         coeffs[(4 - first) % 5::5, 3:] = 0.0
         mixed = np.tensordot(coeffs, tensor, (1, 1)).reshape(3 * count, -1)

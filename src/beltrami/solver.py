@@ -23,10 +23,13 @@ rational backend:
   integer polynomial D_mu P_mu = sum_k n_{mu,k} C^k, where
   D_mu = prod_{nu != mu} (mu - nu);
 * one Krylov pass b, C b, ..., C^|S| b gives every D_mu P_mu b at once, in
-  increasing coordinate order (term order is no part of an exact result;
-  frames.coefficient_tensor sorts the monomials of float sums); a slab of
-  vectors passes together, in |S| gather-multiply-sum steps over C kept as
-  padded integer rows (the last power serves the check);
+  increasing coordinate order; a slab of vectors passes together, in |S|
+  gather-multiply-sum steps over C kept as padded integer rows (the last
+  power serves the check);
+* term order is no part of an exact result.  Float sums over
+  frames.coefficient_tensor do not depend on it, since that tensor sorts
+  its monomials; exactpoly.evaluate_polys and float curl still sum in each
+  field's term order, so their values may round differently when it moves;
 * the arrays are int64 while an exact bound stays below 2^62: the largest
   row sum of |C| times the largest entry for a step, sum_k |a_k| max|x_k|
   for a combination sum_k a_k x_k.  From the first operation whose bound
@@ -325,7 +328,7 @@ class _Block:
         A slab holds one vector per row; each returned dict lists its
         coordinates in increasing order.
         """
-        spectrum = tuple(self.spectrum)
+        spectrum = tuple(self.spectrum)  # hashable for the cached numerators
         numerators, annihilator = _lagrange_numerators(spectrum)
         entries = [c for v in vectors for c in v.values()]
         small = max(map(abs, entries), default=0) < _INT64_SAFE

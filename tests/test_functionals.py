@@ -735,11 +735,6 @@ class TestLocalMaxScan:
         with pytest.raises(ValueError, match=re.escape(repr(samples))):
             local_max_scan(samples=samples)
 
-    def test_basis_is_built_once(self, monkeypatch):
-        local_max_scan(samples=1, seed=0)
-        monkeypatch.setattr(functionals, "coefficient_tensor", None)
-        assert local_max_scan(samples=1, seed=1)["pass"]
-
     def test_scan_passes(self):
         report = local_max_scan(radius=0.05, samples=20, seed=5)
         assert report["pass"]
