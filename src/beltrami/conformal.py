@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -51,7 +52,7 @@ from .exactpoly import (
     integrate_poly,
 )
 from .frames import FrameField, coefficient_tensor, grad
-from .pencil import eigvalsh_diagonal, inverse_cholesky
+from .pencil import checked_diagonal, eigvalsh_diagonal, inverse_cholesky
 from .quadrature import HopfGrid, default_grid, integrate_scalar
 from .solver import DEFAULT_DMAX_LIMIT, _reduced_monomials
 
@@ -73,11 +74,15 @@ class ConformalFactor:
     square root 1 + t q must be positive: monomials are bounded by one on
     the sphere, so 1 - |t| sum |c_e| > 0 certifies it exactly, and a factor
     without the certificate must be positive on a dense quadrature grid.
+    t must be a finite real and not a bool; otherwise ValueError is raised.
     """
 
     def __init__(self, q: SphereScalar, t: float):
         if not isinstance(q, SphereScalar):
             raise TypeError("q must be a SphereScalar")
+        if (isinstance(t, bool) or not isinstance(t, numbers.Real)
+                or not math.isfinite(t)):
+            raise ValueError(f"t must be a finite real number, got {t!r}")
         self.q = q
         self.t = t
         self._sqrt = SphereScalar.const(1) + q.scale(t) if t else \
@@ -189,7 +194,14 @@ class _BasisData:
 
         # Coefficients over the reduced monomials, one matrix per frame leg.
         self.exponents, P = coefficient_tensor(fields)
-        self._shift_tables = {}
+        # Moments are kept per unique pair sum e_i + e_j, indexed by entry.
+        exps = np.array(self.exponents)
+        codes = exps @ (2 * int(exps.max()) + 1) ** np.arange(4)
+        _, first, index = np.unique(codes[:, None] + codes,
+                                    return_index=True, return_inverse=True)
+        self._sum_index = index.reshape(len(exps), -1)
+        self._sums = exps[first // len(exps)] + exps[first % len(exps)]
+        self._shift_moments = {}
         self._last_perturbation = (None, None)
         gram = self._contract(P, self._table((0, 0, 0, 0)))
         self.whitening = np.zeros_like(gram)
@@ -201,18 +213,14 @@ class _BasisData:
             self.whitening[lo:hi, lo:hi] = inverse_cholesky(gram[lo:hi, lo:hi])
         self.P = self.whitening @ P
 
+    def _moments(self, shift: Tuple[int, ...]) -> np.ndarray:
+        if shift not in self._shift_moments:
+            self._shift_moments[shift] = np.array([_monomial_moment_float(
+                tuple(e)) for e in (self._sums + shift).tolist()])
+        return self._shift_moments[shift]
+
     def _table(self, shift: Tuple[int, ...]) -> np.ndarray:
-        table = self._shift_tables.get(shift)
-        if table is None:
-            exps = self.exponents
-            table = np.empty((len(exps), len(exps)))
-            for i, ei in enumerate(exps):
-                for j in range(i + 1):
-                    value = _monomial_moment_float(tuple(
-                        a + b + s for a, b, s in zip(ei, exps[j], shift)))
-                    table[i, j] = table[j, i] = value
-            self._shift_tables[shift] = table
-        return table
+        return self._moments(shift)[self._sum_index]
 
     def _contract(self, P: np.ndarray, table: np.ndarray) -> np.ndarray:
         out = np.zeros((P.shape[1], P.shape[1]))
@@ -227,18 +235,19 @@ class _BasisData:
         _factor_terms(q).  The matrix of the latest q is kept."""
         terms = terms or _factor_terms(q)
         if self._last_perturbation[0] != terms:
-            table = sum(float(c) * self._table(e) for e, _, c in terms)
-            self._last_perturbation = (terms, self._contract(self.P, table))
+            moments = sum(float(c) * self._moments(e) for e, _, c in terms)
+            self._last_perturbation = (
+                terms, self._contract(self.P, moments[self._sum_index]))
         return self._last_perturbation[1]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def _basis_data(manifold: str, dmax: int) -> _BasisData:
     if manifold not in MANIFOLDS:
         raise ValueError(f"manifold must be one of {MANIFOLDS}, "
                          f"got {manifold!r}")
-    if dmax < 0:
-        raise ValueError("dmax must be nonnegative")
+    if isinstance(dmax, bool) or not isinstance(dmax, int) or dmax < 0:
+        raise ValueError(f"dmax must be a nonnegative int, got {dmax!r}")
     return _BasisData(manifold, dmax)
 
 
@@ -267,8 +276,12 @@ class GalerkinPencil:
         (the gradients, which curl annihilates) and nonzero on the others
         (the eigenfields); any other a raises RuntimeError.  The gradients
         contribute gradient_count exact zeros, and the other eigenvalues
-        come from one Cholesky factor of b (pencil.eigvalsh_diagonal).
+        come from one Cholesky factor of b (pencil.eigvalsh_diagonal), or,
+        when b = I exactly, are the diagonal of a, with no eigensolve.
         """
+        b = self.b
+        if np.all(b.diagonal() == 1.0) and np.count_nonzero(b) == len(b):
+            return np.sort(checked_diagonal(self.a, self.gradient_count))
         return eigvalsh_diagonal(self.a, self.b, self.gradient_count)
 
     def mu1(self) -> float:
@@ -303,9 +316,7 @@ def assemble_pencil(manifold: str, cf: ConformalFactor,
         b.flat[::b.shape[0] + 1] += 1.0
     else:
         b = np.eye(data.a.shape[0])
-    volume = float(cf.volume())
-    if manifold == "rp3":
-        volume *= 0.5
+    volume = float(cf.volume()) * (0.5 if manifold == "rp3" else 1.0)
     return GalerkinPencil(
         manifold=manifold,
         dmax=dmax,
@@ -341,7 +352,8 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     amplitudes finite and distinct; otherwise ValueError is raised.  The
     trial bases at dmax and dmax + 1 are built before the first row, so
     each row's wall_time is the time, in seconds, to build and solve the
-    two pencils of its amplitude only.
+    two pencils of its amplitude only; the t = 0 pencils are round (b = I),
+    so that row's time covers no eigensolve (GalerkinPencil.eigenvalues).
     """
     if (isinstance(dmax, bool) or not isinstance(dmax, int)
             or not 0 <= dmax < DEFAULT_DMAX_LIMIT):

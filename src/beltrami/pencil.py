@@ -35,25 +35,9 @@ def eigvalsh_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(inverse @ a @ inverse.T)
 
 
-def eigvalsh_diagonal(a: np.ndarray, b: np.ndarray,
-                      zeros: int) -> np.ndarray:
-    """Eigenvalues, ascending, of diag(mu) c = lambda B c.
-
-    a must be the diagonal matrix diag(mu) with mu = 0 exactly on its last
-    `zeros` entries and nonzero on the others, and B symmetric positive
-    definite.  A malformed a (an off-diagonal entry, a nonzero on the zero
-    block or a zero before it) is a fault of the pencil's assembly and
-    raises RuntimeError; a B that is not positive definite raises
-    numpy.linalg.LinAlgError.
-
-    The zero block g gives `zeros` exact zero eigenvalues.  The others are
-    the eigenvalues of D c = lambda S c on the leading block e, where
-    D = diag(mu_e) and S = B_ee - B_eg B_gg^-1 B_ge.  The Cholesky factor
-    of B with its rows and columns reversed holds, in its trailing corner,
-    a triangular U with S = U U^T (reversed), and the reciprocals
-    nu = 1 / lambda are the eigenvalues of the symmetric U^T D^-1 U.
-    No square root of mu is taken, so mu may have either sign.
-    """
+def checked_diagonal(a: np.ndarray, zeros: int) -> np.ndarray:
+    """The diagonal mu of a = diag(mu), zero exactly on its last `zeros`
+    entries and nonzero on the others; RuntimeError for any other a."""
     mu = np.diag(a)
     count = mu.size - zeros
     if np.count_nonzero(a) != np.count_nonzero(mu):
@@ -64,7 +48,26 @@ def eigvalsh_diagonal(a: np.ndarray, b: np.ndarray,
     if not np.all(mu[:count]):
         raise RuntimeError("the curl matrix has a zero on the eigenfield "
                            "diagonal")
+    return mu
+
+
+def eigvalsh_diagonal(a: np.ndarray, b: np.ndarray,
+                      zeros: int) -> np.ndarray:
+    """Eigenvalues, ascending, of diag(mu) c = lambda B c.
+
+    a must pass checked_diagonal, and a B that is not symmetric positive
+    definite raises numpy.linalg.LinAlgError.
+
+    The zero block g gives `zeros` exact zero eigenvalues.  The others are
+    the eigenvalues of D c = lambda S c on the leading block e, where
+    D = diag(mu_e) and S = B_ee - B_eg B_gg^-1 B_ge.  The Cholesky factor
+    of B with its rows and columns reversed holds, in its trailing corner,
+    a triangular U with S = U U^T (reversed), and the reciprocals
+    nu = 1 / lambda are the eigenvalues of the symmetric U^T D^-1 U.
+    No square root of mu is taken, so mu may have either sign.
+    """
+    mu = checked_diagonal(a, zeros)
     corner = np.linalg.cholesky(b[::-1, ::-1])[zeros:, zeros:]
-    reciprocal = corner.T @ (corner / mu[:count][::-1, None])
+    reciprocal = corner.T @ (corner / mu[::-1][zeros:, None])
     return np.sort(np.concatenate([np.zeros(zeros),
                                    1.0 / np.linalg.eigvalsh(reciprocal)]))

@@ -7,6 +7,7 @@ import functools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,10 +27,12 @@ from beltrami.conformal import (
     optimality_scan,
     _basis_data,
 )
-from beltrami.exactpoly import (Poly4, Rat, SphereScalar, canonicalize,
+from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
+                                _monomial_moment_float, canonicalize,
                                 integrate_poly)
 from beltrami.frames import FrameField, coefficient_tensor, hopf_frame
 from beltrami.functionals import l32_energy
+from beltrami.pencil import eigvalsh_diagonal
 from beltrami.quadrature import (default_grid, grid_for_degree,
                                  integrate_scalar)
 
@@ -73,6 +76,20 @@ class TestConformalFactor:
                      (Q_EVEN, Rat(1, 3)), (SphereScalar.zero(), 7.0)):
             ConformalFactor(q, t)
         optimality_scan([("x1^2-x2^2", Q_EVEN)], "rp3", dmax=1)
+
+    @pytest.mark.parametrize("t", [True, False, math.nan, math.inf,
+                                   -math.inf, "0.1", 1j, None])
+    def test_rejects_an_amplitude_that_is_not_a_finite_real(self, t):
+        with pytest.raises(ValueError, match=f"got {t!r}"):
+            ConformalFactor(Q_EVEN, t)
+
+    @pytest.mark.parametrize("t", [1, -1, Fraction(1, 10), Rat(-3, 7)])
+    def test_int_and_fraction_amplitudes_keep_an_exact_volume(self, t):
+        q = Q_EVEN.scale(Rat(1, 4))
+        cf = ConformalFactor(q, t)
+        w = cf.sqrt_weight()
+        assert isinstance(cf.volume(), ExactScalar)
+        assert cf.volume() == integrate_poly(w * w * w)
 
     @pytest.mark.parametrize("t", [0.5, 0.9, -0.9])
     def test_grid_accepts_positive_uncertified_factor(self, monkeypatch, t):
@@ -173,6 +190,23 @@ class TestPencilSpectrum:
         with pytest.raises(RuntimeError):
             pencil.mu1()
 
+    @pytest.mark.parametrize("a,match", [
+        (np.array([[1.0, 0.5], [0.5, 0.0]]), "off-diagonal"),
+        (np.diag([1.0, 2.0]), "gradient block"),
+        (np.diag([0.0, 0.0]), "eigenfield diagonal")])
+    def test_round_pencil_checks_the_curl_matrix(self, monkeypatch, a,
+                                                 match):
+        # b = I takes no eigensolve, but a is checked all the same.
+        def no_solve(*args):
+            raise AssertionError("a round pencil called eigvalsh_diagonal")
+
+        monkeypatch.setattr(conformal, "eigvalsh_diagonal", no_solve)
+        pencil = GalerkinPencil(
+            manifold="s3", dmax=0, a=a, b=np.eye(2),
+            column_eigenvalues=(1, 0), gradient_count=1, volume=1.0)
+        with pytest.raises(RuntimeError, match=match):
+            pencil.eigenvalues()
+
 
 Q_X1X2 = canonicalize(x(1) * x(2))
 SCHUR_CASES = [pytest.param(manifold, q, t, id=f"{manifold}-{label}-{t:+}")
@@ -215,6 +249,21 @@ class TestSchurPencil:
             coupled.eigenvalues()
         with pytest.raises(RuntimeError):
             coupled.mu1()
+
+
+class TestTypedDmax:
+    @pytest.mark.parametrize("entry", [assemble_pencil, mu1_normalized])
+    def test_rejects_a_dmax_that_is_not_an_int(self, entry):
+        # On a cold cache and after the bases of the equal ints 0 and 1 are
+        # built: a cache that took True for 1 served the dmax 1 basis.
+        cf = ConformalFactor(Q_X1X2, 0.01)
+        _basis_data.cache_clear()
+        for _ in range(2):
+            for dmax in (True, False, 1.0, "1", None):
+                with pytest.raises(ValueError, match=f"got {dmax!r}"):
+                    entry("s3", cf, dmax)
+            entry("s3", cf, 0)
+            entry("s3", cf, 1)
 
 
 class TestGradientBlock:
@@ -293,6 +342,31 @@ class TestOrthonormalBasis:
         assert np.array_equal(pencil.eigenvalues(),
                               np.sort(pencil.column_eigenvalues))
         assert pencil.mu1() == 2.0
+
+
+class TestMomentTables:
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    @pytest.mark.parametrize("dmax", [1, 2, 3, 4])
+    def test_matches_the_per_entry_moments(self, manifold, dmax):
+        data = _basis_data(manifold, dmax)
+        exps = data.exponents
+        for shift in ((0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0),
+                      (2, 0, 0, 0)):
+            reference = np.array([[_monomial_moment_float(tuple(
+                a + b + s for a, b, s in zip(ei, ej, shift)))
+                for ej in exps] for ei in exps])
+            assert np.array_equal(data._table(shift), reference)
+
+    @pytest.mark.parametrize("manifold,degrees", [("s3", (0, 1, 2)),
+                                                  ("rp3", (0, 2))])
+    def test_perturbation_sums_the_tables(self, manifold, degrees):
+        # Summing the moments before the gather rounds as the tables do.
+        data = _basis_data(manifold, 3)
+        q = random_rational_factor(np.random.default_rng(19), degrees)
+        table = sum(float(c) * data._table(e)
+                    for e, c in sorted(q.representative().terms.items()))
+        assert np.array_equal(data.perturbation(q),
+                              data._contract(data.P, table))
 
 
 def per_monomial_perturbation(data, q) -> np.ndarray:
@@ -425,6 +499,36 @@ class TestOptimalityScan:
         rows = optimality_scan([("x1^2-x2^2", Q_EVEN)], "rp3", dmax=1)
         assert built == {("rp3", 1), ("rp3", 2)}
         assert all(0 < row["wall_time"] < delay for row in rows)
+
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    def test_round_row_takes_no_eigensolve(self, monkeypatch, manifold):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].shape[0])
+            return eigvalsh_diagonal(*args)
+
+        monkeypatch.setattr(conformal, "eigvalsh_diagonal", counted)
+        optimality_scan([("x1^2-x2^2", Q_EVEN)], manifold, dmax=2)
+        nonzero = sum(1 for t in DEFAULT_AMPLITUDES if t)
+        orders = [len(_basis_data(manifold, d).mus) for d in (2, 3)]
+        assert sorted(calls) == sorted(orders * nonzero)
+
+    @pytest.mark.parametrize("manifold,q", [("s3", Q_X1X2), ("s3", Q_ODD),
+                                            ("rp3", Q_EVEN)])
+    def test_rows_are_their_pencils(self, manifold, q):
+        rows = optimality_scan([("q", q)], manifold, dmax=2)
+        round_value = 2.0 * (2 * math.pi ** 2 * (
+            0.5 if manifold == "rp3" else 1.0)) ** (1.0 / 3.0)
+        for row in rows:
+            cf = ConformalFactor(q, row["t"])
+            fine = assemble_pencil(manifold, cf, 3).mu1_normalized()
+            coarse = assemble_pencil(manifold, cf, 2).mu1_normalized()
+            assert row["mu1_normalized"] == fine
+            assert row["refinement_delta"] == abs(fine - coarse)
+            if row["t"] == 0.0:
+                assert row["mu1_normalized"] == round_value
+                assert row["mu1"] == 2.0 and row["refinement_delta"] == 0.0
 
     def test_requires_zero_amplitude(self):
         with pytest.raises(ValueError):
