@@ -46,10 +46,9 @@ from .exactpoly import (
     Poly4,
     Rat,
     SphereScalar,
-    _even_moment,
+    _moment_sum,
     _monomial_moment_float,
     canonicalize,
-    integrate_poly,
 )
 from .frames import FrameField, coefficient_tensor, grad
 from .pencil import checked_diagonal, eigvalsh_diagonal, inverse_cholesky
@@ -75,6 +74,8 @@ class ConformalFactor:
     the sphere, so 1 - |t| sum |c_e| > 0 certifies it exactly, and a factor
     without the certificate must be positive on a dense quadrature grid.
     t must be a finite real and not a bool; otherwise ValueError is raised.
+    The factor is float when t or a coefficient of q is a float, and exact
+    otherwise; 1 + t q is built in that kind, and only when asked for.
     """
 
     def __init__(self, q: SphereScalar, t: float):
@@ -85,28 +86,30 @@ class ConformalFactor:
             raise ValueError(f"t must be a finite real number, got {t!r}")
         self.q = q
         self.t = t
-        self._sqrt = SphereScalar.const(1) + q.scale(t) if t else \
-            SphereScalar.const(1)
         self.terms = _factor_terms(q)
+        self._float = isinstance(t, float) or any(
+            isinstance(c, float) for _, c in self.terms)
         i1, i2, i3, size = _factor_moments(self.terms)
         if abs(Rat(t)) * size >= 1:
-            low = float(np.min(self._sqrt.evaluate(default_grid().points)))
+            low = float(np.min(self.sqrt_values(default_grid().points)))
             if low <= 0.0:
                 raise ValueError(
                     f"1 + t q reaches {low:.3e} on the sphere; the conformal "
                     "factor must stay positive")
         # The volume is the integral of (1 + t q)^3, expanded in powers of t.
         base = ExactScalar({2: Rat(2)})
-        if isinstance(t, float) or not isinstance(i1, ExactScalar):
+        if self._float:
             base, i1, i2, i3 = 2 * math.pi ** 2, float(i1), float(i2), float(i3)
         self._volume = base + i1 * (3 * t) + i2 * (3 * t * t) + i3 * t ** 3
 
     def sqrt_weight(self) -> SphereScalar:
         """The polynomial 1 + t q (the square root of the metric factor)."""
-        return self._sqrt
+        if self._float:
+            return SphereScalar.const(1.0) + self.q.scale(float(self.t))
+        return SphereScalar.const(1) + self.q.scale(self.t)
 
     def sqrt_values(self, pts: np.ndarray) -> np.ndarray:
-        return self._sqrt.evaluate(pts)
+        return self.sqrt_weight().evaluate(pts)
 
     def is_trivial(self) -> bool:
         return self.t == 0 or self.q.is_zero()
@@ -115,44 +118,40 @@ class ConformalFactor:
         """The volume of (S^3, (1 + t q)^2 g0): integral of (1 + t q)^3.
 
         Read at construction as 2 pi^2 + 3 t I1 + 3 t^2 I2 + t^3 I3 from
-        the integrals I_k of q^k, which are computed once per q; an
-        ExactScalar when both q and t are exact, a float otherwise.
+        the exact integrals I_k of q^k, which are computed once per q; an
+        ExactScalar for an exact factor, a float otherwise.
         """
         return self._volume
 
 
 def _factor_terms(q: SphereScalar) -> tuple:
-    """The terms of q's representative as sorted (e, type of c_e, c_e);
-    the type tells an exact coefficient from an equal float."""
-    return tuple(sorted((e, type(c), c)
-                        for e, c in q.representative().terms.items()))
+    """The terms of q's representative as sorted (e, c_e) pairs."""
+    return tuple(sorted(q.representative().terms.items()))
 
 
 @functools.lru_cache(maxsize=1)
 def _factor_moments(terms: tuple) -> tuple:
-    """The integrals of q, q^2, q^3 over S^3 and the exact sum of |c_e| for
-    q = sum c_e x^e, given by its _factor_terms; a scan keeps q fixed
-    across its amplitudes.
+    """The integrals of q, q^2, q^3 over S^3 as ExactScalars and the exact
+    sum of |c_e| for q = sum c_e x^e, given by its _factor_terms; a scan
+    keeps q fixed across its amplitudes.
 
-    Exact coefficients are cleared to integers n_e = den c_e with one lcm,
-    so the powers are integer products and the integral of q^k is one sum
-    of n-coefficients times exact moments, divided by den^k.
+    Every coefficient is taken exactly, a float at its binary value, so the
+    moments depend on the values of the coefficients and not on their kind.
+    The coefficients are cleared to integers n_e = den c_e with one lcm, so
+    the powers are integer products and the integral of q^k is one
+    exactpoly moment sum, divided by den^k.
     """
-    q = Poly4({e: c for e, _, c in terms})
-    size = sum(abs(Rat(c)) for _, _, c in terms)
-    if q._has_float():
-        return (integrate_poly(q), integrate_poly(q * q),
-                integrate_poly(q * q * q), size)
-    den = math.lcm(*(int(Rat(c).denominator) for _, _, c in terms))
-    n = Poly4({e: int(Rat(c) * den) for e, _, c in terms})
+    exact = [(e, Rat(c)) for e, c in terms]
+    den = math.lcm(*(int(c.denominator) for _, c in exact))
+    n = Poly4({e: int(c.numerator) * (den // int(c.denominator))
+               for e, c in exact})
     n2 = n * n
 
     def integral(power: Poly4, k: int) -> ExactScalar:
-        total = sum((c * _even_moment(e) for e, c in power.terms.items()
-                     if not (e[0] | e[1] | e[2] | e[3]) & 1), Rat(0))
-        return ExactScalar({2: total / den ** k})
+        return ExactScalar({2: _moment_sum(power.terms.items()) / den ** k})
 
-    return integral(n, 1), integral(n2, 2), integral(n2 * n, 3), size
+    return (integral(n, 1), integral(n2, 2), integral(n2 * n, 3),
+            sum(abs(c) for _, c in exact))
 
 
 class _BasisData:
@@ -235,7 +234,7 @@ class _BasisData:
         _factor_terms(q).  The matrix of the latest q is kept."""
         terms = terms or _factor_terms(q)
         if self._last_perturbation[0] != terms:
-            moments = sum(float(c) * self._moments(e) for e, _, c in terms)
+            moments = sum(float(c) * self._moments(e) for e, c in terms)
             self._last_perturbation = (
                 terms, self._contract(self.P, moments[self._sum_index]))
         return self._last_perturbation[1]
@@ -311,11 +310,11 @@ def assemble_pencil(manifold: str, cf: ConformalFactor,
         raise ParityError(
             "the conformal factor has an antipodally odd part and does not "
             "descend to RP^3")
-    if cf.t and not cf.q.is_zero():
+    if cf.is_trivial():
+        b = np.eye(data.a.shape[0])
+    else:
         b = float(cf.t) * data.perturbation(cf.q, cf.terms)
         b.flat[::b.shape[0] + 1] += 1.0
-    else:
-        b = np.eye(data.a.shape[0])
     volume = float(cf.volume()) * (0.5 if manifold == "rp3" else 1.0)
     return GalerkinPencil(
         manifold=manifold,

@@ -13,18 +13,21 @@ Three layers of exact values are provided:
                rational coefficients; the value domain of exact integrals.
 
 Integrals over S^3 come from the closed-form monomial moments, each a
-rational multiple of pi^2 (integrate_monomial).  integrate_products
-integrates a sum of products of exact SphereScalars from those moments
-without forming the products.
+rational multiple of pi^2 (integrate_monomial).  An exact integral is one
+integer moment sum over a common denominator (integrate_poly), and
+integrate_products integrates a sum of products of exact SphereScalars
+from those moments without forming the products.
 
 pi is a formal transcendental symbol: no floating approximation enters the
 exact backend.  Rationals come from gmpy2 when available (much faster) and
 fall back to the stdlib Fraction otherwise; both are arbitrary precision.
 
-Coefficients may alternatively be Python floats.  All ring operations work
-unchanged, which gives a floating mirror of the polynomial calculus.  Its
-remaining users are functionals' remainder_field/correction_field and
-HopfPerturbation.field, float l2_inner and float conformal factors.
+Coefficients may alternatively be Python floats, which gives a floating
+mirror of the polynomial calculus.  Its remaining users are functionals'
+remainder_field/correction_field and HopfPerturbation.field, and float
+l2_inner.  Every operation takes operands of one kind, exact or float:
+to_float() converts, and so does scale by a float scalar.  Mixing kinds is
+unsupported; under gmpy2, mpq + float is an mpfr, a third numeric type.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ _POINT_BLOCK = 8192
 def Rat(p, q=1):
     """Return the exact rational p/q in the selected backend.
 
-    Accepts ints, backend rationals, and strings like '151/90'.
+    Accepts ints, floats (at their exact binary value), backend rationals,
+    and strings like '151/90'.
     """
     return _mpq(p) if q == 1 else _mpq(p, q)
 
@@ -101,17 +105,9 @@ class Poly4:
 
     # ---- ring operations ----------------------------------------------
 
-    def _has_float(self) -> bool:
-        return any(isinstance(c, float) for c in self.terms.values())
-
     def __add__(self, other: "Poly4") -> "Poly4":
-        a, b = self, other
-        # Mixed exact/float operands are settled in float arithmetic so that
-        # no third numeric type can appear in the coefficients.
-        if a._has_float() != b._has_float():
-            a, b = a.to_float(), b.to_float()
-        out = dict(a.terms)
-        for e, c in b.terms.items():
+        out = dict(self.terms)
+        for e, c in other.terms.items():
             s = out.get(e, 0) + c
             if s == 0:
                 out.pop(e, None)
@@ -127,12 +123,9 @@ class Poly4:
 
     def __mul__(self, other):
         if isinstance(other, Poly4):
-            a, b = self, other
-            if a._has_float() != b._has_float():
-                a, b = a.to_float(), b.to_float()
             out: Dict[Exponent, object] = {}
-            for ea, ca in a.terms.items():
-                for eb, cb in b.terms.items():
+            for ea, ca in self.terms.items():
+                for eb, cb in other.terms.items():
                     e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
                     s = out.get(e, 0) + ca * cb
                     if s == 0:
@@ -148,22 +141,21 @@ class Poly4:
         """Multiply by a scalar; a float scalar converts all coefficients."""
         if s == 0:
             return Poly4()
-        if isinstance(s, float) or self._has_float():
-            sf = float(s)
+        if isinstance(s, float):
+            sf = float(s)  # a numpy float scalar becomes a Python float
             return Poly4({e: float(c) * sf for e, c in self.terms.items()})
         return Poly4({e: c * s for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly4":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly4.const(1)
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if n > 1 else base
             n >>= 1
-        return out
+        return Poly4.const(1) if out is None else out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly4) and self.terms == other.terms
@@ -571,10 +563,19 @@ def integrate_poly(p):
     if any(isinstance(c, float) for c in p.terms.values()):
         return math.fsum(float(c) * _monomial_moment_float(e)
                          for e, c in p.terms.items())
-    out = ExactScalar()
-    for e, c in p.terms.items():
-        out = out + integrate_monomial(e).scale(c)
-    return out
+    den = math.lcm(*(int(c.denominator) for c in p.terms.values()))
+    return ExactScalar({2: _moment_sum(
+        (e, int(c.numerator) * (den // int(c.denominator)))
+        for e, c in p.terms.items()) / den})
+
+
+def _moment_sum(terms: Iterable[Tuple[Exponent, int]]):
+    """sum_e n_e * _even_moment(e) over integer terms (e, n_e), as a backend
+    rational: the pi^2 coefficient of the integral of sum_e n_e x^e over
+    S^3.  A term with an odd exponent entry has moment zero and is skipped.
+    """
+    return sum((n * _even_moment(e) for e, n in terms
+                if not (e[0] | e[1] | e[2] | e[3]) & 1), Rat(0))
 
 
 def _common_denominator(scalars: Iterable[SphereScalar]) -> int:
@@ -622,11 +623,7 @@ def integrate_products(pairs: Iterable[Tuple[SphereScalar, SphereScalar]]
                     e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2],
                          ea[3] + eb[3])
                     sums[e] = sums.get(e, 0) + ca * cb
-    total = Rat(0)
-    for e, v in sums.items():
-        if v:
-            total += v * _even_moment(e)
-    return ExactScalar({2: total / (den_p * den_q)})
+    return ExactScalar({2: _moment_sum(sums.items()) / (den_p * den_q)})
 
 
 def directional_derivative(p: SphereScalar, L: Sequence[Sequence[object]]) -> SphereScalar:

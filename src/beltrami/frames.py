@@ -222,7 +222,7 @@ class FrameField:
         the pointwise product (exactpoly.integrate_products).
         """
         if self._has_float() or other._has_float():
-            return integrate_poly(self.dot(other))
+            return integrate_poly(self.to_float().dot(other.to_float()))
         return integrate_products(zip(self.f, other.f))
 
     def _has_float(self) -> bool:

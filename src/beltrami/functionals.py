@@ -68,7 +68,7 @@ def _basis(name) -> List[FrameField]:
     if name == "anti_hopf":
         # The anti-Hopf frame normalized to unit L^2 norm.
         scale = 1.0 / math.sqrt(2.0 * math.pi ** 2)
-        return [f.to_float().scale(scale) for f in _atlas.anti_hopf_frame()]
+        return [f.scale(scale) for f in _atlas.anti_hopf_frame()]
     return _unit_fields({"u": 3, "v": 4, "w": 5}.get(name, name))
 
 
@@ -124,7 +124,7 @@ class HopfPerturbation:
             if index not in EXTRA_INDICES:
                 raise ValueError(f"unsupported extra spectral index {index}")
             mu = _index_to_eigenvalue(index)
-            residual = curl(field.to_float()) - field.to_float().scale(float(mu))
+            residual = curl(field) - field.scale(mu)
             if _max_coefficient(residual) > 1e-10:
                 raise ValueError(
                     f"extra field for index {index} is not a curl eigenfield "
@@ -535,7 +535,7 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
                          f"samples >= 1, got {radius!r} and {samples!r}")
     grid = grid or default_grid()
     rng = np.random.default_rng(seed)
-    bases: List[Tuple[int, FrameField]] = [(2, f.to_float().scale(
+    bases: List[Tuple[int, FrameField]] = [(2, f.scale(
         1.0 / math.sqrt(2.0 * math.pi ** 2))) for f in hopf_frame()]
     for mu, name in ((-2, "anti_hopf"), (3, "u"), (4, "v"), (5, "w"),
                      (-3, -3), (-4, -4), (-5, -5)):
@@ -591,9 +591,9 @@ def perturbation_scaled(W1: HopfPerturbation, W2: HopfPerturbation,
     """The perturbation s W1 + s^2 W2 (componentwise; extra parts scaled)."""
     extra: Dict[int, FrameField] = {}
     for index, field in W1.extra.items():
-        extra[index] = field.to_float().scale(s)
+        extra[index] = field.scale(float(s))
     for index, field in W2.extra.items():
-        scaled = field.to_float().scale(s * s)
+        scaled = field.scale(float(s * s))
         extra[index] = extra[index] + scaled if index in extra else scaled
     return HopfPerturbation(
         beta=[s * x + s * s * y for x, y in zip(W1.beta, W2.beta)],

@@ -77,6 +77,18 @@ class TestConformalFactor:
             ConformalFactor(q, t)
         optimality_scan([("x1^2-x2^2", Q_EVEN)], "rp3", dmax=1)
 
+    def test_certified_factor_builds_no_square_root(self, monkeypatch):
+        # Only sqrt_weight() and the grid fallback read 1 + t q, so a
+        # certified factor must not form it, in either kind.
+        def refuse(*args):
+            raise AssertionError("the certified factor built 1 + t q")
+
+        monkeypatch.setattr(SphereScalar, "__add__", refuse)
+        monkeypatch.setattr(SphereScalar, "scale", refuse)
+        for q in (Q_EVEN, Q_ODD, Q_EVEN.to_float()):
+            for t in DEFAULT_AMPLITUDES:
+                ConformalFactor(q, t)
+
     @pytest.mark.parametrize("t", [True, False, math.nan, math.inf,
                                    -math.inf, "0.1", 1j, None])
     def test_rejects_an_amplitude_that_is_not_a_finite_real(self, t):
@@ -129,6 +141,29 @@ class TestFactorVolume:
                 cf = ConformalFactor(q, t)
                 w = cf.sqrt_weight()
                 assert cf.volume() == integrate_poly(w * w * w)
+
+    def test_float_factor_moments_are_exact_at_the_binary_values(self):
+        for q in self.factors()[-4:]:
+            exact = Poly4({e: Rat(Fraction(c))
+                           for e, c in q.representative().terms.items()})
+            expected = (integrate_poly(exact), integrate_poly(exact * exact),
+                        integrate_poly(exact * exact * exact),
+                        sum(abs(c) for c in exact.terms.values()))
+            assert conformal._factor_moments(
+                conformal._factor_terms(q)) == expected
+
+    @pytest.mark.parametrize("exact_q,t", [
+        (False, 0), (False, Rat(1, 50)), (True, 0.02), (False, -0.02)])
+    def test_float_factor_or_amplitude_gives_a_float_volume(self, exact_q, t):
+        for q in self.factors()[3:7]:
+            q = q if exact_q else q.to_float()
+            cf = ConformalFactor(q, t)
+            w = cf.sqrt_weight()
+            assert isinstance(cf.volume(), float)
+            assert all(isinstance(c, float)
+                       for c in w.representative().terms.values())
+            assert cf.volume() == pytest.approx(
+                integrate_poly(w * w * w), rel=1e-14, abs=0)
 
     def test_moments_are_computed_once_per_factor(self):
         conformal._factor_moments.cache_clear()

@@ -139,6 +139,61 @@ class TestIntegratePoly:
         assert val == pytest.approx(math.pi ** 2 / 12, rel=1e-15)
 
 
+def integrate_per_monomial(p: Poly4) -> ExactScalar:
+    """Reference: the exact integral as one ExactScalar per term."""
+    out = ExactScalar()
+    for e, c in p.terms.items():
+        out = out + integrate_monomial(e).scale(c)
+    return out
+
+
+class TestExactIntegral:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_moment_sum_matches_the_per_monomial_loop(self, seed):
+        rng = random.Random(300 + seed)
+        rational = rand_poly(rng, 8, 12)
+        integer = Poly4({e: Rat(rng.randint(-9, 9)) for e in rational.terms})
+        unreduced = rand_poly(rng, 4, 8) * Poly4.monomial((0, 0, 0, 4))
+        for p in (rational, integer, unreduced, Poly4()):
+            assert integrate_poly(p) == integrate_per_monomial(p)
+            assert all(type(c) is type(Rat(1))
+                       for c in integrate_poly(p).terms.values())
+        assert integrate_poly(Poly4()) == ExactScalar.zero()
+
+
+class TestOneKind:
+    """Every operation keeps the kind of its operands; only to_float() and
+    a float scale convert."""
+
+    def operands(self):
+        rng = random.Random(41)
+        return rand_poly(rng, 3), rand_poly(rng, 3)
+
+    def results(self, p, q, s):
+        return (p + q, p - q, -p, p * q, p ** 3, p.scale(s), p * s,
+                p.partial(1))
+
+    def test_exact_stays_exact(self):
+        p, q = self.operands()
+        for r in self.results(p, q, Rat(3, 7)) + (p.scale(3),):
+            assert r.terms
+            assert all(type(c) is type(Rat(1)) for c in r.terms.values())
+
+    def test_float_stays_float(self):
+        p, q = (r.to_float() for r in self.operands())
+        for r in self.results(p, q, 0.375) + (p.scale(3),):
+            assert r.terms
+            assert all(type(c) is float for c in r.terms.values())
+
+    def test_float_scale_converts_every_coefficient(self):
+        p, _ = self.operands()
+        for s in (0.375, np.float64(0.375)):
+            scaled = p.scale(s)
+            assert all(type(c) is float for c in scaled.terms.values())
+            assert scaled.terms == {e: float(c) * 0.375
+                                    for e, c in p.terms.items()}
+
+
 class TestCanonicalize:
     def test_sphere_relation_is_zero(self):
         p = sum((Poly4.variable(i) ** 2 for i in range(2, 5)),
