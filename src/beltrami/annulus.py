@@ -51,7 +51,7 @@ def volume(n: int) -> float:
 
 
 def _check_parameter(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"the metric parameter must be a positive "
                          f"integer, got {n!r}")
     return n

@@ -24,8 +24,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
-                    get_type_hints)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,13 +33,16 @@ from . import conformal as _conformal
 from . import functionals as _functionals
 from . import torus as _torus
 from .atlas import explicit_basis
-from .exactpoly import ExactScalar, Poly4, Rat, canonicalize, format_exact
+from .exactpoly import Poly4, Rat, canonicalize
 from .frames import curl
 
 FORMATS = ("json", "csv")
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               Optional[str]: "a string or null"}
+#: Accepted types and descriptions keyed by the annotation string, which
+#: needs no name lookup (a lookup fails under a runner such as cProfile).
+_FIELD_TYPES = {"int": (int, "an integer"), "float": (float, "a number"),
+                "str": (str, "a string"),
+                "Optional[str]": ((str, type(None)), "a string or null")}
 
 
 @dataclass
@@ -61,15 +63,15 @@ class RunConfig:
     def __post_init__(self):
         # Values from a config file arrive untyped; a wrong type is a usage
         # error, not a failed check.
-        for name, kind in get_type_hints(RunConfig).items():
-            value = getattr(self, name)
-            if kind is float and type(value) is int:
+        for field in dataclasses.fields(RunConfig):
+            allowed, description = _FIELD_TYPES[field.type]
+            value = getattr(self, field.name)
+            if allowed is float and type(value) is int:
                 value = float(value)
-                setattr(self, name, value)
-            allowed = (str, type(None)) if kind == Optional[str] else kind
+                setattr(self, field.name, value)
             if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ValueError(f"configuration key {name!r} must be "
-                                 f"{_TYPE_NAMES[kind]}, got {value!r}")
+                raise ValueError(f"configuration key {field.name!r} must be "
+                                 f"{description}, got {value!r}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, "
                              f"got {self.format!r}")
@@ -129,26 +131,6 @@ class CheckRecord:
 RECORD_FIELDS = [f.name for f in dataclasses.fields(CheckRecord)]
 
 
-def _exact(value, pi_power: int = 0) -> str:
-    return format_exact(ExactScalar({pi_power: Rat(value.numerator,
-                                                   value.denominator)}))
-
-
-#: Exact coefficient strings for the randomized identity rows, keyed by the
-#: identity name of the report.
-IDENTITY_EXACT_COEFFICIENTS = {
-    "hopf-helicity": _exact(Fraction(1), 2),
-    "z2-helicity": _exact(Fraction(1, 3)),
-    "z2-b1-square": _exact(Fraction(2, 3)),
-    "z2-quartic": _exact(Fraction(2, 3), -2),
-    "z2-mixed-quartic": _exact(Fraction(14, 27), -2),
-    "z2-b1-quartic": _exact(Fraction(4, 9), -2),
-    "negative-eigenfield-b1-square": _exact(Fraction(1, 3)),
-    "e4-component-sharp-constant": _exact(Fraction(3, 5)),
-    "correction-field-norm": _exact(Fraction(151, 90), -4),
-}
-
-
 def _timer() -> Callable[[], float]:
     start = time.perf_counter()
     return lambda: time.perf_counter() - start
@@ -184,22 +166,13 @@ def _cmd_verify_atlas(config: RunConfig) -> List[CheckRecord]:
 
 
 def _cmd_verify_identities(config: RunConfig) -> List[CheckRecord]:
-    elapsed = _timer()
-    rows = _functionals.identity_report(seed=config.seed,
-                                        draws=config.draws)
-    total = elapsed()
-    records = []
-    for row in rows:
-        record = CheckRecord(
-            check=row["identity"], anchor=row["anchor"],
-            expected_exact=IDENTITY_EXACT_COEFFICIENTS.get(
-                row["identity"], ""),
-            expected=row["expected"], computed=row["computed"],
-            abs_error=row["abs_error"], rel_error=row["rel_error"],
-            passed=row["pass"], note=row["note"],
-            wall_time=total / len(rows))
-        records.append(record)
-    return records
+    rows = _functionals.identity_report(seed=config.seed, draws=config.draws)
+    return [CheckRecord(check=row["identity"], anchor=row["anchor"],
+                        expected_exact=row["expected_exact"],
+                        expected=row["expected"], computed=row["computed"],
+                        abs_error=row["abs_error"], rel_error=row["rel_error"],
+                        passed=row["pass"], note=row["note"],
+                        wall_time=row["wall_time"]) for row in rows]
 
 
 def _central_difference(f: Callable[[float], float], order: int,

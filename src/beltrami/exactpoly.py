@@ -638,12 +638,14 @@ def directional_derivative(p: SphereScalar, L: Sequence[Sequence[object]]) -> Sp
                 raise ValueError("matrix is not antisymmetric; "
                                  "the linear field is not tangent to S^3")
     rep = p.representative()
+    kind = float if any(isinstance(c, float) for c in rep.terms.values()) \
+        else Rat
     out = Poly4()
     for j in range(4):
         row = Poly4()
         for m in range(4):
             if L[j][m] != 0:
-                row = row + Poly4.variable(m + 1).scale(Rat(L[j][m]))
+                row = row + Poly4.variable(m + 1).scale(kind(L[j][m]))
         if not row.is_zero():
             out = out + row * rep.partial(j + 1)
     return canonicalize(out)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -806,38 +807,90 @@ def fourth_order_terms(W: HopfPerturbation) -> float:
 # Identity report
 
 
-def _report_row(identity: str, anchor: str, expected: float, computed: float,
+#: Every identity of identity_report in report order, with the trailing
+#: _report_row arguments: anchor, exact coefficient ("" if none), tol, note.
+IDENTITIES = {
+    "hopf-helicity": ("helicity of the Hopf field", "1 * pi^2"),
+    "z2-helicity": ("helicity of Z2 equals |Z2|^2 / 3", "1/3"),
+    "z2-b1-square": ("int (B1.Z2)^2 = (2/3) |Z2|^2", "2/3"),
+    "z2-quartic": ("int |Z2|^4 = (2/(3 pi^2)) |Z2|^4", "2/3 * pi^-2"),
+    "z2-mixed-quartic": ("int |Z2|^2 (B1.Z2)^2 = (14/(27 pi^2)) |Z2|^4",
+                         "14/27 * pi^-2"),
+    "z2-b1-quartic": ("int (B1.Z2)^4 = (4/(9 pi^2)) |Z2|^4", "4/9 * pi^-2"),
+    "negative-eigenfield-b1-square": (
+        "int (B1.W)^2 = |W|^2 / 3 on the -3 eigenspace", "1/3"),
+    "w3-b1-component-norm": ("|B1.W3|^2 as a quadratic form in b",),
+    "anti-hopf-w3-cross": ("int (B1.W_{-1})(B1.W3) as a bilinear form",),
+    "anti-hopf-z2-cubic": ("mixed cubic of Z2 with the anti-Hopf part",),
+    "w3-z2-cubic-b1": (
+        "(1/2) int (B1.W3)((B1.Z2)^2 - 2|Z2|^2) closed form",),
+    "w3-z2-cubic-b2": ("int (B1.Z2)(B2.Z2)(B2.W3) closed form",),
+    "w3-z2-cubic-b3": ("int (B1.Z2)(B3.Z2)(B3.W3) closed form",),
+    "anti-hopf-w3-quadratic-identity": (
+        "2|W_E|^2 - 4H(W_E) - int (B1.W_E)^2 rewritten in coefficients",),
+    "e4-b1-component-sum": (
+        "|B1.W4|^2 as a sum of the quadratic form over coefficient "
+        "quadruples",),
+    "e4-component-sharp-constant": (
+        "largest eigenvalue of the E4 component quadratic form", "3/5"),
+    "correction-field-norm": (
+        "squared norm of the correction field equals "
+        "(151/(90 pi^4)) |Z2|^6", "151/90 * pi^-4", 1e-8),
+    "d6f-z2-leading": (
+        "leading coefficient of D^6 F at B1 along Z2", "", 1e-8),
+    "d6f-z2-leading-reference": (
+        "reference value of the D^6 F leading coefficient", "", 1e-8,
+        "discrepancy: the reference constant descends from a (B1.W)^6 "
+        "coefficient of -1755 in D^6 E where the series forces -1989"),
+    "degenerate-sixth-order-leading": (
+        "leading constant of the sixth-order combination on the degenerate "
+        "locus", "", 1e-7),
+    "degenerate-sixth-order-leading-reference": (
+        "reference value of the degenerate-locus leading constant", "", 1e-7,
+        "discrepancy: inherits the (B1.W)^6 slip in D^6 E"),
+}
+
+
+def _report_row(identity: str, expected: float, computed: float,
+                wall_time: float, anchor: str, exact: str = "",
                 tol: float = 1e-10, note: str = "") -> dict:
     abs_err = abs(computed - expected)
     rel_err = abs_err / max(abs(expected), 1e-300)
     ok = abs_err <= tol or rel_err <= tol
-    return {"identity": identity, "anchor": anchor, "expected": expected,
-            "computed": computed, "abs_error": abs_err, "rel_error": rel_err,
-            "pass": bool(ok), "note": note}
+    return {"identity": identity, "anchor": anchor, "expected_exact": exact,
+            "expected": expected, "computed": computed, "abs_error": abs_err,
+            "rel_error": rel_err, "pass": bool(ok), "note": note,
+            "wall_time": wall_time}
 
 
 def identity_report(seed: int = 0, draws: int = 20) -> List[dict]:
     """Closed-form identities checked against integral evaluations.
 
-    Each randomized identity is reported once with the worst error over the
-    draws.  The two sixth-order rows compare the series-derived constants
-    against the reference values; the reference rows are expected to fail
-    and carry a 'discrepancy' note.
+    One row per entry of IDENTITIES, in its order.  Each randomized identity
+    is reported once with the worst error over the draws.  The two
+    sixth-order rows compare the series-derived constants against the
+    reference values; the reference rows are expected to fail and carry a
+    'discrepancy' note.  A row's wall_time sums the time since the previous
+    recorded value over its draws, so set-up lands in the first row using it.
     """
     if isinstance(draws, bool) or not isinstance(draws, int) or draws < 1:
         raise ValueError(f"draws must be an int >= 1, got {draws!r}")
+    last = time.perf_counter()
     rng = np.random.default_rng(seed)
-    rows: List[dict] = []
-    rows.append(_report_row(
-        "hopf-helicity", "helicity of the Hopf field",
-        math.pi ** 2, float(_atlas.helicity(hopf_frame()[0]))))
-
     worst: Dict[str, Tuple[float, float]] = {}
+    times: Dict[str, float] = {}
 
     def record(identity: str, expected: float, computed: float) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        times[identity] = times.get(identity, 0.0) + (now - last)
+        last = now
         prev = worst.get(identity)
         if prev is None or abs(computed - expected) > abs(prev[1] - prev[0]):
             worst[identity] = (expected, computed)
+
+    record("hopf-helicity", math.pi ** 2,
+           float(_atlas.helicity(hopf_frame()[0])))
 
     # The integrands: squares of the W_{-2}, W_{-1}, W3 and W4 parts, and
     # (B1 . Z2) Z2 times two more Z2 factors, W3 or W_{-1}.
@@ -896,27 +949,13 @@ def identity_report(seed: int = 0, draws: int = 20) -> List[dict]:
                      for quad in E4_COMPONENT_QUADRUPLES)
         record("e4-b1-component-sum", closed,
                _integral(grid, (w @ c)[:, 0] ** 2))
-    for identity, (expected, computed) in worst.items():
-        rows.append(_report_row(identity, _IDENTITY_ANCHORS[identity],
-                                expected, computed))
 
     # Sharp constant of the E_4 component bound: largest eigenvalue of the
-    # quadratic form on each coefficient quadruple.
-    matrix = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            e_i = [0.0] * 4
-            e_j = [0.0] * 4
-            e_i[i] = 1.0
-            e_j[j] = 1.0
-            both = [x + y for x, y in zip(e_i, e_j)]
-            matrix[i, j] = 0.5 * (e4_b1_component_form(*both)
-                                  - e4_b1_component_form(*e_i)
-                                  - e4_b1_component_form(*e_j))
-    rows.append(_report_row(
-        "e4-component-sharp-constant",
-        "largest eigenvalue of the E4 component quadratic form",
-        0.6, float(np.linalg.eigvalsh(matrix)[-1])))
+    # quadratic form on each coefficient quadruple, by polarization.
+    form, unit = e4_b1_component_form, np.eye(4)
+    record("e4-component-sharp-constant", 0.6, float(np.linalg.eigvalsh(
+        [[0.5 * (form(*(e_i + e_j)) - form(*e_i) - form(*e_j))
+          for e_j in unit] for e_i in unit])[-1]))
 
     # Norm of the degenerate-locus correction field, checked for a few
     # coefficient pairs (each build verifies divergence-freeness too).
@@ -925,61 +964,22 @@ def identity_report(seed: int = 0, draws: int = 20) -> List[dict]:
         record("correction-field-norm",
                151.0 / (90 * math.pi ** 4) * (a5 * a5 + a8 * a8) ** 3,
                correction_field(a5, a8)[1])
-    rows.append(_report_row(
-        "correction-field-norm",
-        "squared norm of the correction field equals "
-        "(151/(90 pi^4)) |Z2|^6", *worst["correction-field-norm"], tol=1e-8))
 
     # Sixth-order constants: derived versus reference values.
     W1 = HopfPerturbation(a=[0, 0, 0, 0, 1.0, 0, 0, 0])
     d6 = dF_at_hopf(6, W1)
-    derived = hopf_prefactor() * D6_Z2_COEFFICIENT / math.pi ** 4
-    reported = hopf_prefactor() * REPORTED_D6_Z2_COEFFICIENT / math.pi ** 4
-    rows.append(_report_row(
-        "d6f-z2-leading", "leading coefficient of D^6 F at B1 along Z2",
-        derived, d6, tol=1e-8))
-    rows.append(_report_row(
-        "d6f-z2-leading-reference",
-        "reference value of the D^6 F leading coefficient",
-        reported, d6, tol=1e-8,
-        note="discrepancy: the reference constant descends from a (B1.W)^6 "
-             "coefficient of -1755 in D^6 E where the series forces -1989"))
+    record("d6f-z2-leading",
+           hopf_prefactor() * D6_Z2_COEFFICIENT / math.pi ** 4, d6)
+    record("d6f-z2-leading-reference",
+           hopf_prefactor() * REPORTED_D6_Z2_COEFFICIENT / math.pi ** 4, d6)
     b10, b12, b15 = degenerate_coefficients(1.0, 0.0)
     bvec = [0.0] * 15
     bvec[9], bvec[11], bvec[14] = b10, b12, b15
     W2 = HopfPerturbation(b=bvec)
     c6 = graded_coefficient(W1, W2, 6)
-    rows.append(_report_row(
-        "degenerate-sixth-order-leading",
-        "leading constant of the sixth-order combination on the degenerate "
-        "locus", hopf_prefactor() * DEGENERATE_LEADING / math.pi ** 4, c6,
-        tol=1e-7))
-    rows.append(_report_row(
-        "degenerate-sixth-order-leading-reference",
-        "reference value of the degenerate-locus leading constant",
-        hopf_prefactor() * REPORTED_DEGENERATE_LEADING / math.pi ** 4, c6,
-        tol=1e-7,
-        note="discrepancy: inherits the (B1.W)^6 slip in D^6 E"))
-    return rows
-
-
-_IDENTITY_ANCHORS = {
-    "z2-helicity": "helicity of Z2 equals |Z2|^2 / 3",
-    "z2-b1-square": "int (B1.Z2)^2 = (2/3) |Z2|^2",
-    "z2-quartic": "int |Z2|^4 = (2/(3 pi^2)) |Z2|^4",
-    "z2-mixed-quartic": "int |Z2|^2 (B1.Z2)^2 = (14/(27 pi^2)) |Z2|^4",
-    "z2-b1-quartic": "int (B1.Z2)^4 = (4/(9 pi^2)) |Z2|^4",
-    "negative-eigenfield-b1-square":
-        "int (B1.W)^2 = |W|^2 / 3 on the -3 eigenspace",
-    "w3-b1-component-norm": "|B1.W3|^2 as a quadratic form in b",
-    "anti-hopf-w3-cross": "int (B1.W_{-1})(B1.W3) as a bilinear form",
-    "anti-hopf-z2-cubic": "mixed cubic of Z2 with the anti-Hopf part",
-    "w3-z2-cubic-b1": "(1/2) int (B1.W3)((B1.Z2)^2 - 2|Z2|^2) closed form",
-    "w3-z2-cubic-b2": "int (B1.Z2)(B2.Z2)(B2.W3) closed form",
-    "w3-z2-cubic-b3": "int (B1.Z2)(B3.Z2)(B3.W3) closed form",
-    "anti-hopf-w3-quadratic-identity":
-        "2|W_E|^2 - 4H(W_E) - int (B1.W_E)^2 rewritten in coefficients",
-    "e4-b1-component-sum":
-        "|B1.W4|^2 as a sum of the quadratic form over coefficient "
-        "quadruples",
-}
+    record("degenerate-sixth-order-leading",
+           hopf_prefactor() * DEGENERATE_LEADING / math.pi ** 4, c6)
+    record("degenerate-sixth-order-leading-reference",
+           hopf_prefactor() * REPORTED_DEGENERATE_LEADING / math.pi ** 4, c6)
+    return [_report_row(name, *worst[name], times[name], *entry)
+            for name, entry in IDENTITIES.items()]

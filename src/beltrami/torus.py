@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -314,10 +315,13 @@ class TorusPencil:
 
     A holds the curl pairings of the Beltrami basis and B(t) the mass
     matrix weighted by 1 + t q; both are exact by trigonometric
-    orthogonality.
+    orthogonality.  t must be a finite real number and not a bool.
     """
 
     def __init__(self, q: TorusScalar, t: float, kmax: int):
+        if (isinstance(t, bool) or not isinstance(t, numbers.Real)
+                or not math.isfinite(t)):
+            raise ValueError(f"t must be a finite real number, got {t!r}")
         self.q = q
         self.t = t
         self.kmax = kmax

@@ -51,6 +51,11 @@ class TestMetricFamily:
         with pytest.raises(ValueError):
             metric(-2)
 
+    def test_rejects_bool_parameter(self):
+        for build in (metric, first_eigenvalue):
+            with pytest.raises(ValueError, match="True"):
+                build(True)
+
 
 class TestAnnulusMode:
     def test_exact_eigenvalue_square(self):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -142,6 +144,22 @@ class TestCommands:
         flagged = [row for row in rows if "discrepancy" in row["note"]]
         assert len(flagged) == 2
         assert all(row["passed"] == "False" for row in flagged)
+
+    def test_verify_identities_times_each_row(self, tmp_path, monkeypatch):
+        delta = 0.1
+        identity_report(seed=1, draws=1)  # warm the grids and bases
+        real = cli._functionals.correction_field
+
+        def slow(a5, a8):
+            time.sleep(delta)
+            return real(a5, a8)
+
+        monkeypatch.setattr(cli._functionals, "correction_field", slow)
+        records, _ = run(RunConfig(command="verify-identities", seed=1,
+                                   draws=5, out=str(tmp_path / "r.json")))
+        times = {r.check: r.wall_time for r in records}
+        assert times.pop("correction-field-norm") >= 5 * delta
+        assert all(0 <= t < delta for t in times.values()), times
 
     def test_torus_scan_values(self, tmp_path):
         out = tmp_path / "t3.json"
@@ -340,6 +358,20 @@ class TestVacuousRuns:
             local_max_scan(samples=0)
         with pytest.raises(ValueError, match="radius"):
             local_max_scan(radius=0.0)
+
+
+class TestProfiledRun:
+    def test_runs_under_cprofile(self):
+        # Under a runner the CLI module is __main__ of another program.
+        source = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [source,
+                                             os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "beltrami.cli",
+             "--command", "bounds"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
+        assert "bound-round-sphere" in result.stdout
+        assert "crashed" not in result.stderr
 
 
 class TestCrash:

@@ -272,6 +272,23 @@ class TestDirectionalDerivative:
             p = rand_sphere_scalar(rng, 4)
             assert integrate_poly(directional_derivative(p, L1)).is_zero()
 
+    def test_float_scalar_computes_in_one_kind(self, monkeypatch):
+        real = Poly4.__mul__
+
+        def one_kind(self, other):
+            if isinstance(other, Poly4):
+                kinds = {isinstance(c, float) for c in
+                         (*self.terms.values(), *other.terms.values())}
+                assert len(kinds) <= 1, "exact times float polynomial"
+            return real(self, other)
+
+        monkeypatch.setattr(Poly4, "__mul__", one_kind)
+        p = rand_sphere_scalar(random.Random(29), 4).to_float()
+        derivative = directional_derivative(p, L1)
+        assert not derivative.is_zero()
+        assert all(isinstance(c, float)
+                   for c in derivative.representative().terms.values())
+
 
 class TestExactScalar:
     def test_ring_operations(self):

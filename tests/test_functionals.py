@@ -13,8 +13,8 @@ import pytest
 from beltrami import functionals
 from beltrami.atlas import explicit_basis, helicity
 from beltrami.exactpoly import (_POINT_BLOCK, ExactScalar, Poly4, Rat,
-                                SphereScalar, integrate_poly,
-                                integrate_products)
+                                SphereScalar, format_exact, integrate_poly,
+                                integrate_products, parse_exact)
 from beltrami.frames import FrameField, curl, hopf_frame
 from beltrami.functionals import (
     D6_Z2_COEFFICIENT,
@@ -776,3 +776,16 @@ class TestIdentityReport:
         rows = identity_report(seed=1, draws=2)
         flagged = [r for r in rows if r["note"].startswith("discrepancy")]
         assert len(flagged) == 2
+
+    def test_rows_follow_the_identity_table(self):
+        rows = identity_report(seed=1, draws=2)
+        assert [r["identity"] for r in rows] == list(functionals.IDENTITIES)
+        for row, (name, entry) in zip(rows,
+                                      functionals.IDENTITIES.items()):
+            declared = functionals._report_row(name, 0.0, 0.0, 0.0, *entry)
+            for key in ("anchor", "expected_exact", "note"):
+                assert row[key] == declared[key], (name, key)
+        exact = [r["expected_exact"] for r in rows if r["expected_exact"]]
+        assert exact
+        for s in exact:
+            assert format_exact(parse_exact(s)) == s

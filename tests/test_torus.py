@@ -137,6 +137,16 @@ class TestBeltramiBasis:
 
 
 class TestTorusPencil:
+    @pytest.mark.parametrize("t", [True, 1j, "0.1", math.nan, math.inf])
+    def test_rejects_bad_amplitude(self, t):
+        with pytest.raises(ValueError, match=re.escape(repr(t))):
+            torus_pencil(TorusScalar.cosine((2, 0, 0)), t, 1)
+
+    def test_accepts_int_and_float_amplitude(self):
+        q = TorusScalar.cosine((2, 0, 0))
+        np.testing.assert_array_equal(torus_pencil(q, 1, 1).b,
+                                      torus_pencil(q, 1.0, 1).b)
+
     def test_flat_spectrum(self):
         pencil = torus_pencil(TorusScalar.zero(), 0.0, 1)
         spectrum = pencil.eigenvalues()
