@@ -104,8 +104,8 @@ def spectrum_candidates(n: int, cutoff: int = 3) -> List[dict]:
     enumerated range every twisted candidate has eigenvalue at least one.
     """
     n = _check_parameter(n)
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least one")
+    if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 1:
+        raise ValueError(f"cutoff must be an int >= 1, got {cutoff!r}")
     rows = []
     for m1 in range(0, cutoff + 1):
         for m2 in range(0, cutoff + 1):

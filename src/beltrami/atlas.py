@@ -201,10 +201,11 @@ def _mu5_fields() -> Tuple[List[FrameField], list]:
     negated = {14, 16, 17, 20, 21, 23}
     fields: List[FrameField] = []
     norms: list = []  # exact squared norms, each integrated once
-    for j, seed in enumerate(seeds, start=1):
-        f = _poly_field(*seed)
+    for j, coefficients in enumerate(seeds, start=1):
+        f = seed = _poly_field(*coefficients)
         for prev, norm in zip(fields, norms):
-            overlap = f.l2_inner(prev)
+            # <f, prev> = <seed, prev>: the earlier members are orthogonal.
+            overlap = seed.l2_inner(prev)
             if not overlap.is_zero():
                 f = f - prev.scale((overlap / norm).as_rational())
         if j in negated:

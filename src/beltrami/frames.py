@@ -93,7 +93,9 @@ def _times_form(s: SphereScalar, i: int, a: int) -> SphereScalar:
     image = lambda e, form: _form_terms(e, *form)  # noqa: E731 - shorthand
 
     def times(p: Poly4) -> Poly4:
-        rewritten = {e: c for e, c in p.terms.items() if x4 and e[3]}
+        if not x4:
+            return _linear_image(p, image, (i, a))
+        rewritten = {e: c for e, c in p.terms.items() if e[3]}
         kept = {e: c for e, c in p.terms.items() if e not in rewritten}
         return (_linear_image(Poly4(kept), image, (i, a))
                 + _linear_image(Poly4(rewritten), image, (i, a)))
@@ -288,6 +290,19 @@ def hopf_frame() -> Tuple[FrameField, FrameField, FrameField]:
             FrameField(zero, zero, one))
 
 
+def _numerators(F: FrameField):
+    """(den, den * F) with den the lcm of the denominators and den * F on
+    integer numerators when every coefficient is a backend rational;
+    (None, F) otherwise."""
+    parts = [p for f in F.f for p in (f.even_part, f.odd_part)]
+    if not all(type(c) is _mpq for p in parts for c in p.terms.values()):
+        return None, F
+    den = math.lcm(*(c.denominator for p in parts for c in p.terms.values()))
+    parts = [Poly4({e: c.numerator * (den // c.denominator)
+                    for e, c in p.terms.items()}) for p in parts]
+    return den, FrameField(*(SphereScalar(*parts[k:k + 2]) for k in (0, 2, 4)))
+
+
 def curl(F: FrameField) -> FrameField:
     """Curl in the round metric; exact on polynomial coefficients.
 
@@ -295,13 +310,8 @@ def curl(F: FrameField) -> FrameField:
     Poly4 addition, so float results are those of Poly4 arithmetic bit for
     bit.  Rationals are summed as integer numerators over one denominator.
     """
+    den, F = _numerators(F)
     parts = [p for f in F.f for p in (f.even_part, f.odd_part)]
-    den = None
-    if all(type(c) is _mpq for p in parts for c in p.terms.values()):
-        den = math.lcm(*(c.denominator for p in parts
-                         for c in p.terms.values()))
-        parts = [Poly4({e: c.numerator * (den // c.denominator)
-                        for e, c in p.terms.items()}) for p in parts]
 
     def component(a: int, parity: int) -> Poly4:
         b, c = (a + 1) % 3, (a + 2) % 3
@@ -371,8 +381,10 @@ def isometry_pushforward(F: FrameField, O: Sequence[Sequence[object]]) -> FrameF
     (O_* F)(x) = O F(O^T x).  If s = O[a][p] is the nonzero entry of row a,
     component a of O_* F is s times component p at O^T x, where
     (O^T x)_p = s x_a: a signed relabel of exponents, which needs the normal
-    form again only if it moves x4.  Preserves pointwise and L^2 norms; an
-    orientation-reversing O maps curl eigenfields of eigenvalue mu to -mu.
+    form again only if it moves x4.  An exact field is mapped on integer
+    numerators over one denominator: the rational sums times that
+    denominator, in the same term order.  Preserves pointwise and L^2 norms;
+    an orientation-reversing O maps curl eigenfields of eigenvalue mu to -mu.
     Any other matrix raises ValueError.
     """
     rows = [[(p, Rat(c)) for p, c in enumerate(row) if Rat(c) != 0]
@@ -380,19 +392,21 @@ def isometry_pushforward(F: FrameField, O: Sequence[Sequence[object]]) -> FrameF
     if ([len(r) for r in rows] != [1] * 4 or sorted(
             (p, abs(s)) for (p, s), in rows) != [(p, 1) for p in range(4)]):
         raise ValueError("matrix is not a signed permutation matrix")
-    perm = [r[0] for r in rows]
+    perm = [(p, int(s)) for (p, s), in rows]
     flipped = [p for p, s in perm if s < 0]
 
-    def relabel(poly: Poly4, s) -> Poly4:
+    def relabel(poly: Poly4, s: int) -> Poly4:
         return Poly4({tuple(e[p] for p, _ in perm):
                       c * s * (-1) ** sum(e[p] for p in flipped)
                       for e, c in poly.terms.items()})
 
+    den, F = _numerators(F)
     comps = F.cartesian_components()
-    return FrameField.from_cartesian([
+    out = FrameField.from_cartesian([
         canonicalize(relabel(comps[p].representative(), s)) if perm[3][0] != 3
         else SphereScalar(relabel(comps[p].even_part, s),
                           relabel(comps[p].odd_part, s)) for p, s in perm])
+    return out if den is None else out.scale(Rat(1, den))
 
 
 # The reflection (x1, x2, x3, x4) -> (x1, x2, x3, -x4): orientation reversing,

@@ -36,6 +36,14 @@ def _as_wavevector(k: Iterable[int]) -> Wavevector:
     return k
 
 
+def _check_real(value, name: str):
+    """value if it is a finite real number and not a bool; else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return value
+
+
 def _neg(k: Wavevector) -> Wavevector:
     return (-k[0], -k[1], -k[2])
 
@@ -73,16 +81,16 @@ class TorusScalar:
 
     @staticmethod
     def cosine(k: Iterable[int], amplitude: float = 1.0) -> "TorusScalar":
-        """amplitude * cos(k . x)."""
+        """amplitude * cos(k . x); the amplitude is a finite real number."""
         k = _as_wavevector(k)
-        half = 0.5 * amplitude
+        half = 0.5 * _check_real(amplitude, "amplitude")
         return TorusScalar({k: half, _neg(k): half})
 
     @staticmethod
     def sine(k: Iterable[int], amplitude: float = 1.0) -> "TorusScalar":
-        """amplitude * sin(k . x)."""
+        """amplitude * sin(k . x); the amplitude is a finite real number."""
         k = _as_wavevector(k)
-        half = amplitude / 2j
+        half = _check_real(amplitude, "amplitude") / 2j
         return TorusScalar({k: half, _neg(k): -half})
 
     def __add__(self, other: "TorusScalar") -> "TorusScalar":
@@ -319,11 +327,8 @@ class TorusPencil:
     """
 
     def __init__(self, q: TorusScalar, t: float, kmax: int):
-        if (isinstance(t, bool) or not isinstance(t, numbers.Real)
-                or not math.isfinite(t)):
-            raise ValueError(f"t must be a finite real number, got {t!r}")
         self.q = q
-        self.t = t
+        self.t = _check_real(t, "t")
         self.kmax = kmax
         self.fields, self.mus, waves, products, self.gram = _pair_tables(kmax)
         self.mass_q = _weighted_mass(waves, products, q.modes)

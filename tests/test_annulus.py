@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -102,6 +103,13 @@ class TestSpectrumCandidates:
     def test_rejects_empty_cutoff(self):
         with pytest.raises(ValueError):
             spectrum_candidates(2, cutoff=0)
+
+    @pytest.mark.parametrize("cutoff", [True, False, 2.5, 2.0, "3", -1])
+    def test_rejects_non_int_cutoff(self, cutoff):
+        # Unchecked, True would give the cutoff-1 list and 2.5 a TypeError
+        # inside range.
+        with pytest.raises(ValueError, match=re.escape(repr(cutoff))):
+            spectrum_candidates(2, cutoff)
 
 
 def mode(kind, k, c=1):

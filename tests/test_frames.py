@@ -271,12 +271,68 @@ class TestIsometryPushforward:
                 [list(p.terms.items()) for c in expected.f
                  for p in (c.even_part, c.odd_part)]
 
+    @staticmethod
+    def _matrices(rng):
+        perms = list(itertools.permutations(range(4)))
+        out = [REFLECTION]
+        for _ in range(6):
+            perm = rng.choice(perms)
+            signs = [rng.choice((1, -1)) for _ in range(4)]
+            out.append(tuple(tuple(signs[a] if b == perm[a] else 0
+                                   for b in range(4)) for a in range(4)))
+        return out
+
+    def test_exact_fields_keep_backend_rationals(self):
+        # Integer numerators over one denominator inside; every coefficient
+        # that comes out is a backend rational, whatever the denominator.
+        rng = random.Random(83)
+        rational = type(Rat(1))
+        integral = _field_over(rng, 1)
+        fractional = rand_field(rng, 3).scale(Rat(1, 3))
+        assert {c.denominator for a in integral.f
+                for c in a.representative().terms.values()} == {1}
+        assert max(c.denominator for a in fractional.f
+                   for c in a.representative().terms.values()) > 1
+        for O in self._matrices(rng):
+            assert isometry_pushforward(FrameField.zero(), O).is_zero()
+            for F in (integral, fractional, *hopf_frame()):
+                got = isometry_pushforward(F, O)
+                assert not got.is_zero()
+                assert all(type(c) is rational for a in got.f
+                           for p in (a.even_part, a.odd_part)
+                           for c in p.terms.values())
+                assert got.l2_inner(got) == F.l2_inner(F)
+
+    def test_float_fields_match_exact_pushforward(self):
+        # Quarters keep every float sum exact, so the float path must give
+        # the exact terms; with thirds a cancelling sum leaves a rounding
+        # residual (5.6e-17 where the exact coefficient is 0).
+        rng = random.Random(89)
+        for O in self._matrices(rng):
+            F = _field_over(rng, 4)
+            got = isometry_pushforward(F.to_float(), O)
+            expected = isometry_pushforward(F, O).to_float()
+            for a, b in zip(got.f, expected.f):
+                for p, q in ((a.even_part, b.even_part),
+                             (a.odd_part, b.odd_part)):
+                    assert set(p.terms) == set(q.terms)
+                    for e, c in p.terms.items():
+                        assert type(c) is float
+                        assert c == pytest.approx(q.terms[e], rel=1e-15)
+
     def test_atlas_export_is_pinned(self):
         # The reflected entries of the export, byte for byte, as produced by
         # the linear-substitution pushforward.
         digest = hashlib.sha256(atlas_export().encode()).hexdigest()
         assert digest == ("a1345bde1dbae61b15318bb3a29c7b39"
                           "aec3e9b9437e62c5a239cd772b940138")
+
+
+def _field_over(rng: random.Random, den: int) -> FrameField:
+    """A random degree-3 field with coefficients (small int) / den."""
+    return FrameField(*(canonicalize(Poly4(
+        {e: Rat(c.numerator, den) for e, c in rand_sphere_scalar(
+            rng, 3).representative().terms.items()})) for _ in range(3)))
 
 
 def _substituted_pushforward(F: FrameField, O) -> FrameField:

@@ -41,6 +41,22 @@ class TestTorusScalar:
         q = TorusScalar.const(2.0) + TorusScalar.sine((0, 1, 0))
         assert q.integral() == pytest.approx(2.0 * VOLUME, rel=1e-14)
 
+    @pytest.mark.parametrize("amplitude",
+                             [True, 1j, "0.5", math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", [TorusScalar.cosine, TorusScalar.sine])
+    def test_rejects_bad_amplitude(self, mode, amplitude):
+        # Unchecked, a nan amplitude would reach LAPACK as a convergence
+        # failure.
+        with pytest.raises(ValueError, match=re.escape(
+                f"amplitude must be a finite real number, got {amplitude!r}")):
+            mode((1, 0, 0), amplitude)
+
+    @pytest.mark.parametrize("mode", [TorusScalar.cosine, TorusScalar.sine])
+    def test_accepts_int_and_float_amplitude(self, mode):
+        expected = mode((1, 2, 0), 2.0).modes
+        for amplitude in (2, np.float64(2.0), np.float32(2.0)):
+            assert mode((1, 2, 0), amplitude).modes == expected
+
 
 class TestTorusField:
     def test_rejects_compressible_mode(self):
