@@ -21,6 +21,12 @@ frame-coefficient columns on the grid exact through the factors' summed
 coefficient_degree(): B_i . X is column i of X's values and X . Y the row
 sum of their product.
 
+Values on a grid come from one kernel, HopfGrid.polynomial_slabs (sum
+factorization over the product grid), applied to frame coefficients over
+monomials: coefficient_tensor of the fields, and for a HopfPerturbation
+its coefficients(), contracted from the cached tensor of the 26 fixed
+basis fields.  Scattered points keep FrameField.coefficient_values.
+
 Perturbation directions are organized by the HopfPerturbation type, a
 coefficient vector over the orthonormal eigenbases of the low curl
 eigenvalues plus explicit fields for the higher eigenspaces; its helicity and
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,8 +50,7 @@ import numpy as np
 
 from beltrami.atlas import explicit_basis
 from beltrami import atlas as _atlas
-from beltrami.exactpoly import (_POINT_BLOCK, SphereScalar, monomial_rows,
-                                power_tables)
+from beltrami.exactpoly import Exponent, SphereScalar
 from beltrami.frames import (FrameField, coefficient_tensor, curl, divergence,
                              grad, hopf_frame)
 from beltrami.quadrature import (HopfGrid, default_grid, grid_for_degree,
@@ -82,8 +88,36 @@ def _basis_degree(name) -> int:
 def _basis_values(name, degree: int) -> np.ndarray:
     """The (N, 3, k) frame-coefficient values of the k fields _basis(name)
     on grid_for_degree(degree); values @ c are those of sum_k c_k X_k."""
-    points = grid_for_degree(degree).points
-    return np.stack([f.coefficient_values(points) for f in _basis(name)], -1)
+    return np.ascontiguousarray(_field_values(_basis(name),
+                                              grid_for_degree(degree)))
+
+
+def _frame_matrix(fields: Sequence[FrameField]
+                  ) -> Tuple[List[Exponent], np.ndarray]:
+    """The frame coefficients of fields over their sorted monomials: the
+    exponents and a (3 len(fields), m) matrix, rows in (field, slot) order."""
+    exponents, tensor = coefficient_tensor(fields)
+    return exponents, tensor.transpose(1, 0, 2).reshape(3 * len(fields),
+                                                        len(exponents))
+
+
+def _field_values(fields: Sequence[FrameField], grid: HopfGrid) -> np.ndarray:
+    """The (N, 3, k) frame-coefficient values of k fields on grid.points."""
+    values = grid.polynomial_values(*_frame_matrix(fields))
+    return values.reshape(len(fields), 3, -1).transpose(2, 1, 0)
+
+
+def _matrix_degree(exponents: Sequence[Exponent], matrix: np.ndarray) -> int:
+    """The largest degree of a monomial with a nonzero coefficient, or 0."""
+    return max((sum(e) for e, column in zip(exponents, matrix.T)
+                if column.any()), default=0)
+
+
+def _to_line_columns(values: np.ndarray) -> np.ndarray:
+    """Overwrite row 1 of the (3, N) frame-coefficient values of W with
+    |W|^2; row 0 stays B1 . W and row 2 is left free."""
+    values[1] = np.einsum("an,an->n", values, values)
+    return values
 
 
 def _integral(grid: HopfGrid, density: np.ndarray) -> float:
@@ -100,6 +134,25 @@ def _index_to_eigenvalue(index: int) -> int:
 EXTRA_INDICES = (-3, -2, 4, 5, 6)
 
 
+def _fixed_fields() -> List[FrameField]:
+    """The unit fields behind beta, a and b, in that order."""
+    return _basis("anti_hopf") + _basis("u") + _basis("v")
+
+
+@functools.cache
+def _fixed_tensor() -> Tuple[List[Exponent], np.ndarray]:
+    """coefficient_tensor of _fixed_fields(): exponents, (3, 26, m)."""
+    return coefficient_tensor(_fixed_fields())
+
+
+def _finite_coefficients(name: str, values) -> Tuple[float, ...]:
+    out = tuple(float(x) for x in values)
+    for x in out:
+        if not math.isfinite(x):
+            raise ValueError(f"{name} coefficients must be finite, got {x!r}")
+    return out
+
+
 class HopfPerturbation:
     """A perturbation direction at B1, organized by curl eigenspaces.
 
@@ -107,16 +160,17 @@ class HopfPerturbation:
     a over u_1..u_8 (eigenvalue 3; a_1..a_4 span Z_1, a_5..a_8 span Z_2),
     b over v_1..v_15 (eigenvalue 4), and extra maps a spectral index in
     {-3, -2, 4, 5, 6} (curl eigenvalues -4, -3, 5, 6, 7) to an explicit
-    eigenfield of that eigenvalue.
+    eigenfield of that eigenvalue.  A coefficient that is not finite
+    raises ValueError.
     """
 
     def __init__(self, beta: Sequence[float] = (0.0, 0.0, 0.0),
                  a: Sequence[float] = (0.0,) * 8,
                  b: Sequence[float] = (0.0,) * 15,
                  extra: Optional[Dict[int, FrameField]] = None):
-        self.beta = tuple(float(x) for x in beta)
-        self.a = tuple(float(x) for x in a)
-        self.b = tuple(float(x) for x in b)
+        self.beta = _finite_coefficients("beta", beta)
+        self.a = _finite_coefficients("a", a)
+        self.b = _finite_coefficients("b", b)
         self.extra = dict(extra or {})
         self._parts: Dict[object, object] = {}
         if len(self.beta) != 3 or len(self.a) != 8 or len(self.b) != 15:
@@ -143,13 +197,32 @@ class HopfPerturbation:
         extra = list(self.extra.values())
         return self._memo("field", lambda: _combine(
             self.beta + self.a + self.b + (1.0,) * len(extra),
-            _basis("anti_hopf") + _basis("u") + _basis("v") + extra))
+            _fixed_fields() + extra))
+
+    def coefficients(self) -> Tuple[List[Exponent], np.ndarray]:
+        """W's frame coefficients over its monomials: the exponents and a
+        (3, m) matrix, from the cached coefficient tensor of the fixed
+        fields (with the extra fields, a tensor of all of them)."""
+        def build():
+            weights = np.array(self.beta + self.a + self.b
+                               + (1.0,) * len(self.extra))
+            exponents, tensor = (coefficient_tensor(
+                _fixed_fields() + list(self.extra.values()))
+                if self.extra else _fixed_tensor())
+            return exponents, np.tensordot(weights, tensor, (0, 1))
+        return self._memo("coefficients", build)
 
     def line_columns(self, grid: HopfGrid) -> Tuple[np.ndarray, np.ndarray]:
         """B1 . W and |W|^2 on grid.points (for _hopf_line), kept per grid."""
+        return self._line_arrays(grid)[:2]
+
+    def _line_arrays(self, grid: HopfGrid):
+        """line_columns and the two work rows of f_perturbed's _hopf_line:
+        the free row of W's values on grid and one more."""
         def build():
-            values = self.field().coefficient_values(grid.points)
-            return values[:, 0].copy(), np.einsum("na,na->n", values, values)
+            w1, w_sq, free = _to_line_columns(grid.polynomial_values(
+                *self.coefficients()))
+            return w1, w_sq, (free, np.empty(grid.size))
         return self._memo(("line", grid.radial_order, grid.angular_order),
                           build)
 
@@ -202,21 +275,35 @@ class ZeroHelicityError(ValueError):
     """The helicity vanishes, so F and R are undefined."""
 
 
-def l32_energy(F, grid: HopfGrid | None = None) -> float:
-    """The L^{3/2} energy of a FrameField F, or of its (N,) |F|^2 on grid."""
+def l32_energy(F, grid: HopfGrid | None = None,
+               out: Optional[np.ndarray] = None) -> float:
+    """The L^{3/2} energy of a FrameField F, or of its (N,) |F|^2 on grid.
+
+    An (N,) out, which may be F itself, takes the weighted density, so the
+    call allocates no (N,) array; the pairwise sum is integrate_scalar's.
+    """
     grid = grid or default_grid()
     if isinstance(F, FrameField):
-        return integrate_scalar(lambda pts: np.sum(
-            F.coefficient_values(pts) ** 2, axis=1) ** 0.75, grid)
+        F = np.sum(_field_values([F], grid)[..., 0] ** 2, axis=1)
     if np.shape(F) != (grid.size,):
         raise ValueError(f"l32_energy takes a FrameField or the squared speed "
                          f"on grid, shape ({grid.size},); got {np.shape(F)}")
-    return integrate_scalar(lambda pts: F ** 0.75, grid)
+    density = np.power(F, 0.75, out=out)
+    if out is None:
+        return integrate_scalar(lambda pts: density, grid)
+    return float(np.sum(np.multiply(grid.weights, density, out=density)))
 
 
-def _hopf_line(w1: np.ndarray, w_sq: np.ndarray, t: float) -> np.ndarray:
-    """|B1 + tW|^2 from the grid columns w1 = B1 . W and w_sq = |W|^2."""
-    return 1.0 + (2.0 * t) * w1 + (t * t) * w_sq
+def _hopf_line(w1: np.ndarray, w_sq: np.ndarray, t: float,
+               out=None) -> np.ndarray:
+    """|B1 + tW|^2 = 1 + 2t w1 + t^2 w_sq from the grid columns w1 = B1 . W
+    and w_sq = |W|^2.  out is two (N,) work rows, the line and scratch;
+    without it they are allocated.  Returns the line."""
+    line, scratch = np.empty((2, len(w1))) if out is None else out
+    np.multiply(2.0 * t, w1, out=line)
+    np.add(1.0, line, out=line)
+    np.multiply(t * t, w_sq, out=scratch)
+    return np.add(line, scratch, out=line)
 
 
 def d_energy(F: FrameField, Y: FrameField,
@@ -225,17 +312,14 @@ def d_energy(F: FrameField, Y: FrameField,
 
     Points where F vanishes contribute zero to the integrand.
     """
-
-    def integrand(pts):
-        f = F.coefficient_values(pts)
-        speed_sq = np.sum(f * f, axis=1)
-        values = np.sum(f * Y.coefficient_values(pts), axis=1)
-        out = np.zeros_like(values)
-        mask = speed_sq > 1e-28
-        out[mask] = 1.5 * values[mask] / speed_sq[mask] ** 0.25
-        return out
-
-    return integrate_scalar(integrand, grid or default_grid())
+    grid = grid or default_grid()
+    f, y = _field_values([F, Y], grid).transpose(2, 0, 1)
+    speed_sq = np.sum(f * f, axis=1)
+    values = np.sum(f * y, axis=1)
+    out = np.zeros_like(values)
+    mask = speed_sq > 1e-28
+    out[mask] = 1.5 * values[mask] / speed_sq[mask] ** 0.25
+    return _integral(grid, out)
 
 
 def d_helicity(F: FrameField, Y: FrameField):
@@ -249,17 +333,19 @@ def d2_helicity(Y: FrameField):
 
 
 def big_F(F, grid: HopfGrid | None = None,
-          helicity_value: Optional[float] = None) -> float:
+          helicity_value: Optional[float] = None,
+          out: Optional[np.ndarray] = None) -> float:
     """F(X) = E(X)^{4/3} / H(X); scale invariant.
 
     The helicity is computed exactly for exact fields; floating fields and
     squared speeds (as taken by l32_energy) must supply helicity_value.
+    out is l32_energy's.
     """
     if helicity_value is None:
         helicity_value = float(_atlas.helicity(F))
     if helicity_value == 0.0:
         raise ZeroHelicityError("helicity vanishes; F is undefined")
-    return l32_energy(F, grid) ** (4.0 / 3.0) / helicity_value
+    return l32_energy(F, grid, out) ** (4.0 / 3.0) / helicity_value
 
 
 def rayleigh_R(F: FrameField, grid: HopfGrid | None = None,
@@ -272,11 +358,18 @@ def f_perturbed(W: HopfPerturbation, t: float,
                 grid: HopfGrid | None = None) -> float:
     """F(B1 + t W) with the helicity taken from the coefficient structure.
 
-    The energy density is _hopf_line of W.line_columns(grid), one (N,) array.
+    big_F(_hopf_line(*W.line_columns(grid), t), grid, h), computed in W's
+    work rows for the grid, so a call allocates no (N,) array.  t must be a
+    finite real and not a bool; otherwise ValueError.
     """
+    if (isinstance(t, bool) or not isinstance(t, numbers.Real)
+            or not math.isfinite(t)):
+        raise ValueError(f"t must be a finite real number, got {t!r}")
+    t = float(t)
     grid = grid or default_grid()
-    h = math.pi ** 2 + t * t * W.helicity()
-    return big_F(_hopf_line(*W.line_columns(grid), t), grid, helicity_value=h)
+    w1, w_sq, work = W._line_arrays(grid)
+    line = _hopf_line(w1, w_sq, t, out=work)
+    return big_F(line, grid, math.pi ** 2 + t * t * W.helicity(), out=line)
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +394,27 @@ def _series_at_hopf(W) -> Tuple[Tuple[float, ...], float]:
     Cartesian degree k d for coefficients of degree d, so the grid of
     degree SERIES_ORDER * d integrates every coefficient exactly.  The sums
     stay math.fsum: cancellation limits the sixth-order constants from them.
+    A HopfPerturbation keeps its series.
     """
-    field = W.field() if isinstance(W, HopfPerturbation) else W
-    grid = grid_for_degree(SERIES_ORDER * max(field.coefficient_degree(), 0))
     if isinstance(W, HopfPerturbation):
-        return W._memo(("series", grid.radial_order, grid.angular_order),
-                       lambda: _series_at_hopf(field))
-    return _energy_series(field.coefficient_values(grid.points), grid)
+        return W._memo("series", lambda: _series_of(*W.coefficients()))
+    return _series_of(*_frame_matrix([W]))
 
 
-def _energy_series(values, grid: HopfGrid) -> Tuple[tuple, float]:
-    """_series_at_hopf from W's (N, 3) frame coefficients on grid.points."""
-    p = 2.0 * values[:, 0]
-    m = np.sum(values ** 2, axis=1)
+def _series_of(exponents: Sequence[Exponent],
+               matrix: np.ndarray) -> Tuple[tuple, float]:
+    """_series_at_hopf of the field with the (3, m) frame-coefficient
+    matrix over exponents, on the grid of degree SERIES_ORDER * d."""
+    grid = grid_for_degree(SERIES_ORDER * _matrix_degree(exponents, matrix))
+    w1, w_sq, _ = _to_line_columns(grid.polynomial_values(exponents,
+                                                          matrix))
+    return _energy_series(w1, w_sq, grid)
+
+
+def _energy_series(w1: np.ndarray, w_sq: np.ndarray,
+                   grid: HopfGrid) -> Tuple[tuple, float]:
+    """_series_at_hopf from B1 . W and |W|^2 on grid.points."""
+    p, m = 2.0 * w1, w_sq
     p_powers = [np.ones(grid.size)]
     for _ in range(SERIES_ORDER):
         p_powers.append(p_powers[-1] * p)
@@ -326,7 +427,7 @@ def _energy_series(values, grid: HopfGrid) -> Tuple[tuple, float]:
                       * p_powers[k - 2 * i] * m_powers[i]
                       for i in range(k // 2 + 1))
         series.append(math.fsum(grid.weights * density))
-    return tuple(series), math.fsum(grid.weights * values[:, 0])
+    return tuple(series), math.fsum(grid.weights * w1)
 
 
 def dE_at_hopf(k: int, W) -> float:
@@ -418,16 +519,19 @@ def second_variation_R(Y1: FrameField, W) -> float:
                   for c in Y1.f])
     speed2 = float(y @ y)
     if isinstance(W, HopfPerturbation):
-        field, h, norm_sq = W.field(), W.helicity(), W.norm_sq()
+        (exponents, matrix), h, norm_sq = (W.coefficients(), W.helicity(),
+                                           W.norm_sq())
     else:
-        field, h, norm_sq = W, float(_atlas.helicity(W)), float(W.l2_inner(W))
-    grid = grid_for_degree(2 * max(field.coefficient_degree(), 0))
-    values = field.coefficient_values(grid.points)
-    # The integral of W . B_i is that of column i of W's values.
-    if np.max(np.abs(grid.weights @ values)) > 1e-10:
+        (exponents, matrix), h, norm_sq = (
+            _frame_matrix([W]), float(_atlas.helicity(W)),
+            float(W.l2_inner(W)))
+    grid = grid_for_degree(2 * _matrix_degree(exponents, matrix))
+    values = grid.polynomial_values(exponents, matrix)
+    # The integral of W . B_i is that of row i of W's values.
+    if np.max(np.abs(values @ grid.weights)) > 1e-10:
         raise ValueError("direction is not orthogonal to the first "
                          "eigenspace")
-    cross = _integral(grid, (values @ y) ** 2) / speed2
+    cross = _integral(grid, (y @ values) ** 2) / speed2
     numerator = 2 * MU1 * h - 2 * norm_sq + cross
     energy = speed2 ** 0.75 * 2 * math.pi ** 2
     return numerator / (MU1 * energy ** (4.0 / 3.0))
@@ -447,7 +551,7 @@ def _check_span(field: FrameField, name: str, indices: Sequence[int],
     degree = 2 * max(field.coefficient_degree(), _basis_degree(name))
     grid = grid_for_degree(degree)
     basis = _basis_values(name, degree)[..., list(indices)]
-    values = field.coefficient_values(grid.points)
+    values = _field_values([field], grid)[..., 0]
     residual = values - basis @ (
         grid.weights @ np.sum(basis * values[..., None], axis=1))
     norm = _integral(grid, np.sum(values ** 2, axis=1))
@@ -507,7 +611,7 @@ def correction_field(a5: float, a8: float) -> Tuple[FrameField, float]:
     if _max_scalar_coefficient(divergence(C)) > 1e-10:
         raise RuntimeError("correction field failed to be divergence free")
     grid = grid_for_degree(2 * max(C.coefficient_degree(), 0))
-    return C, _integral(grid, np.sum(C.coefficient_values(grid.points) ** 2,
+    return C, _integral(grid, np.sum(_field_values([C], grid)[..., 0] ** 2,
                                      axis=1))
 
 
@@ -519,6 +623,21 @@ R_AT_HOPF = math.pi ** 2 / (2 * math.pi ** 2) ** (4.0 / 3.0)
 _SCAN_GROUP = 20  # samples per pass over the grid; bounds the scan's memory
 
 
+def _scan_basis() -> Tuple[np.ndarray, List[Exponent], np.ndarray]:
+    """The curl eigenvalues of local_max_scan's unit basis fields (B1..B3
+    and the explicit eigenspaces -2..-5, 3..5), and their coefficient
+    tensor: monomials and (3, fields, m) array.  Frame coefficients
+    suffice: the frame is orthonormal, so pointwise norms are those of the
+    coefficient rows."""
+    bases: List[Tuple[int, FrameField]] = [(2, f.scale(
+        1.0 / math.sqrt(2.0 * math.pi ** 2))) for f in hopf_frame()]
+    for mu, name in ((-2, "anti_hopf"), (3, "u"), (4, "v"), (5, "w"),
+                     (-3, -3), (-4, -4), (-5, -5)):
+        bases += [(mu, f) for f in _basis(name)]
+    exponents, tensor = coefficient_tensor([f for _, f in bases])
+    return np.array([mu for mu, _ in bases], dtype=float), exponents, tensor
+
+
 def local_max_scan(radius: float = 0.05, samples: int = 50,
                    seed: int = 0, grid: HopfGrid | None = None) -> dict:
     """Randomized check that R(B1 + W) <= R(B1) near B1.
@@ -526,9 +645,10 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     Samples perturbations W over all explicit eigenspaces with sup norm at
     most radius, and reports any sample where R increases beyond 1e-9 or
     where equality holds although W has a non-E1 part.  The basis is kept
-    as frame coefficients over its monomials (degree <= 5); per group of
-    _SCAN_GROUP samples and block of grid points one product with the
-    block's rows gives the values, of which B1 . W and |W|^2 are kept.
+    as frame coefficients over its monomials (degree <= 5, _scan_basis,
+    built on each scan); each group of _SCAN_GROUP samples is one pass of
+    grid.polynomial_slabs over its coefficients, of which B1 . W and
+    |W|^2 are kept.
     """
     if (isinstance(samples, bool) or not isinstance(samples, int)
             or samples < 1 or not 0 < radius <= 0.1):
@@ -536,34 +656,24 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
                          f"samples >= 1, got {radius!r} and {samples!r}")
     grid = grid or default_grid()
     rng = np.random.default_rng(seed)
-    bases: List[Tuple[int, FrameField]] = [(2, f.scale(
-        1.0 / math.sqrt(2.0 * math.pi ** 2))) for f in hopf_frame()]
-    for mu, name in ((-2, "anti_hopf"), (3, "u"), (4, "v"), (5, "w"),
-                     (-3, -3), (-4, -4), (-5, -5)):
-        bases += [(mu, f) for f in _basis(name)]
-    # Frame coefficients suffice: the frame is orthonormal, so pointwise
-    # norms are those of the coefficient rows.
-    exponents, tensor = coefficient_tensor([f for _, f in bases])
-    mus = np.array([mu for mu, _ in bases], dtype=float)
-    e1 = np.zeros(len(bases))
+    mus, exponents, tensor = _scan_basis()
+    e1 = np.zeros(len(mus))
     e1[0] = math.sqrt(2.0 * math.pi ** 2)
     columns = np.empty((2, min(samples, _SCAN_GROUP), grid.size))
     results = []
     violations = []
     for first in range(0, samples, _SCAN_GROUP):
         count = min(_SCAN_GROUP, samples - first)
-        coeffs = rng.standard_normal((count, len(bases)))
+        coeffs = rng.standard_normal((count, len(mus)))
         # Every fifth sample stays inside E1, probing exact equality.
         coeffs[(4 - first) % 5::5, 3:] = 0.0
         mixed = np.tensordot(coeffs, tensor, (1, 1)).reshape(3 * count, -1)
         w1, w_sq = columns[:, :count]
-        for start in range(0, grid.size, _POINT_BLOCK):
-            block = slice(start, start + _POINT_BLOCK)
-            values = (mixed @ monomial_rows(exponents, power_tables(
-                grid.points[block], exponents))).reshape(count, 3, -1)
+        for block, values in grid.polynomial_slabs(exponents, mixed):
+            values = values.reshape(count, 3, -1)
             w1[:, block] = values[:, 0]
             np.einsum("sab,sab->sb", values, values, out=w_sq[:, block])
-            del values  # before the next block's product
+            del values  # before the next slab's product
         for index, sup in enumerate(np.sqrt(np.max(w_sq, axis=1))):
             scale = radius / sup if sup > 0 else 0.0
             sample = coeffs[index] * scale
@@ -613,13 +723,14 @@ def graded_coefficient(W1: HopfPerturbation, W2: HopfPerturbation,
     values are s (V1 + s V2) on the series grid, its helicity by polarization.
     """
     grid = grid_for_degree(SERIES_ORDER * max(
-        W1.field().coefficient_degree(), W2.field().coefficient_degree(), 0))
-    v1, v2 = (W.field().coefficient_values(grid.points) for W in (W1, W2))
+        _matrix_degree(*W.coefficients()) for W in (W1, W2)))
+    v1, v2 = (grid.polynomial_values(*W.coefficients()) for W in (W1, W2))
     h1, h2 = W1.helicity(), W2.helicity()
     h12 = perturbation_scaled(W1, W2, 1.0).helicity() - h1 - h2
 
     def combination(s: float) -> float:
-        return _taylor6(_f_series(*_energy_series(s * (v1 + s * v2), grid),
+        w1, w_sq, _ = _to_line_columns(s * (v1 + s * v2))
+        return _taylor6(_f_series(*_energy_series(w1, w_sq, grid),
                                   s * s * (h1 + s * h12 + s * s * h2)))
 
     nodes = np.linspace(0.4, 1.0, 7)

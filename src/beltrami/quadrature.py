@@ -14,18 +14,53 @@ order n through trigonometric degree n - 1.
 
 Node sums are numpy's pairwise sums: deterministic, independent of BLAS
 threads, and far cheaper than math.fsum on the default grid.
+
+Polynomials are evaluated on the grid by sum factorization, the standard
+kernel of tensor-product spectral grids.  At the point of radial node r and
+angles xi1_i, xi2_j a monomial factors as
+
+    x^e = cos(eta_r)^(e1 + e2) sin(eta_r)^(e3 + e4)
+          * cos(xi1_i)^e1 sin(xi1_i)^e2 * cos(xi2_j)^e3 sin(xi2_j)^e4,
+
+so for coefficients C[k, e] the values at node r are
+
+    V[k, r, i, j] = sum_q (sum_p A1[p, i] C[k, p, q] rad[r, p, q]) A2[q, j]
+
+with p = (e1, e2), q = (e3, e4), A1 and A2 the angular factors and rad the
+radial one.  HopfGrid.polynomial_slabs takes the two sums as one product
+over the xi1 factors and one over the xi2 factors per slab of radial nodes,
+in the points' (radial, xi1, xi2) order, and never builds the (m, N) matrix
+of monomial values.  A slab holds as many radial nodes as fit
+_SLAB_DOUBLES values for the K polynomials, at least one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 DEFAULT_RADIAL_ORDER = 24
 DEFAULT_ANGULAR_ORDER = 48
+# Values held by one slab of polynomial_slabs: the (60, 8192) block of the
+# local maximality scan's 20 samples.
+_SLAB_DOUBLES = 60 * 8192
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x^k for k = 0..top as the rows of a (top + 1, len(x)) array, each
+    row the one before it times x."""
+    table = np.ones((top + 1, len(x)))
+    np.multiply.accumulate(np.broadcast_to(x, (top, len(x))), axis=0,
+                           out=table[1:])
+    return table
 
 
 class HopfGrid:
@@ -35,12 +70,13 @@ class HopfGrid:
     (N,) array of positive weights summing to the volume 2 pi^2.
     """
 
-    __slots__ = ("radial_order", "angular_order", "points", "weights")
+    __slots__ = ("radial_order", "angular_order", "points", "weights",
+                 "_eta", "_xi")
 
     def __init__(self, radial_order: int = DEFAULT_RADIAL_ORDER,
                  angular_order: int = DEFAULT_ANGULAR_ORDER):
-        if radial_order < 1 or angular_order < 1:
-            raise ValueError("quadrature orders must be positive")
+        _check_int("radial_order", radial_order, 1)
+        _check_int("angular_order", angular_order, 1)
         self.radial_order = radial_order
         self.angular_order = angular_order
         # Gauss-Legendre on [-1, 1] mapped to u in [0, 1].
@@ -64,6 +100,8 @@ class HopfGrid:
         self.weights = wts.reshape(-1).copy()
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
+        self._eta = (cos_eta, sin_eta)
+        self._xi = (cos_xi, sin_xi)
 
     @property
     def size(self) -> int:
@@ -80,6 +118,61 @@ class HopfGrid:
         r covers d <= 2 (2r - 1) and angular order n covers d <= n - 1.
         """
         return min(2 * (2 * self.radial_order - 1), self.angular_order - 1)
+
+    def polynomial_slabs(self, exponents: Sequence[Sequence[int]],
+                         coefficients: np.ndarray
+                         ) -> Iterator[Tuple[slice, np.ndarray]]:
+        """Values of K polynomials on the grid, one slab of radial nodes at
+        a time, by sum factorization (module docstring).
+
+        Polynomial k is sum_j coefficients[k, j] x^exponents[j], for m
+        exponent 4-tuples (repeats add up) and a (K, m) coefficient array.
+        Yields (block, values): a slice of the points and the (K, n) values
+        there, a fresh array per slab; the slabs cover the points in order.
+        """
+        coefficients = np.asarray(coefficients, dtype=float)
+        if coefficients.ndim != 2 or coefficients.shape[1] != len(exponents):
+            raise ValueError(f"expected a (K, {len(exponents)}) coefficient "
+                             f"array, got shape {coefficients.shape}")
+        count, n = coefficients.shape[0], self.angular_order
+        if not len(exponents):
+            exponents, coefficients = [(0, 0, 0, 0)], np.zeros((count, 1))
+        # The distinct pairs p = (e1, e2) and q = (e3, e4).
+        first: dict = {}
+        second: dict = {}
+        p = [first.setdefault(tuple(e[:2]), len(first)) for e in exponents]
+        q = [second.setdefault(tuple(e[2:]), len(second)) for e in exponents]
+        (e1, e2), (e3, e4) = (np.array(list(pairs), dtype=np.intp).T
+                              for pairs in (first, second))
+        if min(e1.min(), e2.min(), e3.min(), e4.min()) < 0:
+            raise ValueError("exponents must be non-negative")
+        # Coefficients as (p, k, q), the layout of the xi1 product.
+        dense = np.zeros((len(first), count, len(second)))
+        np.add.at(dense, (p, slice(None), q), coefficients.T)
+        top = max(e1.max(), e2.max(), e3.max(), e4.max())
+        cos_xi, sin_xi = (_powers(x, top) for x in self._xi)
+        xi1 = cos_xi[e1] * sin_xi[e2]                           # (P, n)
+        xi2 = cos_xi[e3] * sin_xi[e4]                           # (Q, n)
+        cos_eta, sin_eta = (_powers(x, 2 * top) for x in self._eta)
+        # rad[p, r, q] = cos(eta_r)^(e1 + e2) sin(eta_r)^(e3 + e4).
+        rad = cos_eta[e1 + e2][:, :, None] * sin_eta[e3 + e4].T
+        nodes = max(1, _SLAB_DOUBLES // max(count * n * n, 1))
+        for r0 in range(0, self.radial_order, nodes):
+            r1 = min(r0 + nodes, self.radial_order)
+            scaled = dense[:, :, None, :] * rad[:, None, r0:r1, :]
+            inner = (xi1.T @ scaled.reshape(len(first), -1)).reshape(
+                n, count, r1 - r0, len(second))
+            yield slice(r0 * n * n, r1 * n * n), (
+                inner.transpose(1, 2, 0, 3).reshape(-1, len(second)) @ xi2
+            ).reshape(count, (r1 - r0) * n * n)
+
+    def polynomial_values(self, exponents: Sequence[Sequence[int]],
+                          coefficients: np.ndarray) -> np.ndarray:
+        """The (K, N) values of polynomial_slabs at all the points: the
+        slab itself when one slab covers the grid."""
+        slabs = [values for _, values in
+                 self.polynomial_slabs(exponents, coefficients)]
+        return slabs[0] if len(slabs) == 1 else np.concatenate(slabs, axis=1)
 
 
 def _evaluate(f, grid: HopfGrid) -> np.ndarray:
@@ -127,9 +220,13 @@ def default_grid() -> HopfGrid:
     return shared_grid(DEFAULT_RADIAL_ORDER, DEFAULT_ANGULAR_ORDER)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)
 def shared_grid(radial_order: int, angular_order: int) -> HopfGrid:
-    """The cached grid of the given orders: equal orders share one object."""
+    """The cached grid of the given orders: equal orders share one object.
+
+    Typed, so that True never finds the grid cached for 1 (HopfGrid
+    rejects bool orders).
+    """
     return HopfGrid(radial_order, angular_order)
 
 
@@ -140,6 +237,8 @@ def grid_for_degree(degree: int) -> HopfGrid:
     must exceed the trigonometric degree.  The grid can be far smaller than
     the default one: degree 12 gives HopfGrid(4, 13), 676 points.  For a
     polynomial integrand the only error left is rounding.  Grids of equal
-    orders are one cached object (shared_grid).
+    orders are one cached object (shared_grid).  degree must be an int >= 0
+    (not a bool).
     """
+    _check_int("degree", degree, 0)
     return shared_grid((degree // 2 + 1) // 2 + 1, degree + 1)

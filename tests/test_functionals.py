@@ -12,8 +12,8 @@ import pytest
 
 from beltrami import functionals
 from beltrami.atlas import explicit_basis, helicity
-from beltrami.exactpoly import (_POINT_BLOCK, ExactScalar, Poly4, Rat,
-                                SphereScalar, format_exact, integrate_poly,
+from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
+                                format_exact, integrate_poly,
                                 integrate_products, parse_exact)
 from beltrami.frames import FrameField, curl, hopf_frame
 from beltrami.functionals import (
@@ -28,6 +28,7 @@ from beltrami.functionals import (
     _b1_float,
     _basis,
     _check_span,
+    _hopf_line,
     _series_div,
     _series_power,
     big_F,
@@ -292,6 +293,25 @@ class TestPerturbationParts:
             assert ([c.representative().terms for c in part.f]
                     == [c.representative().terms for c in reference.f]), name
 
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_coefficients_are_those_of_the_field(self, extra):
+        rng = np.random.default_rng(62)
+        fields = {4: explicit_basis(5).fields[0].to_float().scale(0.4),
+                  -3: explicit_basis(-4).fields[2]}
+        W = HopfPerturbation(beta=rng.standard_normal(3),
+                             a=rng.standard_normal(8),
+                             b=rng.standard_normal(15),
+                             extra=fields if extra else None)
+        exponents, matrix = W.coefficients()
+        assert W.coefficients()[1] is matrix
+        field = dict(zip(exponents, matrix.T))
+        for a, coefficient in enumerate(W.field().f):
+            terms = coefficient.representative().terms
+            assert set(terms) <= set(field)
+            for e, column in field.items():
+                assert column[a] == pytest.approx(float(terms.get(e, 0.0)),
+                                                  rel=1e-14, abs=1e-14)
+
 
 class TestHopfLine:
     """F(B1 + tW) from W's coefficient values, kept once per grid."""
@@ -328,14 +348,15 @@ class TestHopfLine:
         assert results[0] == results[1]
 
     def test_one_evaluation_per_grid(self, monkeypatch):
+        # One pass of the grid's polynomial kernel per grid W is used on.
         sizes = []
-        original = FrameField.coefficient_values
+        original = HopfGrid.polynomial_slabs
 
-        def counted(field, pts):
-            sizes.append(len(pts))
-            return original(field, pts)
+        def counted(grid, exponents, coefficients):
+            sizes.append(grid.size)
+            return original(grid, exponents, coefficients)
 
-        monkeypatch.setattr(FrameField, "coefficient_values", counted)
+        monkeypatch.setattr(HopfGrid, "polynomial_slabs", counted)
         W = rand_perturbation(np.random.default_rng(72))
         for k in range(2, 7):
             dE_at_hopf(k, W)
@@ -351,6 +372,50 @@ class TestHopfLine:
         W = HopfPerturbation(beta=(1.0, 1.0, 0.0))
         with pytest.raises(ZeroHelicityError):
             f_perturbed(W, math.pi)
+
+    @pytest.mark.parametrize("orders", [(24, 48), (8, 16)])
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_bit_identical_to_the_line_energy(self, orders, extra):
+        # The in-place evaluation keeps big_F's arithmetic exactly.
+        grid = shared_grid(*orders)
+        W = self.perturbation(extra)
+        for t in (1e-3, -2e-3, 0.05, -0.5, 0, 2):
+            h = PI ** 2 + t * t * W.helicity()
+            assert f_perturbed(W, t, grid) == big_F(
+                _hopf_line(*W.line_columns(grid), t), grid, h)
+
+    def test_allocates_no_grid_array(self):
+        grid = default_grid()
+        W = self.perturbation(False)
+        f_perturbed(W, 0.05)
+        tracemalloc.start()
+        try:
+            f_perturbed(W, -0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid.size // 4
+
+    def test_accepts_a_fraction_t(self):
+        # ConformalFactor's rule admits any finite real; a Fraction is
+        # taken as its float.
+        W = self.perturbation(False)
+        assert f_perturbed(W, Fraction(1, 20)) == f_perturbed(W, 0.05)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, True,
+                                   np.float64(math.nan), "0.1"])
+    def test_rejects_bad_t(self, t):
+        with pytest.raises(ValueError, match=re.escape(repr(t))):
+            f_perturbed(self.perturbation(False), t)
+
+    @pytest.mark.parametrize("part,size", [("beta", 3), ("a", 8), ("b", 15)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficients(self, part, size, value):
+        coefficients = [0.0] * size
+        coefficients[-1] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"{part} coefficients must be finite, got {value!r}")):
+            HopfPerturbation(**{part: coefficients})
 
 
 def reference_energy_series(field: FrameField):
@@ -702,19 +767,23 @@ class TestLocalMaxScan:
     @pytest.mark.parametrize("samples", [1, 7, 20, 21, 45])
     def test_one_monomial_row_block_per_point_and_sample_block(
             self, monkeypatch, samples):
-        calls = []
-        original = functionals.monomial_rows
+        # Each group of samples is one pass of the grid's polynomial
+        # kernel, whose slabs cover every point once.
+        passes = []
+        original = HopfGrid.polynomial_slabs
 
-        def counted(exponents, tables):
-            calls.append(tables[0].shape[1])
-            return original(exponents, tables)
+        def counted(grid, exponents, coefficients):
+            passes.append([])
+            for block, values in original(grid, exponents, coefficients):
+                passes[-1].append(values.shape[1])
+                yield block, values
 
-        monkeypatch.setattr(functionals, "monomial_rows", counted)
+        monkeypatch.setattr(HopfGrid, "polynomial_slabs", counted)
         local_max_scan(samples=samples, seed=2)
         grid = default_grid()
         groups = -(-samples // functionals._SCAN_GROUP)
-        assert len(calls) == groups * -(-grid.size // _POINT_BLOCK)
-        assert sum(calls) == groups * grid.size
+        assert len(passes) == groups
+        assert [sum(slabs) for slabs in passes] == [grid.size] * groups
 
     @pytest.mark.parametrize("samples", [20, 200])
     def test_memory_stays_under_the_row_matrix(self, samples):

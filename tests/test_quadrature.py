@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from beltrami.exactpoly import Poly4, integrate_monomial
+from beltrami.exactpoly import Poly4, evaluate_polys, integrate_monomial
 from beltrami.frames import hopf_frame
 from beltrami.atlas import explicit_basis
 from beltrami.quadrature import (
@@ -40,6 +41,114 @@ class TestHopfGrid:
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
             HopfGrid(0, 8)
+
+
+class TestOrderValidation:
+    @pytest.mark.parametrize("orders,name", [
+        ((True, 8), "radial_order"), ((2.5, 8), "radial_order"),
+        ((0, 8), "radial_order"), ((-1, 8), "radial_order"),
+        ((8, False), "angular_order"), ((8, 2.5), "angular_order"),
+        ((8, 0), "angular_order")])
+    def test_hopf_grid_rejects(self, orders, name):
+        value = orders[0] if name == "radial_order" else orders[1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an int >= 1, got {value!r}")):
+            HopfGrid(*orders)
+
+    @pytest.mark.parametrize("degree", [True, False, -1, 2.5, "3"])
+    def test_grid_for_degree_rejects(self, degree):
+        with pytest.raises(ValueError, match=re.escape(
+                f"degree must be an int >= 0, got {degree!r}")):
+            grid_for_degree(degree)
+
+    def test_shared_grid_does_not_take_a_bool_for_one(self):
+        assert shared_grid(1, 8).radial_order == 1
+        with pytest.raises(ValueError, match="radial_order"):
+            shared_grid(True, 8)
+
+
+def random_polynomials(rng, count: int, degree: int, reduced: bool,
+                       terms: int = 40):
+    """Distinct exponents of total degree <= degree (x4-exponent <= 1 when
+    reduced) and a (count, m) array of standard normal coefficients."""
+    every = [e for e in np.ndindex(*(degree + 1,) * 4)
+             if sum(e) <= degree and (e[3] <= 1 or not reduced)]
+    chosen = rng.choice(len(every), min(terms, len(every)), replace=False)
+    exponents = [tuple(int(k) for k in every[i]) for i in sorted(chosen)]
+    return exponents, rng.standard_normal((count, len(exponents)))
+
+
+def reference_values(grid: HopfGrid, exponents, coefficients) -> np.ndarray:
+    return evaluate_polys([Poly4(dict(zip(exponents, row)))
+                           for row in coefficients], grid.points)
+
+
+def assert_matches_reference(grid: HopfGrid, exponents, coefficients):
+    values = grid.polynomial_values(exponents, coefficients)
+    assert values.shape == (len(coefficients), grid.size)
+    scale = max(float(np.max(np.abs(coefficients), initial=0.0)), 1.0)
+    error = np.max(np.abs(values - reference_values(grid, exponents,
+                                                    coefficients)))
+    assert error <= 1e-13 * scale
+
+
+class TestPolynomialSlabs:
+    """Values by sum factorization against monomial evaluation."""
+
+    @pytest.mark.parametrize("count", [1, 60])
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_default_grid(self, count, reduced):
+        rng = np.random.default_rng(11 + count + reduced)
+        assert_matches_reference(default_grid(), *random_polynomials(
+            rng, count, 5, reduced))
+
+    @pytest.mark.parametrize("degree", range(21))
+    def test_grid_for_degree(self, degree):
+        # Angular orders degree + 1, odd and even, and radial orders 1..6.
+        grid = grid_for_degree(degree)
+        rng = np.random.default_rng(degree)
+        for reduced in (True, False):
+            assert_matches_reference(grid, *random_polynomials(
+                rng, 3, degree, reduced))
+
+    def test_radial_order_not_a_multiple_of_the_slab(self):
+        # 60 polynomials on 40 x 40 angles take 5 radial nodes per slab.
+        grid = HopfGrid(7, 40)
+        exponents, coefficients = random_polynomials(
+            np.random.default_rng(5), 60, 6, False)
+        blocks = [block for block, _ in grid.polynomial_slabs(exponents,
+                                                              coefficients)]
+        assert blocks == [slice(0, 8000), slice(8000, 11200)]
+        assert_matches_reference(grid, exponents, coefficients)
+
+    def test_one_slab_for_few_polynomials(self):
+        slabs = list(default_grid().polynomial_slabs(
+            [(1, 0, 0, 0)], np.ones((3, 1))))
+        assert [block for block, _ in slabs] == [slice(0, 55296)]
+
+    @pytest.mark.parametrize("count", [1, 60])
+    def test_zero_and_constant_coefficients(self, count):
+        grid = shared_grid(8, 16)
+        exponents, _ = random_polynomials(np.random.default_rng(3), count,
+                                          4, True)
+        zero = grid.polynomial_values(exponents,
+                                      np.zeros((count, len(exponents))))
+        assert not zero.any()
+        constants = np.linspace(-2.0, 3.0, count)[:, None]
+        values = grid.polynomial_values([(0, 0, 0, 0)], constants)
+        assert np.array_equal(values, np.broadcast_to(constants, values.shape))
+        assert not grid.polynomial_values([], np.zeros((count, 0))).any()
+
+    def test_repeated_exponents_add_up(self):
+        grid = shared_grid(4, 8)
+        twice = grid.polynomial_values([(1, 2, 0, 1), (1, 2, 0, 1)],
+                                       [[0.25, 0.5]])
+        once = grid.polynomial_values([(1, 2, 0, 1)], [[0.75]])
+        np.testing.assert_allclose(twice, once, rtol=0, atol=1e-15)
+
+    def test_rejects_mismatched_coefficients(self):
+        with pytest.raises(ValueError, match="coefficient array"):
+            default_grid().polynomial_values([(1, 0, 0, 0)], np.ones((2, 3)))
 
 
 class TestSharedGrid:
