@@ -23,11 +23,14 @@ exact backend.  Rationals come from gmpy2 when available (much faster) and
 fall back to the stdlib Fraction otherwise; both are arbitrary precision.
 
 Coefficients may alternatively be Python floats, which gives a floating
-mirror of the polynomial calculus.  Its remaining users are functionals'
-remainder_field/correction_field and HopfPerturbation.field, and float
-l2_inner.  Every operation takes operands of one kind, exact or float:
-to_float() converts, and so does scale by a float scalar.  Mixing kinds is
-unsupported; under gmpy2, mpq + float is an mpfr, a third numeric type.
+mirror of the polynomial calculus.  Its remaining users are
+AtlasEntry.orthonormal_float_fields (through which every functionals basis
+passes), functionals' remainder_field/correction_field,
+HopfPerturbation.field and the float curl and scale of
+HopfPerturbation.extra fields, and float l2_inner.  Every operation takes
+operands of one kind, exact or float: to_float() converts, and so does
+scale by a float scalar.  Mixing kinds is unsupported; under gmpy2,
+mpq + float is an mpfr, a third numeric type.
 """
 
 from __future__ import annotations

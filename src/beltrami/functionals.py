@@ -11,10 +11,13 @@ evaluated in closed form.  B1's frame coefficients are (1, 0, 0), so
 |B1 + tW|^2 = 1 + 2 t (B1 . W) + t^2 |W|^2 (_hopf_line): f_perturbed and
 local_max_scan take the energy along that line from those two grid columns,
 and every derivative of E reduces to integrals of polynomials in them.
-Those integrands are formed pointwise from the frame coefficients of W on the
-smallest product grid that is exact through their Cartesian degree, so the
-only error left is rounding; the derivatives of F follow by truncated power
-series composition of E^{4/3} / H.
+One truncated-series engine serves every expansion: the power recurrence
+_series_power gives the Taylor coefficients of the density
+(1 + 2t B1 . W + t^2 |W|^2)^{3/4} pointwise, on grid rows of W's frame
+coefficients on the smallest product grid exact through their Cartesian
+degree, so the only error left is rounding; the same recurrence on the
+integrated coefficients, and one series division, give the derivatives of
+F = E^{4/3} / H.
 
 Every other float integral of a product of fields is a product of
 frame-coefficient columns on the grid exact through the factors' summed
@@ -33,9 +36,10 @@ eigenvalues plus explicit fields for the higher eigenspaces; its helicity and
 norm are exact functions of the coefficients.
 
 The module also provides the sixth-order combination 6 DF + 3 D^2F + D^3F +
-D^4F/4 + D^5F/20 + D^6F/120, the cubic remainder and correction fields that
-control it, a quadratic-form second variation of R, and a randomized local
-maximality scan of R around B1.
+D^4F/4 + D^5F/20 + D^6F/120 and its s-graded coefficients along
+B1 + s W1 + s^2 W2 (the same series algebra in s), the cubic remainder and
+correction fields that control it, a quadratic-form second variation of R,
+and a randomized local maximality scan of R around B1.
 """
 
 from __future__ import annotations
@@ -379,22 +383,20 @@ def f_perturbed(W: HopfPerturbation, t: float,
 SERIES_ORDER = 6
 
 
-def _binomial(alpha: float, j: int) -> float:
-    out = 1.0
-    for i in range(j):
-        out *= (alpha - i) / (i + 1)
-    return out
+def _check_order(name: str, k, low: int, high: int) -> None:
+    """Raise ValueError unless k is an int (not a bool) in low..high."""
+    if isinstance(k, bool) or not isinstance(k, int) or not low <= k <= high:
+        raise ValueError(f"{name} must be an int in {low}..{high}, got {k!r}")
 
 
 def _series_at_hopf(W) -> Tuple[Tuple[float, ...], float]:
     """The Taylor coefficients of t -> E(B1 + tW), and int B1 . W.
 
-    The t^k coefficient of the density |B1 + tW|^{3/2} (module docstring),
-    sum over j + i = k of C(3/4, j) C(j, i) (2 w1)^(j - i) |W|^(2i), has
-    Cartesian degree k d for coefficients of degree d, so the grid of
-    degree SERIES_ORDER * d integrates every coefficient exactly.  The sums
-    stay math.fsum: cancellation limits the sixth-order constants from them.
-    A HopfPerturbation keeps its series.
+    The t^k coefficient of the density (1 + 2t w1 + t^2 |W|^2)^{3/4}
+    (module docstring) has Cartesian degree k d for coefficients of degree
+    d, so the grid of degree SERIES_ORDER * d integrates every coefficient
+    exactly.  The sums stay math.fsum: cancellation limits the sixth-order
+    constants from them.  A HopfPerturbation keeps its series.
     """
     if isinstance(W, HopfPerturbation):
         return W._memo("series", lambda: _series_of(*W.coefficients()))
@@ -408,60 +410,45 @@ def _series_of(exponents: Sequence[Exponent],
     grid = grid_for_degree(SERIES_ORDER * _matrix_degree(exponents, matrix))
     w1, w_sq, _ = _to_line_columns(grid.polynomial_values(exponents,
                                                           matrix))
-    return _energy_series(w1, w_sq, grid)
+    return (_energy_series([2.0 * w1, w_sq], grid),
+            math.fsum(grid.weights * w1))
 
 
-def _energy_series(w1: np.ndarray, w_sq: np.ndarray,
-                   grid: HopfGrid) -> Tuple[tuple, float]:
-    """_series_at_hopf from B1 . W and |W|^2 on grid.points."""
-    p, m = 2.0 * w1, w_sq
-    p_powers = [np.ones(grid.size)]
-    for _ in range(SERIES_ORDER):
-        p_powers.append(p_powers[-1] * p)
-    m_powers = [np.ones(grid.size)]
-    for _ in range(SERIES_ORDER // 2):
-        m_powers.append(m_powers[-1] * m)
-    series = []
-    for k in range(SERIES_ORDER + 1):
-        density = sum(_binomial(0.75, k - i) * math.comb(k - i, i)
-                      * p_powers[k - 2 * i] * m_powers[i]
-                      for i in range(k // 2 + 1))
-        series.append(math.fsum(grid.weights * density))
-    return tuple(series), math.fsum(grid.weights * w1)
+def _energy_series(line: Sequence[np.ndarray],
+                   grid: HopfGrid) -> Tuple[float, ...]:
+    """The Taylor coefficients of the energy of B1 + X, through
+    SERIES_ORDER, from those of |B1 + X|^2 - 1 (grid rows, from the first
+    power of the expansion variable on) on grid.points."""
+    padding = [0.0] * (SERIES_ORDER - len(line))
+    density = _series_power([1.0, *line, *padding], 0.75)
+    return tuple(math.fsum(grid.weights * c) for c in density)
 
 
 def dE_at_hopf(k: int, W) -> float:
-    """D^k E(B1)(W, ..., W) for k in 2..6, exact up to rounding."""
-    if not 2 <= k <= 6:
-        raise ValueError(f"derivative order must be 2..6, got {k}")
+    """D^k E(B1)(W, ..., W) for an int k in 2..6, exact up to rounding."""
+    _check_order("derivative order", k, 2, SERIES_ORDER)
     return math.factorial(k) * _series_at_hopf(W)[0][k]
 
 
-def _series_mul(a: List[float], b: List[float]) -> List[float]:
-    n = len(a)
-    out = [0.0] * n
-    for i, ai in enumerate(a):
-        if ai == 0.0:
-            continue
-        for j in range(n - i):
-            out[i + j] += ai * b[j]
+def _series_power(a: Sequence, alpha: float) -> list:
+    """The series a^alpha, as many terms as a, for a[0] > 0.
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7):
+    k a_0 f_k = sum over j = 1..k of ((alpha + 1) j - k) a_j f_{k-j}.
+    Coefficients are floats or (N,) grid rows, taken pointwise; a float
+    coefficient equal to 0.0 is skipped.
+    """
+    terms = [j for j in range(1, len(a))
+             if not (isinstance(a[j], float) and a[j] == 0.0)]
+    out = [a[0] ** alpha]
+    for k in range(1, len(a)):
+        acc = 0.0
+        for j in terms:
+            if j > k:
+                break
+            acc = acc + ((alpha + 1) * j - k) * a[j] * out[k - j]
+        out.append(acc / (k * a[0]))
     return out
-
-
-def _series_power(a: List[float], alpha: float) -> List[float]:
-    """(a0 (1 + x))^alpha for a series a with a[0] > 0."""
-    n = len(a)
-    x = [c / a[0] for c in a]
-    x[0] = 0.0
-    out = [0.0] * n
-    term = [0.0] * n
-    term[0] = 1.0
-    for j in range(n):
-        c = _binomial(alpha, j)
-        for i in range(n):
-            out[i] += c * term[i]
-        term = _series_mul(term, x)
-    return [a[0] ** alpha * c for c in out]
 
 
 def _series_div(a: List[float], b: List[float]) -> List[float]:
@@ -475,35 +462,30 @@ def _series_div(a: List[float], b: List[float]) -> List[float]:
     return out
 
 
-def _f_series(e: Sequence[float], h1: float, helicity: float) -> List[float]:
-    """Taylor coefficients of F(B1 + tW) from those of E, int B1 . W, H(W)."""
-    h = [0.0] * (SERIES_ORDER + 1)
-    h[0] = math.pi ** 2
-    h[1] = h1  # (B1, W) = 2 (curl^{-1} B1, W)
-    h[2] = helicity
+def _f_series(e: Sequence[float], helicity: Sequence[float]) -> List[float]:
+    """Taylor coefficients of F = E^{4/3} / H from those of E and of
+    H - pi^2 (from the first power of the expansion variable on)."""
+    h = [math.pi ** 2, *helicity, *[0.0] * (len(e) - 1 - len(helicity))]
     return _series_div(_series_power(e, 4.0 / 3.0), h)
 
 
 def dF_at_hopf(k: int, W: HopfPerturbation) -> float:
-    """D^k F(B1)(W, ..., W) for k in 1..6 by series composition of E^{4/3}/H."""
-    if not 1 <= k <= 6:
-        raise ValueError(f"derivative order must be 1..6, got {k}")
-    return math.factorial(k) * _f_series(*_series_at_hopf(W), W.helicity())[k]
+    """D^k F(B1)(W, ..., W) for an int k in 1..6 by series composition of
+    E^{4/3}/H."""
+    _check_order("derivative order", k, 1, SERIES_ORDER)
+    e, h1 = _series_at_hopf(W)  # (B1, W) = 2 (curl^{-1} B1, W)
+    return math.factorial(k) * _f_series(e, (h1, W.helicity()))[k]
 
 
 def taylor6_combination(W: HopfPerturbation) -> float:
     """6 DF + 3 D^2F + D^3F + D^4F/4 + D^5F/20 + D^6F/120 at B1.
 
-    Equals 6! times the sum of the first six Taylor coefficients of
+    With D^k F = k! c_k every weight collapses to 6, so the combination is
+    6 times the sum of the Taylor coefficients c_1 .. c_6 of
     t -> F(B1 + tW).
     """
-    return _taylor6(_f_series(*_series_at_hopf(W), W.helicity()))
-
-
-def _taylor6(series: Sequence[float]) -> float:
-    # With D^k F = k! c_k every weight collapses to 6, so the combination is
-    # 6 times the sum of the Taylor coefficients c_1 .. c_6.
-    return 6.0 * math.fsum(series[1:])
+    e, h1 = _series_at_hopf(W)
+    return 6.0 * math.fsum(_f_series(e, (h1, W.helicity()))[1:])
 
 
 def second_variation_R(Y1: FrameField, W) -> float:
@@ -694,7 +676,8 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
 
 
 # ---------------------------------------------------------------------------
-# s-graded series extraction (used to verify the sixth-order expansion)
+# s-graded coefficients (used to verify the sixth-order expansion): the
+# series of F along B1 + s W1 + s^2 W2, composed in s by the t-series engine
 
 
 def perturbation_scaled(W1: HopfPerturbation, W2: HopfPerturbation,
@@ -715,37 +698,32 @@ def perturbation_scaled(W1: HopfPerturbation, W2: HopfPerturbation,
 
 def graded_coefficient(W1: HopfPerturbation, W2: HopfPerturbation,
                        degree: int = 6) -> float:
-    """Coefficient of s^degree in s -> taylor6_combination(s W1 + s^2 W2).
+    """Coefficient of s^degree in s -> taylor6_combination(s W1 + s^2 W2),
+    for an int degree in 1..6.
 
-    The combination is a polynomial of degree at most 12 in s; its even part
-    is sampled at positive nodes and the coefficient is recovered from a
-    Vandermonde solve in s^2 (odd degrees use the odd part).  A sample's
-    values are s (V1 + s V2) on the series grid, its helicity by polarization.
+    The t^k term of the combination is homogeneous of degree k in W, so it
+    starts at s^k and no term past t^6 reaches s^6: the coefficient is
+    6 [s^degree] F(B1 + s W1 + s^2 W2), composed in s by _f_series.  With
+    V1, V2 the values of W1, W2 on the series grid,
+
+        |B1 + s V1 + s^2 V2|^2 - 1 = 2s (B1 . V1) + s^2 (2 B1 . V2 + |V1|^2)
+                                     + 2s^3 (V1 . V2) + s^4 |V2|^2,
+
+    and the helicity is pi^2 + s int B1 . W1 + s^2 (int B1 . W2 + H(W1))
+    + s^3 h12 + s^4 H(W2), the cross term h12 by polarization.
     """
+    _check_order("degree", degree, 1, SERIES_ORDER)
     grid = grid_for_degree(SERIES_ORDER * max(
         _matrix_degree(*W.coefficients()) for W in (W1, W2)))
     v1, v2 = (grid.polynomial_values(*W.coefficients()) for W in (W1, W2))
+    dot = functools.partial(np.einsum, "an,an->n")
+    line = [2.0 * v1[0], 2.0 * v2[0] + dot(v1, v1), 2.0 * dot(v1, v2),
+            dot(v2, v2)]
     h1, h2 = W1.helicity(), W2.helicity()
     h12 = perturbation_scaled(W1, W2, 1.0).helicity() - h1 - h2
-
-    def combination(s: float) -> float:
-        w1, w_sq, _ = _to_line_columns(s * (v1 + s * v2))
-        return _taylor6(_f_series(*_energy_series(w1, w_sq, grid),
-                                  s * s * (h1 + s * h12 + s * s * h2)))
-
-    nodes = np.linspace(0.4, 1.0, 7)
-    even = degree % 2 == 0
-    samples = []
-    for s in nodes:
-        g_plus, g_minus = combination(float(s)), combination(float(-s))
-        samples.append((g_plus + g_minus) / 2 if even else (g_plus - g_minus) / 2)
-    x = nodes ** 2
-    vander = np.vander(x, 7, increasing=True)
-    if even:
-        coeffs = np.linalg.solve(vander, np.array(samples))
-        return float(coeffs[degree // 2])
-    coeffs = np.linalg.solve(vander * nodes[:, None], np.array(samples))
-    return float(coeffs[(degree - 1) // 2])
+    h = (math.fsum(grid.weights * v1[0]),
+         math.fsum(grid.weights * v2[0]) + h1, h12, h2)
+    return 6.0 * _f_series(_energy_series(line, grid), h)[degree]
 
 
 # The sixth derivative of (1 + u)^{3/4} forces the (B1 . W)^6 coefficient
@@ -948,14 +926,14 @@ IDENTITIES = {
         "squared norm of the correction field equals "
         "(151/(90 pi^4)) |Z2|^6", "151/90 * pi^-4", 1e-8),
     "d6f-z2-leading": (
-        "leading coefficient of D^6 F at B1 along Z2", "", 1e-8),
+        "leading coefficient of D^6 F at B1 along Z2", "", 1e-12),
     "d6f-z2-leading-reference": (
         "reference value of the D^6 F leading coefficient", "", 1e-8,
         "discrepancy: the reference constant descends from a (B1.W)^6 "
         "coefficient of -1755 in D^6 E where the series forces -1989"),
     "degenerate-sixth-order-leading": (
         "leading constant of the sixth-order combination on the degenerate "
-        "locus", "", 1e-7),
+        "locus", "", 1e-12),
     "degenerate-sixth-order-leading-reference": (
         "reference value of the degenerate-locus leading constant", "", 1e-7,
         "discrepancy: inherits the (B1.W)^6 slip in D^6 E"),

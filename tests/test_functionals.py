@@ -559,6 +559,97 @@ class TestSixthOrderStructure:
         assert taylor6_combination(HopfPerturbation()) == 0.0
 
 
+def sampled_graded_coefficients(W1: HopfPerturbation,
+                                W2: HopfPerturbation) -> list:
+    """Reference: the s^1..s^6 coefficients of the degree-12 polynomial
+    s -> taylor6_combination(s W1 + s^2 W2), from its even and odd parts
+    sampled at +-s for seven nodes s and a Vandermonde solve in s^2."""
+    nodes = np.linspace(0.4, 1.0, 7)
+    plus, minus = (np.array([taylor6_combination(
+        perturbation_scaled(W1, W2, sign * float(s))) for s in nodes])
+        for sign in (1, -1))
+    vander = np.vander(nodes ** 2, 7, increasing=True)
+    even = np.linalg.solve(vander, (plus + minus) / 2)
+    odd = np.linalg.solve(vander * nodes[:, None], (plus - minus) / 2)
+    return [float((odd if d % 2 else even)[d // 2]) for d in range(1, 7)]
+
+
+class TestGradedCoefficient:
+    """graded_coefficient composes the s-series directly."""
+
+    def test_degenerate_locus_constant_to_rounding(self):
+        b10, b12, b15 = degenerate_coefficients(1.0, 0.0)
+        bvec = [0.0] * 15
+        bvec[9], bvec[11], bvec[14] = b10, b12, b15
+        W1 = HopfPerturbation(a=[0, 0, 0, 0, 1.0, 0, 0, 0])
+        W2 = HopfPerturbation(b=bvec)
+        expected = hopf_prefactor() * DEGENERATE_LEADING / PI ** 4
+        assert graded_coefficient(W1, W2, 6) == pytest.approx(expected,
+                                                              rel=1e-12)
+
+    def test_matches_sampled_vandermonde_fit(self):
+        rng = np.random.default_rng(97)
+        fields = explicit_basis(5).fields
+        W1, W2 = (HopfPerturbation(
+            beta=rng.standard_normal(3), a=rng.standard_normal(8),
+            b=rng.standard_normal(15),
+            extra={4: fields[i].to_float().scale(0.4)}) for i in (0, 5))
+        reference = sampled_graded_coefficients(W1, W2)
+        values = [graded_coefficient(W1, W2, d) for d in range(1, 7)]
+        assert abs(values[0]) < 1e-13
+        for value, expected in zip(values[1:], reference[1:]):
+            assert value == pytest.approx(expected, rel=1e-8)
+
+
+class TestSeriesPower:
+    def test_rows_bit_identical_to_points(self):
+        rng = np.random.default_rng(89)
+        rows = rng.standard_normal((4, 50))
+        a = [1.7, rows[0], rows[1], 0.0, rows[2], 0.0, rows[3]]
+        for alpha in (0.75, 4.0 / 3.0):
+            series = _series_power(a, alpha)
+            for i, point in enumerate(rows.T.tolist()):
+                expected = _series_power(
+                    [1.7, point[0], point[1], 0.0, point[2], 0.0, point[3]],
+                    alpha)
+                assert [float(np.broadcast_to(c, 50)[i])
+                        for c in series] == expected
+
+    def test_square_root_of_a_square(self):
+        x = np.random.default_rng(83).standard_normal(20)
+        series = _series_power([1.0, 2.0 * x, x * x] + [0.0] * 4, 0.5)
+        assert series[0] == 1.0
+        assert np.max(np.abs(series[1] - x)) <= 1e-15
+        for c in series[2:]:
+            assert np.max(np.abs(c)) <= 1e-15
+
+
+class TestDerivativeOrders:
+    """Derivative orders and degrees are ints in range, not bools."""
+
+    @staticmethod
+    def assert_rejected(call, value):
+        with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
+            call(value)
+
+    @pytest.mark.parametrize("k", [True, False, 0, 7, 2.0, 2.5, "2"])
+    def test_dF_at_hopf(self, k):
+        W = HopfPerturbation(a=[1.0] + [0.0] * 7)
+        self.assert_rejected(lambda value: dF_at_hopf(value, W), k)
+
+    @pytest.mark.parametrize("k", [True, 1, 7, 2.5, 6.0])
+    def test_dE_at_hopf(self, k):
+        W = HopfPerturbation(a=[1.0] + [0.0] * 7)
+        self.assert_rejected(lambda value: dE_at_hopf(value, W), k)
+
+    @pytest.mark.parametrize("degree", [-1, 0, 7, 13, 2.0, True])
+    def test_graded_coefficient(self, degree):
+        W1 = HopfPerturbation(a=[0, 0, 0, 0, 1.0, 0, 0, 0])
+        W2 = HopfPerturbation(b=[1.0] + [0.0] * 14)
+        self.assert_rejected(
+            lambda value: graded_coefficient(W1, W2, value), degree)
+
+
 class TestRemainderAndCorrection:
     def test_span_validation(self):
         with pytest.raises(SpanError):
