@@ -79,8 +79,7 @@ class ConformalFactor:
     """
 
     def __init__(self, q: SphereScalar, t: float):
-        if not isinstance(q, SphereScalar):
-            raise TypeError("q must be a SphereScalar")
+        _check_factor(q)
         if (isinstance(t, bool) or not isinstance(t, numbers.Real)
                 or not math.isfinite(t)):
             raise ValueError(f"t must be a finite real number, got {t!r}")
@@ -124,6 +123,17 @@ class ConformalFactor:
         return self._volume
 
 
+def _check_factor(q: SphereScalar, manifold: str = "s3") -> None:
+    """TypeError unless q is a SphereScalar; on RP^3, ParityError if it is
+    antipodally odd in part, so that 1 + t q does not descend."""
+    if not isinstance(q, SphereScalar):
+        raise TypeError("q must be a SphereScalar")
+    if manifold == "rp3" and not q.odd_part.is_zero():
+        raise ParityError(
+            "the conformal factor has an antipodally odd part and does not "
+            "descend to RP^3")
+
+
 def _factor_terms(q: SphereScalar) -> tuple:
     """The terms of q's representative as sorted (e, c_e) pairs."""
     return tuple(sorted(q.representative().terms.items()))
@@ -164,7 +174,7 @@ class _BasisData:
     whitening @ fields: the inverse Cholesky factor of the float Gram block
     of each eigenspace and of the gradients, so the round Gram matrix is I
     and the curl matrix a is diag(mus), both exactly in rationals.  P holds
-    the whitened columns' coefficients.
+    the columns' coefficients; levels[i] is the least dmax holding column i.
     """
 
     def __init__(self, manifold: str, dmax: int):
@@ -179,12 +189,13 @@ class _BasisData:
             for f in result.eigenspaces[mu].fields():
                 fields.append(f)
                 mus.append(mu)
-        gradients = [grad(canonicalize(Poly4.monomial(e)))
-                     for p in ((0, 1) if manifold == "s3" else (0,))
+        monomials = [e for p in ((0, 1) if manifold == "s3" else (0,))
                      for e in _reduced_monomials(dmax + 1, p) if any(e)]
-        self.gradient_count = len(gradients)
-        fields.extend(gradients)
-        mus.extend([0] * len(gradients))
+        self.levels = np.array([abs(mu) - 2 for mu in mus]
+                               + [sum(e) - 1 for e in monomials])
+        self.gradient_count = len(monomials)
+        fields.extend(grad(canonicalize(Poly4.monomial(e))) for e in monomials)
+        mus.extend([0] * len(monomials))
         self.fields = fields
         self.column_eigenvalues = tuple(mus)
         self.mus = np.array(mus, dtype=float)
@@ -268,6 +279,13 @@ class GalerkinPencil:
     gradient_count: int
     volume: float
 
+    def principal_block(self, keep: np.ndarray, dmax: int) -> GalerkinPencil:
+        """The pencil on the columns a boolean mask keeps, gradients last."""
+        i = np.flatnonzero(keep)
+        mus = tuple(self.column_eigenvalues[k] for k in i)
+        return GalerkinPencil(self.manifold, dmax, self.a[i][:, i],
+                              self.b[i][:, i], mus, mus.count(0), self.volume)
+
     def eigenvalues(self) -> np.ndarray:
         """All generalized eigenvalues, ascending.
 
@@ -305,11 +323,8 @@ def assemble_pencil(manifold: str, cf: ConformalFactor,
     fields that descend through the antipodal map, and the volume is half
     the spherical one.
     """
+    _check_factor(cf.q, manifold)
     data = _basis_data(manifold, dmax)
-    if manifold == "rp3" and not cf.q.odd_part.is_zero():
-        raise ParityError(
-            "the conformal factor has an antipodally odd part and does not "
-            "descend to RP^3")
     if cf.is_trivial():
         b = np.eye(data.a.shape[0])
     else:
@@ -343,16 +358,15 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     """Scan normalized first eigenvalues over conformal perturbations.
 
     qs is a sequence of (label, scalar) pairs.  For each factor and each
-    amplitude t the normalized eigenvalue is computed at degree caps dmax
-    and dmax + 1; a row passes when the refinement moves it by less than
-    1e-4, it clears the (16/pi)^(1/3) lower bound, and it is no smaller
-    than the t = 0 value of its own factor minus 1e-6 (so the undeformed
-    metric is the grid minimum).  dmax must be an int (not a bool) and the
-    amplitudes finite and distinct; otherwise ValueError is raised.  The
-    trial bases at dmax and dmax + 1 are built before the first row, so
-    each row's wall_time is the time, in seconds, to build and solve the
-    two pencils of its amplitude only; the t = 0 pencils are round (b = I),
-    so that row's time covers no eigensolve (GalerkinPencil.eigenvalues).
+    amplitude t the normalized eigenvalue is computed at degree cap
+    dmax + 1, and at dmax from the principal block of that pencil on the
+    columns of level <= dmax (RuntimeError unless no kept whitened column
+    uses a dropped field); a row passes when the refinement moves it by
+    less than 1e-4, it clears the (16/pi)^(1/3) lower bound, and it is no
+    smaller than the t = 0 value of its own factor minus 1e-6 (so the
+    undeformed metric is the grid minimum).  dmax must be an int (not a
+    bool) and the amplitudes finite and distinct; otherwise ValueError is
+    raised.
     """
     if (isinstance(dmax, bool) or not isinstance(dmax, int)
             or not 0 <= dmax < DEFAULT_DMAX_LIMIT):
@@ -368,16 +382,21 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     if any(abs(t) > 0.05 for t in amplitudes):
         raise ValueError("amplitudes beyond 0.05 leave the perturbative "
                          "regime of the scan")
-    _basis_data(manifold, dmax)
-    _basis_data(manifold, dmax + 1)
+    qs = list(qs)
+    for _, q in qs:
+        _check_factor(q, manifold)
+    data = _basis_data(manifold, dmax + 1)
+    keep = data.levels <= dmax
+    if np.any(data.whitening[keep][:, ~keep]):
+        raise RuntimeError("a kept whitened column uses a dropped field")
     rows: List[dict] = []
     for label, q in qs:
         values = {}
         for t in amplitudes:
             start = time.perf_counter()
             cf = ConformalFactor(q, t)
-            coarse = mu1_normalized(manifold, cf, dmax)
             fine_pencil = assemble_pencil(manifold, cf, dmax + 1)
+            coarse = fine_pencil.principal_block(keep, dmax).mu1_normalized()
             mu1 = fine_pencil.mu1()
             values[t] = (coarse, mu1 * fine_pencil.volume ** (1.0 / 3.0),
                          mu1, time.perf_counter() - start)

@@ -15,10 +15,11 @@ import numpy as np
 def inverse_cholesky(b: np.ndarray) -> np.ndarray:
     """The inverse W of the lower Cholesky factor of b, so W b W^T = I.
 
-    b must be symmetric positive definite; otherwise
-    numpy.linalg.LinAlgError is raised.
+    W is lower triangular exactly (the residues a pivoted inverse leaves
+    above the diagonal are dropped).  b must be symmetric positive
+    definite; otherwise numpy.linalg.LinAlgError is raised.
     """
-    return np.linalg.inv(np.linalg.cholesky(b))
+    return np.tril(np.linalg.inv(np.linalg.cholesky(b)))
 
 
 def eigvalsh_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,21 @@ class TestCommands:
             pytest.approx(-0.25, abs=1e-12)
         assert records["torus-diagonal-factor-minimum"][
             "expected_exact"] == "-1/4"
+
+    def test_sphere_scan(self, tmp_path):
+        out = tmp_path / "s3.json"
+        assert main(["--command", "optimality-scan", "--manifold", "s3",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        records = payload["records"]
+        assert len(records) == 7 * 7
+        assert payload["pass"] and all(r["passed"] for r in records)
+        round_value = 2.0 * (2.0 * math.pi ** 2) ** (1.0 / 3.0)
+        at_zero = [r for r in records if r["check"].endswith("-t+0.00")]
+        assert len(at_zero) == 7
+        for record in at_zero:
+            assert abs(record["computed"] - round_value) <= \
+                payload["config"]["tol_exact"]
 
     def test_scan_rows_are_timed_one_by_one(self, tmp_path):
         out = tmp_path / "rp3.json"

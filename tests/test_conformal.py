@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -12,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beltrami import conformal
+from beltrami import cli, conformal
 from beltrami.atlas import explicit_basis
 from beltrami.conformal import (
     DEFAULT_AMPLITUDES,
@@ -532,7 +533,8 @@ class TestOptimalityScan:
 
         monkeypatch.setattr(conformal, "_basis_data", slow_basis_data)
         rows = optimality_scan([("x1^2-x2^2", Q_EVEN)], "rp3", dmax=1)
-        assert built == {("rp3", 1), ("rp3", 2)}
+        # The dmax 1 pencil is a principal block of the dmax 2 one.
+        assert built == {("rp3", 2)}
         assert all(0 < row["wall_time"] < delay for row in rows)
 
     @pytest.mark.parametrize("manifold", ["s3", "rp3"])
@@ -555,15 +557,44 @@ class TestOptimalityScan:
         rows = optimality_scan([("q", q)], manifold, dmax=2)
         round_value = 2.0 * (2 * math.pi ** 2 * (
             0.5 if manifold == "rp3" else 1.0)) ** (1.0 / 3.0)
+        keep = _basis_data(manifold, 3).levels <= 2
         for row in rows:
             cf = ConformalFactor(q, row["t"])
-            fine = assemble_pencil(manifold, cf, 3).mu1_normalized()
-            coarse = assemble_pencil(manifold, cf, 2).mu1_normalized()
+            fine_pencil = assemble_pencil(manifold, cf, 3)
+            fine = fine_pencil.mu1_normalized()
+            coarse = fine_pencil.principal_block(keep, 2).mu1_normalized()
             assert row["mu1_normalized"] == fine
             assert row["refinement_delta"] == abs(fine - coarse)
+            # The block and the standalone dmax 2 pencil are congruent, so
+            # they agree to rounding.
+            standalone = assemble_pencil(manifold, cf, 2).mu1_normalized()
+            assert coarse == pytest.approx(standalone, rel=1e-14, abs=0)
             if row["t"] == 0.0:
                 assert row["mu1_normalized"] == round_value
                 assert row["mu1"] == 2.0 and row["refinement_delta"] == 0.0
+
+    def test_checks_factors_before_building_a_basis(self, monkeypatch):
+        calls = []
+
+        def counted(manifold, dmax):
+            calls.append((manifold, dmax))
+            return _basis_data(manifold, dmax)
+
+        monkeypatch.setattr(conformal, "_basis_data", counted)
+        with pytest.raises(ParityError, match="descend to RP"):
+            optimality_scan([("even", Q_EVEN), ("odd", Q_ODD)], "rp3",
+                            dmax=1)
+        with pytest.raises(ParityError, match="descend to RP"):
+            assemble_pencil("rp3", ConformalFactor(Q_ODD, 0.01), 1)
+        with pytest.raises(TypeError, match="SphereScalar"):
+            optimality_scan([("q", 1.0)], "s3", dmax=1)
+        assert calls == []
+
+    def test_takes_the_factors_in_one_pass(self):
+        # The factors are checked before any row, so an iterator of them
+        # must still give every row.
+        rows = optimality_scan(iter([("even", Q_EVEN)]), "rp3", dmax=1)
+        assert len(rows) == len(DEFAULT_AMPLITUDES)
 
     def test_requires_zero_amplitude(self):
         with pytest.raises(ValueError):
@@ -591,6 +622,66 @@ class TestOptimalityScan:
         with pytest.raises(ValueError, match="distinct"):
             optimality_scan([("q", Q_EVEN)], "s3", amplitudes=amplitudes,
                             dmax=1)
+
+
+class TestPrincipalBlock:
+    """The dmax pencil is the principal block of the dmax + 1 pencil on the
+    columns of level <= dmax."""
+
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    @pytest.mark.parametrize("dmax", [0, 1, 2, 3])
+    def test_kept_columns_are_the_coarse_basis(self, manifold, dmax):
+        fine = _basis_data(manifold, dmax + 1)
+        coarse = _basis_data(manifold, dmax)
+        keep = fine.levels <= dmax
+        assert not np.any(fine.whitening[np.ix_(keep, ~keep)])
+        kept = np.compress(keep, fine.column_eigenvalues).tolist()
+        # Eigenspaces in the same order, so the same multiset of eigenvalues.
+        assert kept == list(coarse.column_eigenvalues)
+        assert np.count_nonzero(keep[fine.eigen_count:]) == \
+            coarse.gradient_count
+        # The gradients stay last.
+        assert kept[coarse.eigen_count:] == [0] * coarse.gradient_count
+
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    @pytest.mark.parametrize("dmax", [0, 1, 2, 3])
+    def test_block_is_the_coarse_pencil(self, manifold, dmax):
+        keep = _basis_data(manifold, dmax + 1).levels <= dmax
+        for _, q in cli._scan_factors(manifold):
+            for t in DEFAULT_AMPLITUDES:
+                cf = ConformalFactor(q, t)
+                block = assemble_pencil(manifold, cf, dmax + 1) \
+                    .principal_block(keep, dmax)
+                standalone = assemble_pencil(manifold, cf, dmax)
+                assert block.dmax == dmax
+                assert block.gradient_count == standalone.gradient_count
+                assert block.column_eigenvalues == \
+                    standalone.column_eigenvalues
+                assert block.mu1_normalized() == pytest.approx(
+                    standalone.mu1_normalized(), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    def test_check_holds_at_the_largest_scan_dmax(self, manifold):
+        # The whitening is lower triangular exactly, so the check cannot
+        # trip on a rounding residue; at dmax 4 a pivoted inverse of the
+        # gradient factor left ones of order 1e-15 between kept and dropped
+        # columns.
+        data = _basis_data(manifold, 5)
+        assert not np.any(np.triu(data.whitening, 1))
+        keep = data.levels <= 4
+        assert not np.any(data.whitening[np.ix_(keep, ~keep)])
+        assert np.count_nonzero(keep) == len(_basis_data(manifold, 4).mus)
+
+    def test_coupling_to_a_dropped_column_raises(self, monkeypatch):
+        data = copy.copy(_basis_data("s3", 2))
+        keep = data.levels <= 1
+        # A kept gradient column picks up the smallest positive multiple of
+        # a dropped gradient: no tolerance forgives it.
+        data.whitening = data.whitening.copy()
+        data.whitening[np.flatnonzero(keep)[-1], -1] = np.nextafter(0, 1)
+        monkeypatch.setattr(conformal, "_basis_data", lambda m, d: data)
+        with pytest.raises(RuntimeError, match="dropped field"):
+            optimality_scan([("q", Q_EVEN)], "s3", dmax=1)
 
 
 class TestPushforward:

@@ -20,6 +20,17 @@ class TestInverseCholesky:
         w = inverse_cholesky(b)
         np.testing.assert_allclose(w @ b @ w.T, np.eye(9), atol=1e-12)
 
+    def test_is_lower_triangular_exactly(self):
+        # The Cholesky factor of this matrix has entries below the diagonal
+        # larger than the diagonal, so a pivoted inverse of it leaves
+        # residues of order 1e-16 above the diagonal.
+        x = np.random.default_rng(1).standard_normal((30, 30))
+        b = x @ x.T + 1e-3 * np.eye(30)
+        w = inverse_cholesky(b)
+        assert not np.any(np.triu(w, 1))
+        np.testing.assert_allclose(w @ np.linalg.cholesky(b), np.eye(30),
+                                   atol=1e-12)
+
     def test_indefinite_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             inverse_cholesky(np.diag([1.0, -1.0]))
