@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from beltrami.exactpoly import (
     ExactScalar,

@@ -59,7 +59,6 @@ from beltrami.frames import (FrameField, coefficient_tensor, curl, divergence,
                              grad, hopf_frame)
 from beltrami.quadrature import (HopfGrid, default_grid, grid_for_degree,
                                  integrate_scalar)
-from beltrami import solver as _solver
 
 MU1 = 2  # first positive curl eigenvalue on the round S^3
 

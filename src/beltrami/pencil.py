@@ -1,10 +1,10 @@
 """Eigenvalues of symmetric-definite generalized pencils, in numpy alone.
 
-eigvalsh_definite solves a general pencil A x = lambda B x by Cholesky
-reduction.  eigvalsh_diagonal solves the curl pencils of an orthonormal
-trial basis, whose A is diagonal with an exactly zero trailing block: one
-Cholesky factor of B and one symmetric eigensolve of the reciprocal pencil,
-with no inverse and no Schur-complement solve.
+eigvalsh_diagonal solves every curl pencil, on S^3, RP^3 and T^3: in an
+orthonormal trial basis A is diagonal with an exactly zero trailing block
+(the gradients; none on T^3).  It takes one Cholesky factor of B and one
+symmetric eigensolve of the reciprocal pencil, with no inverse and no
+Schur-complement solve.
 """
 
 from __future__ import annotations
@@ -20,20 +20,6 @@ def inverse_cholesky(b: np.ndarray) -> np.ndarray:
     definite; otherwise numpy.linalg.LinAlgError is raised.
     """
     return np.tril(np.linalg.inv(np.linalg.cholesky(b)))
-
-
-def eigvalsh_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of A x = lambda B x.
-
-    A must be symmetric and B symmetric positive definite.  The Cholesky
-    factor B = L L^T turns the pencil into the standard symmetric problem
-    L^-1 A L^-T (Golub & Van Loan, Matrix Computations, section 8.7).  A B
-    that is not positive definite raises numpy.linalg.LinAlgError.
-    """
-    # numpy has no triangular solve; one inverse and two products beat the
-    # two general solves that would form L^-1 A L^-T.
-    inverse = inverse_cholesky(b)
-    return np.linalg.eigvalsh(inverse @ a @ inverse.T)
 
 
 def checked_diagonal(a: np.ndarray, zeros: int) -> np.ndarray:

@@ -20,20 +20,25 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .pencil import eigvalsh_definite
+from .pencil import eigvalsh_diagonal
 
 Wavevector = Tuple[int, int, int]
 
 VOLUME = (2.0 * math.pi) ** 3
 
+_NORM_SQ = 2.0 * VOLUME  # of each field of beltrami_basis (two unit modes)
+
 _SYMMETRY_TOLERANCE = 1e-12
 
 
 def _as_wavevector(k: Iterable[int]) -> Wavevector:
-    k = tuple(int(a) for a in k)
-    if len(k) != 3:
-        raise ValueError(f"wavevectors have three components, got {k}")
-    return k
+    """k as three ints; ValueError unless they are integers, not bools."""
+    k = tuple(k)
+    if len(k) != 3 or not all(isinstance(a, numbers.Integral)
+                              and not isinstance(a, bool) for a in k):
+        raise ValueError(
+            f"wavevectors have three integer components, got {k!r}")
+    return tuple(int(a) for a in k)
 
 
 def _check_real(value, name: str):
@@ -83,14 +88,19 @@ class TorusScalar:
     def cosine(k: Iterable[int], amplitude: float = 1.0) -> "TorusScalar":
         """amplitude * cos(k . x); the amplitude is a finite real number."""
         k = _as_wavevector(k)
-        half = 0.5 * _check_real(amplitude, "amplitude")
-        return TorusScalar({k: half, _neg(k): half})
+        amplitude = _check_real(amplitude, "amplitude")
+        if k == (0, 0, 0):
+            return TorusScalar.const(amplitude)
+        return TorusScalar({k: 0.5 * amplitude, _neg(k): 0.5 * amplitude})
 
     @staticmethod
     def sine(k: Iterable[int], amplitude: float = 1.0) -> "TorusScalar":
         """amplitude * sin(k . x); the amplitude is a finite real number."""
         k = _as_wavevector(k)
-        half = _check_real(amplitude, "amplitude") / 2j
+        amplitude = _check_real(amplitude, "amplitude")
+        if k == (0, 0, 0):
+            return TorusScalar.zero()
+        half = amplitude / 2j
         return TorusScalar({k: half, _neg(k): -half})
 
     def __add__(self, other: "TorusScalar") -> "TorusScalar":
@@ -305,8 +315,7 @@ def _pair_tables(kmax: int):
     a = np.array([list(f.modes.values()) for f in fields]).swapaxes(0, 1)
     a = a.reshape(-1, 3)
     products = (a @ a.T).reshape(2, len(fields), 2, -1).swapaxes(1, 2).copy()
-    return (fields, np.array(mus), waves, products,
-            _weighted_mass(waves, products, {(0, 0, 0): 1.0}))
+    return fields, np.array(mus), waves, products
 
 
 def _weighted_mass(waves, products, modes: Dict[Wavevector, complex]):
@@ -319,40 +328,43 @@ def _weighted_mass(waves, products, modes: Dict[Wavevector, complex]):
 
 
 class TorusPencil:
-    """The pencil A c = mu B(t) c for the metric (1 + t q)^2 delta on T^3.
+    """The pencil a c = mu b(t) c for the metric (1 + t q)^2 delta on T^3.
 
-    A holds the curl pairings of the Beltrami basis and B(t) the mass
-    matrix weighted by 1 + t q; both are exact by trigonometric
-    orthogonality.  t must be a finite real number and not a bool.
+    The Beltrami basis is orthogonal with every squared norm N = 2 (2 pi)^3,
+    so in the normalized basis a = diag(mu) and b(t) = I + t mass_q / N,
+    where mass_q holds integral q <e_i, e_j>: the orthonormal form of the
+    conformal pencil on S^3, with no zero block.  q must be a TorusScalar
+    (TypeError otherwise) and t a finite real number and not a bool.
     """
 
     def __init__(self, q: TorusScalar, t: float, kmax: int):
+        if not isinstance(q, TorusScalar):
+            raise TypeError("q must be a TorusScalar")
         self.q = q
         self.t = _check_real(t, "t")
         self.kmax = kmax
-        self.fields, self.mus, waves, products, self.gram = _pair_tables(kmax)
+        self.fields, self.mus, waves, products = _pair_tables(kmax)
         self.mass_q = _weighted_mass(waves, products, q.modes)
-        weighted = self.mus[:, None] * self.gram
-        self.a = 0.5 * (weighted + weighted.T)
-        self.b = self.gram + t * self.mass_q
+        self.a = np.diag(self.mus)
+        self.b = np.eye(len(self.mus)) + (t / _NORM_SQ) * self.mass_q
 
     def eigenvalues(self) -> np.ndarray:
-        return eigvalsh_definite(self.a, self.b)
+        return eigvalsh_diagonal(self.a, self.b, 0)
 
     def mu1_group_derivatives(self) -> np.ndarray:
         """First-order t-derivatives of the smallest positive eigenvalue
         group at t = 0.
 
         The group at mu = 1 is degenerate, so the derivatives are the
-        eigenvalues of the perturbation form -mu1 <q e_i, e_j> projected
-        onto the group, in the metric of the unweighted mass matrix.
+        eigenvalues of the whitened mass block -mass_q / (2 (2 pi)^3) on
+        the columns with mu == 1.0 (exact, as sqrt(1) is 1.0): no pencil
+        is solved.
         """
-        group = np.nonzero(np.abs(self.mus - 1.0) < 1e-12)[0]
+        group = np.nonzero(self.mus == 1.0)[0]
         if group.size == 0:
             raise RuntimeError("the basis carries no eigenvalue-one group")
-        sub_gram = self.gram[np.ix_(group, group)]
-        sub_mass = self.mass_q[np.ix_(group, group)]
-        return eigvalsh_definite(-1.0 * sub_mass, sub_gram)
+        return np.linalg.eigvalsh(-self.mass_q[np.ix_(group, group)]
+                                  / _NORM_SQ)
 
 
 def torus_pencil(q: TorusScalar, t: float = 0.0,

@@ -35,3 +35,13 @@ def sphere_points(rng_seed: int, n: int) -> np.ndarray:
     gen = np.random.default_rng(rng_seed)
     pts = gen.standard_normal((n, 4))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def cholesky_reduction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a x = lambda b x for symmetric a and
+    positive definite b = L L^T, as those of L^-1 a L^-T (Golub & Van Loan,
+    Matrix Computations, section 8.7): a reference that shares no code with
+    beltrami.pencil."""
+    factor = np.linalg.cholesky(b)
+    return np.linalg.eigvalsh(np.linalg.solve(factor,
+                                              np.linalg.solve(factor, a).T))

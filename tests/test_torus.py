@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -18,6 +19,8 @@ from beltrami.torus import (
     speed_is_constant,
     torus_pencil,
 )
+
+from conftest import cholesky_reduction
 
 
 def cos_x_sin_y() -> TorusScalar:
@@ -56,6 +59,34 @@ class TestTorusScalar:
         expected = mode((1, 2, 0), 2.0).modes
         for amplitude in (2, np.float64(2.0), np.float32(2.0)):
             assert mode((1, 2, 0), amplitude).modes == expected
+
+    def test_cosine_of_the_zero_wavevector_is_the_amplitude(self):
+        # The two half-terms land on the same key, k = -k.
+        q = TorusScalar.cosine((0, 0, 0), 2.0)
+        assert q.modes == TorusScalar.const(2.0).modes
+        np.testing.assert_array_equal(q.evaluate(np.zeros((2, 3))), 2.0)
+
+    def test_sine_of_the_zero_wavevector_is_zero(self):
+        assert TorusScalar.sine((0, 0, 0), 3.0).modes == {}
+
+    @pytest.mark.parametrize("mode", [TorusScalar.cosine, TorusScalar.sine])
+    def test_zero_wavevector_checks_the_amplitude(self, mode):
+        with pytest.raises(ValueError, match="amplitude"):
+            mode((0, 0, 0), math.nan)
+
+    @pytest.mark.parametrize("k", [(1.5, 0, 0), (1.0, 0, 0), (True, 0, 0),
+                                   (1, np.bool_(True), 0), ("1", 0, 0),
+                                   (1, 0), (1, 0, 0, 0)])
+    def test_rejects_a_non_integer_wavevector(self, k):
+        for build in (TorusScalar.cosine, TorusScalar.sine,
+                      lambda k: TorusScalar({k: 1.0})):
+            with pytest.raises(ValueError, match=re.escape(repr(k))):
+                build(k)
+
+    def test_accepts_numpy_integer_wavevectors(self):
+        q = TorusScalar.cosine(np.array([1, -2, 0]), 1.5)
+        assert q.modes == TorusScalar.cosine((1, -2, 0), 1.5).modes
+        assert all(type(a) is int for k in q.modes for a in k)
 
 
 class TestTorusField:
@@ -163,6 +194,11 @@ class TestTorusPencil:
         np.testing.assert_array_equal(torus_pencil(q, 1, 1).b,
                                       torus_pencil(q, 1.0, 1).b)
 
+    @pytest.mark.parametrize("q", [None, 1.0, {(0, 0, 0): 1.0}])
+    def test_rejects_a_factor_that_is_not_a_torus_scalar(self, q):
+        with pytest.raises(TypeError, match="TorusScalar"):
+            torus_pencil(q, 0.01, 1)
+
     def test_flat_spectrum(self):
         pencil = torus_pencil(TorusScalar.zero(), 0.0, 1)
         spectrum = pencil.eigenvalues()
@@ -200,21 +236,27 @@ class TestTorusPencil:
         np.testing.assert_allclose(fd, predicted, atol=1e-5)
 
 
-def dot_pair_matrices(fields, q: TorusScalar):
-    """Reference gram and mass_q: one TorusField.dot per pair of fields."""
-    n = len(fields)
+@functools.lru_cache(maxsize=None)
+def pairwise_dots(kmax: int):
+    """One TorusField.dot per pair i >= j of the fields of beltrami_basis."""
+    fields, _ = beltrami_basis(kmax)
+    return {(i, j): fields[i].dot(fields[j])
+            for i in range(len(fields)) for j in range(i + 1)}
+
+
+def dot_pair_matrices(kmax: int, q: TorusScalar):
+    """Reference gram and mass_q of beltrami_basis(kmax) from pairwise_dots."""
+    n = len(beltrami_basis(kmax)[0])
     gram = np.zeros((n, n))
     mass_q = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            product = fields[i].dot(fields[j])
-            gram[i, j] = gram[j, i] = product.integral()
-            weighted = 0j
-            for k, c in q.modes.items():
-                partner = product.modes.get((-k[0], -k[1], -k[2]))
-                if partner is not None:
-                    weighted += c * partner
-            mass_q[i, j] = mass_q[j, i] = weighted.real * VOLUME
+    for (i, j), product in pairwise_dots(kmax).items():
+        gram[i, j] = gram[j, i] = product.integral()
+        weighted = 0j
+        for k, c in q.modes.items():
+            partner = product.modes.get((-k[0], -k[1], -k[2]))
+            if partner is not None:
+                weighted += c * partner
+        mass_q[i, j] = mass_q[j, i] = weighted.real * VOLUME
     return gram, mass_q
 
 
@@ -240,9 +282,38 @@ class TestPencilAssembly:
         for _ in range(3):
             q = random_torus_factor(rng, modes)
             pencil = torus_pencil(q, 0.03, kmax)
-            gram, mass_q = dot_pair_matrices(pencil.fields, q)
-            np.testing.assert_allclose(pencil.gram, gram, rtol=0, atol=1e-14)
+            gram, mass_q = dot_pair_matrices(kmax, q)
+            n = len(pencil.fields)
+            np.testing.assert_allclose(gram / (2 * VOLUME), np.eye(n),
+                                       rtol=0, atol=1e-15)
             np.testing.assert_allclose(pencil.mass_q, mass_q, rtol=0,
                                        atol=1e-14)
-            np.testing.assert_allclose(pencil.b, gram + 0.03 * mass_q,
-                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(
+                pencil.b, np.eye(n) + 0.03 * mass_q / (2 * VOLUME),
+                rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_basis_is_orthogonal_with_equal_norms(self, kmax):
+        # The premise of the pencil's normalized form: a = diag(mu) and
+        # b(0) = I once every field is divided by its norm.
+        gram, _ = dot_pair_matrices(kmax, TorusScalar.zero())
+        np.testing.assert_allclose(gram / (2 * VOLUME), np.eye(len(gram)),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_matches_the_reduction_of_the_unnormalized_pencil(self, kmax):
+        # Reference: the pencil on the unnormalized basis, A = diag(mu) G
+        # and B = G + t M, reduced by a Cholesky factor of B.
+        rng = np.random.default_rng([7, kmax])
+        mus = np.array(beltrami_basis(kmax)[1])
+        for _ in range(3):
+            q = random_torus_factor(rng, 4)
+            # |t| sum |c_k| bounds |t q| by 0.05.
+            t = rng.choice((-0.05, 0.05)) / sum(
+                abs(c) for c in q.modes.values())
+            gram, mass_q = dot_pair_matrices(kmax, q)
+            weighted = mus[:, None] * gram
+            reference = cholesky_reduction(0.5 * (weighted + weighted.T),
+                                           gram + t * mass_q)
+            np.testing.assert_allclose(torus_pencil(q, t, kmax).eigenvalues(),
+                                       reference, rtol=1e-13, atol=0)
