@@ -30,6 +30,7 @@ from beltrami.exactpoly import (
     SphereScalar,
     canonicalize,
     format_exact,
+    parity_classes,
 )
 from beltrami.frames import (
     FrameField,
@@ -40,16 +41,13 @@ from beltrami.frames import (
     laplace_beltrami,
 )
 from beltrami import solver as _solver
+from beltrami.solver import NotExactFieldError
 
 SUPPORTED_EXPLICIT = (2, -2, 3, -3, 4, -4, 5, -5)
 
 
 class UnsupportedEigenvalueError(ValueError):
     """Raised for eigenvalues with no explicit basis entry."""
-
-
-class NotExactFieldError(ValueError):
-    """Raised when an operation requires an exact (coexact, mean-free) field."""
 
 
 class AtlasEntry:
@@ -201,9 +199,15 @@ def _mu5_fields() -> Tuple[List[FrameField], list]:
     negated = {14, 16, 17, 20, 21, 23}
     fields: List[FrameField] = []
     norms: list = []  # exact squared norms, each integrated once
+    classes: list = []  # parity classes per frame slot of each member
     for j, coefficients in enumerate(seeds, start=1):
         f = seed = _poly_field(*coefficients)
-        for prev, norm in zip(fields, norms):
+        seed_classes = [parity_classes(c) for c in seed.f]
+        for prev, norm, prev_classes in zip(fields, norms, classes):
+            # An overlap with no parity class shared on any frame slot is
+            # exactly zero (exactpoly.parity_class).
+            if not any(a & b for a, b in zip(seed_classes, prev_classes)):
+                continue
             # <f, prev> = <seed, prev>: the earlier members are orthogonal.
             overlap = seed.l2_inner(prev)
             if not overlap.is_zero():
@@ -212,6 +216,7 @@ def _mu5_fields() -> Tuple[List[FrameField], list]:
             f = f.scale(-1)
         fields.append(f)
         norms.append(f.l2_inner(f))
+        classes.append([parity_classes(c) for c in f.f])
     return fields, norms
 
 
@@ -291,30 +296,24 @@ def eigen_decompose(F: FrameField,
     return EigenDecomposition(components)
 
 
-def _exact_components(F: FrameField, limit: int) -> Dict[int, FrameField]:
-    """Eigencomponents of an exact field; rejects gradient parts.  With no
-    mu = 0 part, F = sum_mu curl(P_mu F) / mu is divergence-free exactly."""
-    decomposition = eigen_decompose(F, limit)
-    if 0 in decomposition.components:
-        raise NotExactFieldError(
-            "field has a nonzero divergence or gradient part; helicity and "
-            "the inverse curl are defined for exact fields only")
-    return decomposition.components
-
-
 def helicity(F: FrameField, limit: int = _solver.DEFAULT_DMAX_LIMIT) -> ExactScalar:
-    """Exact helicity sum_mu |P_mu F|^2 / mu of an exact field."""
-    out = ExactScalar.zero()
-    for mu, piece in _exact_components(F, limit).items():
-        out = out + piece.l2_inner(piece) / Rat(mu)
-    return out
+    """Exact helicity sum_mu |P_mu F|^2 / mu of an exact field, from one
+    spectral pairing (solver.helicity_pairing): no component is formed."""
+    return _solver.helicity_pairing(F, _solver.field_dmax(F, limit))
 
 
 def curl_inverse(F: FrameField,
                  limit: int = _solver.DEFAULT_DMAX_LIMIT) -> FrameField:
-    """The exact vector potential: curl(curl_inverse(F)) = F."""
+    """The exact vector potential: curl(curl_inverse(F)) = F.  Rejects a
+    gradient part; with no mu = 0 part, F = sum_mu curl(P_mu F) / mu is
+    divergence-free exactly."""
+    components = eigen_decompose(F, limit).components
+    if 0 in components:
+        raise NotExactFieldError(
+            "field has a nonzero divergence or gradient part; the inverse "
+            "curl is defined for exact fields only")
     out = FrameField.zero()
-    for mu, piece in _exact_components(F, limit).items():
+    for mu, piece in components.items():
         out = out + piece.scale(Rat(1, mu))
     return out
 

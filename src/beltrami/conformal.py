@@ -49,6 +49,7 @@ from .exactpoly import (
     _moment_sum,
     _monomial_moment_float,
     canonicalize,
+    exponent_sums,
 )
 from .frames import FrameField, coefficient_tensor, grad
 from .pencil import checked_diagonal, eigvalsh_diagonal, inverse_cholesky
@@ -205,12 +206,7 @@ class _BasisData:
         # Coefficients over the reduced monomials, one matrix per frame leg.
         self.exponents, P = coefficient_tensor(fields)
         # Moments are kept per unique pair sum e_i + e_j, indexed by entry.
-        exps = np.array(self.exponents)
-        codes = exps @ (2 * int(exps.max()) + 1) ** np.arange(4)
-        _, first, index = np.unique(codes[:, None] + codes,
-                                    return_index=True, return_inverse=True)
-        self._sum_index = index.reshape(len(exps), -1)
-        self._sums = exps[first // len(exps)] + exps[first % len(exps)]
+        self._sums, self._sum_index = exponent_sums(self.exponents)
         self._shift_moments = {}
         self._last_perturbation = (None, None)
         gram = self._contract(P, self._table((0, 0, 0, 0)))

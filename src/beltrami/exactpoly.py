@@ -379,7 +379,7 @@ class SphereScalar:
         return self.even_part.is_zero() and self.odd_part.is_zero()
 
     def degree(self) -> int:
-        return self.representative().degree()
+        return max(self.even_part.degree(), self.odd_part.degree())
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         return self.representative().evaluate(pts)
@@ -581,6 +581,45 @@ def _moment_sum(terms: Iterable[Tuple[Exponent, int]]):
                 if not (e[0] | e[1] | e[2] | e[3]) & 1), Rat(0))
 
 
+def exponent_sums(exponents: Sequence[Exponent]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct pairwise sums of exponents and where each pair lands.
+
+    Returns (sums, index): sums is an int array of the distinct e_i + e_j,
+    one per row, and index[i, j] is the row of e_i + e_j, so a table over
+    pairs is one gather of a table over the sums.
+    """
+    exps = np.array(exponents)
+    codes = exps @ (2 * int(exps.max()) + 1) ** np.arange(4)
+    _, first, index = np.unique(codes[:, None] + codes,
+                                return_index=True, return_inverse=True)
+    return (exps[first // len(exps)] + exps[first % len(exps)],
+            index.reshape(len(exps), -1))
+
+
+def moment_gram(exponents: Sequence[Exponent]) -> Tuple[np.ndarray, int]:
+    """The L^2 Gram matrix of the monomials x^e on S^3, exactly: (G, den)
+    with integral x^(e_i + e_j) = pi^2 G[i, j] / den, G an object array of
+    Python ints."""
+    sums, index = exponent_sums(exponents)
+    moments = [Rat(0) if any(a & 1 for a in e) else _even_moment(e)
+               for e in sums.tolist()]
+    den = math.lcm(*(int(m.denominator) for m in moments))
+    return np.array([int(m * den) for m in moments], dtype=object)[index], den
+
+
+def parity_class(e: Exponent) -> Tuple[int, int, int, int]:
+    """The parities of the entries of an exponent.  x^a x^b integrates to
+    zero over S^3 unless a and b are in the same class."""
+    return (e[0] & 1, e[1] & 1, e[2] & 1, e[3] & 1)
+
+
+def parity_classes(s: SphereScalar) -> set:
+    """The parity classes (parity_class) of the terms of s."""
+    return {parity_class(e) for part in (s.even_part, s.odd_part)
+            for e in part.terms}
+
+
 def _common_denominator(scalars: Iterable[SphereScalar]) -> int:
     return math.lcm(*(int(c.denominator) for s in scalars
                       for part in (s.even_part, s.odd_part)
@@ -593,8 +632,7 @@ def _integer_terms(s: SphereScalar, den: int):
     classes: Dict[Tuple[int, ...], list] = {}
     for part in (s.even_part, s.odd_part):
         for e, c in part.terms.items():
-            key = (e[0] & 1, e[1] & 1, e[2] & 1, e[3] & 1)
-            classes.setdefault(key, []).append(
+            classes.setdefault(parity_class(e), []).append(
                 (e, int(c.numerator) * (den // int(c.denominator))))
     return classes
 

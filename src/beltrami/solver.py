@@ -37,10 +37,14 @@ rational backend:
 * the eigenbases come from fraction-free elimination of those vectors, and
   rationals appear only when an eigenvector is handed out (normalised to
   pivot 1) or when project_vector, having cleared the denominators of its
-  input with their lcm den, divides its result once by den * D_mu.
+  input with their lcm den, divides its result once by den * D_mu;
+* helicity_pairing forms no projection at all: sum_mu |P_mu b|^2 / mu is
+  the L^2 pairing of b with sum_mu P_mu b / mu, whose pieces fold into one
+  integer vector over a common denominator, paired with b through the
+  block's exact moment Gram (exactpoly.moment_gram) and divided once.
 
-The exact checks run in _Block.slab_pieces, on every basis vector and on
-every projected vector b.  With p(x) = prod_{nu in S} (x - nu) it requires
+The exact checks run in _Block._checked_pieces, on every basis vector and
+on every projected or paired vector b.  With p(x) = prod_{nu in S} (x - nu) it requires
 p(C) b == 0, which holds exactly when b is a sum of curl eigenvectors with
 eigenvalues in S, and with L = lcm(D_mu) it requires the resolution of the
 identity sum_mu (L / D_mu) (D_mu P_mu b) == L b.  Either failure raises
@@ -61,7 +65,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from beltrami.exactpoly import Poly4, Rat, SphereScalar
+from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
+                                moment_gram)
 from beltrami.frames import FrameField, _derivative_table, _form_terms
 
 DEFAULT_DMAX_LIMIT = 5
@@ -74,6 +79,10 @@ _INT64_SAFE = 1 << 62
 
 class SpectrumError(RuntimeError):
     """The candidate integer spectrum does not exhaust the trial space."""
+
+
+class NotExactFieldError(ValueError):
+    """Raised when an operation requires an exact (coexact, mean-free) field."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +115,13 @@ class _Coordinates:
     def to_vector(self, field: FrameField) -> Dict[int, object]:
         vec: Dict[int, object] = {}
         n = len(self.monomials)
-        for i in range(3):
-            for e, c in field.f[i].representative().terms.items():
-                k = self.index.get(e)
-                if k is None:
-                    raise ValueError("field leaves the coordinate space")
-                vec[i * n + k] = c
+        for i, coefficient in enumerate(field.f):
+            for part in (coefficient.even_part, coefficient.odd_part):
+                for e, c in part.terms.items():
+                    k = self.index.get(e)
+                    if k is None:
+                        raise ValueError("field leaves the coordinate space")
+                    vec[i * n + k] = c
         return vec
 
     def to_field(self, vec: Dict[int, object]) -> FrameField:
@@ -151,6 +161,14 @@ def _curl_operator(coords: _Coordinates) -> Dict[int, List[Tuple[int, int]]]:
 
 def _max_abs(x: np.ndarray) -> int:
     return int(np.abs(x).max())
+
+
+def _product(a: np.ndarray, b: np.ndarray):
+    """a @ b for integer arrays: in int64 while max|a| max|b| times the
+    inner dimension stays below 2^62, in Python ints otherwise."""
+    if _max_abs(a) * _max_abs(b) * a.shape[-1] >= _INT64_SAFE:
+        a, b = a.astype(object), b.astype(object)
+    return a @ b
 
 
 def _combination(coefficients: Sequence[int], arrays, tops) -> np.ndarray:
@@ -328,6 +346,20 @@ class _Block:
         A slab holds one vector per row; each returned dict lists its
         coordinates in increasing order.
         """
+        _, pieces = self._checked_pieces(vectors)
+        out = [{} for _ in vectors]
+        for mu, piece in zip(self.spectrum, pieces):
+            v, j = np.nonzero(piece)
+            coordinates, entries = j.tolist(), piece[v, j].tolist()
+            ends = np.cumsum(np.bincount(v, minlength=len(out))).tolist()
+            for vec, start, end in zip(out, [0] + ends, ends):
+                vec[mu] = dict(zip(coordinates[start:end], entries[start:end]))
+        return out
+
+    def _checked_pieces(self, vectors) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """The slab x of the integer vectors and, for each mu of the
+        spectrum in order, the slab of their D_mu P_mu v: one Krylov pass,
+        with both exact checks of the module docstring."""
         spectrum = tuple(self.spectrum)  # hashable for the cached numerators
         numerators, annihilator = _lagrange_numerators(spectrum)
         entries = [c for v in vectors for c in v.values()]
@@ -354,14 +386,45 @@ class _Block:
             raise SpectrumError(
                 "spectral projections do not resolve the identity on the "
                 "trial space; the candidate spectrum is incomplete")
-        out = [{} for _ in vectors]
-        for mu, piece in zip(spectrum, pieces):
-            v, j = np.nonzero(piece)
-            coordinates, entries = j.tolist(), piece[v, j].tolist()
-            ends = np.cumsum(np.bincount(v, minlength=len(out))).tolist()
-            for vec, start, end in zip(out, [0] + ends, ends):
-                vec[mu] = dict(zip(coordinates[start:end], entries[start:end]))
-        return out
+        return x, pieces
+
+    @functools.cached_property
+    def gram(self) -> Tuple[np.ndarray, int]:
+        """The exact moment Gram of the block's monomials as integers over
+        one denominator (exactpoly.moment_gram), built on first use; int64
+        while its entries stay below 2^62."""
+        gram, den = moment_gram(self.coords.monomials)
+        return (gram.astype(np.int64) if _max_abs(gram) < _INT64_SAFE
+                else gram), den
+
+    def helicity_pairing(self, vec: Dict[int, int]) -> Rat:
+        """sum_{mu != 0} <P_mu vec, vec> / (mu pi^2) for an integer vector
+        vec with no mu = 0 part, from one checked pass.
+
+        With K = lcm(mu D_mu), the pieces fold into
+        u = sum_mu (K / (mu D_mu)) D_mu P_mu vec = K sum_mu P_mu vec / mu,
+        whose L^2 pairing with vec is sum_i u_i . G vec_i over the frame
+        slots i (the frame is orthonormal), G the block's moment Gram; the
+        projections are orthogonal, so <P_mu vec, vec> = |P_mu vec|^2.
+        """
+        x, pieces = self._checked_pieces([vec])
+        numerators, _ = _lagrange_numerators(tuple(self.spectrum))
+        weights = {mu: mu * numerators[mu][1] for mu in self.spectrum if mu}
+        common = lcm(*weights.values())
+        coefficients, folded = [], []
+        for mu, piece in zip(self.spectrum, pieces):
+            if mu:
+                coefficients.append(common // weights[mu])
+                folded.append(piece)
+            elif np.count_nonzero(piece):
+                raise NotExactFieldError(
+                    "field has a nonzero divergence or gradient part; "
+                    "helicity is defined for exact fields only")
+        u = _combination(coefficients, folded, [_max_abs(p) for p in folded])
+        gram, gram_den = self.gram
+        n = len(self.coords.monomials)
+        gv = _product(x[0, :-1].reshape(3, n), gram)  # G is symmetric
+        return Rat(int(_product(u[0, :-1], gv.ravel())), common * gram_den)
 
     def solve(self) -> Dict[int, _Echelon]:
         """Eigenbases per eigenvalue, verifying the spectrum on every vector."""
@@ -412,6 +475,23 @@ def eigenspace_solve(dmax: int, limit: int = DEFAULT_DMAX_LIMIT) -> SolverResult
     return SolverResult(dmax, eigenspaces, gradient_dimension, trial_dimension)
 
 
+def _block_vectors(field: FrameField, dmax: int):
+    """(block, den, vec) for each nonzero coefficient-parity part of an
+    exact field: the block of that parity in the order-dmax trial space,
+    the lcm den of the part's denominators and den times its coordinates."""
+    for parity in (0, 1):
+        part = FrameField(*(SphereScalar(Poly4.zero(), c.odd_part) if parity
+                            else SphereScalar(c.even_part, Poly4.zero())
+                            for c in field.f))
+        if part.is_zero():
+            continue
+        block, _ = _solved_block(dmax, parity)
+        vec = block.coords.to_vector(part)
+        den = lcm(*(int(c.denominator) for c in vec.values()))
+        yield block, den, {j: int(c.numerator) * (den // int(c.denominator))
+                           for j, c in vec.items()}
+
+
 # The projections of the latest (field, dmax) that project_vector resolved.
 _latest = (None, None, {})
 
@@ -424,25 +504,17 @@ def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
     denominators are cleared with one lcm, one checked Krylov pass gives
     den * D_nu * P_nu for every nu of the block, and each is divided once.
     Every projection of the latest (field, dmax) is kept, so the calls of
-    one decomposition cost one pass per block.
+    one decomposition cost one pass per block; the latest field is
+    recognised by identity before it is compared term by term.
     """
     global _latest
     if field._has_float():
         raise TypeError("project_vector needs exact rational coefficients")
-    if _latest[1] != dmax or _latest[0] != field:
-        even = FrameField(*(SphereScalar(c.even_part, Poly4.zero()) for c in field.f))
-        odd = FrameField(*(SphereScalar(Poly4.zero(), c.odd_part) for c in field.f))
+    if _latest[1] != dmax or (_latest[0] is not field and _latest[0] != field):
         fields: Dict[int, FrameField] = {}
-        for parity, part in ((0, even), (1, odd)):
-            if part.is_zero():
-                continue
-            block, _ = _solved_block(dmax, parity)
-            numerators, _ = _lagrange_numerators(block.spectrum)
-            vec = block.coords.to_vector(part)
-            den = lcm(*(int(c.denominator) for c in vec.values()))
-            pieces = block.pieces({j: int(c.numerator) * (den // int(c.denominator))
-                                   for j, c in vec.items()})
-            for nu, piece in pieces.items():
+        for block, den, vec in _block_vectors(field, dmax):
+            numerators, _ = _lagrange_numerators(tuple(block.spectrum))
+            for nu, piece in block.pieces(vec).items():
                 if piece:
                     scale = den * numerators[nu][1]
                     fields[nu] = fields.get(nu, FrameField.zero()) + \
@@ -450,6 +522,23 @@ def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
                                                for j, c in piece.items()})
         _latest = (field, dmax, fields)
     return _latest[2].get(mu, FrameField.zero())
+
+
+def helicity_pairing(field: FrameField, dmax: int) -> ExactScalar:
+    """Exact helicity sum_{mu != 0} |P_mu field|^2 / mu of a field with no
+    gradient part.
+
+    One checked Krylov pass per parity block of the order-dmax trial space
+    (_Block.helicity_pairing); no projected field is formed.  Raises
+    NotExactFieldError for a nonzero mu = 0 part and TypeError for float
+    coefficients.
+    """
+    if field._has_float():
+        raise TypeError("helicity_pairing needs exact rational coefficients")
+    total = Rat(0)
+    for block, den, vec in _block_vectors(field, dmax):
+        total += block.helicity_pairing(vec) / (den * den)
+    return ExactScalar({2: total})
 
 
 def field_dmax(field: FrameField, limit: int = DEFAULT_DMAX_LIMIT) -> int:
