@@ -372,8 +372,14 @@ class SphereScalar:
     # ---- queries -------------------------------------------------------
 
     def representative(self) -> Poly4:
-        """The canonical polynomial representative (even + odd part)."""
-        return self.even_part + self.odd_part
+        """The canonical polynomial representative (even + odd part).
+
+        The parts never share an exponent, so their terms are joined as
+        they stand, even terms first: the same terms as even + odd.
+        """
+        rep = Poly4()
+        rep.terms = {**self.even_part.terms, **self.odd_part.terms}
+        return rep
 
     def is_zero(self) -> bool:
         return self.even_part.is_zero() and self.odd_part.is_zero()

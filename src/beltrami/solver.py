@@ -43,14 +43,52 @@ rational backend:
   integer vector over a common denominator, paired with b through the
   block's exact moment Gram (exactpoly.moment_gram) and divided once.
 
-The exact checks run in _Block._checked_pieces, on every basis vector and
-on every projected or paired vector b.  With p(x) = prod_{nu in S} (x - nu) it requires
-p(C) b == 0, which holds exactly when b is a sum of curl eigenvectors with
-eigenvalues in S, and with L = lcm(D_mu) it requires the resolution of the
-identity sum_mu (L / D_mu) (D_mu P_mu b) == L b.  Either failure raises
+The solver has two parts.
+
+* A bare block per order and parity (_Block, built on first use by
+  _block): its coordinates, curl kept as padded rows, candidate spectrum
+  and moment Gram.  project_vector and helicity_pairing read only this
+  part, so a projection or a pairing runs no elimination.
+* One growing elimination per parity (_Elimination): the fraction-free
+  echelon of the generators, whose rows in insertion order are the trial
+  basis, and the per-mu collectors of the eigenbases.  It stands in the
+  coordinates of the highest order it has served, and after each
+  Cartesian degree of generators it records the basis length and every
+  collector's rank.
+
+The generators of order d are those of every lower order followed by the
+new degrees, and the coordinates are slot-major (slot i, monomial k at
+i * n + k, the monomials listed by degree).  So moving a vector between
+the n_top monomials per slot of a higher order and the n of a lower one,
+j -> (j // n_top) * n + j % n_top, keeps the order of its coordinates and
+moves no pivot, and a lower order's elimination is a prefix of a higher
+one's: its basis is the first rows of the echelon, and each collector of
+its spectrum holds the first rows of the collector of the same mu.  The
+stored rows are primitive with a positive pivot, so the larger D_mu of a
+higher order, which scales every piece, does not change them.
+
+* A lower order is a prefix view: its rows are re-keyed as above, and the
+  view checks exactly that every collector whose eigenvalue lies outside
+  that order's spectrum had rank 0 at the prefix.  Otherwise it raises
+  SpectrumError.
+* A higher order extends the elimination: it re-keys the rows, inserts
+  the generators of the new degrees and runs only the new basis rows
+  through that order's checked pass.  It is committed only once every
+  check passed.  Orders whose blocks are identical (their generators stop
+  at the same degree) share one record and add no work.
+
+The exact checks run in _Block._checked_pieces, on every basis vector (in
+the pass of the order that added it) and on every projected or paired
+vector b.  With p(x) = prod_{nu in S} (x - nu) it requires p(C) b == 0,
+which holds exactly when b is a sum of curl eigenvectors with eigenvalues
+in S, and with L = lcm(D_mu) it requires the resolution of the identity
+sum_mu (L / D_mu) (D_mu P_mu b) == L b.  Either failure raises
 SpectrumError.  The second check is an identity of the Lagrange
 polynomials, so it guards the integer numerators; only the first can detect
-an eigenvalue missing from S.
+an eigenvalue missing from S.  For another order's spectrum S' the checks
+follow: if S' contains S, p_S divides p_S' and every piece outside S is
+zero; if S' is a lower order's, the view's rank check says that every
+basis row of the prefix has no piece outside S', so p_S'(C) b == 0.
 
 The trial space splits into two curl-invariant blocks by the total-degree
 parity of the frame coefficients; each block only meets the eigenvalues of
@@ -60,6 +98,7 @@ matching parity, which roughly halves the work.
 from __future__ import annotations
 
 import functools
+from itertools import islice
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
@@ -71,7 +110,7 @@ from beltrami.frames import FrameField, _derivative_table, _form_terms
 
 DEFAULT_DMAX_LIMIT = 5
 
-# Vectors per slab of _Block.solve; keeps the transient arrays small.
+# Vectors per slab of an elimination pass; keeps the transient arrays small.
 _SLAB_WIDTH = 16
 # Integer arithmetic stays in int64 while its exact bound is below this.
 _INT64_SAFE = 1 << 62
@@ -223,7 +262,12 @@ class _Echelon:
         self.rows: Dict[int, Dict[int, int]] = {}
 
     def insert(self, vec: Dict[int, int]):
-        """Reduce vec and store it; returns the new row, None if dependent."""
+        """Reduce vec and store it; returns the new row, None if dependent.
+
+        Each step works on a copy of vec, scaled only when r/g != 1; the
+        subtraction of (a/g) row drops the entries it cancels, so no entry
+        is zero and the coordinates keep their order.
+        """
         while vec:
             p = max(vec)
             row = self.rows.get(p)
@@ -235,16 +279,38 @@ class _Echelon:
                 self.rows[p] = vec
                 return vec
             g = gcd(row[p], vec[p])
-            a, b = row[p] // g, -(vec[p] // g)
-            out = {j: a * c for j, c in vec.items()}
+            a, b = row[p] // g, vec[p] // g
+            vec = {j: a * c for j, c in vec.items()} if a != 1 else dict(vec)
             for j, c in row.items():
-                out[j] = out.get(j, 0) + b * c
-            vec = {j: c for j, c in out.items() if c}
+                s = vec.get(j, 0) - b * c
+                if s:
+                    vec[j] = s
+                else:
+                    del vec[j]
         return None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def prefix(self, count: int, keys) -> "_Echelon":
+        """A new echelon of the first count rows, each coordinate j moved to
+        keys[j] (see _key_map).  With keys None the rows themselves are
+        shared: no stored row is ever modified."""
+        out = _Echelon()
+        for p, row in islice(self.rows.items(), count):
+            if keys is not None:
+                p, row = keys[p], {keys[j]: c for j, c in row.items()}
+            out.rows[p] = row
+        return out
+
+
+def _key_map(n_from: int, n_to: int):
+    """The coordinate i * n_to + k of each coordinate i * n_from + k, for
+    n_from and n_to monomials per frame slot; None when they are equal."""
+    if n_from == n_to:
+        return None
+    return [(j // n_from) * n_to + j % n_from for j in range(3 * n_from)]
 
 
 def _normalised(row: Dict[int, int]) -> Dict[int, object]:
@@ -289,11 +355,16 @@ class SolverResult:
 
 
 class _Block:
-    """A parity block of the trial space with its spectral projections."""
+    """The bare parity block of one order: coordinates, curl rows, spectrum
+    and moment Gram, with its checked spectral passes.  It runs no
+    elimination; its basis and eigenbases come from _Elimination."""
 
     def __init__(self, dmax: int, parity: int):
-        degree_cap = dmax + 2
-        self.coords = _Coordinates(degree_cap, parity)
+        self.parity = parity
+        # The generators' Cartesian degrees have parity 1 - parity and stop
+        # here; orders with the same top degree have the same block.
+        self.top_degree = dmax + 1 - (dmax + parity) % 2
+        self.coords = _Coordinates(dmax + 2, parity)
         self.curl_columns = _curl_operator(self.coords)
         # C as padded rows of (column, value) pairs; the padding (n, 0)
         # points to a zero coordinate that every slab carries last.
@@ -311,23 +382,29 @@ class _Block:
         # gradient part, which lives in both blocks).
         self.spectrum = (0,) + tuple(
             s * m for m in range(2 + parity, dmax + 3, 2) for s in (1, -1))
-        echelon = _Echelon()
-        for gen in self._generators(dmax + 1, parity):
-            echelon.insert(gen)
-        self.basis = list(echelon.rows.values())
 
     def _generators(self, cartesian_degree: int, parity: int):
         """Integer coordinate vectors of tangential monomial projections."""
         # The projection of x^e e_a has the frame coefficients x^e (L_i x)_a,
         # of degree |e| + 1, so the block of coefficient parity `parity`
         # comes from monomials of the opposite degree parity.
+        for d in range(1 - parity, cartesian_degree + 1, 2):
+            yield from self._degree_generators(d)
+
+    def _degree_generators(self, degree: int):
+        """The generators from the monomials of one Cartesian degree."""
         n = len(self.coords.monomials)
         index = self.coords.index
-        for d in range(1 - parity, cartesian_degree + 1, 2):
-            for e in _monomials(d):
-                for a in range(4):
-                    yield {i * n + index[f]: c for i in range(3)
-                           for f, c in _form_terms(e, i, a)}
+        for e in _monomials(degree):
+            for a in range(4):
+                yield {i * n + index[f]: c for i in range(3)
+                       for f, c in _form_terms(e, i, a)}
+
+    @functools.cached_property
+    def basis(self) -> List[Dict[int, int]]:
+        """The trial basis, the generator echelon's rows in insertion
+        order, read from the parity's shared elimination."""
+        return _elimination(self.parity).basis(self)
 
     def _curl_step(self, x: np.ndarray) -> np.ndarray:
         """C v for each vector v (a row) of a slab: gather, multiply, sum."""
@@ -427,14 +504,83 @@ class _Block:
         return Rat(int(_product(u[0, :-1], gv.ravel())), common * gram_den)
 
     def solve(self) -> Dict[int, _Echelon]:
-        """Eigenbases per eigenvalue, verifying the spectrum on every vector."""
-        collectors = {mu: _Echelon() for mu in self.spectrum}
-        for start in range(0, len(self.basis), _SLAB_WIDTH):
-            for pieces in self.slab_pieces(
-                    self.basis[start:start + _SLAB_WIDTH]):
-                for mu, piece in pieces.items():
-                    collectors[mu].insert(piece)
-        return collectors
+        """Eigenbases per eigenvalue from an elimination of this block
+        alone, verifying the spectrum on every basis vector."""
+        return _Elimination(self.parity).view(self)
+
+
+class _Elimination:
+    """The growing elimination of one parity (see the module docstring).
+
+    size is the number of monomials per frame slot of the highest order
+    served, in whose coordinates the generator echelon and the collectors
+    stand; prefixes maps each top degree reached to the basis length and
+    the collector ranks after the generators of that degree.
+    """
+
+    def __init__(self, parity: int):
+        self.parity = parity
+        self.size = 0
+        self.generators = _Echelon()
+        self.collectors: Dict[int, _Echelon] = {}
+        self.prefixes: Dict[int, Tuple[int, Dict[int, int]]] = {}
+
+    def prefix(self, block: _Block) -> Tuple[int, Dict[int, int]]:
+        """(basis length, collector ranks) of the block's order, extending
+        the elimination first if it does not reach that order yet."""
+        if block.top_degree not in self.prefixes:
+            self._extend(block)
+        return self.prefixes[block.top_degree]
+
+    def basis(self, block: _Block) -> List[Dict[int, int]]:
+        """The first rows of the generator echelon, re-keyed into the
+        block's coordinates."""
+        length, _ = self.prefix(block)
+        return list(self.generators.prefix(
+            length, _key_map(self.size, len(block.coords.monomials))
+        ).rows.values())
+
+    def view(self, block: _Block) -> Dict[int, _Echelon]:
+        """The collectors of the block's order, re-keyed into its
+        coordinates, after the exact check that no collector outside its
+        spectrum holds a row of the prefix."""
+        _, ranks = self.prefix(block)
+        outside = sorted(mu for mu, rank in ranks.items()
+                         if rank and mu not in block.spectrum)
+        if outside:
+            raise SpectrumError(
+                f"curl has the eigenvalues {outside} outside the candidate "
+                f"spectrum {sorted(block.spectrum)} on the trial space")
+        keys = _key_map(self.size, len(block.coords.monomials))
+        return {mu: self.collectors.get(mu, _Echelon()).prefix(
+            ranks.get(mu, 0), keys) for mu in block.spectrum}
+
+    def _extend(self, block: _Block):
+        """Reach the block's order: re-key, insert the generators of the new
+        degrees and pass only the new basis rows, with that order's checks;
+        nothing is kept unless every check passed."""
+        keys = _key_map(self.size, len(block.coords.monomials))
+        generators = self.generators.prefix(self.generators.rank, keys)
+        collectors = {mu: c.prefix(c.rank, keys)
+                      for mu, c in self.collectors.items()}
+        for mu in block.spectrum:
+            collectors.setdefault(mu, _Echelon())
+        basis = list(generators.rows.values())
+        prefixes = dict(self.prefixes)
+        lowest = max(self.prefixes) + 2 if self.prefixes else 1 - self.parity
+        for degree in range(lowest, block.top_degree + 1, 2):
+            start = len(basis)
+            basis += filter(None, map(generators.insert,
+                                      block._degree_generators(degree)))
+            for lo in range(start, len(basis), _SLAB_WIDTH):
+                for pieces in block.slab_pieces(basis[lo:lo + _SLAB_WIDTH]):
+                    for mu, piece in pieces.items():
+                        collectors[mu].insert(piece)
+            prefixes[degree] = (len(basis), {mu: c.rank for mu, c
+                                             in collectors.items()})
+        self.size = len(block.coords.monomials)
+        self.generators, self.collectors = generators, collectors
+        self.prefixes = prefixes
 
 
 def _check_order(name: str, value) -> int:
@@ -444,9 +590,22 @@ def _check_order(name: str, value) -> int:
 
 
 @functools.cache
+def _block(dmax: int, parity: int) -> _Block:
+    """The bare block of an order and parity, built on first use."""
+    return _Block(dmax, parity)
+
+
+@functools.cache
+def _elimination(parity: int) -> _Elimination:
+    """The one elimination of a parity that every order shares."""
+    return _Elimination(parity)
+
+
+@functools.cache
 def _solved_block(dmax: int, parity: int):
-    block = _Block(dmax, parity)
-    return block, block.solve()
+    """(block, collectors) of an order: a view of the shared elimination."""
+    block = _block(dmax, parity)
+    return block, _elimination(parity).view(block)
 
 
 def eigenspace_solve(dmax: int, limit: int = DEFAULT_DMAX_LIMIT) -> SolverResult:
@@ -465,7 +624,7 @@ def eigenspace_solve(dmax: int, limit: int = DEFAULT_DMAX_LIMIT) -> SolverResult
     gradient_dimension = trial_dimension = 0
     for parity in (0, 1):
         block, collectors = _solved_block(dmax, parity)
-        trial_dimension += len(block.basis)
+        trial_dimension += _elimination(parity).prefix(block)[0]
         for mu, collector in collectors.items():
             if mu == 0:
                 gradient_dimension += collector.rank
@@ -485,7 +644,7 @@ def _block_vectors(field: FrameField, dmax: int):
                             for c in field.f))
         if part.is_zero():
             continue
-        block, _ = _solved_block(dmax, parity)
+        block = _block(dmax, parity)
         vec = block.coords.to_vector(part)
         den = lcm(*(int(c.denominator) for c in vec.values()))
         yield block, den, {j: int(c.numerator) * (den // int(c.denominator))
@@ -508,6 +667,7 @@ def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
     recognised by identity before it is compared term by term.
     """
     global _latest
+    _check_order("dmax", dmax)
     if field._has_float():
         raise TypeError("project_vector needs exact rational coefficients")
     if _latest[1] != dmax or (_latest[0] is not field and _latest[0] != field):
@@ -533,6 +693,7 @@ def helicity_pairing(field: FrameField, dmax: int) -> ExactScalar:
     NotExactFieldError for a nonzero mu = 0 part and TypeError for float
     coefficients.
     """
+    _check_order("dmax", dmax)
     if field._has_float():
         raise TypeError("helicity_pairing needs exact rational coefficients")
     total = Rat(0)

@@ -138,7 +138,7 @@ class TestEigenDecompose:
 
         monkeypatch.setattr(solver._Block, "_curl_step", counting)
         eigen_decompose(F)
-        blocks = [solver._solved_block(dmax, p)[0] for p in (0, 1)]
+        blocks = [solver._block(dmax, p) for p in (0, 1)]
         for block in blocks:
             assert sum(b is block for b in calls) == len(block.spectrum)
         assert len(calls) == sum(len(block.spectrum) for block in blocks)

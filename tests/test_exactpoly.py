@@ -228,6 +228,17 @@ class TestCanonicalize:
             assert canonicalize(p + q) == sp + sq
             assert canonicalize(p * q) == sp * sq
 
+    def test_representative_is_the_sum_of_the_parts(self):
+        rng = random.Random(19)
+        scalars = [rand_sphere_scalar(rng, 5, 8) for _ in range(30)]
+        scalars += [s.to_float() for s in scalars] + [SphereScalar.zero()]
+        assert any(s.even_part.terms and s.odd_part.terms for s in scalars)
+        for s in scalars:
+            expected = list((s.even_part + s.odd_part).terms.items())
+            got = list(s.representative().terms.items())
+            assert got == expected
+            assert [type(c) for _, c in got] == [type(c) for _, c in expected]
+
     def test_normal_form_decides_equality_on_sphere(self):
         rng = random.Random(17)
         for _ in range(20):

@@ -341,3 +341,129 @@ class TestSpectrumChecks:
         collectors = _Block(1, 1).solve()
         assert {mu: c.rank for mu, c in collectors.items()} == \
             {0: 20, 3: 8, -3: 8}
+
+
+# ---------------------------------------------------------------------------
+# One elimination per parity: lower orders are prefixes, higher ones extend
+
+# (trial dimension, gradient dimension) per order.
+SOLVER_DIMS = {0: (19, 13), 1: (51, 29), 2: (106, 54), 3: (190, 90),
+               4: (309, 139), 5: (469, 203)}
+
+
+@pytest.fixture
+def cold_solver(monkeypatch):
+    """Empty solver caches, as in a fresh interpreter."""
+    for cache in (solver._block, solver._elimination, solver._solved_block):
+        cache.cache_clear()
+    monkeypatch.setattr(solver, "_latest", (None, None, {}))
+
+
+@pytest.fixture
+def insert_calls(monkeypatch):
+    """The vectors passed to _Echelon.insert from now on."""
+    calls = []
+    real_insert = solver._Echelon.insert
+
+    def counting(echelon, vec):
+        calls.append(vec)
+        return real_insert(echelon, vec)
+
+    monkeypatch.setattr(solver._Echelon, "insert", counting)
+    return calls
+
+
+class TestOrderIndependence:
+    @pytest.mark.parametrize("orders", [(5, 0, 1, 2, 3, 4),
+                                        (0, 1, 2, 3, 4, 5), (3, 4)])
+    def test_request_order_keeps_the_pinned_rows(self, cold_solver, orders):
+        for d in orders:
+            result = eigenspace_solve(d)
+            assert (result.trial_dimension,
+                    result.gradient_dimension) == SOLVER_DIMS[d]
+        assert _collector_digest() == COLLECTOR_DIGEST
+        for d, dims in SOLVER_DIMS.items():
+            result = eigenspace_solve(d)
+            assert (result.trial_dimension, result.gradient_dimension) == dims
+
+    def test_lower_orders_are_views(self, cold_solver, insert_calls):
+        eigenspace_solve(5)
+        assert insert_calls
+        insert_calls.clear()
+        for d in range(5):
+            eigenspace_solve(d)
+        assert not insert_calls
+
+    def test_identical_blocks_add_no_work(self, cold_solver, insert_calls,
+                                          monkeypatch):
+        eigenspace_solve(3)
+        insert_calls.clear()
+        steps = []
+        real_step = _Block._curl_step
+
+        def recording(block, x):
+            steps.append(block)
+            return real_step(block, x)
+
+        monkeypatch.setattr(_Block, "_curl_step", recording)
+        _solved_block(4, 1)
+        assert not insert_calls and not steps
+
+    def test_basis_is_a_prefix(self, cold_solver):
+        top = _solved_block(5, 1)[0].basis
+        n_top = len(_solved_block(5, 1)[0].coords.monomials)
+        for d in range(5):
+            block, _ = _solved_block(d, 1)
+            n = len(block.coords.monomials)
+            assert [{(j // n_top) * n + j % n_top: c for j, c in row.items()}
+                    for row in top[:len(block.basis)]] == block.basis
+
+    def test_mutated_view_raises(self, cold_solver):
+        eigenspace_solve(5)
+        block = _Block(3, 0)
+        assert solver._elimination(0).view(block).keys() == \
+            _solved_block(3, 0)[1].keys()
+        block.spectrum = tuple(mu for mu in block.spectrum if abs(mu) != 4)
+        with pytest.raises(SpectrumError):
+            solver._elimination(0).view(block)
+
+    def test_projections_and_pairings_run_no_elimination(
+            self, cold_solver, insert_calls, monkeypatch):
+        from beltrami.atlas import eigen_decompose, explicit_basis
+        F = (explicit_basis(2).fields[0] + explicit_basis(3).fields[0]
+             + explicit_basis(-5).fields[2]).scale(Rat(2, 3))
+        dmax = field_dmax(F)
+
+        def values():
+            monkeypatch.setattr(solver, "_latest", (None, None, {}))
+            return (eigen_decompose(F).components,
+                    project_vector(F, -5, dmax),
+                    solver.helicity_pairing(F, dmax))
+
+        cold = values()
+        assert not insert_calls
+        eigenspace_solve(dmax)
+        assert insert_calls
+        assert values() == cold
+
+
+class TestEntryOrder:
+    U = FrameField(SphereScalar.zero(), SphereScalar.coordinate(1),
+                   -SphereScalar.coordinate(2))  # a mu = 3 field
+
+    @pytest.mark.parametrize("dmax", [True, -1, 2.5])
+    def test_projection_rejects_the_order(self, dmax):
+        project_vector(self.U, 3, 1)
+        with pytest.raises(ValueError, match=f"dmax .*{dmax!r}"):
+            project_vector(self.U, 3, dmax)
+
+    @pytest.mark.parametrize("dmax", [True, -1, 2.5])
+    def test_pairing_rejects_the_order(self, dmax):
+        with pytest.raises(ValueError, match=f"dmax .*{dmax!r}"):
+            solver.helicity_pairing(self.U, dmax)
+
+    def test_orders_above_the_default_limit_are_accepted(self):
+        assert solver.DEFAULT_DMAX_LIMIT < 6
+        assert project_vector(self.U, 3, 6) == self.U
+        assert solver.helicity_pairing(self.U, 6) == \
+            solver.helicity_pairing(self.U, 1)
