@@ -26,7 +26,9 @@ decides which eigenvalues are zero.
 Matrix entries are contracted from exact monomial moments of the sphere
 (see exactpoly.integrate_monomial) with floating-point accumulation, which
 keeps assembly fast while anchoring every moment to its exact rational
-value.
+value.  Cost: per (manifold, dmax) one basis, its curl matrices checked
+once; per factor q the matrix P of q kept with its coarse block, and the
+exact integrals of q, q^2, q^3; per t, b = I + t P and one eigensolve.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +54,7 @@ from .exactpoly import (
     exponent_sums,
 )
 from .frames import FrameField, coefficient_tensor, grad
-from .pencil import checked_diagonal, eigvalsh_diagonal, inverse_cholesky
+from .pencil import CheckedCurl, eigvalsh_diagonal, inverse_cholesky
 from .quadrature import HopfGrid, default_grid, integrate_scalar
 from .solver import DEFAULT_DMAX_LIMIT, _reduced_monomials
 
@@ -149,19 +151,22 @@ def _factor_moments(terms: tuple) -> tuple:
     Every coefficient is taken exactly, a float at its binary value, so the
     moments depend on the values of the coefficients and not on their kind.
     The coefficients are cleared to integers n_e = den c_e with one lcm, so
-    the powers are integer products and the integral of q^k is one
-    exactpoly moment sum, divided by den^k.
+    the powers are products of integer exponent dicts and the integral of
+    q^k is one exactpoly moment sum, divided by den^k.
     """
     exact = [(e, Rat(c)) for e, c in terms]
     den = math.lcm(*(int(c.denominator) for _, c in exact))
-    n = Poly4({e: int(c.numerator) * (den // int(c.denominator))
-               for e, c in exact})
-    n2 = n * n
-
-    def integral(power: Poly4, k: int) -> ExactScalar:
-        return ExactScalar({2: _moment_sum(power.terms.items()) / den ** k})
-
-    return (integral(n, 1), integral(n2, 2), integral(n2 * n, 3),
+    powers = [{e: int(c.numerator) * (den // int(c.denominator))
+               for e, c in exact}]
+    for _ in range(2):
+        power: dict = {}
+        for e, c in powers[-1].items():
+            for f, d in powers[0].items():
+                s = (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3])
+                power[s] = power.get(s, 0) + c * d
+        powers.append(power)
+    return (*(ExactScalar({2: _moment_sum(p.items()) / den ** k})
+              for k, p in enumerate(powers, 1)),
             sum(abs(c) for _, c in exact))
 
 
@@ -176,6 +181,8 @@ class _BasisData:
     of each eigenspace and of the gradients, so the round Gram matrix is I
     and the curl matrix a is diag(mus), both exactly in rationals.  P holds
     the columns' coefficients; levels[i] is the least dmax holding column i.
+    families holds the pencils on all columns and on those of level < dmax
+    (coarse), each a read-only a with its check (curl), but no b or volume.
     """
 
     def __init__(self, manifold: str, dmax: int):
@@ -202,6 +209,15 @@ class _BasisData:
         self.mus = np.array(mus, dtype=float)
         self.eigen_count = len(fields) - self.gradient_count
         self.a = np.diag(self.mus)
+        self.coarse = self.levels < dmax
+        kept = tuple(np.compress(self.coarse, mus).tolist())
+        self.families = [
+            GalerkinPencil(manifold, d, a, None, m, m.count(0), None)
+            for d, a, m in ((dmax, self.a, self.column_eigenvalues),
+                            (dmax - 1, np.diag(self.mus[self.coarse]), kept))]
+        for p in self.families:
+            p.a.flags.writeable = False
+            p.curl = CheckedCurl(p.a, p.gradient_count)
 
         # Coefficients over the reduced monomials, one matrix per frame leg.
         self.exponents, P = coefficient_tensor(fields)
@@ -234,17 +250,29 @@ class _BasisData:
             out += P[c] @ table @ P[c].T
         return 0.5 * (out + out.T)
 
-    def perturbation(self, q: SphereScalar,
-                     terms: tuple | None = None) -> np.ndarray:
-        """The matrix of integral q <e_i, e_j> over the whitened columns,
-        with one contraction per frame leg; terms, if given, must be
-        _factor_terms(q).  The matrix of the latest q is kept."""
+    def perturbation(self, q: SphereScalar, terms: tuple | None = None,
+                     coarse: bool = False) -> np.ndarray:
+        """The matrix of integral q <e_i, e_j> over the whitened columns
+        (or its coarse block), with one contraction per frame leg; terms, if
+        given, must be _factor_terms(q).  The latest q's matrix is kept."""
         terms = terms or _factor_terms(q)
         if self._last_perturbation[0] != terms:
             moments = sum(float(c) * self._moments(e) for e, c in terms)
+            p = self._contract(self.P, moments[self._sum_index])
             self._last_perturbation = (
-                terms, self._contract(self.P, moments[self._sum_index]))
-        return self._last_perturbation[1]
+                terms, (p, p[np.ix_(self.coarse, self.coarse)]))
+        return self._last_perturbation[1][coarse]
+
+    def pencil(self, cf: ConformalFactor, coarse=False) -> GalerkinPencil:
+        """The pencil of cf on every column, or on the coarse ones."""
+        family = self.families[coarse]
+        if cf.is_trivial():
+            b = np.eye(len(family.a))
+        else:
+            b = float(cf.t) * self.perturbation(cf.q, cf.terms, coarse)
+            b.flat[::b.shape[0] + 1] += 1.0
+        volume = float(cf.volume()) * (0.5 if self.manifold == "rp3" else 1.0)
+        return replace(family, b=b, volume=volume)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -264,7 +292,7 @@ class GalerkinPencil:
     a holds the curl pairings, diag(column_eigenvalues) in the orthonormal
     basis, b the weighted mass matrix, and column_eigenvalues the exact
     curl eigenvalue of each basis column (zero for gradients).  volume is
-    the total volume of the deformed manifold.
+    the total volume of the deformed manifold and curl a's CheckedCurl or None.
     """
 
     manifold: str
@@ -274,6 +302,7 @@ class GalerkinPencil:
     column_eigenvalues: Tuple[int, ...]
     gradient_count: int
     volume: float
+    curl: CheckedCurl | None = None
 
     def principal_block(self, keep: np.ndarray, dmax: int) -> GalerkinPencil:
         """The pencil on the columns a boolean mask keeps, gradients last."""
@@ -292,18 +321,26 @@ class GalerkinPencil:
         come from one Cholesky factor of b (pencil.eigvalsh_diagonal), or,
         when b = I exactly, are the diagonal of a, with no eigensolve.
         """
+        curl = self.curl or CheckedCurl(self.a, self.gradient_count)
+        if curl.a is not self.a or curl.zeros != self.gradient_count:
+            curl = CheckedCurl(self.a, self.gradient_count)
         b = self.b
         if np.all(b.diagonal() == 1.0) and np.count_nonzero(b) == len(b):
-            return np.sort(checked_diagonal(self.a, self.gradient_count))
-        return eigvalsh_diagonal(self.a, self.b, self.gradient_count)
+            return np.sort(curl.mu)
+        return eigvalsh_diagonal(curl, b, self.gradient_count)
 
-    def mu1(self) -> float:
-        """Smallest positive eigenvalue; the gradient zeros are exact."""
+    def first_eigenvalues(self) -> Tuple[float, float]:
+        """(mu1^-, mu1): largest negative (-inf if none), smallest positive."""
         spectrum = self.eigenvalues()
         positive = spectrum[spectrum > 0]
         if positive.size == 0:
             raise RuntimeError("the pencil has no positive eigenvalue")
-        return float(positive[0])
+        return (float(spectrum[spectrum < 0].max(initial=-math.inf)),
+                float(positive[0]))
+
+    def mu1(self) -> float:
+        """Smallest positive eigenvalue; the gradient zeros are exact."""
+        return self.first_eigenvalues()[1]
 
     def mu1_normalized(self) -> float:
         """The scale-invariant product mu1 * volume^(1/3)."""
@@ -320,22 +357,7 @@ def assemble_pencil(manifold: str, cf: ConformalFactor,
     the spherical one.
     """
     _check_factor(cf.q, manifold)
-    data = _basis_data(manifold, dmax)
-    if cf.is_trivial():
-        b = np.eye(data.a.shape[0])
-    else:
-        b = float(cf.t) * data.perturbation(cf.q, cf.terms)
-        b.flat[::b.shape[0] + 1] += 1.0
-    volume = float(cf.volume()) * (0.5 if manifold == "rp3" else 1.0)
-    return GalerkinPencil(
-        manifold=manifold,
-        dmax=dmax,
-        a=data.a,
-        b=b,
-        column_eigenvalues=data.column_eigenvalues,
-        gradient_count=data.gradient_count,
-        volume=volume,
-    )
+    return _basis_data(manifold, dmax).pencil(cf)
 
 
 def mu1_normalized(manifold: str, cf: ConformalFactor,
@@ -355,14 +377,16 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
 
     qs is a sequence of (label, scalar) pairs.  For each factor and each
     amplitude t the normalized eigenvalue is computed at degree cap
-    dmax + 1, and at dmax from the principal block of that pencil on the
-    columns of level <= dmax (RuntimeError unless no kept whitened column
-    uses a dropped field); a row passes when the refinement moves it by
-    less than 1e-4, it clears the (16/pi)^(1/3) lower bound, and it is no
-    smaller than the t = 0 value of its own factor minus 1e-6 (so the
+    dmax + 1, and at dmax from the pencil on the columns of level <= dmax,
+    the principal block of the first (RuntimeError unless no kept whitened
+    column uses a dropped field); a row passes when the refinement moves it
+    by less than 1e-4, it clears the (16/pi)^(1/3) lower bound, and it is
+    no smaller than the t = 0 value of its own factor minus 1e-6 (so the
     undeformed metric is the grid minimum).  dmax must be an int (not a
     bool) and the amplitudes finite and distinct; otherwise ValueError is
-    raised.
+    raised.  Rows also give, not deciding the pass, the largest negative
+    eigenvalue mu1_negative and min(mu1, |mu1_negative|)^2 Vol^(2/3).  Cost
+    per factor: one P; per t != 0: two b = I + t P and two eigensolves.
     """
     if (isinstance(dmax, bool) or not isinstance(dmax, int)
             or not 0 <= dmax < DEFAULT_DMAX_LIMIT):
@@ -382,8 +406,7 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     for _, q in qs:
         _check_factor(q, manifold)
     data = _basis_data(manifold, dmax + 1)
-    keep = data.levels <= dmax
-    if np.any(data.whitening[keep][:, ~keep]):
+    if np.any(data.whitening[data.coarse][:, ~data.coarse]):
         raise RuntimeError("a kept whitened column uses a dropped field")
     rows: List[dict] = []
     for label, q in qs:
@@ -392,13 +415,13 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
             start = time.perf_counter()
             cf = ConformalFactor(q, t)
             fine_pencil = assemble_pencil(manifold, cf, dmax + 1)
-            coarse = fine_pencil.principal_block(keep, dmax).mu1_normalized()
-            mu1 = fine_pencil.mu1()
+            coarse = data.pencil(cf, coarse=True).mu1_normalized()
+            negative, mu1 = fine_pencil.first_eigenvalues()
             values[t] = (coarse, mu1 * fine_pencil.volume ** (1.0 / 3.0),
-                         mu1, time.perf_counter() - start)
+                         mu1, negative, time.perf_counter() - start)
         base = values[0.0][1]
         for t in amplitudes:
-            coarse, fine, mu1, wall_time = values[t]
+            coarse, fine, mu1, negative, wall_time = values[t]
             delta = abs(fine - coarse)
             passes = (delta < 1e-4
                       and fine >= SCAN_LOWER_BOUND - 1e-9
@@ -409,7 +432,9 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
                 "t": t,
                 "dmax": dmax,
                 "mu1": mu1,
+                "mu1_negative": negative,
                 "mu1_normalized": fine,
+                "hodge_normalized": (min(mu1, -negative) * fine / mu1) ** 2,
                 "refinement_delta": delta,
                 "pass": passes,
                 "wall_time": wall_time,

@@ -537,21 +537,20 @@ def integrate_monomial(e: Iterable[int]) -> ExactScalar:
     return ExactScalar({2: _even_moment(e)})
 
 
+@functools.cache
 def _even_moment(e: Exponent):
     """The pi^2 coefficient of integrate_monomial(e) for all-even e.
 
     The exponents are not checked for evenness: callers skip odd ones.
     """
-    return _half_moment(tuple(sorted(a // 2 for a in e)))
+    s = sum(e) // 2
+    return Rat(_moment_numerator(e), 2 ** s * math.factorial(s + 1))
 
 
 @functools.cache
-def _half_moment(b: Tuple[int, ...]):
-    # 2 prod_i [(2 b_i)! / (4^{b_i} b_i!)] / (s + 1)!, keyed by sorted b.
-    num = Rat(2)
-    for bi in b:
-        num = num * Rat(math.factorial(2 * bi), 4 ** bi * math.factorial(bi))
-    return num / math.factorial(sum(b) + 1)
+def _moment_numerator(e: Exponent) -> int:
+    # 2 prod_i (a_i - 1)!!, as (2 b)! / (4^b b!) = (2 b - 1)!! / 2^b.
+    return 2 * math.prod(math.prod(range(a - 1, 0, -2)) for a in e)
 
 
 @functools.cache
@@ -581,10 +580,16 @@ def integrate_poly(p):
 def _moment_sum(terms: Iterable[Tuple[Exponent, int]]):
     """sum_e n_e * _even_moment(e) over integer terms (e, n_e), as a backend
     rational: the pi^2 coefficient of the integral of sum_e n_e x^e over
-    S^3.  A term with an odd exponent entry has moment zero and is skipped.
+    S^3.  A term with an odd exponent entry has moment zero and is skipped;
+    the others' integer numerators are summed per degree and divided once.
     """
-    return sum((n * _even_moment(e) for e, n in terms
-                if not (e[0] | e[1] | e[2] | e[3]) & 1), Rat(0))
+    numerators: Dict[int, int] = {}
+    for e, n in terms:
+        if not (e[0] | e[1] | e[2] | e[3]) & 1:
+            s = (e[0] + e[1] + e[2] + e[3]) // 2
+            numerators[s] = numerators.get(s, 0) + n * _moment_numerator(e)
+    return sum((Rat(n, 2 ** s * math.factorial(s + 1))
+                for s, n in numerators.items()), Rat(0))
 
 
 def exponent_sums(exponents: Sequence[Exponent]
@@ -609,7 +614,7 @@ def moment_gram(exponents: Sequence[Exponent]) -> Tuple[np.ndarray, int]:
     Python ints."""
     sums, index = exponent_sums(exponents)
     moments = [Rat(0) if any(a & 1 for a in e) else _even_moment(e)
-               for e in sums.tolist()]
+               for e in map(tuple, sums.tolist())]
     den = math.lcm(*(int(m.denominator) for m in moments))
     return np.array([int(m * den) for m in moments], dtype=object)[index], den
 

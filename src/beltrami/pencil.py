@@ -38,12 +38,20 @@ def checked_diagonal(a: np.ndarray, zeros: int) -> np.ndarray:
     return mu
 
 
-def eigvalsh_diagonal(a: np.ndarray, b: np.ndarray,
+class CheckedCurl:
+    """A curl matrix a that passed checked_diagonal, and its diagonal mu."""
+
+    def __init__(self, a: np.ndarray, zeros: int):
+        self.a, self.zeros = a, zeros
+        self.mu = checked_diagonal(a, zeros).copy()
+
+
+def eigvalsh_diagonal(a: np.ndarray | CheckedCurl, b: np.ndarray,
                       zeros: int) -> np.ndarray:
     """Eigenvalues, ascending, of diag(mu) c = lambda B c.
 
-    a must pass checked_diagonal, and a B that is not symmetric positive
-    definite raises numpy.linalg.LinAlgError.
+    a (a matrix or its CheckedCurl) must pass checked_diagonal with zeros,
+    and a B not symmetric positive definite raises numpy.linalg.LinAlgError.
 
     The zero block g gives `zeros` exact zero eigenvalues.  The others are
     the eigenvalues of D c = lambda S c on the leading block e, where
@@ -53,8 +61,10 @@ def eigvalsh_diagonal(a: np.ndarray, b: np.ndarray,
     nu = 1 / lambda are the eigenvalues of the symmetric U^T D^-1 U.
     No square root of mu is taken, so mu may have either sign.
     """
-    mu = checked_diagonal(a, zeros)
+    curl = a if isinstance(a, CheckedCurl) else CheckedCurl(a, zeros)
+    if curl.zeros != zeros:
+        raise ValueError(f"a was checked with {curl.zeros} zeros, not {zeros}")
     corner = np.linalg.cholesky(b[::-1, ::-1])[zeros:, zeros:]
-    reciprocal = corner.T @ (corner / mu[::-1][zeros:, None])
+    reciprocal = corner.T @ (corner / curl.mu[::-1][zeros:, None])
     return np.sort(np.concatenate([np.zeros(zeros),
                                    1.0 / np.linalg.eigvalsh(reciprocal)]))

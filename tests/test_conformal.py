@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beltrami import cli, conformal
+from beltrami import cli, conformal, pencil
 from beltrami.atlas import explicit_basis
 from beltrami.conformal import (
     DEFAULT_AMPLITUDES,
@@ -33,7 +33,7 @@ from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
                                 integrate_poly)
 from beltrami.frames import FrameField, coefficient_tensor, hopf_frame
 from beltrami.functionals import l32_energy
-from beltrami.pencil import eigvalsh_diagonal
+from beltrami.pencil import checked_diagonal, eigvalsh_diagonal
 from beltrami.quadrature import (default_grid, grid_for_degree,
                                  integrate_scalar)
 
@@ -573,6 +573,25 @@ class TestOptimalityScan:
                 assert row["mu1_normalized"] == round_value
                 assert row["mu1"] == 2.0 and row["refinement_delta"] == 0.0
 
+    @pytest.mark.parametrize("manifold,hodge", [
+        ("s3", 4 * (2 * math.pi ** 2) ** (2 / 3)),
+        ("rp3", 4 * math.pi ** (4 / 3))])
+    def test_round_rows_read_the_first_pair(self, manifold, hodge):
+        rows = optimality_scan([("q", Q_EVEN)], manifold, dmax=2)
+        row = next(r for r in rows if r["t"] == 0.0)
+        assert row["mu1_negative"] == pytest.approx(-2, rel=0, abs=1e-10)
+        assert row["hodge_normalized"] == pytest.approx(hodge, rel=0,
+                                                        abs=1e-10)
+
+    def test_achiral_factor_has_a_symmetric_first_pair(self):
+        # Swapping x1 and x2 reverses the orientation and fixes x1 x2, so
+        # it maps each curl eigenvalue mu to -mu.
+        rows = optimality_scan([("x1*x2", Q_X1X2)], "s3",
+                               amplitudes=(-0.05, 0.0, 0.05))
+        for row in rows:
+            assert row["mu1_negative"] == pytest.approx(-row["mu1"],
+                                                        rel=1e-12, abs=0)
+
     def test_checks_factors_before_building_a_basis(self, monkeypatch):
         calls = []
 
@@ -622,6 +641,64 @@ class TestOptimalityScan:
         with pytest.raises(ValueError, match="distinct"):
             optimality_scan([("q", Q_EVEN)], "s3", amplitudes=amplitudes,
                             dmax=1)
+
+
+class TestPencilFamily:
+    """A scan pays, per amplitude, b = I + t P on both column sets and two
+    eigensolves; the rest is paid once per factor or once per basis."""
+
+    def test_contracts_once_per_factor(self, monkeypatch):
+        _basis_data("s3", 3)
+        calls = []
+        contract = conformal._BasisData._contract
+
+        def counted(self, P, table):
+            calls.append(P.shape)
+            return contract(self, P, table)
+
+        monkeypatch.setattr(conformal._BasisData, "_contract", counted)
+        rng = np.random.default_rng(31)
+        qs = [(f"q{k}", random_rational_factor(rng, (1, 2)))
+              for k in range(3)]
+        rows = optimality_scan(qs, "s3", dmax=2)
+        assert len(rows) == 3 * len(DEFAULT_AMPLITUDES)
+        assert len(calls) == 3
+
+    def test_checks_the_curl_matrix_once_per_basis(self, monkeypatch):
+        calls = []
+
+        def counted(a, zeros):
+            calls.append(a.shape)
+            return checked_diagonal(a, zeros)
+
+        monkeypatch.setattr(pencil, "checked_diagonal", counted)
+        counts = []
+        for amplitudes in ((0.0, 0.01), DEFAULT_AMPLITUDES):
+            # A cold basis of its own, leaving the shared cache warm.
+            monkeypatch.setattr(conformal, "_basis_data",
+                                functools.lru_cache(conformal._BasisData))
+            calls.clear()
+            optimality_scan([("q", Q_EVEN)], "s3", amplitudes, dmax=1)
+            counts.append(len(calls))
+        assert counts == [2, 2]
+
+    def test_rows_take_no_principal_block(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a scan row copied a principal block")
+
+        _basis_data("rp3", 3)
+        monkeypatch.setattr(GalerkinPencil, "principal_block", refuse)
+        rows = optimality_scan([("q", Q_EVEN)], "rp3", dmax=2)
+        assert len(rows) == len(DEFAULT_AMPLITUDES)
+
+    def test_shared_curl_matrix_is_read_only(self):
+        fine = assemble_pencil("s3", ConformalFactor(Q_X1X2, 0.05), 2)
+        coarse = _basis_data("s3", 2).pencil(ConformalFactor(Q_X1X2, 0.05),
+                                             coarse=True)
+        for p in (fine, coarse):
+            assert p.curl.a is p.a
+            with pytest.raises(ValueError):
+                p.a[0, 0] = 1.0
 
 
 class TestPrincipalBlock:

@@ -24,6 +24,8 @@ from beltrami.exactpoly import (
     monomial_rows,
     parse_exact,
     power_tables,
+    _even_moment,
+    _moment_sum,
 )
 from conftest import rand_poly, rand_sphere_scalar, sphere_points
 
@@ -159,6 +161,37 @@ class TestExactIntegral:
             assert all(type(c) is type(Rat(1))
                        for c in integrate_poly(p).terms.values())
         assert integrate_poly(Poly4()) == ExactScalar.zero()
+
+
+def closed_form_moment(e) -> Fraction:
+    """The pi^2 coefficient of the integral of x^e over S^3 for all-even e,
+    2 prod_i [(2 b_i)! / (4^b_i b_i!)] / (s + 1)! with a_i = 2 b_i."""
+    b = [a // 2 for a in e]
+    value = Fraction(2, math.factorial(sum(b) + 1))
+    for bi in b:
+        value *= Fraction(math.factorial(2 * bi), 4 ** bi * math.factorial(bi))
+    return value
+
+
+class TestMomentSum:
+    def test_matches_the_closed_form(self):
+        for e in product(range(0, 9, 2), repeat=4):
+            assert _even_moment(e) == closed_form_moment(e)
+            assert _moment_sum([(e, 1)]) == closed_form_moment(e)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_rational_sum(self, seed):
+        # Reference: one rational moment per term, summed in rationals.
+        rng = random.Random(700 + seed)
+        for _ in range(20):
+            terms = [(tuple(rng.randint(0, 8) for _ in range(4)),
+                      rng.randint(-10 ** 6, 10 ** 6))
+                     for _ in range(rng.randint(0, 30))]
+            reference = sum((n * closed_form_moment(e) for e, n in terms
+                             if not any(a & 1 for a in e)), Fraction(0))
+            total = _moment_sum(terms)
+            assert total == reference
+            assert type(total) is type(Rat(1))
 
 
 class TestOneKind:

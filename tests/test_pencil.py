@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from beltrami.pencil import eigvalsh_diagonal, inverse_cholesky
+from beltrami.pencil import CheckedCurl, eigvalsh_diagonal, inverse_cholesky
 from conftest import cholesky_reduction
 
 
@@ -68,6 +68,16 @@ class TestDiagonalPencil:
                                      random_spd(np.random.default_rng(4), 3),
                                      3)
         assert np.array_equal(spectrum, np.zeros(3))
+
+    def test_checked_curl_gives_the_same_spectrum(self):
+        rng = np.random.default_rng(5)
+        a = np.diag([3.0, -2.0, 5.0, 0.0, 0.0])
+        b = random_spd(rng, 5)
+        curl = CheckedCurl(a, 2)
+        assert np.array_equal(eigvalsh_diagonal(curl, b, 2),
+                              eigvalsh_diagonal(a, b, 2))
+        with pytest.raises(ValueError, match="checked with 2 zeros"):
+            eigvalsh_diagonal(curl, b, 1)
 
     @pytest.mark.parametrize("entry,match", [
         ((0, 1), "off-diagonal"),
