@@ -26,9 +26,9 @@ decides which eigenvalues are zero.
 Matrix entries are contracted from exact monomial moments of the sphere
 (see exactpoly.integrate_monomial) with floating-point accumulation, which
 keeps assembly fast while anchoring every moment to its exact rational
-value.  Cost: per (manifold, dmax) one basis, its curl matrices checked
-once; per factor q the matrix P of q kept with its coarse block, and the
-exact integrals of q, q^2, q^3; per t, b = I + t P and one eigensolve.
+value.  Cost: per (manifold, dmax) one basis and its curl diagonals; per
+factor q the matrix P of q kept with its coarse block, and the exact
+integrals of q, q^2, q^3; per t, b = I + t P, an O(n) check, one eigensolve.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +54,7 @@ from .exactpoly import (
     exponent_sums,
 )
 from .frames import FrameField, coefficient_tensor, grad
-from .pencil import CheckedCurl, eigvalsh_diagonal, inverse_cholesky
+from .pencil import checked_diagonal, eigvalsh_diagonal, inverse_cholesky
 from .quadrature import HopfGrid, default_grid, integrate_scalar
 from .solver import DEFAULT_DMAX_LIMIT, _reduced_monomials
 
@@ -179,10 +179,10 @@ class _BasisData:
     antipodal map are kept.  The pencil's columns are the combinations
     whitening @ fields: the inverse Cholesky factor of the float Gram block
     of each eigenspace and of the gradients, so the round Gram matrix is I
-    and the curl matrix a is diag(mus), both exactly in rationals.  P holds
+    and the curl matrix is diag(mus), both exactly in rationals.  P holds
     the columns' coefficients; levels[i] is the least dmax holding column i.
-    families holds the pencils on all columns and on those of level < dmax
-    (coarse), each a read-only a with its check (curl), but no b or volume.
+    columns holds, for all columns and for those of level < dmax (coarse),
+    the dmax, read-only curl diagonal and column eigenvalues of their pencils.
     """
 
     def __init__(self, manifold: str, dmax: int):
@@ -208,16 +208,12 @@ class _BasisData:
         self.column_eigenvalues = tuple(mus)
         self.mus = np.array(mus, dtype=float)
         self.eigen_count = len(fields) - self.gradient_count
-        self.a = np.diag(self.mus)
         self.coarse = self.levels < dmax
-        kept = tuple(np.compress(self.coarse, mus).tolist())
-        self.families = [
-            GalerkinPencil(manifold, d, a, None, m, m.count(0), None)
-            for d, a, m in ((dmax, self.a, self.column_eigenvalues),
-                            (dmax - 1, np.diag(self.mus[self.coarse]), kept))]
-        for p in self.families:
-            p.a.flags.writeable = False
-            p.curl = CheckedCurl(p.a, p.gradient_count)
+        self.columns = ((dmax, self.mus, self.column_eigenvalues),
+                        (dmax - 1, self.mus[self.coarse],
+                         tuple(np.compress(self.coarse, mus).tolist())))
+        for _, diagonal, _ in self.columns:
+            diagonal.flags.writeable = False
 
         # Coefficients over the reduced monomials, one matrix per frame leg.
         self.exponents, P = coefficient_tensor(fields)
@@ -265,14 +261,15 @@ class _BasisData:
 
     def pencil(self, cf: ConformalFactor, coarse=False) -> GalerkinPencil:
         """The pencil of cf on every column, or on the coarse ones."""
-        family = self.families[coarse]
+        dmax, mus, eigenvalues = self.columns[coarse]
         if cf.is_trivial():
-            b = np.eye(len(family.a))
+            b = np.eye(len(mus))
         else:
             b = float(cf.t) * self.perturbation(cf.q, cf.terms, coarse)
             b.flat[::b.shape[0] + 1] += 1.0
         volume = float(cf.volume()) * (0.5 if self.manifold == "rp3" else 1.0)
-        return replace(family, b=b, volume=volume)
+        return GalerkinPencil(self.manifold, dmax, mus, b, eigenvalues,
+                              eigenvalues.count(0), volume)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -289,10 +286,10 @@ def _basis_data(manifold: str, dmax: int) -> _BasisData:
 class GalerkinPencil:
     """The symmetric pencil (A, B) for one manifold, factor, and degree cap.
 
-    a holds the curl pairings, diag(column_eigenvalues) in the orthonormal
-    basis, b the weighted mass matrix, and column_eigenvalues the exact
-    curl eigenvalue of each basis column (zero for gradients).  volume is
-    the total volume of the deformed manifold and curl a's CheckedCurl or None.
+    a is the diagonal of the curl pairings, diag(a) in the orthonormal
+    basis, b the weighted mass matrix, column_eigenvalues the exact curl
+    eigenvalue of each basis column (zero for gradients), and volume the
+    total volume of the deformed manifold.
     """
 
     manifold: str
@@ -302,32 +299,27 @@ class GalerkinPencil:
     column_eigenvalues: Tuple[int, ...]
     gradient_count: int
     volume: float
-    curl: CheckedCurl | None = None
 
     def principal_block(self, keep: np.ndarray, dmax: int) -> GalerkinPencil:
         """The pencil on the columns a boolean mask keeps, gradients last."""
         i = np.flatnonzero(keep)
         mus = tuple(self.column_eigenvalues[k] for k in i)
-        return GalerkinPencil(self.manifold, dmax, self.a[i][:, i],
+        return GalerkinPencil(self.manifold, dmax, self.a[i],
                               self.b[i][:, i], mus, mus.count(0), self.volume)
 
     def eigenvalues(self) -> np.ndarray:
         """All generalized eigenvalues, ascending.
 
-        a must be diagonal, zero exactly on the last gradient_count columns
-        (the gradients, which curl annihilates) and nonzero on the others
-        (the eigenfields); any other a raises RuntimeError.  The gradients
-        contribute gradient_count exact zeros, and the other eigenvalues
-        come from one Cholesky factor of b (pencil.eigvalsh_diagonal), or,
-        when b = I exactly, are the diagonal of a, with no eigensolve.
+        a must be a vector, zero exactly on its last gradient_count entries
+        (the gradients) and nonzero on the others (the eigenfields); any
+        other a raises RuntimeError, on every call.  The gradients give
+        gradient_count exact zeros; the others come from one Cholesky factor
+        of b (pencil.eigvalsh_diagonal), or, if b = I exactly, are a sorted.
         """
-        curl = self.curl or CheckedCurl(self.a, self.gradient_count)
-        if curl.a is not self.a or curl.zeros != self.gradient_count:
-            curl = CheckedCurl(self.a, self.gradient_count)
         b = self.b
         if np.all(b.diagonal() == 1.0) and np.count_nonzero(b) == len(b):
-            return np.sort(curl.mu)
-        return eigvalsh_diagonal(curl, b, self.gradient_count)
+            return np.sort(checked_diagonal(self.a, self.gradient_count))
+        return eigvalsh_diagonal(self.a, b, self.gradient_count)
 
     def first_eigenvalues(self) -> Tuple[float, float]:
         """(mu1^-, mu1): largest negative (-inf if none), smallest positive."""

@@ -304,18 +304,20 @@ def beltrami_basis(kmax: int) -> Tuple[List[TorusField], List[float]]:
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _pair_tables(kmax: int):
-    """The Beltrami basis and its pairwise mode products, once per int kmax.
+    """The Beltrami basis, its read-only mus and pair tables, once per kmax.
 
     waves[:, s, r, i, j] sums the wavevectors of mode s of field i and mode r
     of field j, and products[s, r, i, j] dots their amplitudes."""
     fields, mus = beltrami_basis(kmax)
+    mus = np.array(mus)
+    mus.flags.writeable = False
     k = np.array([list(f.modes) for f in fields]).T
     waves = np.ascontiguousarray(k[:, :, None, :, None] +
                                  k[:, None, :, None, :])
     a = np.array([list(f.modes.values()) for f in fields]).swapaxes(0, 1)
     a = a.reshape(-1, 3)
     products = (a @ a.T).reshape(2, len(fields), 2, -1).swapaxes(1, 2).copy()
-    return fields, np.array(mus), waves, products
+    return fields, mus, waves, products
 
 
 def _weighted_mass(waves, products, modes: Dict[Wavevector, complex]):
@@ -328,13 +330,13 @@ def _weighted_mass(waves, products, modes: Dict[Wavevector, complex]):
 
 
 class TorusPencil:
-    """The pencil a c = mu b(t) c for the metric (1 + t q)^2 delta on T^3.
+    """The pencil A c = mu b(t) c for the metric (1 + t q)^2 delta on T^3.
 
     The Beltrami basis is orthogonal with every squared norm N = 2 (2 pi)^3,
-    so in the normalized basis a = diag(mu) and b(t) = I + t mass_q / N,
-    where mass_q holds integral q <e_i, e_j>: the orthonormal form of the
-    conformal pencil on S^3, with no zero block.  q must be a TorusScalar
-    (TypeError otherwise) and t a finite real number and not a bool.
+    so in the normalized basis A = diag(mus), mus read-only, and b(t) =
+    I + t mass_q / N, where mass_q holds integral q <e_i, e_j>: the
+    orthonormal form of the conformal pencil on S^3, with no zero block.
+    q must be a TorusScalar (TypeError otherwise), t a finite real, no bool.
     """
 
     def __init__(self, q: TorusScalar, t: float, kmax: int):
@@ -345,11 +347,10 @@ class TorusPencil:
         self.kmax = kmax
         self.fields, self.mus, waves, products = _pair_tables(kmax)
         self.mass_q = _weighted_mass(waves, products, q.modes)
-        self.a = np.diag(self.mus)
         self.b = np.eye(len(self.mus)) + (t / _NORM_SQ) * self.mass_q
 
     def eigenvalues(self) -> np.ndarray:
-        return eigvalsh_diagonal(self.a, self.b, 0)
+        return eigvalsh_diagonal(self.mus, self.b, 0)
 
     def mu1_group_derivatives(self) -> np.ndarray:
         """First-order t-derivatives of the smallest positive eigenvalue

@@ -36,6 +36,7 @@ from beltrami.functionals import l32_energy
 from beltrami.pencil import checked_diagonal, eigvalsh_diagonal
 from beltrami.quadrature import (default_grid, grid_for_degree,
                                  integrate_scalar)
+from beltrami.torus import TorusScalar, torus_pencil
 
 
 def x(i: int) -> Poly4:
@@ -214,22 +215,22 @@ class TestPencilSpectrum:
 
     def test_no_positive_eigenvalue_raises(self):
         pencil = GalerkinPencil(
-            manifold="s3", dmax=0, a=-np.eye(3), b=np.eye(3),
+            manifold="s3", dmax=0, a=-np.ones(3), b=np.eye(3),
             column_eigenvalues=(-1, -1, -1), gradient_count=0, volume=1.0)
         with pytest.raises(RuntimeError):
             pencil.mu1()
 
     def test_zero_count_mismatch_raises(self):
         pencil = GalerkinPencil(
-            manifold="s3", dmax=0, a=np.diag([0.0, 1.0]), b=np.eye(2),
+            manifold="s3", dmax=0, a=np.array([0.0, 1.0]), b=np.eye(2),
             column_eigenvalues=(0, 1), gradient_count=2, volume=1.0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="gradient block"):
             pencil.mu1()
 
     @pytest.mark.parametrize("a,match", [
-        (np.array([[1.0, 0.5], [0.5, 0.0]]), "off-diagonal"),
-        (np.diag([1.0, 2.0]), "gradient block"),
-        (np.diag([0.0, 0.0]), "eigenfield diagonal")])
+        (np.array([[1.0, 0.5], [0.5, 0.0]]), "not a vector"),
+        (np.array([1.0, 2.0]), "gradient block"),
+        (np.array([0.0, 0.0]), "eigenfield diagonal")])
     def test_round_pencil_checks_the_curl_matrix(self, monkeypatch, a,
                                                  match):
         # b = I takes no eigensolve, but a is checked all the same.
@@ -260,8 +261,8 @@ class TestSchurPencil:
         # the gradient zeros appear only up to rounding.
         pencil = assemble_pencil(manifold, ConformalFactor(q, t), 2)
         factor = np.linalg.cholesky(pencil.b)
-        reduced = np.linalg.solve(factor, np.linalg.solve(factor,
-                                                          pencil.a).T)
+        reduced = np.linalg.solve(factor, np.linalg.solve(
+            factor, np.diag(pencil.a)).T)
         reference = np.linalg.eigvalsh(reduced)
         small = np.abs(reference) < 1e-8
         assert np.sum(small) == pencil.gradient_count
@@ -277,13 +278,14 @@ class TestSchurPencil:
 
     def test_gradient_coupling_in_curl_matrix_raises(self):
         pencil = assemble_pencil("s3", ConformalFactor(Q_X1X2, 0.05), 2)
+        # A coupled curl matrix is not a diagonal, so the pencil refuses it.
         ne = pencil.a.shape[0] - pencil.gradient_count
-        a = pencil.a.copy()
+        a = np.diag(pencil.a)
         a[0, ne] = a[ne, 0] = 1e-3
         coupled = dataclasses.replace(pencil, a=a)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="not a vector"):
             coupled.eigenvalues()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="not a vector"):
             coupled.mu1()
 
 
@@ -347,6 +349,8 @@ class TestAssemblyAgainstExactIntegrals:
     def test_curl_matrix_entries(self):
         data = _basis_data("s3", 1)
 
+        # The pencils carry the curl matrix as its diagonal data.mus, so
+        # every exact whitened pairing off the diagonal must vanish.
         @functools.cache
         def exact_entry(k, l):
             return data.mus[k] * float(integrate_poly(
@@ -357,7 +361,8 @@ class TestAssemblyAgainstExactIntegrals:
         for _ in range(12):
             i, j = rng.integers(0, n, size=2)
             exact = self.whitened(data, i, j, exact_entry)
-            assert data.a[i, j] == pytest.approx(exact, abs=1e-12)
+            expected = data.mus[i] if i == j else 0.0
+            assert expected == pytest.approx(exact, abs=1e-12)
 
 
 class TestOrthonormalBasis:
@@ -645,7 +650,8 @@ class TestOptimalityScan:
 
 class TestPencilFamily:
     """A scan pays, per amplitude, b = I + t P on both column sets and two
-    eigensolves; the rest is paid once per factor or once per basis."""
+    eigensolves, each with an O(n) check of its curl diagonal; the rest is
+    paid once per factor or once per basis."""
 
     def test_contracts_once_per_factor(self, monkeypatch):
         _basis_data("s3", 3)
@@ -664,23 +670,25 @@ class TestPencilFamily:
         assert len(rows) == 3 * len(DEFAULT_AMPLITUDES)
         assert len(calls) == 3
 
-    def test_checks_the_curl_matrix_once_per_basis(self, monkeypatch):
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    def test_checks_the_curl_diagonal_once_per_solve(self, monkeypatch,
+                                                     manifold):
+        # Each amplitude solves the fine and the coarse pencil, the round
+        # one by sorting its diagonal and the others by eigvalsh_diagonal;
+        # each solve checks its diagonal once, in O(n).
         calls = []
 
-        def counted(a, zeros):
-            calls.append(a.shape)
-            return checked_diagonal(a, zeros)
+        def counted(mu, zeros):
+            calls.append(mu.shape)
+            return checked_diagonal(mu, zeros)
 
         monkeypatch.setattr(pencil, "checked_diagonal", counted)
-        counts = []
+        monkeypatch.setattr(conformal, "checked_diagonal", counted)
+        orders = [(len(_basis_data(manifold, d).mus),) for d in (2, 3)]
         for amplitudes in ((0.0, 0.01), DEFAULT_AMPLITUDES):
-            # A cold basis of its own, leaving the shared cache warm.
-            monkeypatch.setattr(conformal, "_basis_data",
-                                functools.lru_cache(conformal._BasisData))
             calls.clear()
-            optimality_scan([("q", Q_EVEN)], "s3", amplitudes, dmax=1)
-            counts.append(len(calls))
-        assert counts == [2, 2]
+            optimality_scan([("q", Q_EVEN)], manifold, amplitudes, dmax=2)
+            assert sorted(calls) == sorted(orders * len(amplitudes))
 
     def test_rows_take_no_principal_block(self, monkeypatch):
         def refuse(*args):
@@ -691,14 +699,41 @@ class TestPencilFamily:
         rows = optimality_scan([("q", Q_EVEN)], "rp3", dmax=2)
         assert len(rows) == len(DEFAULT_AMPLITUDES)
 
+    def test_pencils_carry_the_curl_diagonal(self):
+        cf = ConformalFactor(Q_X1X2, 0.05)
+        pencils = [assemble_pencil(m, cf, 2) for m in ("s3", "rp3")]
+        pencils += [_basis_data(m, 3).pencil(cf, coarse=True)
+                    for m in ("s3", "rp3")]
+        for p in pencils:
+            assert p.a.ndim == 1 and p.a.shape[0] == p.b.shape[0]
+        assert torus_pencil(TorusScalar.cosine((1, 0, 0)), 0.01).mus.ndim == 1
+
+    @pytest.mark.parametrize("t", [0.0, 0.05])
+    def test_matrix_curl_side_raises_on_both_paths(self, monkeypatch, t):
+        # t = 0 sorts the diagonal (b = I, no eigensolve), t != 0 solves by
+        # eigvalsh_diagonal; a pencil given the n x n matrix diag(a) in
+        # place of its diagonal is refused on both.
+        solves = []
+
+        def counted(*args):
+            solves.append(args[1].shape)
+            return eigvalsh_diagonal(*args)
+
+        monkeypatch.setattr(conformal, "eigvalsh_diagonal", counted)
+        p = assemble_pencil("s3", ConformalFactor(Q_X1X2, t), 1)
+        matrix = dataclasses.replace(p, a=np.diag(p.a))
+        with pytest.raises(RuntimeError, match="not a vector"):
+            matrix.eigenvalues()
+        assert len(solves) == (1 if t else 0)
+        assert p.mu1() > 0
+
     def test_shared_curl_matrix_is_read_only(self):
         fine = assemble_pencil("s3", ConformalFactor(Q_X1X2, 0.05), 2)
         coarse = _basis_data("s3", 2).pencil(ConformalFactor(Q_X1X2, 0.05),
                                              coarse=True)
         for p in (fine, coarse):
-            assert p.curl.a is p.a
             with pytest.raises(ValueError):
-                p.a[0, 0] = 1.0
+                p.a[0] = 1.0
 
 
 class TestPrincipalBlock:

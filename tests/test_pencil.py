@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from beltrami.pencil import CheckedCurl, eigvalsh_diagonal, inverse_cholesky
+from beltrami.pencil import (checked_diagonal, eigvalsh_diagonal,
+                             inverse_cholesky)
 from conftest import cholesky_reduction
 
 
@@ -45,12 +48,12 @@ class TestDiagonalPencil:
         rng = np.random.default_rng(seed)
         count = 11
         mu = rng.choice((-1, 1), count) * rng.uniform(0.5, 7.0, count)
-        a = np.diag(np.concatenate([mu, np.zeros(zeros)]))
+        diagonal = np.concatenate([mu, np.zeros(zeros)])
         b = random_spd(rng, count + zeros)
-        reference = cholesky_reduction(a, b)
+        reference = cholesky_reduction(np.diag(diagonal), b)
         small = np.abs(reference) < 1e-8
         assert np.sum(small) == zeros
-        spectrum = eigvalsh_diagonal(a, b, zeros)
+        spectrum = eigvalsh_diagonal(diagonal, b, zeros)
         assert np.all(np.diff(spectrum) >= 0)
         assert np.sum(spectrum == 0.0) == zeros
         np.testing.assert_allclose(spectrum[spectrum != 0.0],
@@ -59,33 +62,50 @@ class TestDiagonalPencil:
     def test_identity_mass_returns_the_diagonal(self):
         # 1 / (1 / mu) == mu holds for every integer |mu| < 49.
         mu = np.array([3.0, -2.0, 5.0, 2.0, -7.0, 4.0, -3.0, 0.0, 0.0])
-        spectrum = eigvalsh_diagonal(np.diag(mu), np.eye(mu.size), 2)
+        spectrum = eigvalsh_diagonal(mu, np.eye(mu.size), 2)
         assert np.array_equal(spectrum, np.sort(mu))
         assert spectrum[spectrum > 0][0] == 2.0
 
     def test_only_zeros(self):
-        spectrum = eigvalsh_diagonal(np.zeros((3, 3)),
+        spectrum = eigvalsh_diagonal(np.zeros(3),
                                      random_spd(np.random.default_rng(4), 3),
                                      3)
         assert np.array_equal(spectrum, np.zeros(3))
 
-    def test_checked_curl_gives_the_same_spectrum(self):
-        rng = np.random.default_rng(5)
-        a = np.diag([3.0, -2.0, 5.0, 0.0, 0.0])
-        b = random_spd(rng, 5)
-        curl = CheckedCurl(a, 2)
-        assert np.array_equal(eigvalsh_diagonal(curl, b, 2),
-                              eigvalsh_diagonal(a, b, 2))
-        with pytest.raises(ValueError, match="checked with 2 zeros"):
-            eigvalsh_diagonal(curl, b, 1)
-
     @pytest.mark.parametrize("entry,match", [
-        ((0, 1), "off-diagonal"),
+        ((0, 1), "not a vector"),
         ((3, 3), "gradient block"),
         ((1, 1), "zero on the eigenfield diagonal"),
     ])
     def test_malformed_curl_matrix_raises(self, entry, match):
+        # The off-diagonal case passes the coupled matrix itself: a pencil
+        # carries only the diagonal of its curl matrix.
         a = np.diag([2.0, 3.0, -2.0, 0.0, 0.0])
         a[entry] = 0.0 if entry == (1, 1) else 1e-3
+        mu = a if entry == (0, 1) else np.diag(a).copy()
         with pytest.raises(RuntimeError, match=match):
-            eigvalsh_diagonal(a, np.eye(5), 2)
+            eigvalsh_diagonal(mu, np.eye(5), 2)
+        with pytest.raises(RuntimeError, match=match):
+            checked_diagonal(mu, 2)
+
+    @pytest.mark.parametrize("zeros", [True, False, 1.0, "1", None, -1, 4])
+    def test_rejects_a_zero_count_out_of_range(self, zeros):
+        # A count above len(mu) must not pad the spectrum with extra zeros.
+        mu = np.array([1.0, 2.0, 0.0])
+        for entry in (lambda: checked_diagonal(mu, zeros),
+                      lambda: eigvalsh_diagonal(mu, np.eye(3), zeros)):
+            with pytest.raises(ValueError, match=f"got {zeros!r}"):
+                entry()
+
+    def test_check_forms_no_matrix(self):
+        # The check reads the vector alone: its allocations stay far below
+        # one n x n float matrix (8 MB here).
+        n = 1000
+        mu = np.concatenate([np.arange(1.0, n - 99.0), np.zeros(100)])
+        tracemalloc.start()
+        try:
+            assert checked_diagonal(mu, 100) is mu
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 8

@@ -199,6 +199,18 @@ class TestTorusPencil:
         with pytest.raises(TypeError, match="TorusScalar"):
             torus_pencil(q, 0.01, 1)
 
+    def test_shared_curl_diagonal_is_read_only(self):
+        # Every pencil of one kmax shares the basis eigenvalues, so a write
+        # through one pencil would change every later one.
+        p = torus_pencil(TorusScalar.cosine((1, 0, 0)), 0.01, 1)
+        r = torus_pencil(TorusScalar.zero(), 0.0, 1)
+        assert p.mus is r.mus and p.mus.ndim == 1
+        assert not hasattr(p, "a")
+        with pytest.raises(ValueError):
+            p.mus[0] = 5.0
+        assert np.array_equal(np.sort(r.eigenvalues()),
+                              [-1.0] * 6 + [1.0] * 6)
+
     def test_flat_spectrum(self):
         pencil = torus_pencil(TorusScalar.zero(), 0.0, 1)
         spectrum = pencil.eigenvalues()
