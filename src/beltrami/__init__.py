@@ -20,8 +20,6 @@ from beltrami.atlas import (
 )
 from beltrami.conformal import (
     ConformalFactor,
-    MinimizerMetric,
-    PushforwardField,
     assemble_pencil,
     mu1_normalized,
     optimality_scan,
@@ -60,9 +58,7 @@ __all__ = [
     "ExactScalar",
     "FrameField",
     "HopfPerturbation",
-    "MinimizerMetric",
     "Poly4",
-    "PushforwardField",
     "RATIONAL_BACKEND",
     "Rat",
     "SphereScalar",

@@ -54,8 +54,9 @@ from .exactpoly import (
     exponent_sums,
 )
 from .frames import FrameField, coefficient_tensor, grad
-from .pencil import checked_diagonal, eigvalsh_diagonal, inverse_cholesky
-from .quadrature import HopfGrid, default_grid, integrate_scalar
+from .pencil import (check_mass, checked_diagonal, eigvalsh_diagonal,
+                     inverse_cholesky)
+from .quadrature import default_grid
 from .solver import DEFAULT_DMAX_LIMIT, _reduced_monomials
 
 MANIFOLDS = ("s3", "rp3")
@@ -83,9 +84,7 @@ class ConformalFactor:
 
     def __init__(self, q: SphereScalar, t: float):
         _check_factor(q)
-        if (isinstance(t, bool) or not isinstance(t, numbers.Real)
-                or not math.isfinite(t)):
-            raise ValueError(f"t must be a finite real number, got {t!r}")
+        _check_amplitude(t)
         self.q = q
         self.t = t
         self.terms = _factor_terms(q)
@@ -93,7 +92,8 @@ class ConformalFactor:
             isinstance(c, float) for _, c in self.terms)
         i1, i2, i3, size = _factor_moments(self.terms)
         if abs(Rat(t)) * size >= 1:
-            low = float(np.min(self.sqrt_values(default_grid().points)))
+            low = float(np.min(
+                self.sqrt_weight().evaluate(default_grid().points)))
             if low <= 0.0:
                 raise ValueError(
                     f"1 + t q reaches {low:.3e} on the sphere; the conformal "
@@ -109,9 +109,6 @@ class ConformalFactor:
         if self._float:
             return SphereScalar.const(1.0) + self.q.scale(float(self.t))
         return SphereScalar.const(1) + self.q.scale(self.t)
-
-    def sqrt_values(self, pts: np.ndarray) -> np.ndarray:
-        return self.sqrt_weight().evaluate(pts)
 
     def is_trivial(self) -> bool:
         return self.t == 0 or self.q.is_zero()
@@ -135,6 +132,13 @@ def _check_factor(q: SphereScalar, manifold: str = "s3") -> None:
         raise ParityError(
             "the conformal factor has an antipodally odd part and does not "
             "descend to RP^3")
+
+
+def _check_amplitude(t) -> None:
+    """ValueError naming t unless it is a finite real number, not a bool."""
+    if (isinstance(t, bool) or not isinstance(t, numbers.Real)
+            or not math.isfinite(t)):
+        raise ValueError(f"t must be a finite real number, got {t!r}")
 
 
 def _factor_terms(q: SphereScalar) -> tuple:
@@ -312,11 +316,13 @@ class GalerkinPencil:
 
         a must be a vector, zero exactly on its last gradient_count entries
         (the gradients) and nonzero on the others (the eigenfields); any
-        other a raises RuntimeError, on every call.  The gradients give
-        gradient_count exact zeros; the others come from one Cholesky factor
-        of b (pencil.eigvalsh_diagonal), or, if b = I exactly, are a sorted.
+        other a raises RuntimeError, and a b that is not len(a) x len(a)
+        ValueError, on every call.  The gradients give gradient_count exact
+        zeros; the others come from one Cholesky factor of b
+        (pencil.eigvalsh_diagonal), or, if b = I exactly, are a sorted.
         """
         b = self.b
+        check_mass(self.a, b)
         if np.all(b.diagonal() == 1.0) and np.count_nonzero(b) == len(b):
             return np.sort(checked_diagonal(self.a, self.gradient_count))
         return eigvalsh_diagonal(self.a, b, self.gradient_count)
@@ -375,18 +381,19 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     by less than 1e-4, it clears the (16/pi)^(1/3) lower bound, and it is
     no smaller than the t = 0 value of its own factor minus 1e-6 (so the
     undeformed metric is the grid minimum).  dmax must be an int (not a
-    bool) and the amplitudes finite and distinct; otherwise ValueError is
-    raised.  Rows also give, not deciding the pass, the largest negative
-    eigenvalue mu1_negative and min(mu1, |mu1_negative|)^2 Vol^(2/3).  Cost
-    per factor: one P; per t != 0: two b = I + t P and two eigensolves.
+    bool) and the amplitudes distinct and finite reals (not bools);
+    otherwise ValueError is raised before any basis is built.  Rows also
+    give, not deciding the pass, the largest negative eigenvalue
+    mu1_negative and min(mu1, |mu1_negative|)^2 Vol^(2/3).  Cost per
+    factor: one P; per t != 0: two b = I + t P and two eigensolves.
     """
     if (isinstance(dmax, bool) or not isinstance(dmax, int)
             or not 0 <= dmax < DEFAULT_DMAX_LIMIT):
         raise ValueError(
             f"dmax must be an integer between 0 and {DEFAULT_DMAX_LIMIT - 1} "
             f"for a scan, which refines at dmax + 1; got {dmax!r}")
-    if not all(math.isfinite(t) for t in amplitudes):
-        raise ValueError(f"amplitudes must be finite, got {amplitudes!r}")
+    for t in amplitudes:
+        _check_amplitude(t)
     if len(set(amplitudes)) != len(amplitudes):
         raise ValueError(f"amplitudes must be distinct, got {amplitudes!r}")
     if 0.0 not in amplitudes:
@@ -432,105 +439,3 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
                 "wall_time": wall_time,
             })
     return rows
-
-
-class PushforwardField:
-    """A divergence-free field transported to the deformed metric.
-
-    The transport divides the field by (1 + t q)^3 so that both the
-    helicity and the L^(3/2) norm, taken in the deformed metric, agree with
-    the round-metric values of the original field.  At t = 0 the transport
-    is the identity.
-    """
-
-    def __init__(self, base: FrameField, cf: ConformalFactor,
-                 dmax: int = 3):
-        self.base = base
-        self.factor = cf
-        self.dmax = dmax
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Cartesian components (N, 4) of the transported field."""
-        values = self.base.evaluate(pts)
-        if self.factor.is_trivial():
-            return values
-        return values / self.factor.sqrt_values(pts)[:, None] ** 3
-
-    def l32_energy(self, grid: HopfGrid | None = None) -> float:
-        """Integral of the deformed-metric speed to the power 3/2.
-
-        The deformed speed is (1 + t q) times the frame speed and the
-        deformed volume element carries (1 + t q)^3, evaluated pointwise
-        without using the algebraic cancellation against the transport.
-        """
-        def density(pts):
-            w = self.factor.sqrt_values(pts)
-            return (np.sum(self.evaluate(pts) ** 2, axis=1) * w ** 2) ** 0.75 * w ** 3
-
-        return integrate_scalar(density, grid or default_grid())
-
-    def helicity(self) -> float:
-        """Helicity in the deformed metric via a Galerkin curl inversion.
-
-        Solves curl_g W = V weakly over the eigenfield block of the trial
-        basis and returns the pairing of W with V.  The weak equations
-        pair one-forms against the flux two-form of V, whose density in the
-        deformed volume element (1 + t q)^3 cancels the transport's
-        division by (1 + t q)^3.  So the right-hand side rhs is the round
-        L^2 pairing of each whitened basis column with the base field,
-        exact for an exact base, and the value, sum_k rhs_k^2 / mu_k in the
-        orthonormal basis, is the round-metric helicity of the base on the
-        trial space, whatever the factor.
-        """
-        data = _basis_data("s3", self.dmax)
-        ne = data.eigen_count
-        rhs = data.whitening[:ne, :ne] @ np.array(
-            [float(f.l2_inner(self.base)) for f in data.fields[:ne]])
-        return float(rhs @ (rhs / data.mus[:ne]))
-
-
-class MinimizerMetric:
-    """The conformal metric kappa |u| g0 built from a nonvanishing field.
-
-    kappa = (Vol / E(u))^(2/3) normalizes the total volume back to the
-    round value 2 pi^2, and the transported field u / (kappa |u|)^(3/2) has
-    constant speed 1 / kappa in the new metric.
-    """
-
-    def __init__(self, u: FrameField, grid: HopfGrid | None = None):
-        grid = grid or default_grid()
-        self._grid = grid
-        self.base = u
-        values = u.evaluate(grid.points)
-        speed_sq = np.sum(values ** 2, axis=1)
-        top = float(np.max(speed_sq))
-        if top == 0.0 or float(np.min(speed_sq)) <= 1e-12 * top:
-            raise ValueError("the field vanishes somewhere on the sphere; "
-                             "its speed cannot serve as a metric weight")
-        energy = integrate_scalar(lambda pts: speed_sq ** 0.75, grid)
-        self.kappa = (2.0 * math.pi ** 2 / energy) ** (2.0 / 3.0)
-
-    def weight_values(self, pts: np.ndarray) -> np.ndarray:
-        """The conformal weight kappa |u| at unit points."""
-        return self.kappa * np.sqrt(
-            np.sum(self.base.evaluate(pts) ** 2, axis=1))
-
-    def volume(self, grid: HopfGrid | None = None) -> float:
-        """Total volume of the weighted metric: integral of weight^(3/2)."""
-        return integrate_scalar(lambda pts: self.weight_values(pts) ** 1.5,
-                                grid or self._grid)
-
-    def transported_values(self, pts: np.ndarray) -> np.ndarray:
-        """Cartesian components (N, 4) of u / weight^(3/2)."""
-        return self.base.evaluate(pts) / \
-            self.weight_values(pts)[:, None] ** 1.5
-
-    def transported_speed(self, pts: np.ndarray) -> np.ndarray:
-        """Speed of the transported field in the weighted metric.
-
-        Constant and equal to 1 / kappa by construction; computed pointwise
-        so the construction can be checked numerically.
-        """
-        w = self.weight_values(pts)
-        return np.sqrt(w * np.sum(self.transported_values(pts) ** 2,
-                                  axis=1))

@@ -40,12 +40,20 @@ def checked_diagonal(mu: np.ndarray, zeros: int) -> np.ndarray:
     return mu
 
 
+def check_mass(mu: np.ndarray, b: np.ndarray) -> None:
+    """ValueError, naming both shapes, unless b is len(mu) x len(mu)."""
+    if np.shape(b) != (len(mu),) * 2:
+        raise ValueError(f"the mass matrix {np.shape(b)} does not match the "
+                         f"curl diagonal {np.shape(mu)}")
+
+
 def eigvalsh_diagonal(mu: np.ndarray, b: np.ndarray,
                       zeros: int) -> np.ndarray:
     """Eigenvalues, ascending, of diag(mu) c = lambda B c.
 
-    mu must pass checked_diagonal with zeros, which runs on every call, and
-    a B not symmetric positive definite raises numpy.linalg.LinAlgError.
+    mu must pass checked_diagonal with zeros and B check_mass, both on
+    every call before any factorization, and a B not symmetric positive
+    definite raises numpy.linalg.LinAlgError.
 
     The zero block g gives `zeros` exact zero eigenvalues.  The others are
     the eigenvalues of D c = lambda S c on the leading block e, where
@@ -56,6 +64,7 @@ def eigvalsh_diagonal(mu: np.ndarray, b: np.ndarray,
     No square root of mu is taken, so mu may have either sign.
     """
     checked_diagonal(mu, zeros)
+    check_mass(mu, b)
     corner = np.linalg.cholesky(b[::-1, ::-1])[zeros:, zeros:]
     reciprocal = corner.T @ (corner / mu[::-1][zeros:, None])
     return np.sort(np.concatenate([np.zeros(zeros),

@@ -4,8 +4,8 @@ Each test class covers one headline guarantee: exactness of the explicit
 eigenfield atlas, solver multiplicities, the closed-form constants table,
 the correction field, derivative fidelity against quadrature, the
 sixth-order expansion constants, local maximality of the Rayleigh
-quotient, the second-variation sign, the conformal optimality scans, and
-the torus, annulus, and bound-constant results.
+quotient, the second-variation sign, the conformal optimality scans, the
+torus, annulus, and bound-constant results, and the package's exports.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import beltrami
 from beltrami.annulus import (
     bound_constants,
     first_eigenvalue,
@@ -343,3 +344,15 @@ class TestBoundConstants:
         assert constants["ball_volume_cbrt"] == pytest.approx(ball,
                                                               abs=1e-12)
         assert constants["round_sphere"] > constants["ball_volume_cbrt"]
+
+
+class TestPackageExports:
+    def test_star_import_binds_exactly_the_sorted_exports(self):
+        names = beltrami.__all__
+        assert all(hasattr(beltrami, name) for name in names)
+        assert len(set(names)) == len(names)
+        assert names == sorted(names)
+        namespace: dict = {}
+        exec("from beltrami import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(names)

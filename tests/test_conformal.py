@@ -1,4 +1,4 @@
-"""Tests for the conformal eigenvalue pencil and metric transports."""
+"""Tests for the conformal eigenvalue pencil."""
 
 from __future__ import annotations
 
@@ -14,14 +14,11 @@ import numpy as np
 import pytest
 
 from beltrami import cli, conformal, pencil
-from beltrami.atlas import explicit_basis
 from beltrami.conformal import (
     DEFAULT_AMPLITUDES,
     ConformalFactor,
     GalerkinPencil,
-    MinimizerMetric,
     ParityError,
-    PushforwardField,
     SCAN_LOWER_BOUND,
     assemble_pencil,
     mu1_normalized,
@@ -31,11 +28,9 @@ from beltrami.conformal import (
 from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
                                 _monomial_moment_float, canonicalize,
                                 integrate_poly)
-from beltrami.frames import FrameField, coefficient_tensor, hopf_frame
-from beltrami.functionals import l32_energy
+from beltrami.frames import FrameField, coefficient_tensor
 from beltrami.pencil import checked_diagonal, eigvalsh_diagonal
-from beltrami.quadrature import (default_grid, grid_for_degree,
-                                 integrate_scalar)
+from beltrami.quadrature import default_grid, integrate_scalar
 from beltrami.torus import TorusScalar, torus_pencil
 
 
@@ -634,11 +629,35 @@ class TestOptimalityScan:
         with pytest.raises(ValueError, match="dmax must be an integer"):
             optimality_scan([("q", Q_EVEN)], "s3", dmax=dmax)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_amplitudes(self, t):
-        with pytest.raises(ValueError, match="finite"):
-            optimality_scan([("q", Q_EVEN)], "s3", amplitudes=(0.0, t),
+    @pytest.mark.parametrize("amplitudes,bad", [
+        pytest.param((0.0, t), t, id=str(t))
+        for t in (math.nan, math.inf, -math.inf)] + [
+        # A bool is a finite int: True used to fail as beyond 0.05, False
+        # as a duplicate of 0.0 or, leading, only inside ConformalFactor.
+        pytest.param((0.0, True), True, id="True-beyond-0.05"),
+        pytest.param((0.0, 0.01, False), False, id="False-duplicate"),
+        pytest.param((False, 0.01), False, id="False-as-zero"),
+        pytest.param((0.0, "0.01"), "0.01", id="str"),
+        pytest.param((0.0, 1j), 1j, id="complex"),
+    ])
+    def test_rejects_non_finite_amplitudes(self, monkeypatch, amplitudes,
+                                           bad):
+        def refuse(*args):
+            raise AssertionError("the scan built a basis")
+
+        monkeypatch.setattr(conformal, "_basis_data", refuse)
+        with pytest.raises(ValueError, match="finite") as error:
+            optimality_scan([("q", Q_EVEN)], "s3", amplitudes=amplitudes,
                             dmax=1)
+        assert str(error.value).endswith(f"got {bad!r}")
+
+    def test_accepts_int_and_fraction_amplitudes(self):
+        exact = optimality_scan([("q", Q_EVEN)], "s3",
+                                amplitudes=(0, Fraction(1, 100)), dmax=1)
+        rows = optimality_scan([("q", Q_EVEN)], "s3", amplitudes=(0.0, 0.01),
+                               dmax=1)
+        assert [r["mu1_normalized"] for r in exact] == pytest.approx(
+            [r["mu1_normalized"] for r in rows], rel=1e-14)
 
     @pytest.mark.parametrize("amplitudes", [
         (0.0, 0.01, 0.01), (-0.0, 0.0, 0.02), (0, 0.0, 0.02)])
@@ -727,6 +746,21 @@ class TestPencilFamily:
         assert len(solves) == (1 if t else 0)
         assert p.mu1() > 0
 
+    @pytest.mark.parametrize("b", [np.eye(2), np.diag([2.0, 1.0])])
+    def test_mass_of_another_order_raises_on_both_paths(self, monkeypatch,
+                                                        b):
+        # b = I is solved by sorting a, any other b by eigvalsh_diagonal;
+        # both refuse a b that is not len(a) x len(a) before any LAPACK call.
+        def refuse(*args):
+            raise AssertionError("a mismatched pencil reached LAPACK")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        p = GalerkinPencil("s3", 1, np.array([2.0, 3.0, 0.0]), b,
+                           (2, 3, 0), 1, 2 * math.pi ** 2)
+        with pytest.raises(ValueError, match=r"\(2, 2\).*\(3,\)"):
+            p.eigenvalues()
+
     def test_shared_curl_matrix_is_read_only(self):
         fine = assemble_pencil("s3", ConformalFactor(Q_X1X2, 0.05), 2)
         coarse = _basis_data("s3", 2).pencil(ConformalFactor(Q_X1X2, 0.05),
@@ -794,99 +828,3 @@ class TestPrincipalBlock:
         monkeypatch.setattr(conformal, "_basis_data", lambda m, d: data)
         with pytest.raises(RuntimeError, match="dropped field"):
             optimality_scan([("q", Q_EVEN)], "s3", dmax=1)
-
-
-class TestPushforward:
-    def setup_method(self):
-        self.B1, _, _ = hopf_frame()
-        self.u5 = explicit_basis(3).orthonormal_float_fields()[4]
-
-    def test_identity_at_zero_amplitude(self):
-        cf = ConformalFactor(Q_EVEN, 0.0)
-        v = PushforwardField(self.B1, cf)
-        pts = default_grid().points[:200]
-        np.testing.assert_allclose(v.evaluate(pts), self.B1.evaluate(pts))
-
-    def test_preserves_energy(self):
-        cf = ConformalFactor(Q_EVEN, 0.03)
-        u = self.B1.to_float() + self.u5.scale(0.1)
-        v = PushforwardField(u, cf)
-        assert v.l32_energy() == pytest.approx(l32_energy(u), rel=1e-8)
-
-    def test_preserves_helicity(self):
-        cf = ConformalFactor(Q_EVEN, 0.03)
-        v = PushforwardField(self.B1, cf)
-        assert v.helicity() == pytest.approx(math.pi ** 2, abs=1e-10)
-        u = self.B1.to_float() + self.u5.scale(0.1)
-        # The added eigenfield has curl eigenvalue 3 and unit norm, so the
-        # helicity shifts by 0.01 / 3.
-        v = PushforwardField(u, cf)
-        assert v.helicity() == pytest.approx(math.pi ** 2 + 0.01 / 3,
-                                             abs=1e-10)
-
-    def test_helicity_memory_stays_at_grid_size(self):
-        # The right-hand side is read from exact L^2 pairings, so nothing is
-        # evaluated on a grid; the bound is the one the grid path met.
-        grid = grid_for_degree(24)
-        v = PushforwardField(self.B1, ConformalFactor(Q_EVEN, 0.03))
-        _basis_data("s3", 3)
-        tracemalloc.start()
-        try:
-            helicity = v.helicity()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert helicity == pytest.approx(math.pi ** 2, abs=1e-10)
-        assert peak < 16 * grid.points.nbytes
-
-
-    def test_transport_cancels_the_volume_density(self):
-        # On the grid, the weak right-hand side of a column pairs it with the
-        # transported field against (1 + t q)^3; it equals the round L^2
-        # pairing with the base field only for the transport power 3.
-        grid = grid_for_degree(24)
-        cf = ConformalFactor(Q_EVEN, 0.03)
-        u = self.B1.to_float() + self.u5.scale(0.1)
-        v = PushforwardField(u, cf)
-        data = _basis_data("s3", 3)
-        density = grid.weights * cf.sqrt_values(grid.points) ** 3
-        mus = list(data.mus[:data.eigen_count])
-        for j in (mus.index(2), mus.index(3), mus.index(3) + 4, 0):
-            f = data.fields[j]
-            on_grid = math.fsum(density * np.sum(
-                f.evaluate(grid.points) * v.evaluate(grid.points), axis=1))
-            assert on_grid == pytest.approx(float(f.l2_inner(u)), rel=1e-12,
-                                            abs=1e-12)
-
-
-class TestMinimizerMetric:
-    def setup_method(self):
-        self.B1, _, _ = hopf_frame()
-        self.u5 = explicit_basis(3).orthonormal_float_fields()[4]
-
-    def test_hopf_field_gives_round_weight(self):
-        metric = MinimizerMetric(self.B1)
-        assert metric.kappa == pytest.approx(1.0, abs=1e-13)
-        pts = default_grid().points[:300]
-        np.testing.assert_allclose(metric.weight_values(pts), 1.0,
-                                   atol=1e-12)
-
-    def test_volume_is_preserved(self):
-        u = self.B1.to_float() + self.u5.scale(0.1)
-        metric = MinimizerMetric(u)
-        assert metric.volume() == pytest.approx(2 * math.pi ** 2,
-                                                abs=1e-10)
-
-    def test_transported_speed_is_constant(self):
-        u = self.B1.to_float() + self.u5.scale(0.1)
-        metric = MinimizerMetric(u)
-        pts = default_grid().points[:500]
-        np.testing.assert_allclose(metric.transported_speed(pts),
-                                   1.0 / metric.kappa, atol=1e-10)
-
-    def test_rejects_vanishing_field(self):
-        vanishing = self.B1 * canonicalize(x(1))
-        with pytest.raises(ValueError):
-            MinimizerMetric(vanishing)
-        with pytest.raises(ValueError):
-            MinimizerMetric(self.B1.scale(0))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,26 @@ class TestDiagonalPencil:
                       lambda: eigvalsh_diagonal(mu, np.eye(3), zeros)):
             with pytest.raises(ValueError, match=f"got {zeros!r}"):
                 entry()
+
+    @pytest.mark.parametrize("mu,b", [
+        (np.array([2.0, 0.0]), np.eye(3)),
+        (np.array([2.0, 3.0, 0.0]), np.eye(2)),
+        (np.array([2.0, 3.0, 0.0]), np.eye(3)[:, :2]),
+        (np.array([2.0, 3.0, 0.0]), np.ones(3)),
+    ])
+    def test_rejects_a_mass_matrix_of_another_order(self, monkeypatch, mu,
+                                                    b):
+        # [2, 0] against I_3 used to give three eigenvalues, the corner of b
+        # broadcasting against the one nonzero entry.
+        def refuse(*args):
+            raise AssertionError("a mismatched pencil reached LAPACK")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        with pytest.raises(ValueError, match=re.escape(
+                f"mass matrix {b.shape} does not match the curl diagonal "
+                f"{mu.shape}")):
+            eigvalsh_diagonal(mu, b, 1)
 
     def test_check_forms_no_matrix(self):
         # The check reads the vector alone: its allocations stay far below
