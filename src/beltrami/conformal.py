@@ -12,11 +12,14 @@ over a trial space of one-forms, with
     A_ij = <curl e_i, e_j>,    B_ij(t) = integral (1 + t q) <e_i, e_j>.
 
 The trial space spans the exact curl eigenfields up to a frame-coefficient
-degree cap together with gradient fields.  Distinct curl eigenspaces, and
-gradients against divergence-free fields, are L^2-orthogonal exactly, so
-the basis is made orthonormal with one Cholesky factor per eigenspace and
-one for the gradients.  In that basis B(0) = I and A = diag(mu), with
-exact zeros on the gradients, whatever the rounding of the Gram matrix.
+degree cap together with gradient fields, whose coefficients are read from
+integers: the solver's primitive eigenbasis rows, each entry divided once
+by its row's pivot, and the frame-derivative table of the monomials; no
+rational field is formed.  Distinct curl eigenspaces, and gradients
+against divergence-free fields, are L^2-orthogonal exactly, so the basis
+is made orthonormal with one Cholesky factor per eigenspace and one for
+the gradients.  In that basis B(0) = I and A = diag(mu), with exact zeros
+on the gradients, whatever the rounding of the Gram matrix.
 Each gradient gives one exact zero eigenvalue, and the other eigenvalues
 are the reciprocals of the symmetric problem U^T diag(mu)^-1 U, where
 U U^T is the Schur complement of the gradient block of B(t), read off one
@@ -27,7 +30,8 @@ Matrix entries are contracted from exact monomial moments of the sphere
 (see exactpoly.integrate_monomial) with floating-point accumulation, which
 keeps assembly fast while anchoring every moment to its exact rational
 value.  Cost: per (manifold, dmax) one basis and its curl diagonals; per
-factor q the matrix P of q kept with its coarse block, and the exact
+factor q the matrix P of q and its coarse block, held by the scan for the
+factor's rows (a basis keeps no matrix of a factor), and the exact
 integrals of q, q^2, q^3; per t, b = I + t P, an O(n) check, one eigensolve.
 """
 
@@ -45,6 +49,7 @@ import numpy as np
 from .atlas import eigenspace_solve
 from .exactpoly import (
     ExactScalar,
+    Exponent,
     Poly4,
     Rat,
     SphereScalar,
@@ -52,8 +57,12 @@ from .exactpoly import (
     _monomial_moment_float,
     canonicalize,
     exponent_sums,
+    parity_class,
 )
-from .frames import FrameField, coefficient_tensor, grad
+# coefficient_tensor(_BasisData.fields) is the reference layout of the
+# tensor a basis reads from integers; it stays importable from here.
+from .frames import (FrameField, coefficient_tensor,  # noqa: F401
+                     derivative_table, grad)
 from .pencil import (check_mass, checked_diagonal, eigvalsh_diagonal,
                      inverse_cholesky)
 from .quadrature import default_grid
@@ -154,64 +163,73 @@ def _factor_moments(terms: tuple) -> tuple:
 
     Every coefficient is taken exactly, a float at its binary value, so the
     moments depend on the values of the coefficients and not on their kind.
-    The coefficients are cleared to integers n_e = den c_e with one lcm, so
-    the powers are products of integer exponent dicts and the integral of
-    q^k is one exactpoly moment sum, divided by den^k.
+    The coefficients are cleared to integers n_e = den c_e with one lcm, and
+    the integral of q^k is one exactpoly moment sum, divided by den^k.  q^2
+    is formed in full; q^3 only at its all-even exponents, where a term of
+    q^2 meets the terms of q in its own parity class (exactpoly.parity_class,
+    as in integrate_products); the other terms integrate to zero.
     """
     exact = [(e, Rat(c)) for e, c in terms]
     den = math.lcm(*(int(c.denominator) for _, c in exact))
-    powers = [{e: int(c.numerator) * (den // int(c.denominator))
-               for e, c in exact}]
-    for _ in range(2):
-        power: dict = {}
-        for e, c in powers[-1].items():
-            for f, d in powers[0].items():
-                s = (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3])
-                power[s] = power.get(s, 0) + c * d
-        powers.append(power)
+    linear = {e: int(c.numerator) * (den // int(c.denominator))
+              for e, c in exact}
+    items = list(linear.items())
+    square: dict = {}
+    classes: dict = {}
+    for i, (e, c) in enumerate(items):
+        classes.setdefault(parity_class(e), []).append((e, c))
+        square_e = (2 * e[0], 2 * e[1], 2 * e[2], 2 * e[3])
+        square[square_e] = square.get(square_e, 0) + c * c
+        for f, d in items[i + 1:]:
+            s = (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3])
+            square[s] = square.get(s, 0) + 2 * c * d
+    cube: dict = {}
+    for e, c in square.items():
+        for f, d in classes.get(parity_class(e), ()):
+            s = (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3])
+            cube[s] = cube.get(s, 0) + c * d
     return (*(ExactScalar({2: _moment_sum(p.items()) / den ** k})
-              for k, p in enumerate(powers, 1)),
+              for k, p in enumerate((linear, square, cube), 1)),
             sum(abs(c) for _, c in exact))
 
 
 class _BasisData:
     """Assembled orthonormal trial basis for one (manifold, dmax) pair.
 
-    The fields are the exact curl eigenfields with frame-coefficient degree
-    up to dmax followed by gradients of scalar monomials up to degree
+    The columns are the exact curl eigenfields with frame-coefficient
+    degree up to dmax followed by gradients of scalar monomials up to degree
     dmax + 1.  On RP^3 only the fields and scalars that descend through the
-    antipodal map are kept.  The pencil's columns are the combinations
-    whitening @ fields: the inverse Cholesky factor of the float Gram block
-    of each eigenspace and of the gradients, so the round Gram matrix is I
-    and the curl matrix is diag(mus), both exactly in rationals.  P holds
-    the columns' coefficients; levels[i] is the least dmax holding column i.
-    columns holds, for all columns and for those of level < dmax (coarse),
-    the dmax, read-only curl diagonal and column eigenvalues of their pencils.
+    antipodal map are kept.  Their coefficients are read from integers: each
+    eigenfield from the solver's primitive row (SolverEigenspace.integer_rows)
+    with one correctly rounded int / pivot per entry, each gradient from
+    frames.derivative_table; the tensor stands over the sorted monomials
+    that occur, as frames.coefficient_tensor(fields) lays it out.  The
+    pencil's columns are whitening @ columns: the inverse Cholesky factor of
+    the float Gram block of each eigenspace and of the gradients, so the
+    round Gram matrix is I and the curl matrix is diag(mus), both exactly in
+    rationals.  P holds the whitened columns' coefficients; levels[i] is the
+    least dmax holding column i.  columns holds, for all columns and for
+    those of level < dmax (coarse), the dmax, read-only curl diagonal and
+    column eigenvalues of their pencils.  Nothing here depends on a factor
+    but the moment tables kept per shift.
     """
 
     def __init__(self, manifold: str, dmax: int):
         self.manifold = manifold
         self.dmax = dmax
         result = eigenspace_solve(dmax)
-        fields: List[FrameField] = []
-        mus: List[int] = []
-        for mu in sorted(result.eigenspaces):
-            if manifold == "rp3" and mu % 2:
-                continue
-            for f in result.eigenspaces[mu].fields():
-                fields.append(f)
-                mus.append(mu)
-        monomials = [e for p in ((0, 1) if manifold == "s3" else (0,))
-                     for e in _reduced_monomials(dmax + 1, p) if any(e)]
-        self.levels = np.array([abs(mu) - 2 for mu in mus]
+        spaces = [result.eigenspaces[mu] for mu in sorted(result.eigenspaces)
+                  if manifold == "s3" or mu % 2 == 0]
+        monomials = _gradient_monomials(manifold, dmax)
+        eigen = [space.eigenvalue for space in spaces
+                 for _ in range(space.dimension)]
+        self.levels = np.array([abs(mu) - 2 for mu in eigen]
                                + [sum(e) - 1 for e in monomials])
         self.gradient_count = len(monomials)
-        fields.extend(grad(canonicalize(Poly4.monomial(e))) for e in monomials)
-        mus.extend([0] * len(monomials))
-        self.fields = fields
+        self.eigen_count = len(eigen)
+        mus = eigen + [0] * len(monomials)
         self.column_eigenvalues = tuple(mus)
         self.mus = np.array(mus, dtype=float)
-        self.eigen_count = len(fields) - self.gradient_count
         self.coarse = self.levels < dmax
         self.columns = ((dmax, self.mus, self.column_eigenvalues),
                         (dmax - 1, self.mus[self.coarse],
@@ -220,11 +238,10 @@ class _BasisData:
             diagonal.flags.writeable = False
 
         # Coefficients over the reduced monomials, one matrix per frame leg.
-        self.exponents, P = coefficient_tensor(fields)
+        self.exponents, P = _integer_tensor(spaces, monomials, dmax)
         # Moments are kept per unique pair sum e_i + e_j, indexed by entry.
         self._sums, self._sum_index = exponent_sums(self.exponents)
         self._shift_moments = {}
-        self._last_perturbation = (None, None)
         gram = self._contract(P, self._table((0, 0, 0, 0)))
         self.whitening = np.zeros_like(gram)
         # The mus are sorted with the gradients' zeros last, so each block
@@ -234,6 +251,18 @@ class _BasisData:
         for lo, hi in zip(starts[:-1], starts[1:]):
             self.whitening[lo:hi, lo:hi] = inverse_cholesky(gram[lo:hi, lo:hi])
         self.P = self.whitening @ P
+
+    @functools.cached_property
+    def fields(self) -> List[FrameField]:
+        """The unwhitened columns as exact FrameFields, built on first use:
+        coefficient_tensor(fields) is (exponents, the tensor P whitens)."""
+        result = eigenspace_solve(self.dmax)
+        fields = [f for mu in sorted(set(
+            self.column_eigenvalues[:self.eigen_count]))
+            for f in result.eigenspaces[mu].fields()]
+        return fields + [grad(canonicalize(Poly4.monomial(e)))
+                         for e in _gradient_monomials(self.manifold,
+                                                      self.dmax)]
 
     def _moments(self, shift: Tuple[int, ...]) -> np.ndarray:
         if shift not in self._shift_moments:
@@ -250,30 +279,79 @@ class _BasisData:
             out += P[c] @ table @ P[c].T
         return 0.5 * (out + out.T)
 
-    def perturbation(self, q: SphereScalar, terms: tuple | None = None,
-                     coarse: bool = False) -> np.ndarray:
-        """The matrix of integral q <e_i, e_j> over the whitened columns
-        (or its coarse block), with one contraction per frame leg; terms, if
-        given, must be _factor_terms(q).  The latest q's matrix is kept."""
-        terms = terms or _factor_terms(q)
-        if self._last_perturbation[0] != terms:
-            moments = sum(float(c) * self._moments(e) for e, c in terms)
-            p = self._contract(self.P, moments[self._sum_index])
-            self._last_perturbation = (
-                terms, (p, p[np.ix_(self.coarse, self.coarse)]))
-        return self._last_perturbation[1][coarse]
+    def perturbation(self, q: SphereScalar,
+                     terms: tuple | None = None) -> np.ndarray:
+        """The matrix of integral q <e_i, e_j> over the whitened columns,
+        with one contraction per frame leg; terms, if given, must be
+        _factor_terms(q).  Nothing is kept: the caller owns the matrix."""
+        terms = _factor_terms(q) if terms is None else terms
+        moments = sum((float(c) * self._moments(e) for e, c in terms),
+                      np.zeros(len(self._sums)))
+        return self._contract(self.P, moments[self._sum_index])
 
-    def pencil(self, cf: ConformalFactor, coarse=False) -> GalerkinPencil:
-        """The pencil of cf on every column, or on the coarse ones."""
+    def pencil(self, cf: ConformalFactor, coarse: bool = False,
+               perturbation: np.ndarray | None = None) -> GalerkinPencil:
+        """The pencil of cf on every column, or on the coarse ones.
+
+        perturbation, if given, must be the perturbation of cf.q on those
+        columns (a scan passes the one it holds for its factor); otherwise
+        it is contracted here.
+        """
         dmax, mus, eigenvalues = self.columns[coarse]
         if cf.is_trivial():
             b = np.eye(len(mus))
         else:
-            b = float(cf.t) * self.perturbation(cf.q, cf.terms, coarse)
+            if perturbation is None:
+                perturbation = self.perturbation(cf.q, cf.terms)
+                if coarse:
+                    perturbation = perturbation[np.ix_(self.coarse,
+                                                       self.coarse)]
+            b = float(cf.t) * perturbation
             b.flat[::b.shape[0] + 1] += 1.0
         volume = float(cf.volume()) * (0.5 if self.manifold == "rp3" else 1.0)
         return GalerkinPencil(self.manifold, dmax, mus, b, eigenvalues,
                               eigenvalues.count(0), volume)
+
+
+def _gradient_monomials(manifold: str, dmax: int) -> List[Exponent]:
+    """The nonconstant reduced monomials of degree <= dmax + 1 whose
+    gradients are trial columns; on RP^3 the even ones only."""
+    return [e for p in ((0, 1) if manifold == "s3" else (0,))
+            for e in _reduced_monomials(dmax + 1, p) if any(e)]
+
+
+def _integer_tensor(spaces, monomials: List[Exponent], dmax: int
+                    ) -> Tuple[List[Exponent], np.ndarray]:
+    """(exponents, T) for the columns of the solver eigenspaces spaces, in
+    order, then the gradients of the monomials: T[a, i, j] the coefficient
+    of x^exponents[j] in frame slot a of column i, the exponents sorted and
+    each occurring in some column.  The value of an eigenfield entry n of a
+    row with pivot r is n / r, correctly rounded; a gradient's are the ints
+    of frames.derivative_table.  Every coefficient has degree <= dmax + 2.
+    """
+    candidates = sorted(_reduced_monomials(dmax + 2, 0)
+                        + _reduced_monomials(dmax + 2, 1))
+    index = {e: j for j, e in enumerate(candidates)}
+    count = sum(space.dimension for space in spaces) + len(monomials)
+    tensor = np.zeros((3, count, len(candidates)))
+
+    def fill(column: int, entries, values) -> None:
+        tensor[[a for a, _ in entries], column,
+               [index[e] for _, e in entries]] = values
+
+    column = 0
+    for space in spaces:
+        for pivot, entries in space.integer_rows():
+            fill(column, list(entries), [n / pivot for n in entries.values()])
+            column += 1
+    for e in monomials:
+        images = [((a, f), k) for a in range(3)
+                  for f, k in derivative_table(e, a + 1)]
+        fill(column, [key for key, _ in images], [k for _, k in images])
+        column += 1
+    used = np.flatnonzero(tensor.any(axis=(0, 1)))
+    return ([candidates[j] for j in used],
+            np.ascontiguousarray(tensor[:, :, used]))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -385,7 +463,8 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     otherwise ValueError is raised before any basis is built.  Rows also
     give, not deciding the pass, the largest negative eigenvalue
     mu1_negative and min(mu1, |mu1_negative|)^2 Vol^(2/3).  Cost per
-    factor: one P; per t != 0: two b = I + t P and two eigensolves.
+    factor: one P and its coarse block, held by the scan for that factor's
+    rows; per t != 0: two b = I + t P and two eigensolves.
     """
     if (isinstance(dmax, bool) or not isinstance(dmax, int)
             or not 0 <= dmax < DEFAULT_DMAX_LIMIT):
@@ -407,14 +486,18 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     data = _basis_data(manifold, dmax + 1)
     if np.any(data.whitening[data.coarse][:, ~data.coarse]):
         raise RuntimeError("a kept whitened column uses a dropped field")
+    kept = np.ix_(data.coarse, data.coarse)
     rows: List[dict] = []
     for label, q in qs:
+        # The factor's matrices live for its rows only; the basis keeps none.
+        fine_p = data.perturbation(q)
+        coarse_p = fine_p[kept]
         values = {}
         for t in amplitudes:
             start = time.perf_counter()
             cf = ConformalFactor(q, t)
-            fine_pencil = assemble_pencil(manifold, cf, dmax + 1)
-            coarse = data.pencil(cf, coarse=True).mu1_normalized()
+            fine_pencil = data.pencil(cf, perturbation=fine_p)
+            coarse = data.pencil(cf, True, coarse_p).mu1_normalized()
             negative, mu1 = fine_pencil.first_eigenvalues()
             values[t] = (coarse, mu1 * fine_pencil.volume ** (1.0 / 3.0),
                          mu1, negative, time.perf_counter() - start)

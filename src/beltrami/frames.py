@@ -29,11 +29,12 @@ inverse from_cartesian, and, for a reduced monomial x^e,
     B_i x^e = sum_a e_a x^(e - delta_a) (L_i x)_a.
 
 These images are kept, with their integer coefficients, in a memoized table
-(_derivative_table); frame_derivative scales the table entries by the
+(derivative_table); frame_derivative scales the table entries by the
 coefficients of its argument, which keeps both parity parts in normal form
-for any coefficient type.  exactpoly.directional_derivative computes the
-same derivative through general polynomial products and serves as the
-reference.
+for any coefficient type.  The solver's curl columns and the gradient
+columns of the conformal trial bases read the integer table directly.
+exactpoly.directional_derivative computes the same derivative through
+general polynomial products and serves as the reference.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _times_form(s: SphereScalar, i: int, a: int) -> SphereScalar:
 
 
 @functools.cache
-def _derivative_table(e: Exponent, i: int) -> Tuple[Tuple[Exponent, int], ...]:
+def derivative_table(e: Exponent, i: int) -> Tuple[Tuple[Exponent, int], ...]:
     """B_i x^e for a reduced exponent e as sorted (reduced exponent, int)
     pairs with nonzero ints; see the module docstring."""
     if not 1 <= i <= 3:
@@ -131,7 +132,7 @@ def _linear_image(p: Poly4, image, arg) -> Poly4:
 
 
 def _derive(p: Poly4, i: int) -> Poly4:
-    return _linear_image(p, _derivative_table, i)
+    return _linear_image(p, derivative_table, i)
 
 
 def frame_derivative(s: SphereScalar, i: int) -> SphereScalar:

@@ -17,7 +17,7 @@ rational backend:
   read off the monomial normal form (frames._form_terms);
 * curl acts on them as a precomputed sparse operator C whose entries are
   integers by construction: each column is read off the integer table of
-  frame derivatives of monomials (frames._derivative_table);
+  frame derivatives of monomials (frames.derivative_table);
 * for each eigenvalue mu of a block's candidate spectrum S the Lagrange
   projector P_mu = prod_{nu != mu} (C - nu) / (mu - nu) is kept as the
   integer polynomial D_mu P_mu = sum_k n_{mu,k} C^k, where
@@ -35,9 +35,11 @@ rational backend:
   for a combination sum_k a_k x_k.  From the first operation whose bound
   fails they hold Python ints;
 * the eigenbases come from fraction-free elimination of those vectors, and
-  rationals appear only when an eigenvector is handed out (normalised to
-  pivot 1) or when project_vector, having cleared the denominators of its
-  input with their lcm den, divides its result once by den * D_mu;
+  rationals appear only when an eigenvector is handed out as a field
+  (normalised to pivot 1; SolverEigenspace.integer_rows hands out the
+  integer rows and their pivots instead) or when project_vector, having
+  cleared the denominators of its input with their lcm den, divides its
+  result once by den * D_mu;
 * helicity_pairing forms no projection at all: sum_mu |P_mu b|^2 / mu is
   the L^2 pairing of b with sum_mu P_mu b / mu, whose pieces fold into one
   integer vector over a common denominator, paired with b through the
@@ -100,13 +102,13 @@ from __future__ import annotations
 import functools
 from itertools import islice
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
-                                moment_gram)
-from beltrami.frames import FrameField, _derivative_table, _form_terms
+from beltrami.exactpoly import (Exponent, ExactScalar, Poly4, Rat,
+                                SphereScalar, moment_gram)
+from beltrami.frames import FrameField, _form_terms, derivative_table
 
 DEFAULT_DMAX_LIMIT = 5
 
@@ -191,9 +193,9 @@ def _curl_operator(coords: _Coordinates) -> Dict[int, List[Tuple[int, int]]]:
         for k, e in enumerate(coords.monomials):
             column = [(i * n + k, 2)]
             column += [(plus * n + index[f], c)
-                       for f, c in _derivative_table(e, minus + 1)]
+                       for f, c in derivative_table(e, minus + 1)]
             column += [(minus * n + index[f], -c)
-                       for f, c in _derivative_table(e, plus + 1)]
+                       for f, c in derivative_table(e, plus + 1)]
             columns[i * n + k] = sorted(column)
     return columns
 
@@ -337,6 +339,19 @@ class SolverEigenspace:
 
     def fields(self) -> List[FrameField]:
         return [self._coords.to_field(_normalised(v)) for v in self._vectors]
+
+    def integer_rows(self) -> Iterator[Tuple[int, Dict[Tuple[int, Exponent],
+                                                       int]]]:
+        """The basis vectors as the stored primitive integer rows, in the
+        order of fields(): one (pivot, entries) pair per vector, entries
+        mapping (frame slot, reduced monomial) to a nonzero int.  The
+        field is entries / pivot; the pivot is the entry at the row's
+        largest solver coordinate and is positive."""
+        monomials = self._coords.monomials
+        n = len(monomials)
+        for v in self._vectors:
+            yield v[max(v)], {(j // n, monomials[j % n]): c
+                              for j, c in v.items()}
 
 
 class SolverResult:

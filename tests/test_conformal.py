@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import functools
 import math
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beltrami import cli, conformal, pencil
+from beltrami import cli, conformal, exactpoly, pencil
 from beltrami.conformal import (
     DEFAULT_AMPLITUDES,
     ConformalFactor,
@@ -31,6 +32,7 @@ from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
 from beltrami.frames import FrameField, coefficient_tensor
 from beltrami.pencil import checked_diagonal, eigvalsh_diagonal
 from beltrami.quadrature import default_grid, integrate_scalar
+from beltrami.solver import SolverEigenspace, eigenspace_solve
 from beltrami.torus import TorusScalar, torus_pencil
 
 
@@ -828,3 +830,93 @@ class TestPrincipalBlock:
         monkeypatch.setattr(conformal, "_basis_data", lambda m, d: data)
         with pytest.raises(RuntimeError, match="dropped field"):
             optimality_scan([("q", Q_EVEN)], "s3", dmax=1)
+
+
+class TestFactorMomentsByParity:
+    """q^3 is integrated only where a term of q^2 meets the terms of q in
+    its own parity class; the plain triple product gives the same values."""
+
+    @pytest.mark.parametrize("kind", ["rational", "float"])
+    def test_matches_the_triple_product(self, kind):
+        rng = np.random.default_rng(43)
+        for k in range(30):
+            degrees = ((0, 1, 2), (1, 2, 3), (2,), (0, 2, 4), (1, 3))[k % 5]
+            q = random_rational_factor(rng, degrees)
+            if kind == "float":
+                q = q.to_float()
+            exact = Poly4({e: Rat(c)
+                           for e, c in q.representative().terms.items()})
+            expected = (integrate_poly(exact), integrate_poly(exact * exact),
+                        integrate_poly(exact * exact * exact),
+                        sum(abs(c) for c in exact.terms.values()))
+            assert conformal._factor_moments(
+                conformal._factor_terms(q)) == expected
+
+
+class TestIntegerBasis:
+    """A trial basis is read from the solver's integer rows and the integer
+    frame-derivative table, never from rational fields."""
+
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    def test_builds_without_fields_or_rationals(self, monkeypatch, manifold):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a basis build made a rational object")
+
+        eigenspace_solve(3)
+        reference = _basis_data(manifold, 3)
+        monkeypatch.setattr(SolverEigenspace, "fields", refuse)
+        monkeypatch.setattr(FrameField, "__init__", refuse)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        monkeypatch.setattr(exactpoly, "_mpq", refuse)
+        _basis_data.cache_clear()
+        try:
+            data = _basis_data(manifold, 3)
+        finally:
+            monkeypatch.undo()
+            _basis_data.cache_clear()
+        assert data.exponents == reference.exponents
+        assert np.array_equal(data.P, reference.P)
+        assert np.array_equal(data.whitening, reference.whitening)
+
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    @pytest.mark.parametrize("dmax", [0, 1, 2, 3, 4, 5])
+    def test_tensor_is_the_tensor_of_the_fields(self, manifold, dmax):
+        data = _basis_data(manifold, dmax)
+        exponents, tensor = coefficient_tensor(data.fields)
+        assert data.exponents == exponents
+        assert np.array_equal(data.P, data.whitening @ tensor)
+        assert len(data.fields) == len(data.mus)
+
+
+def hex_rows(rows):
+    """Scan rows without wall_time, every float as its hex string."""
+    return [{k: v.hex() if isinstance(v, float) else v
+             for k, v in row.items() if k != "wall_time"} for row in rows]
+
+
+class TestScanState:
+    """A scan holds its factor's matrices itself: the basis keeps nothing of
+    a factor but the moment tables of the factor's monomials."""
+
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    def test_rows_do_not_depend_on_earlier_factors(self, manifold):
+        rng = np.random.default_rng(59)
+        degrees = (1, 2) if manifold == "s3" else (2,)
+        first, second = (random_rational_factor(rng, degrees)
+                         for _ in range(2))
+        def state(data):
+            return pickle.dumps({k: v for k, v in vars(data).items()
+                                 if k != "_shift_moments"})
+
+        _basis_data.cache_clear()
+        data = _basis_data(manifold, 3)
+        before = state(data)
+        tables = dict(data._shift_moments)
+        both = optimality_scan([("a", first), ("b", second)], manifold,
+                               dmax=2)
+        assert state(data) == before
+        assert all(data._shift_moments[shift] is table
+                   for shift, table in tables.items())
+        _basis_data.cache_clear()
+        alone = optimality_scan([("b", second)], manifold, dmax=2)
+        assert hex_rows(both[len(DEFAULT_AMPLITUDES):]) == hex_rows(alone)

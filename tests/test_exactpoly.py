@@ -26,6 +26,7 @@ from beltrami.exactpoly import (
     power_tables,
     _even_moment,
     _moment_sum,
+    _monomial_moment_float,
 )
 from conftest import rand_poly, rand_sphere_scalar, sphere_points
 
@@ -53,6 +54,12 @@ class TestIntegrateMonomial:
 
     def test_mixed_quartic(self):
         assert integrate_monomial((2, 2, 0, 0)) == exact(1, 12, 2)
+
+    def test_float_moment_is_the_rounded_exact_moment(self):
+        # One int / int division times pi^2: the float of the ExactScalar
+        # bit for bit, zeros included.
+        for e in product(range(12), repeat=4):
+            assert _monomial_moment_float(e) == float(integrate_monomial(e))
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from beltrami import solver
-from beltrami.exactpoly import Poly4, Rat, SphereScalar
+from beltrami.exactpoly import Poly4, Rat, SphereScalar, canonicalize
 from beltrami.frames import FrameField, curl, divergence, grad
 from beltrami.solver import (
     SpectrumError,
@@ -76,6 +76,18 @@ class TestEigenfields:
         for F in fields:
             assert curl(F) == F.scale(mu)
             assert divergence(F).is_zero()
+
+    @pytest.mark.parametrize("dmax", [0, 2, 3])
+    def test_integer_rows_over_their_pivots_are_the_fields(self, dmax):
+        for space in eigenspace_solve(dmax).eigenspaces.values():
+            rows = list(space.integer_rows())
+            assert len(rows) == space.dimension
+            for (pivot, entries), F in zip(rows, space.fields()):
+                assert pivot > 0 and pivot in entries.values()
+                assert all(type(n) is int and n for n in entries.values())
+                assert F == FrameField(*(canonicalize(Poly4(
+                    {e: Rat(n, pivot) for (a, e), n in entries.items()
+                     if a == slot})) for slot in range(3)))
 
 
 class TestProjection:
