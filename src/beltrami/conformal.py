@@ -30,8 +30,7 @@ Matrix entries are contracted from exact monomial moments of the sphere
 (see exactpoly.integrate_monomial) with floating-point accumulation, which
 keeps assembly fast while anchoring every moment to its exact rational
 value.  Cost: per (manifold, dmax) one basis and its curl diagonals; per
-factor q the matrix P of q and its coarse block, held by the scan for the
-factor's rows (a basis keeps no matrix of a factor), and the exact
+factor q the matrix P of q kept with its coarse block, and the exact
 integrals of q, q^2, q^3; per t, b = I + t P, an O(n) check, one eigensolve.
 """
 
@@ -57,12 +56,8 @@ from .exactpoly import (
     _monomial_moment_float,
     canonicalize,
     exponent_sums,
-    parity_class,
 )
-# coefficient_tensor(_BasisData.fields) is the reference layout of the
-# tensor a basis reads from integers; it stays importable from here.
-from .frames import (FrameField, coefficient_tensor,  # noqa: F401
-                     derivative_table, grad)
+from .frames import FrameField, derivative_table, grad
 from .pencil import (check_mass, checked_diagonal, eigvalsh_diagonal,
                      inverse_cholesky)
 from .quadrature import default_grid
@@ -163,33 +158,23 @@ def _factor_moments(terms: tuple) -> tuple:
 
     Every coefficient is taken exactly, a float at its binary value, so the
     moments depend on the values of the coefficients and not on their kind.
-    The coefficients are cleared to integers n_e = den c_e with one lcm, and
-    the integral of q^k is one exactpoly moment sum, divided by den^k.  q^2
-    is formed in full; q^3 only at its all-even exponents, where a term of
-    q^2 meets the terms of q in its own parity class (exactpoly.parity_class,
-    as in integrate_products); the other terms integrate to zero.
+    The coefficients are cleared to integers n_e = den c_e with one lcm, so
+    the powers are products of integer exponent dicts and the integral of
+    q^k is one exactpoly moment sum, divided by den^k.
     """
     exact = [(e, Rat(c)) for e, c in terms]
     den = math.lcm(*(int(c.denominator) for _, c in exact))
-    linear = {e: int(c.numerator) * (den // int(c.denominator))
-              for e, c in exact}
-    items = list(linear.items())
-    square: dict = {}
-    classes: dict = {}
-    for i, (e, c) in enumerate(items):
-        classes.setdefault(parity_class(e), []).append((e, c))
-        square_e = (2 * e[0], 2 * e[1], 2 * e[2], 2 * e[3])
-        square[square_e] = square.get(square_e, 0) + c * c
-        for f, d in items[i + 1:]:
-            s = (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3])
-            square[s] = square.get(s, 0) + 2 * c * d
-    cube: dict = {}
-    for e, c in square.items():
-        for f, d in classes.get(parity_class(e), ()):
-            s = (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3])
-            cube[s] = cube.get(s, 0) + c * d
+    powers = [{e: int(c.numerator) * (den // int(c.denominator))
+               for e, c in exact}]
+    for _ in range(2):
+        power: dict = {}
+        for e, c in powers[-1].items():
+            for f, d in powers[0].items():
+                s = (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3])
+                power[s] = power.get(s, 0) + c * d
+        powers.append(power)
     return (*(ExactScalar({2: _moment_sum(p.items()) / den ** k})
-              for k, p in enumerate((linear, square, cube), 1)),
+              for k, p in enumerate(powers, 1)),
             sum(abs(c) for _, c in exact))
 
 
@@ -210,8 +195,7 @@ class _BasisData:
     rationals.  P holds the whitened columns' coefficients; levels[i] is the
     least dmax holding column i.  columns holds, for all columns and for
     those of level < dmax (coarse), the dmax, read-only curl diagonal and
-    column eigenvalues of their pencils.  Nothing here depends on a factor
-    but the moment tables kept per shift.
+    column eigenvalues of their pencils.
     """
 
     def __init__(self, manifold: str, dmax: int):
@@ -242,6 +226,7 @@ class _BasisData:
         # Moments are kept per unique pair sum e_i + e_j, indexed by entry.
         self._sums, self._sum_index = exponent_sums(self.exponents)
         self._shift_moments = {}
+        self._last_perturbation = (None, None)
         gram = self._contract(P, self._table((0, 0, 0, 0)))
         self.whitening = np.zeros_like(gram)
         # The mus are sorted with the gradients' zeros last, so each block
@@ -279,34 +264,26 @@ class _BasisData:
             out += P[c] @ table @ P[c].T
         return 0.5 * (out + out.T)
 
-    def perturbation(self, q: SphereScalar,
-                     terms: tuple | None = None) -> np.ndarray:
-        """The matrix of integral q <e_i, e_j> over the whitened columns,
-        with one contraction per frame leg; terms, if given, must be
-        _factor_terms(q).  Nothing is kept: the caller owns the matrix."""
-        terms = _factor_terms(q) if terms is None else terms
-        moments = sum((float(c) * self._moments(e) for e, c in terms),
-                      np.zeros(len(self._sums)))
-        return self._contract(self.P, moments[self._sum_index])
+    def perturbation(self, q: SphereScalar, terms: tuple | None = None,
+                     coarse: bool = False) -> np.ndarray:
+        """The matrix of integral q <e_i, e_j> over the whitened columns
+        (or its coarse block), with one contraction per frame leg; terms, if
+        given, must be _factor_terms(q).  The latest q's matrix is kept."""
+        terms = terms or _factor_terms(q)
+        if self._last_perturbation[0] != terms:
+            moments = sum(float(c) * self._moments(e) for e, c in terms)
+            p = self._contract(self.P, moments[self._sum_index])
+            self._last_perturbation = (
+                terms, (p, p[np.ix_(self.coarse, self.coarse)]))
+        return self._last_perturbation[1][coarse]
 
-    def pencil(self, cf: ConformalFactor, coarse: bool = False,
-               perturbation: np.ndarray | None = None) -> GalerkinPencil:
-        """The pencil of cf on every column, or on the coarse ones.
-
-        perturbation, if given, must be the perturbation of cf.q on those
-        columns (a scan passes the one it holds for its factor); otherwise
-        it is contracted here.
-        """
+    def pencil(self, cf: ConformalFactor, coarse=False) -> GalerkinPencil:
+        """The pencil of cf on every column, or on the coarse ones."""
         dmax, mus, eigenvalues = self.columns[coarse]
         if cf.is_trivial():
             b = np.eye(len(mus))
         else:
-            if perturbation is None:
-                perturbation = self.perturbation(cf.q, cf.terms)
-                if coarse:
-                    perturbation = perturbation[np.ix_(self.coarse,
-                                                       self.coarse)]
-            b = float(cf.t) * perturbation
+            b = float(cf.t) * self.perturbation(cf.q, cf.terms, coarse)
             b.flat[::b.shape[0] + 1] += 1.0
         volume = float(cf.volume()) * (0.5 if self.manifold == "rp3" else 1.0)
         return GalerkinPencil(self.manifold, dmax, mus, b, eigenvalues,
@@ -463,8 +440,7 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     otherwise ValueError is raised before any basis is built.  Rows also
     give, not deciding the pass, the largest negative eigenvalue
     mu1_negative and min(mu1, |mu1_negative|)^2 Vol^(2/3).  Cost per
-    factor: one P and its coarse block, held by the scan for that factor's
-    rows; per t != 0: two b = I + t P and two eigensolves.
+    factor: one P; per t != 0: two b = I + t P and two eigensolves.
     """
     if (isinstance(dmax, bool) or not isinstance(dmax, int)
             or not 0 <= dmax < DEFAULT_DMAX_LIMIT):
@@ -486,18 +462,14 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     data = _basis_data(manifold, dmax + 1)
     if np.any(data.whitening[data.coarse][:, ~data.coarse]):
         raise RuntimeError("a kept whitened column uses a dropped field")
-    kept = np.ix_(data.coarse, data.coarse)
     rows: List[dict] = []
     for label, q in qs:
-        # The factor's matrices live for its rows only; the basis keeps none.
-        fine_p = data.perturbation(q)
-        coarse_p = fine_p[kept]
         values = {}
         for t in amplitudes:
             start = time.perf_counter()
             cf = ConformalFactor(q, t)
-            fine_pencil = data.pencil(cf, perturbation=fine_p)
-            coarse = data.pencil(cf, True, coarse_p).mu1_normalized()
+            fine_pencil = assemble_pencil(manifold, cf, dmax + 1)
+            coarse = data.pencil(cf, coarse=True).mu1_normalized()
             negative, mu1 = fine_pencil.first_eigenvalues()
             values[t] = (coarse, mu1 * fine_pencil.volume ** (1.0 / 3.0),
                          mu1, negative, time.perf_counter() - start)

@@ -543,8 +543,7 @@ def _even_moment(e: Exponent):
 
     The exponents are not checked for evenness: callers skip odd ones.
     """
-    s = sum(e) // 2
-    return Rat(_moment_numerator(e), 2 ** s * math.factorial(s + 1))
+    return Rat(_moment_numerator(e), _moment_denominator(sum(e) // 2))
 
 
 @functools.cache
@@ -554,14 +553,20 @@ def _moment_numerator(e: Exponent) -> int:
 
 
 @functools.cache
+def _moment_denominator(s: int) -> int:
+    # 2^s (s + 1)!, the denominator of every moment of degree 2 s.
+    return 2 ** s * math.factorial(s + 1)
+
+
+@functools.cache
 def _monomial_moment_float(e: Exponent) -> float:
     """float(integrate_monomial(e)) for a valid exponent, without the
     ExactScalar: the integer numerator over 2^s (s + 1)! in one correctly
     rounded int / int, times pi^2."""
     if (e[0] | e[1] | e[2] | e[3]) & 1:
         return 0.0
-    s = (e[0] + e[1] + e[2] + e[3]) // 2
-    return (_moment_numerator(e) / (2 ** s * math.factorial(s + 1))
+    return (_moment_numerator(e)
+            / _moment_denominator((e[0] + e[1] + e[2] + e[3]) // 2)
             * math.pi ** 2)
 
 
@@ -588,21 +593,15 @@ def _moment_sum(terms: Iterable[Tuple[Exponent, int]]):
     """sum_e n_e * _even_moment(e) over integer terms (e, n_e), as a backend
     rational: the pi^2 coefficient of the integral of sum_e n_e x^e over
     S^3.  A term with an odd exponent entry has moment zero and is skipped;
-    the others' integer numerators are summed per degree 2 s, brought over
-    the largest denominator 2^s (s + 1)!, which the others divide, and
-    divided once.
+    the others' integer numerators are summed per degree and divided once.
     """
     numerators: Dict[int, int] = {}
     for e, n in terms:
         if not (e[0] | e[1] | e[2] | e[3]) & 1:
             s = (e[0] + e[1] + e[2] + e[3]) // 2
             numerators[s] = numerators.get(s, 0) + n * _moment_numerator(e)
-    if not numerators:
-        return Rat(0)
-    top = max(numerators)
-    common = 2 ** top * math.factorial(top + 1)
-    return Rat(sum(n * (common // (2 ** s * math.factorial(s + 1)))
-                   for s, n in numerators.items()), common)
+    return sum((Rat(n, _moment_denominator(s))
+                for s, n in numerators.items()), Rat(0))
 
 
 def exponent_sums(exponents: Sequence[Exponent]

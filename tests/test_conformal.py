@@ -29,7 +29,7 @@ from beltrami.conformal import (
 from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
                                 _monomial_moment_float, canonicalize,
                                 integrate_poly)
-from beltrami.frames import FrameField, coefficient_tensor
+from beltrami.frames import FrameField, coefficient_tensor, derivative_table
 from beltrami.pencil import checked_diagonal, eigvalsh_diagonal
 from beltrami.quadrature import default_grid, integrate_scalar
 from beltrami.solver import SolverEigenspace, eigenspace_solve
@@ -491,10 +491,23 @@ class TestTermOrder:
         flipped_exponents, flipped_tensor = coefficient_tensor(flipped)
         assert exponents == sorted(exponents) == flipped_exponents
         assert flipped_tensor.tobytes() == tensor.tobytes()
-        monkeypatch.setattr(conformal, "coefficient_tensor", lambda fields:
-                            coefficient_tensor([reversed_terms(f)
-                                                for f in fields]))
+        # A basis reads its tensor from the solver's integer rows and the
+        # frame-derivative table; read both in reverse order.
+        integer_rows = SolverEigenspace.integer_rows
+
+        def reversed_rows(space):
+            for pivot, entries in integer_rows(space):
+                yield pivot, dict(reversed(entries.items()))
+
+        assert any(len(entries) > 1 for space in
+                   eigenspace_solve(3).eigenspaces.values()
+                   for _, entries in integer_rows(space))
+        monkeypatch.setattr(SolverEigenspace, "integer_rows", reversed_rows)
+        monkeypatch.setattr(conformal, "derivative_table", lambda e, i:
+                            tuple(reversed(derivative_table(e, i))))
         flipped_data = conformal._BasisData("s3", 3)
+        assert flipped_data.exponents == data.exponents
+        assert flipped_data.P.tobytes() == data.P.tobytes()
         rng = np.random.default_rng(18)
         for degrees in ((0, 1, 2), (1, 2, 3)):
             q = random_rational_factor(rng, degrees)
@@ -832,27 +845,6 @@ class TestPrincipalBlock:
             optimality_scan([("q", Q_EVEN)], "s3", dmax=1)
 
 
-class TestFactorMomentsByParity:
-    """q^3 is integrated only where a term of q^2 meets the terms of q in
-    its own parity class; the plain triple product gives the same values."""
-
-    @pytest.mark.parametrize("kind", ["rational", "float"])
-    def test_matches_the_triple_product(self, kind):
-        rng = np.random.default_rng(43)
-        for k in range(30):
-            degrees = ((0, 1, 2), (1, 2, 3), (2,), (0, 2, 4), (1, 3))[k % 5]
-            q = random_rational_factor(rng, degrees)
-            if kind == "float":
-                q = q.to_float()
-            exact = Poly4({e: Rat(c)
-                           for e, c in q.representative().terms.items()})
-            expected = (integrate_poly(exact), integrate_poly(exact * exact),
-                        integrate_poly(exact * exact * exact),
-                        sum(abs(c) for c in exact.terms.values()))
-            assert conformal._factor_moments(
-                conformal._factor_terms(q)) == expected
-
-
 class TestIntegerBasis:
     """A trial basis is read from the solver's integer rows and the integer
     frame-derivative table, never from rational fields."""
@@ -895,8 +887,9 @@ def hex_rows(rows):
 
 
 class TestScanState:
-    """A scan holds its factor's matrices itself: the basis keeps nothing of
-    a factor but the moment tables of the factor's monomials."""
+    """A scan leaves in the basis only the moment tables of its factors'
+    monomials and the latest factor's matrix, which a later factor
+    replaces."""
 
     @pytest.mark.parametrize("manifold", ["s3", "rp3"])
     def test_rows_do_not_depend_on_earlier_factors(self, manifold):
@@ -906,7 +899,8 @@ class TestScanState:
                          for _ in range(2))
         def state(data):
             return pickle.dumps({k: v for k, v in vars(data).items()
-                                 if k != "_shift_moments"})
+                                 if k not in ("_shift_moments",
+                                              "_last_perturbation")})
 
         _basis_data.cache_clear()
         data = _basis_data(manifold, 3)
