@@ -433,6 +433,8 @@ def run(config: RunConfig) -> Tuple[List[CheckRecord], int]:
         directory = os.path.dirname(os.path.abspath(config.out))
         if not os.path.isdir(directory):
             raise ValueError(f"output directory does not exist: {directory}")
+        if os.path.isdir(config.out):
+            raise ValueError(f"output path is a directory: {config.out}")
     records = command(config)
     text = render_json(config, records) if config.format == "json" else \
         render_csv(records)

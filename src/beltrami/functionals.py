@@ -601,7 +601,12 @@ def correction_field(a5: float, a8: float) -> Tuple[FrameField, float]:
 
 
 R_AT_HOPF = math.pi ** 2 / (2 * math.pi ** 2) ** (4.0 / 3.0)
-_SCAN_GROUP = 20  # samples per pass over the grid; bounds the scan's memory
+# Samples per pass over the grid; a pass's memory grows with the group, not
+# with the number of samples.  A pair is the smallest group that rounds as
+# larger ones do: a one-sample group sends the coefficient contraction
+# through numpy's vector path in tensordot, which rounds differently, while
+# groups of 2, 3 and 20 give the same rows.
+_SCAN_GROUP = 2
 
 
 def _scan_basis() -> Tuple[np.ndarray, List[Exponent], np.ndarray]:
@@ -627,9 +632,11 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     most radius, and reports any sample where R increases beyond 1e-9 or
     where equality holds although W has a non-E1 part.  The basis is kept
     as frame coefficients over its monomials (degree <= 5, _scan_basis,
-    built on each scan); each group of _SCAN_GROUP samples is one pass of
+    built on each scan); each pair of samples (_SCAN_GROUP) is one pass of
     grid.polynomial_slabs over its coefficients, of which B1 . W and
-    |W|^2 are kept.
+    |W|^2 are kept.  A pair holds two (N,) columns per sample and one (6, N)
+    slab with its products, under 6 MiB on the default grid (traced peak),
+    whatever the number of samples.
     """
     if (isinstance(samples, bool) or not isinstance(samples, int)
             or samples < 1 or not 0 < radius <= 0.1):

@@ -44,8 +44,9 @@ import numpy as np
 
 DEFAULT_RADIAL_ORDER = 24
 DEFAULT_ANGULAR_ORDER = 48
-# Values held by one slab of polynomial_slabs: the (60, 8192) block of the
-# local maximality scan's 20 samples.
+# Values held by one slab of polynomial_slabs, 3.75 MiB.  The local
+# maximality scan's pair of samples, six polynomials, takes the default
+# grid's 55,296 points in one slab; larger K take several.
 _SLAB_DOUBLES = 60 * 8192
 
 

@@ -299,6 +299,18 @@ class TestUsageErrors:
         assert "does not exist" in message and message.count("\n") == 1
         assert not (tmp_path / "missing").exists()
 
+    def test_out_naming_a_directory(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(config):
+            raise AssertionError("the command ran before the path check")
+
+        monkeypatch.setitem(COMMANDS, "bounds", must_not_run)
+        with pytest.raises(SystemExit) as info:
+            main(["--command", "bounds", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert "is a directory" in message and message.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, text):
         config_path = tmp_path / "config.json"

@@ -890,6 +890,20 @@ class TestLocalMaxScan:
             tracemalloc.stop()
         assert peak < 38 * 2 ** 20
 
+    @pytest.mark.parametrize("samples", [20, 200])
+    def test_memory_stays_at_one_pair_of_samples(self, samples):
+        # A pass over the grid holds one pair of samples: their four (N,)
+        # columns and one (6, N) slab with its products, about 6 MiB on the
+        # default grid.  Groups of 20 samples took 22.3 MiB.
+        local_max_scan(0.05, 1, 0)
+        tracemalloc.start()
+        try:
+            local_max_scan(0.05, samples, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
     @pytest.mark.parametrize("samples", [True, 2.5])
     def test_rejects_non_int_samples(self, samples):
         with pytest.raises(ValueError, match=re.escape(repr(samples))):

@@ -83,6 +83,11 @@ class TestTorusScalar:
             with pytest.raises(ValueError, match=re.escape(repr(k))):
                 build(k)
 
+    def test_rejects_conjugates_that_differ_by_1e_6(self):
+        with pytest.raises(ValueError, match="reality constraint"):
+            TorusScalar({(1, 0, 0): 1.0 + 0.5j,
+                         (-1, 0, 0): 1.0 + 1e-6 - 0.5j})
+
     def test_accepts_numpy_integer_wavevectors(self):
         q = TorusScalar.cosine(np.array([1, -2, 0]), 1.5)
         assert q.modes == TorusScalar.cosine((1, -2, 0), 1.5).modes
@@ -97,6 +102,16 @@ class TestTorusField:
     def test_rejects_asymmetric_modes(self):
         with pytest.raises(ValueError):
             TorusField({(1, 0, 0): (0, 1.0, 0)})
+
+    def test_rejects_conjugates_that_differ_by_1e_6(self):
+        with pytest.raises(ValueError, match="reality constraint"):
+            TorusField({(1, 0, 0): (0, 1.0, 0.5j),
+                        (-1, 0, 0): (0, 1.0 + 1e-6, -0.5j)})
+
+    def test_rejects_a_divergence_of_1e_6(self):
+        amplitude = (1e-6, 1.0, 0)
+        with pytest.raises(ValueError, match="not divergence free"):
+            TorusField({(1, 0, 0): amplitude, (-1, 0, 0): amplitude})
 
     def test_curl_per_mode(self):
         u = TorusField({(0, 0, 1): (0.5, 0.5j, 0),
