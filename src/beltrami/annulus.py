@@ -18,8 +18,6 @@ is attained by the pure t-modes.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -236,23 +234,3 @@ def bound_constants() -> Dict[str, float]:
         "ball_volume_cbrt": (4.0 * math.pi / 3.0) ** (1.0 / 3.0),
         "conformal_lower_bound": (16.0 / math.pi) ** (1.0 / 3.0),
     }
-
-
-def spectrum_csv(parameters: Sequence[int], cutoff: int = 3) -> str:
-    """CSV table of the family: one row per metric parameter.
-
-    Columns: n, the exact first eigenvalue 1/n, its float value, the total
-    volume, and the sorted candidate eigenvalues up to the cutoff.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["n", "mu1_exact", "mu1", "volume", "candidates"])
-    for n in parameters:
-        mu1 = first_eigenvalue(n)
-        rows = spectrum_candidates(n, cutoff)
-        listing = ";".join(
-            f"({row['mode'].m1} {row['mode'].m2} {row['mode'].m})"
-            f"={row['eigenvalue']:.6f}[{row['label']}]" for row in rows[:6])
-        writer.writerow([n, str(mu1), f"{float(mu1):.12f}",
-                         f"{volume(n):.12f}", listing])
-    return out.getvalue()

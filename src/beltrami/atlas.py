@@ -13,8 +13,7 @@ orientation-reversing reflection x4 -> -x4, which conjugates curl to -curl.
 
 On top of the catalogue sit exact spectral operations for arbitrary
 polynomial frame fields: eigenspace projections, full eigendecompositions,
-helicity, the inverse curl, the Rayleigh quotient |F|^2_{L^2} / |H(F)|, and
-the inverse Laplacian on mean-free scalars.
+helicity, the inverse curl, and the inverse Laplacian on mean-free scalars.
 """
 
 from __future__ import annotations
@@ -316,24 +315,6 @@ def curl_inverse(F: FrameField,
     for mu, piece in components.items():
         out = out + piece.scale(Rat(1, mu))
     return out
-
-
-def rayleigh_quotient(F: FrameField, limit: int = _solver.DEFAULT_DMAX_LIMIT):
-    """|F|^2_{L^2} / |H(F)|, exact when the ratio is rational.
-
-    Always at least 2 for exact fields on S^3, with equality exactly on the
-    +-2 eigenspaces (with the matching helicity sign).
-    """
-    h = helicity(F, limit)
-    if h.is_zero():
-        raise NotExactFieldError("Rayleigh quotient undefined at zero helicity")
-    norm_sq = F.l2_inner(F)
-    try:
-        ratio = norm_sq / h
-        value = ratio.as_rational()
-        return value if value > 0 else -value
-    except (ValueError, ZeroDivisionError):
-        return abs(float(norm_sq) / float(h))
 
 
 def inverse_laplacian(s: SphereScalar) -> SphereScalar:

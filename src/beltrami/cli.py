@@ -75,6 +75,9 @@ class RunConfig:
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, "
                              f"got {self.format!r}")
+        if not 0.0 <= self.tol_exact < math.inf:
+            raise ValueError(f"tol_exact must be finite and >= 0, "
+                             f"got {self.tol_exact!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -86,13 +89,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
         return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass

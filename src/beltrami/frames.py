@@ -413,20 +413,3 @@ def isometry_pushforward(F: FrameField, O: Sequence[Sequence[object]]) -> FrameF
 # The reflection (x1, x2, x3, x4) -> (x1, x2, x3, -x4): orientation reversing,
 # exchanges the two curl eigenvalue signs.
 REFLECTION = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
-
-
-def antipodal_parity(F: FrameField) -> str:
-    """Behavior under the pushforward by the antipodal map.
-
-    Returns 'descends_to_RP3' for invariant fields (all Cartesian components
-    odd), 'anti_invariant' when the pushforward negates the field (components
-    even), and 'mixed' otherwise.  The frame is linear in x, so the
-    components are odd exactly when every frame coefficient is even.
-    """
-    if F.is_zero():
-        return "mixed"
-    if all(c.odd_part.is_zero() for c in F.f):
-        return "descends_to_RP3"
-    if all(c.even_part.is_zero() for c in F.f):
-        return "anti_invariant"
-    return "mixed"

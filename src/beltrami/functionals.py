@@ -309,32 +309,6 @@ def _hopf_line(w1: np.ndarray, w_sq: np.ndarray, t: float,
     return np.add(line, scratch, out=line)
 
 
-def d_energy(F: FrameField, Y: FrameField,
-             grid: HopfGrid | None = None) -> float:
-    """First derivative of the energy: (3/2) integral |F|^{-1/2} (F . Y).
-
-    Points where F vanishes contribute zero to the integrand.
-    """
-    grid = grid or default_grid()
-    f, y = _field_values([F, Y], grid).transpose(2, 0, 1)
-    speed_sq = np.sum(f * f, axis=1)
-    values = np.sum(f * y, axis=1)
-    out = np.zeros_like(values)
-    mask = speed_sq > 1e-28
-    out[mask] = 1.5 * values[mask] / speed_sq[mask] ** 0.25
-    return _integral(grid, out)
-
-
-def d_helicity(F: FrameField, Y: FrameField):
-    """DH(F)(Y) = 2 (curl^{-1} F, Y), exact for exact fields."""
-    return _atlas.curl_inverse(F).l2_inner(Y).scale(2)
-
-
-def d2_helicity(Y: FrameField):
-    """D^2 H(X)(Y, Y) = 2 H(Y), independent of the base point X."""
-    return _atlas.helicity(Y).scale(2)
-
-
 def big_F(F, grid: HopfGrid | None = None,
           helicity_value: Optional[float] = None,
           out: Optional[np.ndarray] = None) -> float:
@@ -349,12 +323,6 @@ def big_F(F, grid: HopfGrid | None = None,
     if helicity_value == 0.0:
         raise ZeroHelicityError("helicity vanishes; F is undefined")
     return l32_energy(F, grid, out) ** (4.0 / 3.0) / helicity_value
-
-
-def rayleigh_R(F: FrameField, grid: HopfGrid | None = None,
-               helicity_value: Optional[float] = None) -> float:
-    """R(X) = H(X) / E(X)^{4/3} = 1 / F(X)."""
-    return 1.0 / big_F(F, grid, helicity_value)
 
 
 def f_perturbed(W: HopfPerturbation, t: float,

@@ -108,9 +108,6 @@ class HopfGrid:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def total_weight(self) -> float:
-        return math.fsum(self.weights)
-
     def exact_cartesian_degree(self) -> int:
         """Largest Cartesian polynomial degree integrated exactly.
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 import re
@@ -25,7 +23,6 @@ from beltrami.annulus import (
     metric,
     metric_determinant,
     spectrum_candidates,
-    spectrum_csv,
     volume,
 )
 
@@ -188,20 +185,6 @@ class TestBoundConstants:
         constants = bound_constants()
         assert constants["round_sphere"] > \
             constants["ball_volume_cbrt"] + 1e-12
-
-
-class TestCsvExport:
-    def test_header_and_rows(self):
-        text = spectrum_csv(range(1, 11))
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["n", "mu1_exact", "mu1", "volume", "candidates"]
-        assert len(rows) == 11
-        row3 = rows[3]
-        assert row3[0] == "3"
-        assert row3[1] == "1/3"
-        assert float(row3[2]) == pytest.approx(1 / 3, rel=1e-12)
-        assert float(row3[3]) == pytest.approx(TORUS_VOLUME, rel=1e-12)
-        assert "confirmed" in row3[4]
 
 
 def test_import_needs_only_numpy_and_scipy():

@@ -19,7 +19,6 @@ from beltrami.atlas import (
     helicity,
     inverse_laplacian,
     project_eigen,
-    rayleigh_quotient,
 )
 from beltrami.exactpoly import ExactScalar, Rat, SphereScalar, parse_exact
 from beltrami.frames import (FrameField, curl, divergence, grad, hopf_frame,
@@ -229,33 +228,6 @@ class TestInverseLaplacian:
             assert all(isinstance(c, float)
                        for c in phi.representative().terms.values())
             assert all(abs(c) <= 1e-12 * scale for c in terms.terms.values())
-
-
-class TestRayleighQuotient:
-    @pytest.mark.parametrize("mu", SUPPORTED_EXPLICIT)
-    def test_eigenfields_attain_eigenvalue(self, mu):
-        F = explicit_basis(mu).fields[0]
-        assert rayleigh_quotient(F) == abs(mu)
-
-    def test_lower_bound_two(self):
-        rng = random.Random(101)
-        entries = [explicit_basis(mu) for mu in (2, -2, 3, -3, 4, -4)]
-        for _ in range(200):
-            F = FrameField.zero()
-            for entry in entries:
-                field = entry.fields[rng.randrange(entry.dimension)]
-                F = F + field.scale(Rat(rng.randint(-3, 3)))
-            try:
-                q = rayleigh_quotient(F)
-            except NotExactFieldError:
-                continue
-            assert q >= 2
-
-    def test_equality_only_at_lowest_eigenvalue(self):
-        B1, B2, _ = hopf_frame()
-        assert rayleigh_quotient(B1 + B2.scale(3)) == 2
-        mixed = B1 + explicit_basis(3).fields[0].scale(2)
-        assert rayleigh_quotient(mixed) > 2
 
 
 class TestExport:

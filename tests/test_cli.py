@@ -27,12 +27,6 @@ from beltrami.cli import (
 
 
 class TestRunConfig:
-    def test_json_round_trip(self):
-        config = RunConfig(command="bounds", seed=7, dmax=4,
-                           tol_exact=1e-9, manifold="rp3",
-                           out="/tmp/report.json", format="csv")
-        assert RunConfig.from_json(config.to_json()) == config
-
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"command": "bounds", "tolerance": 1.0})
@@ -341,6 +335,9 @@ class TestVacuousRuns:
         ("local-max-scan", "samples", 0),
         ("local-max-scan", "radius", 0.0),
         ("local-max-scan", "radius", -0.01),
+        ("optimality-scan", "tol_exact", -1.0),
+        ("optimality-scan", "tol_exact", math.nan),
+        ("optimality-scan", "tol_exact", math.inf),
     ])
     def test_exit_two_with_one_line(self, tmp_path, capsys, command, key,
                                     value):

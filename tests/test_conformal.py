@@ -682,6 +682,42 @@ class TestOptimalityScan:
                             dmax=1)
 
 
+class TestScanCriteria:
+    """Each input makes one pass criterion of optimality_scan decide its
+    rows, so loosening that criterion lets a row through that must fail."""
+
+    def scan(self):
+        rows = optimality_scan([("x1*x2", Q_X1X2)], "rp3",
+                               amplitudes=(-0.02, 0.0, 0.02), dmax=2)
+        return [row["pass"] for row in rows]
+
+    def test_refinement_that_moves_fails(self, monkeypatch):
+        # The coarse (dmax 2) value reads 1e-3 high; the refinement bound
+        # is 1e-4.
+        real = GalerkinPencil.mu1_normalized
+        monkeypatch.setattr(GalerkinPencil, "mu1_normalized", lambda self:
+                            real(self) + (1e-3 if self.dmax == 2 else 0.0))
+        assert self.scan() == [False, False, False]
+
+    def test_row_below_its_round_value_fails(self, monkeypatch):
+        # mu1 falls by 1e-4 on the deformed pencils (b != I, the only ones
+        # that take an eigensolve), so their rows sit about 1.6e-4 below
+        # the t = 0 row; the margin is 1e-6.
+        def lowered(a, b, gradient_count):
+            values = eigvalsh_diagonal(a, b, gradient_count)
+            values[values > 0] -= 1e-4
+            return values
+
+        monkeypatch.setattr(conformal, "eigvalsh_diagonal", lowered)
+        assert self.scan() == [False, True, False]
+
+    def test_row_below_the_lower_bound_fails(self, monkeypatch):
+        # Every row lies within 1e-4 of 2 pi^(2/3); the margin is 1e-9.
+        monkeypatch.setattr(conformal, "SCAN_LOWER_BOUND",
+                            2.0 * math.pi ** (2.0 / 3.0) + 1e-3)
+        assert self.scan() == [False, False, False]
+
+
 class TestPencilFamily:
     """A scan pays, per amplitude, b = I + t P on both column sets and two
     eigensolves, each with an O(n) check of its curl diagonal; the rest is

@@ -15,7 +15,6 @@ from beltrami.exactpoly import (Poly4, Rat, SphereScalar, canonicalize,
 from beltrami.frames import (
     FrameField,
     REFLECTION,
-    antipodal_parity,
     curl,
     divergence,
     frame_derivative,
@@ -348,28 +347,6 @@ def _substituted_pushforward(F: FrameField, O) -> FrameField:
                     transpose).scale(Rat(O[a][b]))
         rotated.append(canonicalize(ca))
     return FrameField.from_cartesian(rotated)
-
-
-class TestAntipodalParity:
-    def test_hopf_descends(self):
-        for B in hopf_frame():
-            assert antipodal_parity(B) == "descends_to_RP3"
-
-    def test_quadratic_components_anti_invariant(self):
-        u1 = FrameField(SphereScalar.zero(), x(1), -x(2))
-        assert antipodal_parity(u1) == "anti_invariant"
-
-    def test_cubic_components_descend(self):
-        # Quadratic frame coefficients give odd (cubic) Cartesian components.
-        v_like = FrameField(SphereScalar.zero(),
-                            x(1) * x(1) - x(2) * x(2),
-                            (x(1) * x(2)).scale(-2))
-        assert antipodal_parity(v_like) == "descends_to_RP3"
-
-    def test_mixed(self):
-        B1, _, _ = hopf_frame()
-        u1 = FrameField(SphereScalar.zero(), x(1), -x(2))
-        assert antipodal_parity(B1 + u1) == "mixed"
 
 
 class TestCompactnessOrthogonality:

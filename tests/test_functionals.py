@@ -12,9 +12,9 @@ import pytest
 
 from beltrami import functionals
 from beltrami.atlas import explicit_basis, helicity
-from beltrami.exactpoly import (ExactScalar, Poly4, Rat, SphereScalar,
-                                format_exact, integrate_poly,
-                                integrate_products, parse_exact)
+from beltrami.exactpoly import (Poly4, Rat, SphereScalar, format_exact,
+                                integrate_poly, integrate_products,
+                                parse_exact)
 from beltrami.frames import FrameField, curl, hopf_frame
 from beltrami.functionals import (
     D6_Z2_COEFFICIENT,
@@ -33,11 +33,8 @@ from beltrami.functionals import (
     _series_power,
     big_F,
     correction_field,
-    d2_helicity,
     dE_at_hopf,
     dF_at_hopf,
-    d_energy,
-    d_helicity,
     degenerate_coefficients,
     f_perturbed,
     fourth_order_terms,
@@ -47,7 +44,6 @@ from beltrami.functionals import (
     l32_energy,
     local_max_scan,
     perturbation_scaled,
-    rayleigh_R,
     remainder_field,
     second_variation_R,
     sixth_order_bracket,
@@ -118,45 +114,11 @@ class TestEnergy:
         assert l32_energy(field.scale(2.0)) == pytest.approx(
             2.0 ** 1.5 * l32_energy(field), rel=1e-12)
 
-    def test_d_energy_along_itself(self):
-        u1 = _basis("u")[0]
-        assert d_energy(u1, u1) == pytest.approx(1.5 * l32_energy(u1),
-                                                 rel=1e-10)
-
-    def test_d_energy_matches_finite_difference(self):
-        rng = np.random.default_rng(7)
-        base = B1.to_float() + _basis("u")[4].scale(0.3)
-        direction = rand_perturbation(rng).field()
-        h = tuned_step(1)
-        expected = richardson_difference(
-            lambda t: l32_energy(base + direction.scale(t)), 1, h)
-        assert d_energy(base, direction) == pytest.approx(expected, rel=1e-6)
-
-
-class TestHelicityDerivatives:
-    def test_d_helicity_at_hopf(self):
-        value = d_helicity(B1, B1)
-        assert value == ExactScalar({2: Rat(2)})
-
-    def test_d2_helicity_is_twice_helicity(self):
-        v1 = explicit_basis(4).fields[0]
-        expected = explicit_basis(4).squared_norms[0].scale(Rat(1, 2))
-        assert d2_helicity(v1) == expected
-
-    def test_unit_v1_value(self):
-        # A unit vector in the eigenvalue-4 eigenspace has helicity 1/4.
-        v1 = explicit_basis(4).fields[0]
-        norm_sq = explicit_basis(4).squared_norms[0]
-        value = float(d2_helicity(v1)) / float(norm_sq)
-        assert value == pytest.approx(0.5, rel=1e-14)
-
 
 class TestBigF:
     def test_hopf_value(self):
         assert big_F(B1) == pytest.approx((2 * PI ** 2) ** (4 / 3) / PI ** 2,
                                           rel=1e-12)
-        assert rayleigh_R(B1) == pytest.approx(
-            PI ** 2 / (2 * PI ** 2) ** (4 / 3), rel=1e-12)
 
     def test_zero_helicity_rejected(self):
         gradient_like = B1 + explicit_basis(-2).fields[0]

@@ -23,11 +23,6 @@ from beltrami.quadrature import (
 
 
 class TestHopfGrid:
-    def test_total_weight(self):
-        grid = default_grid()
-        assert grid.total_weight() == pytest.approx(2 * math.pi ** 2,
-                                                    rel=1e-14)
-
     def test_points_on_sphere(self):
         grid = HopfGrid(4, 8)
         radii = np.linalg.norm(grid.points, axis=1)
