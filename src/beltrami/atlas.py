@@ -8,8 +8,16 @@ recorded alongside.  The orthonormal field used in floating computations is
 the stored field divided by the square root of that norm, which keeps
 irrational normalizers (sqrt 3, sqrt 7, ...) out of the exact backend.
 
-Negative eigenvalue entries are generated from the positive ones by the
-orientation-reversing reflection x4 -> -x4, which conjugates curl to -curl.
+The entries 2 (the Hopf frame), 3 and 4 are closed forms in code.  The
+entry 5 (exact Gram-Schmidt on polynomial seed fields) and the entries
+-2..-5 (the positive ones pushed forward through the orientation-reversing
+reflection x4 -> -x4, which conjugates curl to -curl and keeps the norms)
+are read, with their exact norms and in their term order, from the
+committed table beltrami.atlas_table on first use; no arithmetic re-derives
+them.  tests/atlas_oracle.py re-derives the table, and its tests compare
+the two; regenerate it with
+
+    PYTHONPATH=src python tests/atlas_oracle.py > src/beltrami/atlas_table.py
 
 On top of the catalogue sit exact spectral operations for arbitrary
 polynomial frame fields: eigenspace projections, full eigendecompositions,
@@ -29,16 +37,8 @@ from beltrami.exactpoly import (
     SphereScalar,
     canonicalize,
     format_exact,
-    parity_classes,
 )
-from beltrami.frames import (
-    FrameField,
-    REFLECTION,
-    curl,
-    hopf_frame,
-    isometry_pushforward,
-    laplace_beltrami,
-)
+from beltrami.frames import FrameField, hopf_frame, laplace_beltrami
 from beltrami import solver as _solver
 from beltrami.solver import NotExactFieldError
 
@@ -147,78 +147,6 @@ def _mu4_fields() -> List[FrameField]:
     return [_poly_field(*s) for s in specs]
 
 
-def _mu5_fields() -> Tuple[List[FrameField], list]:
-    """Denominator-cleared orthogonal basis of eigenvalue 5 and its norms.
-
-    Each member is a polynomial seed field made orthogonal to all earlier
-    members by exact Gram-Schmidt; the correction coefficients come out
-    rational, so the cleared fields stay exact.  A few members carry an
-    overall minus sign to fix the orientation convention of the basis.
-    """
-    x, y, zz, w = (Poly4.variable(i) for i in range(1, 5))
-    z = Poly4.zero()
-    seeds = [
-        (z, x * zz**2 - x * w**2 - 2 * y * zz * w,
-         w**2 * y - zz**2 * y - 2 * x * zz * w),
-        (z, 3 * x * y**2 - x**3, 3 * x**2 * y - y**3),
-        (z, y**3 - 3 * x**2 * y, 3 * x * y**2 - x**3),
-        (z, y * zz**2 + 2 * x * zz * w - w**2 * y,
-         x * zz**2 - x * w**2 - 2 * w * y * zz),
-        (z, y**2 * w - 2 * x * y * zz - x**2 * w,
-         y**2 * zz - x**2 * zz + 2 * x * y * w),
-        (z, 3 * zz**2 * w - w**3, zz**3 - 3 * w**2 * zz),
-        (z, x**2 * zz - y**2 * zz - 2 * x * y * w,
-         y**2 * w - x**2 * w - 2 * x * y * zz),
-        (z, zz**3 - 3 * w**2 * zz, w**3 - 3 * zz**2 * w),
-        (x**3 - 3 * x * w**2, w**3 - 3 * x**2 * w, z),
-        (x**2 * y - 2 * x * zz * w - w**2 * y,
-         w**2 * zz - 2 * x * y * w - x**2 * zz, z),
-        (x**2 * zz + 2 * x * y * w - w**2 * zz,
-         x**2 * y - 2 * x * zz * w - w**2 * y, z),
-        (x * y**2 - x * zz**2 - 2 * w * y * zz,
-         w * zz**2 - w * y**2 - 2 * x * y * zz, z),
-        (y**2 * w - zz**2 * w + 2 * x * y * zz,
-         x * y**2 - x * zz**2 - 2 * y * zz * w, z),
-        (3 * y**2 * zz - zz**3, y**3 - 3 * y * zz**2, z),
-        (3 * y * zz**2 - y**3, 3 * y**2 * zz - zz**3, z),
-        (3 * x**2 * w - w**3, x**3 - 3 * x * w**2, z),
-        (w**2 * zz + 2 * x * y * w - y**2 * zz, z,
-         x * y**2 - x * w**2 + 2 * w * y * zz),
-        (3 * x**2 * zz - zz**3, z, 3 * x * zz**2 - x**3),
-        (x * y**2 - x * w**2 + 2 * w * y * zz, z,
-         y**2 * zz - 2 * x * y * w - w**2 * zz),
-        (zz**2 * w + 2 * x * y * zz - x**2 * w, z,
-         y * zz**2 - x**2 * y - 2 * x * zz * w),
-        (3 * w**2 * y - y**3, z, 3 * y**2 * w - w**3),
-        (3 * x * zz**2 - x**3, z, zz**3 - 3 * x**2 * zz),
-        (y * zz**2 - x**2 * y - 2 * x * zz * w, z,
-         x**2 * w - w * zz**2 - 2 * x * y * zz),
-        (3 * y**2 * w - w**3, z, y**3 - 3 * w**2 * y),
-    ]
-    negated = {14, 16, 17, 20, 21, 23}
-    fields: List[FrameField] = []
-    norms: list = []  # exact squared norms, each integrated once
-    classes: list = []  # parity classes per frame slot of each member
-    for j, coefficients in enumerate(seeds, start=1):
-        f = seed = _poly_field(*coefficients)
-        seed_classes = [parity_classes(c) for c in seed.f]
-        for prev, norm, prev_classes in zip(fields, norms, classes):
-            # An overlap with no parity class shared on any frame slot is
-            # exactly zero (exactpoly.parity_class).
-            if not any(a & b for a, b in zip(seed_classes, prev_classes)):
-                continue
-            # <f, prev> = <seed, prev>: the earlier members are orthogonal.
-            overlap = seed.l2_inner(prev)
-            if not overlap.is_zero():
-                f = f - prev.scale((overlap / norm).as_rational())
-        if j in negated:
-            f = f.scale(-1)
-        fields.append(f)
-        norms.append(f.l2_inner(f))
-        classes.append([parity_classes(c) for c in f.f])
-    return fields, norms
-
-
 @functools.cache
 def explicit_basis(eigenvalue: int) -> AtlasEntry:
     """The explicit atlas entry for an eigenvalue in {+-2, +-3, +-4, +-5}."""
@@ -226,16 +154,22 @@ def explicit_basis(eigenvalue: int) -> AtlasEntry:
         raise UnsupportedEigenvalueError(
             f"no explicit basis for eigenvalue {eigenvalue}; use "
             "eigenspace_solve for other parts of the spectrum")
-    if eigenvalue < 0:  # the reflection is an isometry: norms carry over
-        positive = explicit_basis(-eigenvalue)
-        fields = [isometry_pushforward(f, REFLECTION) for f in positive.fields]
-        return AtlasEntry(eigenvalue, fields, "reflected",
-                          positive.squared_norms)
-    if eigenvalue == 5:
-        fields, norms = _mu5_fields()
-        return AtlasEntry(eigenvalue, fields, "explicit", norms)
-    fields = {2: hopf_frame, 3: _mu3_fields, 4: _mu4_fields}[eigenvalue]()
-    return AtlasEntry(eigenvalue, fields, "explicit")
+    if eigenvalue in (2, 3, 4):
+        fields = {2: hopf_frame, 3: _mu3_fields, 4: _mu4_fields}[eigenvalue]()
+        return AtlasEntry(eigenvalue, fields, "explicit")
+    from beltrami.atlas_table import ENTRIES  # loaded on first use
+    label, fields, norms = ENTRIES[eigenvalue]
+    return AtlasEntry(
+        eigenvalue,
+        [FrameField(*(SphereScalar(_table_poly(even), _table_poly(odd))
+                      for even, odd in field)) for field in fields],
+        label, [ExactScalar({2: Rat(n, d)}) for n, d in norms])
+
+
+def _table_poly(triples) -> Poly4:
+    """A Poly4 from (exponent, numerator, denominator) triples of
+    beltrami.atlas_table, in their order."""
+    return Poly4({e: Rat(n, d) for e, n, d in triples})
 
 
 def atlas_entries() -> List[AtlasEntry]:

@@ -573,7 +573,8 @@ R_AT_HOPF = math.pi ** 2 / (2 * math.pi ** 2) ** (4.0 / 3.0)
 # with the number of samples.  A pair is the smallest group that rounds as
 # larger ones do: a one-sample group sends the coefficient contraction
 # through numpy's vector path in tensordot, which rounds differently, while
-# groups of 2, 3 and 20 give the same rows.
+# groups of 2, 3 and 20 give the same rows.  So a final short group is
+# padded with copies of its last sample, whose rows are dropped.
 _SCAN_GROUP = 2
 
 
@@ -602,9 +603,11 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     as frame coefficients over its monomials (degree <= 5, _scan_basis,
     built on each scan); each pair of samples (_SCAN_GROUP) is one pass of
     grid.polynomial_slabs over its coefficients, of which B1 . W and
-    |W|^2 are kept.  A pair holds two (N,) columns per sample and one (6, N)
-    slab with its products, under 6 MiB on the default grid (traced peak),
-    whatever the number of samples.
+    |W|^2 are kept.  An odd count's final sample is paired with a copy of
+    itself, so a sample's row depends only on the seed and its index, not
+    on the number of samples.  A pair holds two (N,) columns per sample and
+    one (6, N) slab with its products, under 6 MiB on the default grid
+    (traced peak), whatever the number of samples.
     """
     if (isinstance(samples, bool) or not isinstance(samples, int)
             or samples < 1 or not 0 < radius <= 0.1):
@@ -615,7 +618,7 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     mus, exponents, tensor = _scan_basis()
     e1 = np.zeros(len(mus))
     e1[0] = math.sqrt(2.0 * math.pi ** 2)
-    columns = np.empty((2, min(samples, _SCAN_GROUP), grid.size))
+    w1, w_sq = np.empty((2, _SCAN_GROUP, grid.size))
     results = []
     violations = []
     for first in range(0, samples, _SCAN_GROUP):
@@ -623,14 +626,15 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
         coeffs = rng.standard_normal((count, len(mus)))
         # Every fifth sample stays inside E1, probing exact equality.
         coeffs[(4 - first) % 5::5, 3:] = 0.0
-        mixed = np.tensordot(coeffs, tensor, (1, 1)).reshape(3 * count, -1)
-        w1, w_sq = columns[:, :count]
+        group = coeffs[np.minimum(np.arange(_SCAN_GROUP), count - 1)]
+        mixed = np.tensordot(group, tensor, (1, 1)).reshape(
+            3 * _SCAN_GROUP, -1)
         for block, values in grid.polynomial_slabs(exponents, mixed):
-            values = values.reshape(count, 3, -1)
+            values = values.reshape(_SCAN_GROUP, 3, -1)
             w1[:, block] = values[:, 0]
             np.einsum("sab,sab->sb", values, values, out=w_sq[:, block])
             del values  # before the next slab's product
-        for index, sup in enumerate(np.sqrt(np.max(w_sq, axis=1))):
+        for index, sup in enumerate(np.sqrt(np.max(w_sq[:count], axis=1))):
             scale = radius / sup if sup > 0 else 0.0
             sample = coeffs[index] * scale
             energy = l32_energy(_hopf_line(w1[index], w_sq[index], scale),

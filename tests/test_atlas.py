@@ -23,7 +23,8 @@ from beltrami.atlas import (
 from beltrami.exactpoly import ExactScalar, Rat, SphereScalar, parse_exact
 from beltrami.frames import (FrameField, curl, divergence, grad, hopf_frame,
                              laplace_beltrami)
-from beltrami import solver
+from beltrami import atlas_table, frames, solver
+from atlas_oracle import TABLE_EIGENVALUES, derived_entry, table_text
 from conftest import rand_sphere_scalar
 
 
@@ -100,6 +101,45 @@ class TestExplicitBases:
         entry = explicit_basis(3)
         for F in entry.orthonormal_float_fields():
             assert float(F.l2_inner(F)) == pytest.approx(1.0, rel=1e-12)
+
+
+def _terms(field: FrameField) -> list:
+    """The terms of each parity part of each frame slot, in term order."""
+    return [(list(c.even_part.terms.items()), list(c.odd_part.terms.items()))
+            for c in field.f]
+
+
+class TestTable:
+    @pytest.mark.parametrize("mu", TABLE_EIGENVALUES)
+    def test_entry_is_its_derivation(self, mu):
+        # Gram-Schmidt for eigenvalue 5, the reflection for -2..-5: the
+        # same fields in the same term order, the same norms and label.
+        label, fields, norms = derived_entry(mu)
+        entry = explicit_basis(mu)
+        assert entry.label == label
+        assert entry.squared_norms == norms
+        assert [_terms(f) for f in entry.fields] == [_terms(f) for f in fields]
+
+    def test_module_is_the_oracle_output(self):
+        with open(atlas_table.__file__, encoding="utf-8") as handle:
+            assert handle.read() == table_text()
+
+    def test_builds_without_a_derivation(self, monkeypatch):
+        # No pushforward and no Gram-Schmidt coefficient; a pushforward
+        # bound under another name still needs cartesian_components.
+        def refuse(*args):
+            raise AssertionError("a table entry was derived")
+
+        monkeypatch.setattr(frames, "isometry_pushforward", refuse)
+        monkeypatch.setattr(FrameField, "cartesian_components", refuse)
+        monkeypatch.setattr(ExactScalar, "as_rational", refuse)
+        explicit_basis.cache_clear()
+        try:
+            for mu in SUPPORTED_EXPLICIT:
+                assert explicit_basis(mu).dimension == (abs(mu) - 1) * (
+                    abs(mu) + 1)
+        finally:
+            explicit_basis.cache_clear()
 
 
 def sample_exact_field() -> FrameField:

@@ -866,6 +866,18 @@ class TestLocalMaxScan:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_do_not_depend_on_the_sample_count(self, seed):
+        # An odd count's final sample is paired with a copy of itself, so
+        # it rounds as it does beside the next sample of a larger count.
+        def rows(samples):
+            return [(row["sample"], row["delta"].hex(),
+                     row["non_e1_norm"].hex(), row["pass"])
+                    for row in local_max_scan(0.05, samples, seed,
+                                              default_grid())["results"]]
+
+        assert rows(7) == rows(8)[:7]
+
     @pytest.mark.parametrize("samples", [True, 2.5])
     def test_rejects_non_int_samples(self, samples):
         with pytest.raises(ValueError, match=re.escape(repr(samples))):
