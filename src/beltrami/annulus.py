@@ -1,11 +1,11 @@
 """Curl eigenvalues on a family of flat unimodular metrics on T^3.
 
-The metric with parameter n is diagonal, g = diag(1/n, 1/n, n^2), in
-coordinates (phi1, phi2, t), each of period 2 pi.  Its determinant is one,
-so every member of the family has volume (2 pi)^3; yet the smallest
-positive curl eigenvalue is 1/n, so the normalized eigenvalue of the
-family decreases without bound as n grows.  Separation of variables gives
-candidate eigenvalues
+The metric with parameter n is diagonal, g = diag(1/n, 1/n, n^2), in the
+coordinates (x, y, z) = (phi1, phi2, t) of beltrami.torus, each of period
+2 pi; n = 1 is the flat torus.  Its determinant is one, so every member of
+the family has volume (2 pi)^3; yet the smallest positive curl eigenvalue
+is 1/n, so the normalized eigenvalue of the family decreases without bound
+as n grows.  Separation of variables gives candidate eigenvalues
 
     lambda^2 = n (m1^2 + m2^2) + m^2 / (4 n^2)
 
@@ -13,7 +13,9 @@ indexed by the angular wavenumbers m1, m2 and the doubled t-frequency m
 (m must be even when m1 = m2 = 0, since a pure t-mode needs an integer
 frequency).  Any candidate with m1^2 + m2^2 > 0 already has lambda >= 1
 for n >= 1, so the bottom of the positive spectrum within these families
-is attained by the pure t-modes.
+is attained by the pure t-modes.  Their eigenfields are exact
+TorusFields, and the eigen equation is checked by exact equality of
+rational Fourier series, with no tolerance.
 """
 
 from __future__ import annotations
@@ -21,19 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-TORUS_VOLUME = (2.0 * math.pi) ** 3
+from .torus import (VOLUME, TorusField, TorusScalar, _check_parameter,
+                    metric_diagonal)
 
 
 def metric(n: int) -> List[List[Fraction]]:
     """The diagonal metric diag(1/n, 1/n, n^2) with exact entries."""
-    n = _check_parameter(n)
-    return [
-        [Fraction(1, n), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1, n), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(n * n)],
-    ]
+    return [[g if i == j else Fraction(0) for j in range(3)]
+            for i, g in enumerate(metric_diagonal(n))]
 
 
 def metric_determinant(n: int) -> Fraction:
@@ -45,14 +44,7 @@ def metric_determinant(n: int) -> Fraction:
 def volume(n: int) -> float:
     """Total volume (2 pi)^3, independent of the parameter."""
     _check_parameter(n)
-    return TORUS_VOLUME
-
-
-def _check_parameter(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"the metric parameter must be a positive "
-                         f"integer, got {n!r}")
-    return n
+    return VOLUME
 
 
 @dataclass(frozen=True)
@@ -125,88 +117,12 @@ def spectrum_candidates(n: int, cutoff: int = 3) -> List[dict]:
     return rows
 
 
-class TrigPoly:
-    """A finite Fourier series on the torus with exact coefficients.
-
-    terms maps (kind, k) to a nonzero Fraction c, for the term c cos(k.x)
-    or c sin(k.x) by kind, with k an integer wave vector and x = (phi1,
-    phi2, t).  Each k is stored with its first nonzero entry positive (cos
-    is even, sin odd) and sin 0 is dropped, so two series are equal
-    exactly when their terms are.
-    """
-
-    def __init__(self, terms=()):
-        merged: Dict[Tuple[str, Tuple[int, ...]], Fraction] = {}
-        for (kind, k), c in terms:
-            if tuple(k) < (0, 0, 0):
-                k, c = [-a for a in k], (-c if kind == "sin" else c)
-            key = (kind, tuple(k))
-            merged[key] = merged.get(key, 0) + Fraction(c)
-        self.terms = {key: c for key, c in merged.items()
-                      if c and (key[0] == "cos" or any(key[1]))}
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        return TrigPoly([*self.terms.items(), *other.terms.items()])
-
-    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + -1 * other
-
-    def __rmul__(self, scalar) -> "TrigPoly":
-        return TrigPoly((key, scalar * c) for key, c in self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        """Exact equality with another TrigPoly or a rational constant."""
-        if not isinstance(other, TrigPoly):
-            other = TrigPoly([(("cos", (0, 0, 0)), other)])
-        return self.terms == other.terms
-
-    def derivative(self, j: int) -> "TrigPoly":
-        """d/dx_j: cos(k.x) -> -k_j sin(k.x), sin(k.x) -> k_j cos(k.x)."""
-        return TrigPoly(
-            (("sin", k), -k[j] * c) if kind == "cos" else
-            (("cos", k), k[j] * c) for (kind, k), c in self.terms.items())
+# benchmark/layertrace.py times AnnulusField.eigen_residual under this
+# name, so the torus field type keeps it here.
+AnnulusField = TorusField
 
 
-class AnnulusField:
-    """A vector field on the torus family with exact Fourier components.
-
-    components are contravariant (coefficients of the coordinate frame
-    d/dphi1, d/dphi2, d/dt), each a TrigPoly in (phi1, phi2, t).
-    """
-
-    def __init__(self, components: Sequence[TrigPoly]):
-        if len(components) != 3:
-            raise ValueError("three components expected")
-        self.components = tuple(components)
-
-    def curl(self, n: int) -> "AnnulusField":
-        """Curl in the metric diag(1/n, 1/n, n^2), computed exactly.
-
-        With unit determinant the components are
-        (curl X)^i = g^ii sum_jk eps_ijk g^jj g^kk d_j (g_kk X^k),
-        summed here over the cyclic (i, j, k) with eps_ikj = -1.
-        """
-        g = [row[i] for i, row in enumerate(metric(n))]
-        omega = [g[k] * self.components[k] for k in range(3)]
-        out = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            out.append(1 / (g[i] * g[j] * g[k]) * (
-                omega[k].derivative(j) - omega[j].derivative(k)))
-        return AnnulusField(out)
-
-    def eigen_residual(self, n: int, eigenvalue) -> Tuple[TrigPoly, ...]:
-        """Components of curl X - eigenvalue X, for an int or Fraction."""
-        return tuple(c - Fraction(eigenvalue) * x
-                     for c, x in zip(self.curl(n).components, self.components))
-
-    def component_means(self) -> Tuple[TrigPoly, ...]:
-        """Average of each component over one period of t: its k3 = 0 modes."""
-        return tuple(TrigPoly((key, c) for key, c in x.terms.items()
-                              if key[1][2] == 0) for x in self.components)
-
-
-def first_eigenfields(n: int) -> Tuple[AnnulusField, AnnulusField]:
+def first_eigenfields(n: int) -> Tuple[TorusField, TorusField]:
     """The explicit eigenfield pair attaining the eigenvalue 1/n.
 
     v1 = sin t d/dphi1 + cos t d/dphi2 and its quarter-period translate
@@ -214,10 +130,9 @@ def first_eigenfields(n: int) -> Tuple[AnnulusField, AnnulusField]:
     along d/dphi2.
     """
     _check_parameter(n)
-    sin_t = TrigPoly([(("sin", (0, 0, 1)), 1)])
-    cos_t = TrigPoly([(("cos", (0, 0, 1)), 1)])
-    v1 = AnnulusField([sin_t, cos_t, TrigPoly()])
-    v2 = AnnulusField([cos_t, -1 * sin_t, TrigPoly()])
+    sin_t, cos_t = TorusScalar.sine((0, 0, 1)), TorusScalar.cosine((0, 0, 1))
+    v1 = TorusField([sin_t, cos_t, TorusScalar()])
+    v2 = TorusField([cos_t, -1 * sin_t, TorusScalar()])
     return v1, v2
 
 

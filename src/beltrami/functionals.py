@@ -149,11 +149,14 @@ def _fixed_tensor() -> Tuple[List[Exponent], np.ndarray]:
 
 
 def _finite_coefficients(name: str, values) -> Tuple[float, ...]:
-    out = tuple(float(x) for x in values)
-    for x in out:
+    values = tuple(values)
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(
+                f"{name} coefficients must be real numbers, got {x!r}")
         if not math.isfinite(x):
             raise ValueError(f"{name} coefficients must be finite, got {x!r}")
-    return out
+    return tuple(float(x) for x in values)
 
 
 class HopfPerturbation:
@@ -610,7 +613,9 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     (traced peak), whatever the number of samples.
     """
     if (isinstance(samples, bool) or not isinstance(samples, int)
-            or samples < 1 or not 0 < radius <= 0.1):
+            or samples < 1 or isinstance(radius, bool)
+            or not isinstance(radius, numbers.Real)
+            or not 0 < radius <= 0.1):
         raise ValueError("local_max_scan needs 0 < radius <= 0.1 and an int "
                          f"samples >= 1, got {radius!r} and {samples!r}")
     grid = grid or default_grid()

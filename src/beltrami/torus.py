@@ -1,14 +1,19 @@
-"""Beltrami fields and conformal eigenvalue perturbation on the flat torus.
+"""Exact Fourier calculus on the 3-torus and the conformal curl pencil.
 
-Fields on T^3 = (R / 2 pi Z)^3 are finite Fourier series
+T^3 = (R / 2 pi Z)^3 has coordinates (x, y, z) = (phi1, phi2, t), each of
+period 2 pi.  A TorusScalar is a finite real Fourier series with rational
+cos and sin coefficients; a TorusField has three of them as contravariant
+components.  Products, derivatives, means, divergences and curls are exact,
+so equality, zero mean and constant speed are exact decisions and no
+tolerance decides a result.  The curl is that of the unimodular flat metric
+diag(1/n, 1/n, n^2) of beltrami.annulus; n = 1 is the flat torus, where
+curl acts on exp(i k . x) as i k x (.).
 
-    u(x) = sum_k a_k exp(i k . x),    a_{-k} = conj(a_k),  k . a_k = 0,
-
-with integer wavevectors.  Curl acts mode by mode as i k x (.), so each
-shell |k| = const carries curl eigenfields of eigenvalues +-|k| spanned by
-helical polarization vectors.  All integrals reduce to Fourier
-orthogonality over the volume (2 pi)^3 and are therefore exact up to float
-rounding.
+The conformal pencil is floating point.  Its Beltrami basis of helical
+modes has irrational amplitudes, so each field is a plain (wavevector,
+complex amplitude) pair, and the factor q enters through the complex
+Fourier coefficients of TorusScalar.modes.  Integrals over the volume
+(2 pi)^3 reduce to Fourier orthogonality.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -28,12 +34,12 @@ VOLUME = (2.0 * math.pi) ** 3
 
 _NORM_SQ = 2.0 * VOLUME  # of each field of beltrami_basis (two unit modes)
 
-_SYMMETRY_TOLERANCE = 1e-12
-
 
 def _as_wavevector(k: Iterable[int]) -> Wavevector:
     """k as three ints; ValueError unless they are integers, not bools."""
     k = tuple(k)
+    if len(k) == 3 and all(type(a) is int for a in k):
+        return k
     if len(k) != 3 or not all(isinstance(a, numbers.Integral)
                               and not isinstance(a, bool) for a in k):
         raise ValueError(
@@ -44,220 +50,255 @@ def _as_wavevector(k: Iterable[int]) -> Wavevector:
 def _check_real(value, name: str):
     """value if it is a finite real number and not a bool; else ValueError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+            or not (isinstance(value, numbers.Rational)
+                    or math.isfinite(value))):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return value
+
+
+def _rational(value, name: str) -> Fraction:
+    """A finite real number as its exact Fraction; floats keep every bit."""
+    if type(value) is Fraction:
+        return value
+    _check_real(value, name)
+    return Fraction(value if isinstance(value, numbers.Rational)
+                    else float(value))
 
 
 def _neg(k: Wavevector) -> Wavevector:
     return (-k[0], -k[1], -k[2])
 
 
-class TorusScalar:
-    """A real trigonometric polynomial on T^3 as a Fourier coefficient map.
+def _check_parameter(n: int) -> int:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"the metric parameter must be a positive "
+                         f"integer, got {n!r}")
+    return n
 
-    modes maps wavevectors to complex coefficients with the reality
-    constraint coeff(-k) = conj(coeff(k)).
+
+def metric_diagonal(n: int) -> Tuple[Fraction, Fraction, Fraction]:
+    """The unimodular flat metric diag(1/n, 1/n, n^2), exactly; n = 1 is
+    the flat torus."""
+    n = _check_parameter(n)
+    return Fraction(1, n), Fraction(1, n), Fraction(n * n)
+
+
+class TorusScalar:
+    """A real Fourier series on T^3 with exact rational coefficients.
+
+    terms maps (kind, k) to a nonzero Fraction c, for the term c cos(k . x)
+    or c sin(k . x) by kind.  Each k is stored with its first nonzero entry
+    positive (cos is even, sin odd) and sin 0 is dropped, so two series are
+    equal exactly when their terms are.  The constructor takes
+    ((kind, k), c) pairs; a kind other than cos and sin, a wavevector that
+    is not three ints, or a coefficient that is not a finite real number
+    raises ValueError naming it.  Floats are taken at their exact value.
     """
 
-    __slots__ = ("modes",)
+    __slots__ = ("terms",)
 
-    def __init__(self, modes: Dict[Wavevector, complex]):
-        cleaned: Dict[Wavevector, complex] = {}
-        for k, c in modes.items():
-            c = complex(c)
-            if c != 0:
-                cleaned[_as_wavevector(k)] = c
-        for k, c in cleaned.items():
-            mirror = cleaned.get(_neg(k), 0j)
-            if abs(mirror - c.conjugate()) > _SYMMETRY_TOLERANCE:
+    def __init__(self, terms=()):
+        merged: Dict[Tuple[str, Wavevector], Fraction] = {}
+        for (kind, k), c in terms:
+            if kind not in ("cos", "sin"):
                 raise ValueError(
-                    f"coefficients at {k} and {_neg(k)} violate the "
-                    "reality constraint")
-        self.modes = cleaned
+                    f"a term's kind must be 'cos' or 'sin', got {kind!r}")
+            k, c = _as_wavevector(k), _rational(c, "coefficient")
+            if k < (0, 0, 0):
+                k, c = _neg(k), (-c if kind == "sin" else c)
+            merged[kind, k] = merged.get((kind, k), 0) + c
+        self.terms = {key: c for key, c in merged.items()
+                      if c and (key[0] == "cos" or any(key[1]))}
 
     @staticmethod
     def zero() -> "TorusScalar":
-        return TorusScalar({})
+        return TorusScalar()
 
     @staticmethod
-    def const(c: float) -> "TorusScalar":
-        return TorusScalar({(0, 0, 0): complex(c)})
+    def const(c) -> "TorusScalar":
+        return TorusScalar([(("cos", (0, 0, 0)), c)])
 
     @staticmethod
-    def cosine(k: Iterable[int], amplitude: float = 1.0) -> "TorusScalar":
+    def cosine(k: Iterable[int], amplitude=1) -> "TorusScalar":
         """amplitude * cos(k . x); the amplitude is a finite real number."""
-        k = _as_wavevector(k)
-        amplitude = _check_real(amplitude, "amplitude")
-        if k == (0, 0, 0):
-            return TorusScalar.const(amplitude)
-        return TorusScalar({k: 0.5 * amplitude, _neg(k): 0.5 * amplitude})
+        return TorusScalar([(("cos", k), _check_real(amplitude,
+                                                     "amplitude"))])
 
     @staticmethod
-    def sine(k: Iterable[int], amplitude: float = 1.0) -> "TorusScalar":
+    def sine(k: Iterable[int], amplitude=1) -> "TorusScalar":
         """amplitude * sin(k . x); the amplitude is a finite real number."""
-        k = _as_wavevector(k)
-        amplitude = _check_real(amplitude, "amplitude")
-        if k == (0, 0, 0):
-            return TorusScalar.zero()
-        half = amplitude / 2j
-        return TorusScalar({k: half, _neg(k): -half})
+        return TorusScalar([(("sin", k), _check_real(amplitude,
+                                                     "amplitude"))])
 
     def __add__(self, other: "TorusScalar") -> "TorusScalar":
-        out = dict(self.modes)
-        for k, c in other.modes.items():
-            out[k] = out.get(k, 0j) + c
-        return TorusScalar(out)
+        return TorusScalar([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "TorusScalar") -> "TorusScalar":
-        return self + other.scale(-1.0)
+        return self + -1 * other
 
-    def scale(self, s: float) -> "TorusScalar":
-        return TorusScalar({k: s * c for k, c in self.modes.items()})
+    def __mul__(self, other) -> "TorusScalar":
+        """The product with a TorusScalar, term by term by the
+        product-to-sum formulas, or with a finite real number."""
+        if not isinstance(other, TorusScalar):
+            s = _rational(other, "factor")
+            return TorusScalar((key, s * c) for key, c in self.terms.items())
+        terms = []
+        for (kind1, k1), c1 in self.terms.items():
+            for (kind2, k2), c2 in other.terms.items():
+                half = c1 * c2 / 2
+                plus = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
+                minus = (k1[0] - k2[0], k1[1] - k2[1], k1[2] - k2[2])
+                if kind1 == kind2:  # cos cos and sin sin
+                    terms += [(("cos", minus), half), (("cos", plus),
+                              half if kind1 == "cos" else -half)]
+                else:  # sin cos and cos sin
+                    terms += [(("sin", plus), half), (("sin", minus),
+                              half if kind1 == "sin" else -half)]
+        return TorusScalar(terms)
 
-    def mean(self) -> float:
-        return self.modes.get((0, 0, 0), 0j).real
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        """Exact equality with another TorusScalar or a real constant."""
+        if isinstance(other, numbers.Real):
+            other = TorusScalar.const(other)
+        if not isinstance(other, TorusScalar):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def derivative(self, j: int) -> "TorusScalar":
+        """d/dx_j: cos(k.x) -> -k_j sin(k.x), sin(k.x) -> k_j cos(k.x)."""
+        return TorusScalar(
+            (("sin", k), -k[j] * c) if kind == "cos" else
+            (("cos", k), k[j] * c) for (kind, k), c in self.terms.items())
+
+    def mean(self) -> Fraction:
+        """The exact mean over the torus: the coefficient of cos 0."""
+        return self.terms.get(("cos", (0, 0, 0)), Fraction(0))
 
     def integral(self) -> float:
         """Integral over the torus: the mean times the volume (2 pi)^3."""
-        return self.mean() * VOLUME
+        return float(self.mean()) * VOLUME
+
+    @property
+    def modes(self) -> Dict[Wavevector, complex]:
+        """The complex Fourier coefficients c_k of exp(i k . x) as floats,
+        with c_{-k} = conj(c_k): c cos(k . x) puts c / 2 at k and -k, and
+        c sin(k . x) puts c / 2i at k and its negative at -k."""
+        out: Dict[Wavevector, complex] = {}
+        for (kind, k), c in self.terms.items():
+            half = 0.5 * float(c) if kind == "cos" else float(c) / 2j
+            for key, value in ((k, half),
+                               (_neg(k), half if kind == "cos" else -half)):
+                out[key] = out.get(key, 0j) + value
+        return out
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Values at an (N, 3) array of points."""
         pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for k, c in self.modes.items():
-            out += c * np.exp(1j * pts @ np.array(k, dtype=float))
-        return out.real
+        out = np.zeros(pts.shape[0])
+        for (kind, k), c in self.terms.items():
+            wave = np.cos if kind == "cos" else np.sin
+            out += float(c) * wave(pts @ np.array(k, dtype=float))
+        return out
 
 
 class TorusField:
-    """A real divergence-free trigonometric vector field on T^3.
+    """A vector field on T^3 with three TorusScalar components.
 
-    modes maps wavevectors to complex 3-component amplitudes with
-    amp(-k) = conj(amp(k)) and k . amp(k) = 0, so the field is real and
-    divergence free mode by mode.
+    The components are contravariant, the coefficients of d/dx, d/dy and
+    d/dz.  A field need not be divergence free: divergence() is exact.
     """
 
-    __slots__ = ("modes",)
+    __slots__ = ("components",)
 
-    def __init__(self, modes: Dict[Wavevector, Sequence[complex]]):
-        cleaned: Dict[Wavevector, np.ndarray] = {}
-        for k, amp in modes.items():
-            amp = np.asarray(amp, dtype=complex)
-            if amp.shape != (3,):
-                raise ValueError("amplitudes must have three components")
-            if np.any(amp != 0):
-                cleaned[_as_wavevector(k)] = amp
-        for k, amp in cleaned.items():
-            mirror = cleaned.get(_neg(k))
-            mirror = np.zeros(3, dtype=complex) if mirror is None else mirror
-            if np.max(np.abs(mirror - amp.conjugate())) > \
-                    _SYMMETRY_TOLERANCE:
-                raise ValueError(
-                    f"amplitudes at {k} and {_neg(k)} violate the reality "
-                    "constraint")
-            divergence = np.dot(np.array(k, dtype=float), amp)
-            if abs(divergence) > _SYMMETRY_TOLERANCE:
-                raise ValueError(f"mode {k} is not divergence free")
-        self.modes = cleaned
+    def __init__(self, components: Sequence[TorusScalar]):
+        components = tuple(components)
+        if len(components) != 3 or not all(
+                isinstance(c, TorusScalar) for c in components):
+            raise ValueError("a field has three TorusScalar components")
+        self.components = components
 
-    def __add__(self, other: "TorusField") -> "TorusField":
-        out = {k: a.copy() for k, a in self.modes.items()}
-        for k, a in other.modes.items():
-            out[k] = out.get(k, np.zeros(3, dtype=complex)) + a
-        return TorusField(out)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TorusField):
+            return NotImplemented
+        return self.components == other.components
 
-    def scale(self, s: float) -> "TorusField":
-        return TorusField({k: s * a for k, a in self.modes.items()})
+    def curl(self, n: int = 1) -> "TorusField":
+        """Curl in the metric diag(1/n, 1/n, n^2), computed exactly.
 
-    def curl(self) -> "TorusField":
-        """Curl acts per mode as i k x amplitude."""
-        return TorusField({
-            k: 1j * np.cross(np.array(k, dtype=float), a)
-            for k, a in self.modes.items()})
+        The determinant is one, so over the cyclic (i, j, k) the components
+        are (curl X)^i = d_j (g_kk X^k) - d_k (g_jj X^j).
+        """
+        omega = [g * x for g, x in zip(metric_diagonal(n), self.components)]
+        return TorusField(
+            omega[(i + 2) % 3].derivative((i + 1) % 3)
+            - omega[(i + 1) % 3].derivative((i + 2) % 3) for i in range(3))
 
-    def dot(self, other: "TorusField") -> TorusScalar:
-        """The pointwise inner product as a trigonometric polynomial."""
-        out: Dict[Wavevector, complex] = {}
-        for k1, a1 in self.modes.items():
-            for k2, a2 in other.modes.items():
-                m = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                out[m] = out.get(m, 0j) + complex(np.dot(a1, a2))
-        return TorusScalar(out)
+    def divergence(self) -> TorusScalar:
+        """sum_j d_j X^j, the divergence in every metric of unit
+        determinant, the whole family included."""
+        return sum((x.derivative(j) for j, x in enumerate(self.components)),
+                   TorusScalar())
+
+    def eigen_residual(self, n: int, eigenvalue) -> Tuple[TorusScalar, ...]:
+        """Components of curl X - eigenvalue X in the parameter-n metric,
+        for a rational eigenvalue."""
+        return tuple(c - eigenvalue * x
+                     for c, x in zip(self.curl(n).components, self.components))
+
+    def component_means(self) -> Tuple[TorusScalar, ...]:
+        """Average of each component over one period of t: its k3 = 0
+        terms."""
+        return tuple(TorusScalar((key, c) for key, c in x.terms.items()
+                                 if key[1][2] == 0) for x in self.components)
 
     def speed_sq(self) -> TorusScalar:
-        return self.dot(self)
-
-    def l2_inner(self, other: "TorusField") -> float:
-        return self.dot(other).integral()
-
-    def norm_sq(self) -> float:
-        return self.l2_inner(self)
+        """The flat squared speed sum_i (X^i)^2."""
+        return sum((x * x for x in self.components), TorusScalar())
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Values at an (N, 3) array of points, shape (N, 3)."""
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros((pts.shape[0], 3), dtype=complex)
-        for k, a in self.modes.items():
-            out += np.exp(1j * pts @ np.array(k, dtype=float))[:, None] \
-                * a[None, :]
-        return out.real
+        return np.stack([x.evaluate(pts) for x in self.components], axis=1)
 
 
-def abc_field(a: float, b: float, c: float) -> TorusField:
+def abc_field(a, b, c) -> TorusField:
     """The field (a sin z + c cos y, b sin x + a cos z, c sin y + b cos x).
 
     A curl eigenfield of eigenvalue one for every choice of the three
-    amplitudes.
+    finite real amplitudes.
     """
-    modes: Dict[Wavevector, np.ndarray] = {}
-
-    def add(k: Wavevector, amp: Sequence[complex]) -> None:
-        amp = np.asarray(amp, dtype=complex)
-        modes[k] = modes.get(k, np.zeros(3, dtype=complex)) + amp
-        mk = _neg(k)
-        modes[mk] = modes.get(mk, np.zeros(3, dtype=complex)) + \
-            amp.conjugate()
-
-    half, skew = 0.5, 0.5 / 1j
-    add((0, 0, 1), (a * skew, a * half, 0))
-    add((0, 1, 0), (c * half, 0, c * skew))
-    add((1, 0, 0), (0, b * skew, b * half))
-    return TorusField(modes)
+    sin, cos = TorusScalar.sine, TorusScalar.cosine
+    x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    return TorusField([sin(z, a) + cos(y, c), sin(x, b) + cos(z, a),
+                       sin(y, c) + cos(x, b)])
 
 
-def speed_is_constant(u: TorusField,
-                      tolerance: float = 1e-12):
-    """Whether |u|^2 is constant, with a witness mode when it is not.
+def speed_is_constant(u: TorusField):
+    """Whether |u|^2 is exactly constant, with a witness mode when it is not.
 
     Returns (True, None) for constant speed, otherwise (False, k) where k
-    is the nonzero wavevector carrying the largest Fourier coefficient of
-    the squared speed.
+    is the nonzero wavevector, first nonzero entry positive, whose Fourier
+    coefficient of the squared speed is largest in modulus.
     """
-    speed = u.speed_sq()
-    worst_k, worst = None, tolerance
-    for k, c in speed.modes.items():
-        if k != (0, 0, 0) and abs(c) > worst:
-            worst_k, worst = k, abs(c)
-    return (worst_k is None), worst_k
+    weights: Dict[Wavevector, Fraction] = {}
+    for (_, k), c in u.speed_sq().terms.items():
+        if any(k):
+            weights[k] = weights.get(k, 0) + c * c
+    return (False, max(weights, key=weights.get)) if weights else (True, None)
 
 
 def first_variation(u: TorusField, phidot: TorusScalar) -> float:
     """Integral of phidot |u|^2: the volume response of the energy.
 
-    phidot must have zero mean (a volume-preserving deformation rate); the
-    integral is exact by Fourier orthogonality.
+    phidot must have exactly zero mean (a volume-preserving deformation
+    rate), else ValueError; the integral is the exact mean of the product
+    times the volume (2 pi)^3.
     """
-    if abs(phidot.mean()) > _SYMMETRY_TOLERANCE:
-        raise ValueError("the deformation rate must have zero mean")
-    speed = u.speed_sq()
-    total = 0j
-    for k, c in phidot.modes.items():
-        partner = speed.modes.get(_neg(k))
-        if partner is not None:
-            total += c * partner
-    return total.real * VOLUME
+    if phidot.mean() != 0:
+        raise ValueError("the deformation rate must have zero mean, got "
+                         f"mean {phidot.mean()}")
+    return (phidot * u.speed_sq()).integral()
 
 
 def _helical_pair(k: Wavevector) -> Tuple[np.ndarray, np.ndarray]:
@@ -271,16 +312,18 @@ def _helical_pair(k: Wavevector) -> Tuple[np.ndarray, np.ndarray]:
     return e, f
 
 
-def beltrami_basis(kmax: int) -> Tuple[List[TorusField], List[float]]:
+def beltrami_basis(kmax: int) -> Tuple[List[Tuple[Wavevector, np.ndarray]],
+                                       List[float]]:
     """Real curl eigenfields spanning all shells with 0 < |k| <= kmax.
 
-    For each wavevector (one per antipodal pair) and each helicity sign the
-    two real parts of the helical mode are returned, along with the list of
-    curl eigenvalues +-|k|.
+    A field (k, h) is h exp(i k . x) + conj(h) exp(-i k . x), with h a
+    complex 3-vector normal to k.  For each wavevector (one per antipodal
+    pair) and each helicity sign the two real parts of the helical mode are
+    returned, along with the list of curl eigenvalues +-|k|.
     """
     if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 1:
         raise ValueError(f"kmax must be an int >= 1, got {kmax!r}")
-    fields: List[TorusField] = []
+    fields: List[Tuple[Wavevector, np.ndarray]] = []
     eigenvalues: List[float] = []
     bound = kmax * kmax
     for kx in range(-kmax, kmax + 1):
@@ -296,8 +339,7 @@ def beltrami_basis(kmax: int) -> Tuple[List[TorusField], List[float]]:
                 for sign in (1.0, -1.0):
                     h = (e + sign * 1j * f) / math.sqrt(2.0)
                     for amp in (h, 1j * h):
-                        fields.append(TorusField({
-                            k: amp, _neg(k): amp.conjugate()}))
+                        fields.append((k, amp))
                         eigenvalues.append(sign * math.sqrt(norm_sq))
     return fields, eigenvalues
 
@@ -307,14 +349,15 @@ def _pair_tables(kmax: int):
     """The Beltrami basis, its read-only mus and pair tables, once per kmax.
 
     waves[:, s, r, i, j] sums the wavevectors of mode s of field i and mode r
-    of field j, and products[s, r, i, j] dots their amplitudes."""
+    of field j, and products[s, r, i, j] dots their amplitudes; mode 0 of a
+    field (k, h) is h at k and mode 1 conj(h) at -k."""
     fields, mus = beltrami_basis(kmax)
     mus = np.array(mus)
     mus.flags.writeable = False
-    k = np.array([list(f.modes) for f in fields]).T
+    k = np.array([(k, _neg(k)) for k, _ in fields]).T
     waves = np.ascontiguousarray(k[:, :, None, :, None] +
                                  k[:, None, :, None, :])
-    a = np.array([list(f.modes.values()) for f in fields]).swapaxes(0, 1)
+    a = np.array([(h, h.conjugate()) for _, h in fields]).swapaxes(0, 1)
     a = a.reshape(-1, 3)
     products = (a @ a.T).reshape(2, len(fields), 2, -1).swapaxes(1, 2).copy()
     return fields, mus, waves, products

@@ -23,7 +23,6 @@ from beltrami.annulus import (
     metric_determinant,
     spectrum_candidates,
     volume as annulus_volume,
-    TORUS_VOLUME,
 )
 from beltrami.atlas import eigen_decompose, eigenspace_solve, explicit_basis
 from beltrami.conformal import (
@@ -54,6 +53,7 @@ from beltrami.functionals import (
 )
 from beltrami.quadrature import default_grid
 from beltrami.torus import (
+    VOLUME,
     TorusScalar,
     abc_field,
     first_variation,
@@ -324,8 +324,7 @@ class TestAnnulus:
         for n in range(1, 11):
             assert first_eigenvalue(n) == Fraction(1, n)
             assert metric_determinant(n) == 1
-            assert annulus_volume(n) == pytest.approx(TORUS_VOLUME,
-                                                      rel=1e-15)
+            assert annulus_volume(n) == pytest.approx(VOLUME, rel=1e-15)
 
     def test_twisted_candidates_at_least_one(self):
         for n in range(1, 11):

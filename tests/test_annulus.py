@@ -13,10 +13,7 @@ import pytest
 
 import beltrami
 from beltrami.annulus import (
-    AnnulusField,
     AnnulusMode,
-    TORUS_VOLUME,
-    TrigPoly,
     bound_constants,
     first_eigenfields,
     first_eigenvalue,
@@ -25,6 +22,7 @@ from beltrami.annulus import (
     spectrum_candidates,
     volume,
 )
+from beltrami.torus import VOLUME, TorusField, TorusScalar
 
 
 class TestMetricFamily:
@@ -41,7 +39,7 @@ class TestMetricFamily:
 
     def test_volume_is_parameter_free(self):
         for n in (1, 4, 9):
-            assert volume(n) == pytest.approx(TORUS_VOLUME, rel=1e-15)
+            assert volume(n) == pytest.approx(VOLUME, rel=1e-15)
 
     def test_rejects_bad_parameter(self):
         with pytest.raises(ValueError):
@@ -110,10 +108,10 @@ class TestSpectrumCandidates:
 
 
 def mode(kind, k, c=1):
-    return TrigPoly([((kind, k), c)])
+    return TorusScalar([((kind, k), c)])
 
 
-def value_at_origin(p: TrigPoly) -> Fraction:
+def value_at_origin(p: TorusScalar) -> Fraction:
     """Exact value at phi1 = phi2 = t = 0: the sum of the cosine terms."""
     return sum(c for (kind, _), c in p.terms.items() if kind == "cos")
 
@@ -140,7 +138,7 @@ class TestTrigPoly:
     def test_t_mean_keeps_the_modes_constant_in_t(self):
         p = mode("cos", (0, 0, 1), 5) + mode("cos", (1, 0, 0), 2) + \
             mode("sin", (1, 1, 0), 7)
-        field = AnnulusField([p, mode("sin", (0, 1, 2)), TrigPoly()])
+        field = TorusField([p, mode("sin", (0, 1, 2)), TorusScalar()])
         assert field.component_means() == (
             mode("cos", (1, 0, 0), 2) + mode("sin", (1, 1, 0), 7), 0, 0)
 

@@ -379,6 +379,16 @@ class TestHopfLine:
                 f"{part} coefficients must be finite, got {value!r}")):
             HopfPerturbation(**{part: coefficients})
 
+    @pytest.mark.parametrize("part,size", [("beta", 3), ("a", 8), ("b", 15)])
+    @pytest.mark.parametrize("value", ["1.5", True, 1j, None])
+    def test_rejects_coefficients_that_are_not_real(self, part, size, value):
+        # Unchecked, float() took the string and the bool as numbers.
+        coefficients = [0.0] * size
+        coefficients[0] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"{part} coefficients must be real numbers, got {value!r}")):
+            HopfPerturbation(**{part: coefficients})
+
 
 def reference_energy_series(field: FrameField):
     """Taylor coefficients of t -> E(B1 + tW) and int B1 . W from moments.
@@ -892,6 +902,13 @@ class TestLocalMaxScan:
     def test_rejects_large_radius(self):
         with pytest.raises(ValueError):
             local_max_scan(radius=0.2)
+
+    @pytest.mark.parametrize("radius", ["0.05", True, math.nan, None, 1j])
+    def test_rejects_a_radius_that_is_not_a_real_number(self, radius):
+        # Unchecked, the string failed the range comparison as a TypeError,
+        # which the CLI reports as a crash.
+        with pytest.raises(ValueError, match=re.escape(repr(radius))):
+            local_max_scan(radius=radius)
 
     def test_u5_direction_fourth_order_decrease(self):
         t = 0.05

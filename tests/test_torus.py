@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import functools
+import inspect
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,8 +34,54 @@ def cos_x_sin_y() -> TorusScalar:
 
 class TestTorusScalar:
     def test_reality_constraint(self):
-        with pytest.raises(ValueError):
-            TorusScalar({(1, 0, 0): 1.0 + 0j})
+        # Real cos and sin coefficients make every series real: a complex
+        # coefficient is refused, and the complex modes are conjugate
+        # symmetric.
+        with pytest.raises(ValueError, match=re.escape("(1+0.5j)")):
+            TorusScalar([(("cos", (1, 0, 0)), 1 + 0.5j)])
+        q = TorusScalar.cosine((1, -2, 0), 1.5) + TorusScalar.sine(
+            (1, -2, 0), Fraction(1, 3)) + TorusScalar.const(2)
+        modes = q.modes
+        assert modes[(1, -2, 0)] == 0.75 - 1j / 6
+        assert all(modes[(-k[0], -k[1], -k[2])] == c.conjugate()
+                   for k, c in modes.items())
+
+    @pytest.mark.parametrize("kind, k, c, named", [
+        ("tan", (1, 0, 0), 1, "'tan'"), ("cos", (0.5, 0, 0), 1, "(0.5, 0, 0)"),
+        ("sin", (1, 0), 1, "(1, 0)"), ("cos", (1, 0, 0), math.nan, "nan"),
+        ("cos", (1, 0, 0), math.inf, "inf"), ("cos", (1, 0, 0), "1", "'1'"),
+        ("cos", (1, 0, 0), True, "True")])
+    def test_rejects_malformed_terms(self, kind, k, c, named):
+        # Unchecked, a 'tan' term was differentiated as a sine and the
+        # wavevector (0.5, 0, 0) was kept.
+        with pytest.raises(ValueError, match=re.escape(named)):
+            TorusScalar([((kind, k), c)])
+
+    def test_product_to_sum(self):
+        x, y = (1, 0, 0), (0, 1, 0)
+        cos, sin = TorusScalar.cosine, TorusScalar.sine
+        half = Fraction(1, 2)
+        assert cos(x) * cos(x) == TorusScalar.const(half) + cos((2, 0, 0),
+                                                                 half)
+        assert sin(x) * sin(x) == TorusScalar.const(half) - cos((2, 0, 0),
+                                                                 half)
+        assert sin(x) * cos(y) == sin((1, 1, 0), half) + sin((1, -1, 0),
+                                                               half)
+        assert cos(x) * sin(y) == sin((1, 1, 0), half) - sin((1, -1, 0),
+                                                               half)
+        assert 3 * cos(x) == cos(x) * Fraction(3) == cos(x, 3)
+        rng = np.random.default_rng(5)
+        p = cos((1, 2, 0), 0.5) + sin((0, 1, -1), 2) + TorusScalar.const(1)
+        q = sin((2, 0, 1), -1.5) + cos((1, 0, 0), 3)
+        pts = rng.uniform(0, 2 * math.pi, (10, 3))
+        np.testing.assert_allclose((p * q).evaluate(pts),
+                                   p.evaluate(pts) * q.evaluate(pts),
+                                   rtol=0, atol=1e-13)
+
+    def test_mean_is_exact(self):
+        q = TorusScalar.const(1e-13) + TorusScalar.sine((0, 1, 0))
+        assert q.mean() == Fraction(1e-13) and q.mean() != 0
+        assert (q - TorusScalar.const(1e-13)).mean() == 0
 
     def test_cosine_evaluates(self):
         q = TorusScalar.cosine((2, 0, 0), 1.5)
@@ -79,14 +128,9 @@ class TestTorusScalar:
                                    (1, 0), (1, 0, 0, 0)])
     def test_rejects_a_non_integer_wavevector(self, k):
         for build in (TorusScalar.cosine, TorusScalar.sine,
-                      lambda k: TorusScalar({k: 1.0})):
+                      lambda k: TorusScalar([(("cos", k), 1.0)])):
             with pytest.raises(ValueError, match=re.escape(repr(k))):
                 build(k)
-
-    def test_rejects_conjugates_that_differ_by_1e_6(self):
-        with pytest.raises(ValueError, match="reality constraint"):
-            TorusScalar({(1, 0, 0): 1.0 + 0.5j,
-                         (-1, 0, 0): 1.0 + 1e-6 - 0.5j})
 
     def test_accepts_numpy_integer_wavevectors(self):
         q = TorusScalar.cosine(np.array([1, -2, 0]), 1.5)
@@ -94,31 +138,55 @@ class TestTorusScalar:
         assert all(type(a) is int for k in q.modes for a in k)
 
 
+def axis_field(j: int, component: TorusScalar) -> TorusField:
+    return TorusField(component if i == j else TorusScalar()
+                      for i in range(3))
+
+
 class TestTorusField:
     def test_rejects_compressible_mode(self):
-        with pytest.raises(ValueError):
-            TorusField({(1, 0, 0): (1.0, 0, 0), (-1, 0, 0): (1.0, 0, 0)})
-
-    def test_rejects_asymmetric_modes(self):
-        with pytest.raises(ValueError):
-            TorusField({(1, 0, 0): (0, 1.0, 0)})
-
-    def test_rejects_conjugates_that_differ_by_1e_6(self):
-        with pytest.raises(ValueError, match="reality constraint"):
-            TorusField({(1, 0, 0): (0, 1.0, 0.5j),
-                        (-1, 0, 0): (0, 1.0 + 1e-6, -0.5j)})
+        # Fields need not be solenoidal, but a compressible mode has an
+        # exactly nonzero divergence, and since div curl = 0 it is no curl
+        # eigenfield for any eigenvalue.
+        u = TorusField([TorusScalar.cosine((1, 0, 0)),
+                        TorusScalar.cosine((1, 0, 0)), TorusScalar()])
+        assert u.divergence() == TorusScalar.sine((1, 0, 0), -1)
+        assert u.divergence() != 0
+        assert u.curl().divergence() == 0
+        for eigenvalue in (0, 1, -1, Fraction(1, 2)):
+            assert any(r != 0 for r in u.eigen_residual(1, eigenvalue))
+        assert abc_field(1, 0.5, -0.3).divergence() == 0
 
     def test_rejects_a_divergence_of_1e_6(self):
-        amplitude = (1e-6, 1.0, 0)
-        with pytest.raises(ValueError, match="not divergence free"):
-            TorusField({(1, 0, 0): amplitude, (-1, 0, 0): amplitude})
+        # abc(0, 1, 0) plus 1e-6 cos x along x: the curl is unchanged, so
+        # the exact eigen residual is the 1e-6 compressible part itself.
+        beltrami = abc_field(0, 1, 0)
+        assert all(r == 0 for r in beltrami.eigen_residual(1, 1))
+        x = TorusScalar.cosine((1, 0, 0), 1e-6)
+        u = TorusField([x, *beltrami.components[1:]])
+        assert u.divergence() == TorusScalar.sine((1, 0, 0), -1e-6) != 0
+        assert u.curl() == beltrami
+        residual = TorusScalar.cosine((1, 0, 0), -1e-6)
+        assert u.eigen_residual(1, 1) == (residual, TorusScalar(),
+                                          TorusScalar())
+
+    def test_rejects_malformed_components(self):
+        for components in ([TorusScalar()] * 2, [TorusScalar()] * 4,
+                           [TorusScalar(), TorusScalar(), 1.0]):
+            with pytest.raises(ValueError, match="three TorusScalar"):
+                TorusField(components)
 
     def test_curl_per_mode(self):
-        u = TorusField({(0, 0, 1): (0.5, 0.5j, 0),
-                        (0, 0, -1): (0.5, -0.5j, 0)})
-        c = u.curl()
-        np.testing.assert_allclose(c.modes[(0, 0, 1)],
-                                   1j * np.cross([0, 0, 1], [0.5, 0.5j, 0]))
+        # curl (f e_j) = grad f x e_j: i k x (.) on exp(i k . x), so cos
+        # turns into -sin along k x e_j, and sin into cos.
+        for k, j in itertools.product([(0, 0, 1), (1, -2, 0), (2, 1, 3)],
+                                      range(3)):
+            turned = np.cross(k, np.eye(3, dtype=int)[j])
+            for mode, back in ((TorusScalar.cosine, TorusScalar.sine),
+                               (TorusScalar.sine, TorusScalar.cosine)):
+                sign = -1 if mode is TorusScalar.cosine else 1
+                expected = TorusField(back(k, sign * int(a)) for a in turned)
+                assert axis_field(j, mode(k)).curl() == expected
 
     def test_evaluate_is_real(self):
         u = abc_field(1.0, 0.5, -0.3)
@@ -134,10 +202,10 @@ class TestTorusField:
 
 class TestAbcField:
     def test_is_curl_eigenfield(self):
-        u = abc_field(1.1, -0.4, 0.7)
-        c = u.curl()
-        for k, amp in u.modes.items():
-            np.testing.assert_allclose(c.modes[k], amp, atol=1e-14)
+        for a, b, c in [(1, 1, 1), (1.1, -0.4, 0.7),
+                        (Fraction(2, 3), Fraction(-5, 7), Fraction(1, 9))]:
+            assert abc_field(a, b, c).curl() == abc_field(a, b, c)
+            assert abc_field(a, b, c).curl() != abc_field(a, b, 2 * c)
 
     def test_single_amplitude_has_constant_speed(self):
         constant, witness = speed_is_constant(abc_field(1, 0, 0))
@@ -147,6 +215,13 @@ class TestAbcField:
         constant, witness = speed_is_constant(abc_field(1, 1, 1))
         assert not constant
         assert witness is not None and witness != (0, 0, 0)
+
+    def test_constant_speed_is_an_exact_decision(self):
+        # |abc(1, b, 0)|^2 = 1 + b^2 + 2 b sin x cos z: not constant for any
+        # b != 0, however small, and no tolerance can be passed.
+        constant, witness = speed_is_constant(abc_field(1, 1e-13, 0))
+        assert not constant and witness in ((1, 0, 1), (1, 0, -1))
+        assert list(inspect.signature(speed_is_constant).parameters) == ["u"]
 
 
 class TestFirstVariation:
@@ -160,17 +235,15 @@ class TestFirstVariation:
         # sin x sin y sin z shares no Fourier mode with the squared speed
         # of the symmetric field.
         u = abc_field(1, 1, 1)
-        phidot = TorusScalar({
-            (1, 1, 1): 0.125j, (-1, -1, -1): -0.125j,
-            (1, 1, -1): -0.125j, (-1, -1, 1): 0.125j,
-            (1, -1, 1): -0.125j, (-1, 1, -1): 0.125j,
-            (-1, 1, 1): -0.125j, (1, -1, -1): 0.125j})
-        assert first_variation(u, phidot) == pytest.approx(0.0, abs=1e-14)
+        phidot = TorusScalar.sine((1, 0, 0)) * TorusScalar.sine(
+            (0, 1, 0)) * TorusScalar.sine((0, 0, 1))
+        assert first_variation(u, phidot) == 0.0
 
     def test_requires_zero_mean(self):
-        u = abc_field(1, 0, 0)
-        with pytest.raises(ValueError):
-            first_variation(u, TorusScalar.const(1.0))
+        u = abc_field(1, 1, 1)
+        for mean in (1.0, 1e-13):
+            with pytest.raises(ValueError, match="zero mean"):
+                first_variation(u, TorusScalar.const(mean))
 
 
 class TestBeltramiBasis:
@@ -178,11 +251,10 @@ class TestBeltramiBasis:
         fields, mus = beltrami_basis(1)
         assert len(fields) == 12
         assert sorted(mus) == [-1.0] * 6 + [1.0] * 6
-        for f, mu in zip(fields, mus):
-            c = f.curl()
-            for k, amp in f.modes.items():
-                np.testing.assert_allclose(c.modes[k], mu * amp,
-                                           atol=1e-14)
+        for (k, amp), mu in zip(fields, mus):
+            assert np.dot(k, amp) == 0
+            np.testing.assert_allclose(1j * np.cross(k, amp), mu * amp,
+                                       atol=1e-14)
 
     def test_rejects_empty_cutoff(self):
         with pytest.raises(ValueError):
@@ -265,10 +337,24 @@ class TestTorusPencil:
 
 @functools.lru_cache(maxsize=None)
 def pairwise_dots(kmax: int):
-    """One TorusField.dot per pair i >= j of the fields of beltrami_basis."""
+    """The Fourier modes of <e_i, e_j> per pair i >= j of beltrami_basis.
+
+    A field (k, h) has the modes h at k and conj(h) at -k; the product of
+    two fields pairs every mode of one with every mode of the other.
+    """
     fields, _ = beltrami_basis(kmax)
-    return {(i, j): fields[i].dot(fields[j])
-            for i in range(len(fields)) for j in range(i + 1)}
+    modes = [((k, h), (tuple(-a for a in k), h.conjugate()))
+             for k, h in fields]
+    dots = {}
+    for i in range(len(fields)):
+        for j in range(i + 1):
+            product = {}
+            for k1, a1 in modes[i]:
+                for k2, a2 in modes[j]:
+                    m = tuple(a + b for a, b in zip(k1, k2))
+                    product[m] = product.get(m, 0j) + complex(np.dot(a1, a2))
+            dots[i, j] = product
+    return dots
 
 
 def dot_pair_matrices(kmax: int, q: TorusScalar):
@@ -277,10 +363,10 @@ def dot_pair_matrices(kmax: int, q: TorusScalar):
     gram = np.zeros((n, n))
     mass_q = np.zeros((n, n))
     for (i, j), product in pairwise_dots(kmax).items():
-        gram[i, j] = gram[j, i] = product.integral()
+        gram[i, j] = gram[j, i] = product.get((0, 0, 0), 0j).real * VOLUME
         weighted = 0j
         for k, c in q.modes.items():
-            partner = product.modes.get((-k[0], -k[1], -k[2]))
+            partner = product.get((-k[0], -k[1], -k[2]))
             if partner is not None:
                 weighted += c * partner
         mass_q[i, j] = mass_q[j, i] = weighted.real * VOLUME
