@@ -188,7 +188,9 @@ def eigenspace_solve(dmax: int, limit: int = _solver.DEFAULT_DMAX_LIMIT):
 def project_eigen(F: FrameField, eigenvalue: int,
                   limit: int = _solver.DEFAULT_DMAX_LIMIT) -> FrameField:
     """Exact L^2-orthogonal projection onto a curl eigenspace (or onto the
-    gradient part for eigenvalue 0)."""
+    gradient part for eigenvalue 0), read from the passes that decided the
+    field's order (solver.field_dmax); an eigenvalue above that order's
+    spectrum gives zero with no larger block built."""
     dmax = max(_solver.field_dmax(F, limit), abs(eigenvalue) - 2, 0)
     if dmax > limit:
         raise ValueError(f"projection onto {eigenvalue} needs dmax {dmax} > "
@@ -212,7 +214,8 @@ class EigenDecomposition:
 
 def eigen_decompose(F: FrameField,
                     limit: int = _solver.DEFAULT_DMAX_LIMIT) -> EigenDecomposition:
-    """The curl eigencomponents of F, from one checked pass per parity block.
+    """The curl eigencomponents of F at its order solver.field_dmax, read
+    from the checked passes, one per parity block, that decided the order.
 
     The sum-back check follows from sum_mu L_mu == 1 for the Lagrange
     polynomials L_mu; the spectral certificate is p(C) v == 0 (solver).
@@ -231,7 +234,8 @@ def eigen_decompose(F: FrameField,
 
 def helicity(F: FrameField, limit: int = _solver.DEFAULT_DMAX_LIMIT) -> ExactScalar:
     """Exact helicity sum_mu |P_mu F|^2 / mu of an exact field, from one
-    spectral pairing (solver.helicity_pairing): no component is formed."""
+    spectral pairing (solver.helicity_pairing) of the passes that decided
+    its order (solver.field_dmax): no component is formed."""
     return _solver.helicity_pairing(F, _solver.field_dmax(F, limit))
 
 

@@ -282,7 +282,8 @@ def _cmd_torus_scan(config: RunConfig) -> List[CheckRecord]:
     elapsed = _timer()
     flat = _torus.torus_pencil(_torus.TorusScalar.zero(), 0.0, 1)
     spectrum = flat.eigenvalues()
-    group = int(np.sum(np.abs(spectrum - 1.0) < 1e-12))
+    # At t = 0 the factor is 1 exactly: b = I and the unit eigenvalues are 1.0.
+    group = int(np.sum(spectrum == 1.0))
     records.append(CheckRecord.compare(
         "torus-flat-multiplicity",
         "multiplicity of the smallest positive eigenvalue of the flat "
@@ -324,13 +325,14 @@ def _cmd_annulus(config: RunConfig) -> List[CheckRecord]:
             "unimodularity of the metric",
             1.0, float(_annulus.metric_determinant(n)), 0.0,
             expected_exact="1"))
-        floor = min((row["eigenvalue"] for row
-                     in _annulus.spectrum_candidates(n, 3)
-                     if row["label"] == "candidate"), default=math.inf)
-        records.append(CheckRecord.compare(
+        candidates = [row for row in _annulus.spectrum_candidates(n, 3)
+                      if row["label"] == "candidate"]
+        record = CheckRecord.compare(
             f"annulus-twisted-floor-{n}",
             "twisted candidates stay at eigenvalue at least one",
-            1.0, min(floor, 1.0), 1e-14))
+            1.0, min([row["eigenvalue"] for row in candidates] + [1.0]), 0.0)
+        record.passed = all(row["eigenvalue_sq"] >= 1 for row in candidates)
+        records.append(record)
     elapsed = _timer()
     residual = 0.0
     for n in (1, 2, 5):

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -55,6 +54,7 @@ from .exactpoly import (
     _moment_sum,
     _monomial_moment_float,
     canonicalize,
+    check_finite_real,
     exponent_sums,
 )
 from .frames import FrameField, derivative_table, grad
@@ -88,7 +88,7 @@ class ConformalFactor:
 
     def __init__(self, q: SphereScalar, t: float):
         _check_factor(q)
-        _check_amplitude(t)
+        check_finite_real(t, "t")
         self.q = q
         self.t = t
         self.terms = _factor_terms(q)
@@ -136,13 +136,6 @@ def _check_factor(q: SphereScalar, manifold: str = "s3") -> None:
         raise ParityError(
             "the conformal factor has an antipodally odd part and does not "
             "descend to RP^3")
-
-
-def _check_amplitude(t) -> None:
-    """ValueError naming t unless it is a finite real number, not a bool."""
-    if (isinstance(t, bool) or not isinstance(t, numbers.Real)
-            or not math.isfinite(t)):
-        raise ValueError(f"t must be a finite real number, got {t!r}")
 
 
 def _factor_terms(q: SphereScalar) -> tuple:
@@ -448,7 +441,7 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
             f"dmax must be an integer between 0 and {DEFAULT_DMAX_LIMIT - 1} "
             f"for a scan, which refines at dmax + 1; got {dmax!r}")
     for t in amplitudes:
-        _check_amplitude(t)
+        check_finite_real(t, "t")
     if len(set(amplitudes)) != len(amplitudes):
         raise ValueError(f"amplitudes must be distinct, got {amplitudes!r}")
     if 0.0 not in amplitudes:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +68,26 @@ def Rat(p, q=1):
     and strings like '151/90'.
     """
     return _mpq(p) if q == 1 else _mpq(p, q)
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number and not a bool (an int in Python)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """Whether value is a finite real number and not a bool: the rule every
+    real-valued input of the package follows.  A rational is finite without
+    the float conversion of math.isfinite, which could overflow."""
+    return is_real(value) and (isinstance(value, numbers.Rational)
+                               or math.isfinite(value))
+
+
+def check_finite_real(value, name: str):
+    """value if is_finite_real(value); else ValueError naming it."""
+    if not is_finite_real(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return value
 
 
 class Poly4:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,7 +53,8 @@ import numpy as np
 
 from beltrami.atlas import explicit_basis
 from beltrami import atlas as _atlas
-from beltrami.exactpoly import Exponent, SphereScalar
+from beltrami.exactpoly import (Exponent, SphereScalar, check_finite_real,
+                                is_finite_real, is_real)
 from beltrami.frames import (FrameField, coefficient_tensor, curl, divergence,
                              grad, hopf_frame)
 from beltrami.quadrature import (HopfGrid, default_grid, grid_for_degree,
@@ -151,10 +151,10 @@ def _fixed_tensor() -> Tuple[List[Exponent], np.ndarray]:
 def _finite_coefficients(name: str, values) -> Tuple[float, ...]:
     values = tuple(values)
     for x in values:
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        if not is_real(x):
             raise ValueError(
                 f"{name} coefficients must be real numbers, got {x!r}")
-        if not math.isfinite(x):
+        if not is_finite_real(x):
             raise ValueError(f"{name} coefficients must be finite, got {x!r}")
     return tuple(float(x) for x in values)
 
@@ -336,10 +336,7 @@ def f_perturbed(W: HopfPerturbation, t: float,
     work rows for the grid, so a call allocates no (N,) array.  t must be a
     finite real and not a bool; otherwise ValueError.
     """
-    if (isinstance(t, bool) or not isinstance(t, numbers.Real)
-            or not math.isfinite(t)):
-        raise ValueError(f"t must be a finite real number, got {t!r}")
-    t = float(t)
+    t = float(check_finite_real(t, "t"))
     grid = grid or default_grid()
     w1, w_sq, work = W._line_arrays(grid)
     line = _hopf_line(w1, w_sq, t, out=work)
@@ -613,8 +610,7 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     (traced peak), whatever the number of samples.
     """
     if (isinstance(samples, bool) or not isinstance(samples, int)
-            or samples < 1 or isinstance(radius, bool)
-            or not isinstance(radius, numbers.Real)
+            or samples < 1 or not is_finite_real(radius)
             or not 0 < radius <= 0.1):
         raise ValueError("local_max_scan needs 0 < radius <= 0.1 and an int "
                          f"samples >= 1, got {radius!r} and {samples!r}")

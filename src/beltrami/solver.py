@@ -79,22 +79,46 @@ higher order, which scales every piece, does not change them.
   check passed.  Orders whose blocks are identical (their generators stop
   at the same degree) share one record and add no work.
 
-The exact checks run in _Block._checked_pieces, on every basis vector (in
+The exact checks run in _Block._krylov_pass, on every basis vector (in
 the pass of the order that added it) and on every projected or paired
 vector b.  With p(x) = prod_{nu in S} (x - nu) it requires p(C) b == 0,
 which holds exactly when b is a sum of curl eigenvectors with eigenvalues
 in S, and with L = lcm(D_mu) it requires the resolution of the identity
-sum_mu (L / D_mu) (D_mu P_mu b) == L b.  Either failure raises
-SpectrumError.  The second check is an identity of the Lagrange
-polynomials, so it guards the integer numerators; only the first can detect
-an eigenvalue missing from S.  For another order's spectrum S' the checks
-follow: if S' contains S, p_S divides p_S' and every piece outside S is
-zero; if S' is a lower order's, the view's rank check says that every
-basis row of the prefix has no piece outside S', so p_S'(C) b == 0.
+sum_mu (L / D_mu) (D_mu P_mu b) == L b.  A failure of the first makes the
+pass return None, which _Block._checked_pieces raises as SpectrumError and
+the order of a field (below) answers with a higher order; a failure of the
+second raises SpectrumError.  The second check is an identity of the
+Lagrange polynomials, so it guards the integer numerators; only the first
+can detect an eigenvalue missing from S.  For another order's spectrum S'
+the checks follow: if S' contains S, p_S divides p_S' and every piece
+outside S is zero; if S' is a lower order's, the view's rank check says
+that every basis row of the prefix has no piece outside S', so
+p_S'(C) b == 0.
 
 The trial space splits into two curl-invariant blocks by the total-degree
 parity of the frame coefficients; each block only meets the eigenvalues of
 matching parity, which roughly halves the work.
+
+The order of a field (field_dmax).  The coordinates of order d hold every
+field of coefficient degree at most d + 2, and curl keeps that degree.  An
+E_{+m} eigenfield has coefficient degree m - 2, an E_{-m} eigenfield
+degree m (the atlas entries +-2..+-5 and the solver's +-6, +-7 do), and a
+gradient part is curl-free, so 0 in every spectrum resolves it.  A parity
+part of coefficient degree D_p therefore lies in the spectrum of order
+D_p - 2 unless it has an E_{+(D_p + 2)} component, which needs order D_p.
+No classification decides which: each part is passed first at the order
+D - 2 of the field's coefficient degree D (which resolves any part of
+lower degree), and again at D_p only when the exact check p(C) b == 0
+rejects that pass.  The lower order's coordinates span a curl-invariant
+subspace of the higher order's (curl raises no degree), so the rejected
+pass's Krylov powers carry over re-keyed, and the second pass adds only
+the steps of its larger spectrum.  The field's order is the larger of its
+parts' orders.  The projections and the pairing of the accepted passes
+equal those of any higher order, since p_S divides p_S' when S' contains
+S.  The accepted passes of the latest field are kept (_latest), so
+field_dmax, project_vector and helicity_pairing on one field cost one
+pass per parity block in all, with at most one rejected pass before it
+for a part that needs its degree.
 """
 
 from __future__ import annotations
@@ -439,35 +463,58 @@ class _Block:
         coordinates in increasing order.
         """
         _, pieces = self._checked_pieces(vectors)
-        out = [{} for _ in vectors]
+        return self._piece_dicts(pieces, len(vectors))
+
+    def _piece_dicts(self, pieces,
+                     count: int) -> List[Dict[int, Dict[int, int]]]:
+        """The slabs of pieces of a pass as one dict per vector, mapping each
+        mu to its piece's nonzero coordinates in increasing order."""
+        out = [{} for _ in range(count)]
         for mu, piece in zip(self.spectrum, pieces):
             v, j = np.nonzero(piece)
             coordinates, entries = j.tolist(), piece[v, j].tolist()
-            ends = np.cumsum(np.bincount(v, minlength=len(out))).tolist()
+            ends = np.cumsum(np.bincount(v, minlength=count)).tolist()
             for vec, start, end in zip(out, [0] + ends, ends):
                 vec[mu] = dict(zip(coordinates[start:end], entries[start:end]))
         return out
 
     def _checked_pieces(self, vectors) -> Tuple[np.ndarray, List[np.ndarray]]:
         """The slab x of the integer vectors and, for each mu of the
-        spectrum in order, the slab of their D_mu P_mu v: one Krylov pass,
-        with both exact checks of the module docstring."""
-        spectrum = tuple(self.spectrum)  # hashable for the cached numerators
-        numerators, annihilator = _lagrange_numerators(spectrum)
+        spectrum in order, the slab of their D_mu P_mu v: _krylov_pass,
+        raising SpectrumError where it returns None."""
+        checked = self._krylov_pass([self._slab(vectors)])
+        if checked is None:
+            raise SpectrumError(
+                "curl has an eigenvalue outside the candidate spectrum "
+                f"{sorted(self.spectrum)} on the trial space")
+        return checked
+
+    def _slab(self, vectors) -> np.ndarray:
+        """The integer vectors as the rows of a slab, each with the zero
+        coordinate last; int64 while every entry is below 2^62."""
         entries = [c for v in vectors for c in v.values()]
         small = max(map(abs, entries), default=0) < _INT64_SAFE
         x = np.zeros((len(vectors), self.coords.size + 1),
                      dtype=np.int64 if small else object)
         x[np.repeat(np.arange(len(vectors)), [len(v) for v in vectors]),
           [j for v in vectors for j in v]] = entries
-        powers = [x]
-        for _ in spectrum:
+        return x
+
+    def _krylov_pass(self, powers: List[np.ndarray]):
+        """(x, pieces) for the slab x = powers[0]: for each mu of the
+        spectrum in order, the slab of D_mu P_mu v for its vectors v.  One
+        Krylov pass, with both exact checks of the module docstring; powers
+        may already hold the first of C x, C^2 x, ..., and is extended in
+        place to C^|S| x.  Returns None when the first check, p(C) v == 0,
+        fails; the second raises."""
+        spectrum = tuple(self.spectrum)  # hashable for the cached numerators
+        numerators, annihilator = _lagrange_numerators(spectrum)
+        x = powers[0]
+        while len(powers) <= len(spectrum):
             powers.append(self._curl_step(powers[-1]))
         tops = [_max_abs(p) for p in powers]
         if np.count_nonzero(_combination(annihilator, powers, tops)):
-            raise SpectrumError(
-                "curl has an eigenvalue outside the candidate spectrum "
-                f"{sorted(spectrum)} on the trial space")
+            return None
         common = lcm(*(denominator for _, denominator in numerators.values()))
         pieces = [_combination(numerators[mu][0], powers, tops)
                   for mu in spectrum]
@@ -491,7 +538,11 @@ class _Block:
 
     def helicity_pairing(self, vec: Dict[int, int]) -> Rat:
         """sum_{mu != 0} <P_mu vec, vec> / (mu pi^2) for an integer vector
-        vec with no mu = 0 part, from one checked pass.
+        vec with no mu = 0 part, from one checked pass (_pairing)."""
+        return self._pairing(*self._checked_pieces([vec]))
+
+    def _pairing(self, x: np.ndarray, pieces: List[np.ndarray]) -> Rat:
+        """The helicity pairing of the one-vector slab x of a checked pass.
 
         With K = lcm(mu D_mu), the pieces fold into
         u = sum_mu (K / (mu D_mu)) D_mu P_mu vec = K sum_mu P_mu vec / mu,
@@ -499,7 +550,6 @@ class _Block:
         slots i (the frame is orthonormal), G the block's moment Gram; the
         projections are orthogonal, so <P_mu vec, vec> = |P_mu vec|^2.
         """
-        x, pieces = self._checked_pieces([vec])
         numerators, _ = _lagrange_numerators(tuple(self.spectrum))
         weights = {mu: mu * numerators[mu][1] for mu in self.spectrum if mu}
         common = lcm(*weights.values())
@@ -649,85 +699,173 @@ def eigenspace_solve(dmax: int, limit: int = DEFAULT_DMAX_LIMIT) -> SolverResult
     return SolverResult(dmax, eigenspaces, gradient_dimension, trial_dimension)
 
 
-def _block_vectors(field: FrameField, dmax: int):
-    """(block, den, vec) for each nonzero coefficient-parity part of an
-    exact field: the block of that parity in the order-dmax trial space,
-    the lcm den of the part's denominators and den times its coordinates."""
+def _parity_parts(field: FrameField):
+    """(parity, degree, part) for each nonzero coefficient-parity part of a
+    field, degree being the part's coefficient degree."""
     for parity in (0, 1):
-        part = FrameField(*(SphereScalar(Poly4.zero(), c.odd_part) if parity
-                            else SphereScalar(c.even_part, Poly4.zero())
-                            for c in field.f))
-        if part.is_zero():
-            continue
-        block = _block(dmax, parity)
-        vec = block.coords.to_vector(part)
-        den = lcm(*(int(c.denominator) for c in vec.values()))
-        yield block, den, {j: int(c.numerator) * (den // int(c.denominator))
-                           for j, c in vec.items()}
+        polys = [c.odd_part if parity else c.even_part for c in field.f]
+        degree = max(p.degree() for p in polys)
+        if degree >= 0:
+            yield parity, degree, FrameField(*(
+                SphereScalar(Poly4.zero(), p) if parity
+                else SphereScalar(p, Poly4.zero()) for p in polys))
 
 
-# The projections of the latest (field, dmax) that project_vector resolved.
+def _integer_vector(coords: _Coordinates, part: FrameField):
+    """(den, vec): the lcm den of an exact part's denominators and den times
+    its coordinates."""
+    vec = coords.to_vector(part)
+    den = lcm(*(int(c.denominator) for c in vec.values()))
+    return den, {j: int(c.numerator) * (den // int(c.denominator))
+                 for j, c in vec.items()}
+
+
+def _rekeyed(powers: List[np.ndarray], source: _Block, target: _Block):
+    """Slabs of a lower-order block moved into the coordinates of a
+    higher-order block of the same parity (_key_map), the zero coordinate
+    last.  The lower order's coordinates span a curl-invariant subspace of
+    the higher order's (curl raises no degree), so its Krylov powers are
+    the higher order's, re-keyed."""
+    keys = np.array(_key_map(len(source.coords.monomials),
+                             len(target.coords.monomials)))
+    out = []
+    for p in powers:
+        q = np.zeros((len(p), target.coords.size + 1), dtype=p.dtype)
+        q[:, keys] = p[:, :-1]
+        out.append(q)
+    return out
+
+
+# The latest exact field resolved, as (field, parts, projections): for each
+# nonzero parity part the (order, block, den, x, pieces) of the checked pass
+# that accepted it, and the projected fields once project_vector asked.
 _latest = (None, None, {})
 
 
-def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
-    """Exact spectral projection of a polynomial frame field.
+def _resolution(field: FrameField, cap: int):
+    """The memo entry of an exact field, each part resolved at the lowest
+    order of at most cap that its check accepts; None when a part needs a
+    higher order.  The latest field is recognised by identity before it is
+    compared term by term.
 
-    The field is split into its two coefficient-parity parts, each resolved
-    in the corresponding block of the order-dmax trial space: its
-    denominators are cleared with one lcm, one checked Krylov pass gives
-    den * D_nu * P_nu for every nu of the block, and each is divided once.
-    Every projection of the latest (field, dmax) is kept, so the calls of
-    one decomposition cost one pass per block; the latest field is
-    recognised by identity before it is compared term by term.
+    Every part is first tried at the order max(D - 2, 0) of the field's
+    coefficient degree D, which resolves any part of lower degree; a part
+    of degree D_p above it whose pass that order rejects is tried once more
+    at D_p, from the rejected pass's Krylov powers (see the module
+    docstring).  No field is formed for a rejected pass.
     """
     global _latest
+    # The latest field itself was checked exact; an equal float twin is not.
+    if _latest[0] is not field and field._has_float():
+        raise TypeError("the exact solver needs rational coefficients")
+    if ((_latest[0] is field or _latest[0] == field)
+            and all(part[0] <= cap for part in _latest[1])):
+        return _latest
+    parts = list(_parity_parts(field))
+    lowest = max([degree - 2 for _, degree, _ in parts] + [0])
+    resolved = []
+    for parity, degree, part in parts:
+        top = max(degree, lowest)
+        previous = None
+        for order in [d for d in sorted({lowest, top}) if d <= cap] or [cap]:
+            block = _block(order, parity)
+            if previous is None:
+                den, vec = _integer_vector(block.coords, part)
+                powers = [block._slab([vec])]
+            else:
+                powers = _rekeyed(powers, previous, block)
+            checked = block._krylov_pass(powers)
+            if checked is not None:
+                resolved.append((order, block, den, *checked))
+                break
+            previous = block
+        else:
+            return None
+    _latest = (field, tuple(resolved), None)
+    return _latest
+
+
+def _resolution_within(field: FrameField, dmax: int):
+    """_resolution with cap dmax, raising SpectrumError where it gives None:
+    the order-dmax spectrum does not resolve the field."""
     _check_order("dmax", dmax)
-    if field._has_float():
-        raise TypeError("project_vector needs exact rational coefficients")
-    if _latest[1] != dmax or (_latest[0] is not field and _latest[0] != field):
+    latest = _resolution(field, dmax)
+    if latest is None:
+        raise SpectrumError(
+            "curl has an eigenvalue outside the candidate spectrum of order "
+            f"{dmax} on the field")
+    return latest
+
+
+def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
+    """Exact spectral projection of a polynomial frame field onto the
+    eigenvalue mu (0 for the gradient part) of the order-dmax trial space.
+
+    Each coefficient-parity part is resolved in the block of its parity at
+    the lowest order (at most dmax) whose check accepts it (_resolution),
+    which gives the same projections as order dmax: its denominators are
+    cleared with one lcm, one checked Krylov pass gives den * D_nu * P_nu
+    for every nu of the block, and each is divided once.  Every projection
+    of the latest field is kept, so the calls of one decomposition cost one
+    accepted pass per block.  Raises SpectrumError when no order up to dmax
+    resolves the field and TypeError for float coefficients.
+    """
+    global _latest
+    latest = _resolution_within(field, dmax)
+    if latest[2] is None:
         fields: Dict[int, FrameField] = {}
-        for block, den, vec in _block_vectors(field, dmax):
+        for _, block, den, _, pieces in latest[1]:
             numerators, _ = _lagrange_numerators(tuple(block.spectrum))
-            for nu, piece in block.pieces(vec).items():
+            for nu, piece in block._piece_dicts(pieces, 1)[0].items():
                 if piece:
                     scale = den * numerators[nu][1]
                     fields[nu] = fields.get(nu, FrameField.zero()) + \
                         block.coords.to_field({j: Rat(c, scale)
                                                for j, c in piece.items()})
-        _latest = (field, dmax, fields)
-    return _latest[2].get(mu, FrameField.zero())
+        latest = _latest = (latest[0], latest[1], fields)
+    return latest[2].get(mu, FrameField.zero())
 
 
 def helicity_pairing(field: FrameField, dmax: int) -> ExactScalar:
     """Exact helicity sum_{mu != 0} |P_mu field|^2 / mu of a field with no
     gradient part.
 
-    One checked Krylov pass per parity block of the order-dmax trial space
-    (_Block.helicity_pairing); no projected field is formed.  Raises
-    NotExactFieldError for a nonzero mu = 0 part and TypeError for float
-    coefficients.
+    One checked Krylov pass per parity block, at the orders of up to dmax
+    that project_vector uses and shared with it (_Block._pairing); no
+    projected field is formed.  Raises NotExactFieldError for a nonzero
+    mu = 0 part, SpectrumError when no order up to dmax resolves the field
+    and TypeError for float coefficients.
     """
-    _check_order("dmax", dmax)
-    if field._has_float():
-        raise TypeError("helicity_pairing needs exact rational coefficients")
     total = Rat(0)
-    for block, den, vec in _block_vectors(field, dmax):
-        total += block.helicity_pairing(vec) / (den * den)
+    for _, block, den, x, pieces in _resolution_within(field, dmax)[1]:
+        total += block._pairing(x, pieces) / (den * den)
     return ExactScalar({2: total})
 
 
 def field_dmax(field: FrameField, limit: int = DEFAULT_DMAX_LIMIT) -> int:
     """The smallest solver order whose spectrum resolves the field.
 
-    A field with coefficient degree D can carry eigencomponents up to
-    +-(D + 2) plus a gradient part, so the order must be D itself.  The
-    limit must be a nonnegative int (not a bool).
+    A part of coefficient degree D_p holds eigencomponents of E_{+m} for
+    m <= D_p + 2, of E_{-m} for m <= D_p and a gradient part; only the
+    E_{+(D_p + 2)} component needs order D_p, the rest lie in order D_p - 2
+    (module docstring).  The checked pass at the lower order decides which,
+    exactly, and is kept for project_vector and helicity_pairing.  The
+    field's order is the larger of its parts' orders.
+
+    Raises ValueError, before any block is built, when the coefficient
+    degree D has D - 2 > limit, and after the lower pass when a part needs
+    an order above the limit; TypeError for float coefficients.  The limit
+    must be a nonnegative int (not a bool).
     """
     _check_order("limit", limit)
-    k = max(field.coefficient_degree(), 0)
-    if k > limit:
+    degree = field.coefficient_degree()
+    if degree - 2 > limit:
         raise ValueError(
-            f"coefficient degree {field.coefficient_degree()} exceeds the "
-            f"configured solver limit (dmax <= {limit})")
-    return k
+            f"coefficient degree {degree} exceeds the configured solver "
+            f"limit (dmax <= {limit})")
+    latest = _resolution(field, limit)
+    if latest is None:
+        raise ValueError(
+            "the field has a curl eigencomponent beyond the configured "
+            f"solver limit (dmax <= {limit})")
+    return max((part[0] for part in latest[1]), default=0)

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from .exactpoly import check_finite_real
 from .pencil import eigvalsh_diagonal
 
 Wavevector = Tuple[int, int, int]
@@ -47,20 +48,11 @@ def _as_wavevector(k: Iterable[int]) -> Wavevector:
     return tuple(int(a) for a in k)
 
 
-def _check_real(value, name: str):
-    """value if it is a finite real number and not a bool; else ValueError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (isinstance(value, numbers.Rational)
-                    or math.isfinite(value))):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return value
-
-
 def _rational(value, name: str) -> Fraction:
     """A finite real number as its exact Fraction; floats keep every bit."""
     if type(value) is Fraction:
         return value
-    _check_real(value, name)
+    check_finite_real(value, name)
     return Fraction(value if isinstance(value, numbers.Rational)
                     else float(value))
 
@@ -121,14 +113,14 @@ class TorusScalar:
     @staticmethod
     def cosine(k: Iterable[int], amplitude=1) -> "TorusScalar":
         """amplitude * cos(k . x); the amplitude is a finite real number."""
-        return TorusScalar([(("cos", k), _check_real(amplitude,
-                                                     "amplitude"))])
+        return TorusScalar([(("cos", k),
+                             check_finite_real(amplitude, "amplitude"))])
 
     @staticmethod
     def sine(k: Iterable[int], amplitude=1) -> "TorusScalar":
         """amplitude * sin(k . x); the amplitude is a finite real number."""
-        return TorusScalar([(("sin", k), _check_real(amplitude,
-                                                     "amplitude"))])
+        return TorusScalar([(("sin", k),
+                             check_finite_real(amplitude, "amplitude"))])
 
     def __add__(self, other: "TorusScalar") -> "TorusScalar":
         return TorusScalar([*self.terms.items(), *other.terms.items()])
@@ -386,7 +378,7 @@ class TorusPencil:
         if not isinstance(q, TorusScalar):
             raise TypeError("q must be a TorusScalar")
         self.q = q
-        self.t = _check_real(t, "t")
+        self.t = check_finite_real(t, "t")
         self.kmax = kmax
         self.fields, self.mus, waves, products = _pair_tables(kmax)
         self.mass_q = _weighted_mass(waves, products, q.modes)

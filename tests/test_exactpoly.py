@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from beltrami.exactpoly import (
     format_exact,
     integrate_monomial,
     integrate_poly,
+    is_finite_real,
     monomial_rows,
     parse_exact,
     power_tables,
@@ -440,3 +442,46 @@ class TestEvaluate:
             # Larger tables of the other exponents leave the row unchanged.
             alone = monomial_rows([e], power_tables(pts, [e]))
             np.testing.assert_array_equal(row, alone[0])
+
+
+# ---------------------------------------------------------------------------
+# The one rule for real-valued inputs
+
+
+def _entry_points():
+    """Each entry point that takes a real number, as a function of it."""
+    from beltrami.conformal import ConformalFactor, optimality_scan
+    from beltrami.functionals import (HopfPerturbation, f_perturbed,
+                                      local_max_scan)
+    from beltrami.torus import TorusScalar, torus_pencil
+
+    q = canonicalize(Poly4.variable(1) * Poly4.variable(1))
+    return {
+        "torus-amplitude": lambda v: TorusScalar.cosine((1, 0, 0), v),
+        "torus-coefficient": TorusScalar.const,
+        "torus-pencil-t": lambda v: torus_pencil(TorusScalar.zero(), v),
+        "conformal-factor-t": lambda v: ConformalFactor(q, v),
+        "scan-amplitude": lambda v: optimality_scan(
+            [("q", q)], "s3", amplitudes=(0.0, v), dmax=1),
+        "perturbation-t": lambda v: f_perturbed(HopfPerturbation(), v),
+        "perturbation-coefficient": lambda v: HopfPerturbation(
+            beta=[v, 0.0, 0.0]),
+        "local-max-radius": lambda v: local_max_scan(radius=v),
+    }
+
+
+class TestFiniteReal:
+    def test_the_rule(self):
+        # A huge rational is finite without overflowing a float conversion.
+        for value in (2, Fraction(10 ** 400, 3), Rat(1, 3), 0.5,
+                      np.float64(-0.25)):
+            assert is_finite_real(value)
+        for value in (math.nan, -math.inf, np.float64(math.inf), True,
+                      "0.5", 1j, None):
+            assert not is_finite_real(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.01"])
+    @pytest.mark.parametrize("entry", sorted(_entry_points()))
+    def test_every_entry_point_refuses(self, entry, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            _entry_points()[entry](value)

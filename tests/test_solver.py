@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import random
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from beltrami import solver
+from beltrami.atlas import (SUPPORTED_EXPLICIT, eigen_decompose,
+                            explicit_basis, helicity)
 from beltrami.exactpoly import Poly4, Rat, SphereScalar, canonicalize
 from beltrami.frames import FrameField, curl, divergence, grad
 from beltrami.solver import (
@@ -479,3 +482,95 @@ class TestEntryOrder:
         assert project_vector(self.U, 3, 6) == self.U
         assert solver.helicity_pairing(self.U, 6) == \
             solver.helicity_pairing(self.U, 1)
+
+
+# ---------------------------------------------------------------------------
+# The order of a field: the lowest order whose exact check accepts each part
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Curl steps per block from now on, with the latest field forgotten."""
+    monkeypatch.setattr(solver, "_latest", (None, None, {}))
+    counts = collections.Counter()
+    real_step = _Block._curl_step
+
+    def counting(block, x):
+        counts[block] += 1
+        return real_step(block, x)
+
+    monkeypatch.setattr(_Block, "_curl_step", counting)
+    return counts
+
+
+def _one_pass_per_parity(counts) -> bool:
+    """One Krylov pass, |S| steps, on one block of each parity."""
+    return (sorted(block.parity for block in counts) == [0, 1]
+            and all(n == len(block.spectrum) for block, n in counts.items()))
+
+
+class TestFieldOrder:
+    @pytest.mark.parametrize("mu", SUPPORTED_EXPLICIT)
+    def test_atlas_fields_take_order_abs_mu_minus_two(self, mu):
+        # E_{+m} has coefficient degree m - 2 and E_{-m} degree m.
+        for F in explicit_basis(mu).fields:
+            assert F.coefficient_degree() == abs(mu) - 2 + 2 * (mu < 0)
+            assert field_dmax(F) == abs(mu) - 2
+
+    def test_order_seven_fields(self):
+        result = eigenspace_solve(5)
+        plus, minus = (result.eigenspaces[mu].fields()[0] for mu in (7, -7))
+        assert plus.coefficient_degree() == 5 and field_dmax(plus) == 5
+        assert minus.coefficient_degree() == 7
+        assert field_dmax(minus) == solver.DEFAULT_DMAX_LIMIT == 5
+        assert project_vector(minus, -7, 5) == minus
+        with pytest.raises(ValueError, match="coefficient degree 7"):
+            field_dmax(minus, 4)
+        with pytest.raises(ValueError, match="beyond the configured"):
+            field_dmax(plus, 4)
+
+    def test_refuses_a_high_degree_before_any_block(self, cold_solver,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(solver, "_Block", refuse)
+        F = FrameField(SphereScalar(Poly4.variable(1) ** 8, Poly4.zero()),
+                       SphereScalar.zero(), SphereScalar.zero())
+        with pytest.raises(ValueError, match="coefficient degree 8"):
+            field_dmax(F)
+
+    def test_decompose_field_takes_one_pass_per_block(self, steps):
+        F = (explicit_basis(2).fields[0] + explicit_basis(3).fields[0]
+             + explicit_basis(-5).fields[2])
+        components = eigen_decompose(F).components
+        assert sorted(components) == [-5, 2, 3]
+        assert field_dmax(F) == 3 and project_vector(F, -5, 5) == \
+            explicit_basis(-5).fields[2]
+        assert _one_pass_per_parity(steps)
+
+    def test_helicity_combination_takes_one_pass_per_block(self, steps):
+        rng = random.Random(811)
+        F = FrameField.zero()
+        for mu in SUPPORTED_EXPLICIT:
+            for field in explicit_basis(mu).fields:
+                F = F + field.scale(rng.choice((-3, -2, -1, 1, 2, 3)))
+        h = helicity(F)
+        assert field_dmax(F) == 3
+        assert solver.helicity_pairing(F, 3) == h
+        assert _one_pass_per_parity(steps)
+
+    def test_a_part_that_needs_its_degree(self, steps):
+        # A random field of degree 3 has an E_{+5} part, outside order 1.
+        # The rejected pass's Krylov powers are re-keyed into the higher
+        # order, which adds only the steps its larger spectrum needs.
+        F = rand_field(random.Random(821), 3, 4)
+        components = eigen_decompose(F).components
+        assert field_dmax(F) == 3 and 5 in components
+        for parity in (0, 1):
+            blocks = sorted((b for b in steps if b.parity == parity),
+                            key=lambda b: b.coords.size)
+            assert len(blocks) == 2
+            assert sum(steps[b] for b in blocks) == len(blocks[1].spectrum)
+        for mu, piece in components.items():
+            assert curl(piece) == piece.scale(mu)
