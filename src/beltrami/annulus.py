@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .torus import (VOLUME, TorusField, TorusScalar, _check_parameter,
-                    metric_diagonal)
+from .exactpoly import check_int
+from .torus import VOLUME, TorusField, TorusScalar, metric_diagonal
 
 
 def metric(n: int) -> List[List[Fraction]]:
@@ -43,7 +43,7 @@ def metric_determinant(n: int) -> Fraction:
 
 def volume(n: int) -> float:
     """Total volume (2 pi)^3, independent of the parameter."""
-    _check_parameter(n)
+    check_int(n, "n", 1)
     return VOLUME
 
 
@@ -52,7 +52,9 @@ class AnnulusMode:
     """One separated candidate mode of the curl operator.
 
     m1 and m2 are the angular wavenumbers, m twice the t-frequency, and
-    branch the sign of the eigenvalue.
+    branch the sign of the eigenvalue.  The parameter n is an int >= 1, the
+    wavenumbers are ints and branch is the int 1 or -1 (no bools);
+    otherwise ValueError.
     """
 
     n: int
@@ -62,9 +64,11 @@ class AnnulusMode:
     branch: int = 1
 
     def __post_init__(self):
-        _check_parameter(self.n)
-        if self.branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
+        check_int(self.n, "n", 1)
+        for name in ("m1", "m2", "m"):
+            check_int(getattr(self, name), name)
+        if check_int(self.branch, "branch", -1, 1) == 0:
+            raise ValueError("branch must be +1 or -1, got 0")
         if self.m1 == 0 and self.m2 == 0 and self.m % 2:
             raise ValueError(
                 "a pure t-mode has integer frequency: m must be even "
@@ -81,7 +85,7 @@ class AnnulusMode:
 
 def first_eigenvalue(n: int) -> Fraction:
     """The smallest positive eigenvalue 1/n, from the mode (0, 0, 2)."""
-    return Fraction(1, _check_parameter(n))
+    return Fraction(1, check_int(n, "n", 1))
 
 
 def spectrum_candidates(n: int, cutoff: int = 3) -> List[dict]:
@@ -93,9 +97,8 @@ def spectrum_candidates(n: int, cutoff: int = 3) -> List[dict]:
     attainment by an actual eigenfield is not settled here.  Within the
     enumerated range every twisted candidate has eigenvalue at least one.
     """
-    n = _check_parameter(n)
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 1:
-        raise ValueError(f"cutoff must be an int >= 1, got {cutoff!r}")
+    check_int(n, "n", 1)
+    check_int(cutoff, "cutoff", 1)
     rows = []
     for m1 in range(0, cutoff + 1):
         for m2 in range(0, cutoff + 1):
@@ -129,7 +132,7 @@ def first_eigenfields(n: int) -> Tuple[TorusField, TorusField]:
     v2 = cos t d/dphi1 - sin t d/dphi2; at t = 0 the first field points
     along d/dphi2.
     """
-    _check_parameter(n)
+    check_int(n, "n", 1)
     sin_t, cos_t = TorusScalar.sine((0, 0, 1)), TorusScalar.cosine((0, 0, 1))
     v1 = TorusField([sin_t, cos_t, TorusScalar()])
     v2 = TorusField([cos_t, -1 * sin_t, TorusScalar()])

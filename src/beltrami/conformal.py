@@ -55,7 +55,9 @@ from .exactpoly import (
     _monomial_moment_float,
     canonicalize,
     check_finite_real,
+    check_int,
     exponent_sums,
+    integer_numerators,
 )
 from .frames import FrameField, derivative_table, grad
 from .pencil import (check_mass, checked_diagonal, eigvalsh_diagonal,
@@ -155,10 +157,8 @@ def _factor_moments(terms: tuple) -> tuple:
     the powers are products of integer exponent dicts and the integral of
     q^k is one exactpoly moment sum, divided by den^k.
     """
-    exact = [(e, Rat(c)) for e, c in terms]
-    den = math.lcm(*(int(c.denominator) for _, c in exact))
-    powers = [{e: int(c.numerator) * (den // int(c.denominator))
-               for e, c in exact}]
+    exact = {e: Rat(c) for e, c in terms}
+    den, powers = integer_numerators([exact])
     for _ in range(2):
         power: dict = {}
         for e, c in powers[-1].items():
@@ -168,7 +168,7 @@ def _factor_moments(terms: tuple) -> tuple:
         powers.append(power)
     return (*(ExactScalar({2: _moment_sum(p.items()) / den ** k})
               for k, p in enumerate(powers, 1)),
-            sum(abs(c) for _, c in exact))
+            sum(abs(c) for c in exact.values()))
 
 
 class _BasisData:
@@ -329,9 +329,7 @@ def _basis_data(manifold: str, dmax: int) -> _BasisData:
     if manifold not in MANIFOLDS:
         raise ValueError(f"manifold must be one of {MANIFOLDS}, "
                          f"got {manifold!r}")
-    if isinstance(dmax, bool) or not isinstance(dmax, int) or dmax < 0:
-        raise ValueError(f"dmax must be a nonnegative int, got {dmax!r}")
-    return _BasisData(manifold, dmax)
+    return _BasisData(manifold, check_int(dmax, "dmax", 0))
 
 
 @dataclass
@@ -429,17 +427,17 @@ def optimality_scan(qs: Sequence[Tuple[str, SphereScalar]],
     by less than 1e-4, it clears the (16/pi)^(1/3) lower bound, and it is
     no smaller than the t = 0 value of its own factor minus 1e-6 (so the
     undeformed metric is the grid minimum).  dmax must be an int (not a
-    bool) and the amplitudes distinct and finite reals (not bools);
+    bool) below DEFAULT_DMAX_LIMIT, as the scan refines at dmax + 1, and
+    the amplitudes distinct and finite reals (not bools);
     otherwise ValueError is raised before any basis is built.  Rows also
     give, not deciding the pass, the largest negative eigenvalue
     mu1_negative and min(mu1, |mu1_negative|)^2 Vol^(2/3).  Cost per
     factor: one P; per t != 0: two b = I + t P and two eigensolves.
     """
-    if (isinstance(dmax, bool) or not isinstance(dmax, int)
-            or not 0 <= dmax < DEFAULT_DMAX_LIMIT):
-        raise ValueError(
-            f"dmax must be an integer between 0 and {DEFAULT_DMAX_LIMIT - 1} "
-            f"for a scan, which refines at dmax + 1; got {dmax!r}")
+    try:
+        check_int(dmax, "dmax", 0, DEFAULT_DMAX_LIMIT - 1)
+    except ValueError as error:
+        raise ValueError(f"{error}; a scan refines at dmax + 1") from None
     for t in amplitudes:
         check_finite_real(t, "t")
     if len(set(amplitudes)) != len(amplitudes):

@@ -18,6 +18,10 @@ integer moment sum over a common denominator (integrate_poly), and
 integrate_products integrates a sum of products of exact SphereScalars
 from those moments without forming the products.
 
+The package's input rules live here alone, check_finite_real for reals and
+check_int for ints, and so does integer_numerators, its one clearing of
+exact rationals to integers over their lcm denominator.
+
 pi is a formal transcendental symbol: no floating approximation enters the
 exact backend.  Rationals come from gmpy2 when available (much faster) and
 fall back to the stdlib Fraction otherwise; both are arbitrary precision.
@@ -38,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +92,29 @@ def check_finite_real(value, name: str):
     if not is_finite_real(value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return value
+
+
+def check_int(value, name: str, low=None, high=None) -> int:
+    """value if it is an int, not a bool, and low <= value <= high for each
+    bound given; else ValueError naming it: the rule every integer-valued
+    input of the package follows."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and (low is None or low <= value)
+            and (high is None or value <= high)):
+        return value
+    bound = (f"an integer between {low} and {high}" if high is not None
+             else "an int" + ("" if low is None else f" >= {low}"))
+    raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def integer_numerators(maps: Iterable[Dict]) -> Tuple[int, List[Dict]]:
+    """(den, numerators) for maps of exact rationals: den the lcm of every
+    value's denominator (1 when there are none) and each map with its
+    values times den, as Python ints, keys in the same order."""
+    maps = list(maps)
+    den = math.lcm(*(int(c.denominator) for m in maps for c in m.values()))
+    return den, [{k: int(c.numerator) * (den // int(c.denominator))
+                  for k, c in m.items()} for m in maps]
 
 
 class Poly4:
@@ -604,10 +631,8 @@ def integrate_poly(p):
     if any(isinstance(c, float) for c in p.terms.values()):
         return math.fsum(float(c) * _monomial_moment_float(e)
                          for e, c in p.terms.items())
-    den = math.lcm(*(int(c.denominator) for c in p.terms.values()))
-    return ExactScalar({2: _moment_sum(
-        (e, int(c.numerator) * (den // int(c.denominator)))
-        for e, c in p.terms.items()) / den})
+    den, (numerators,) = integer_numerators([p.terms])
+    return ExactScalar({2: _moment_sum(numerators.items()) / den})
 
 
 def _moment_sum(terms: Iterable[Tuple[Exponent, int]]):
@@ -646,10 +671,10 @@ def moment_gram(exponents: Sequence[Exponent]) -> Tuple[np.ndarray, int]:
     with integral x^(e_i + e_j) = pi^2 G[i, j] / den, G an object array of
     Python ints."""
     sums, index = exponent_sums(exponents)
-    moments = [Rat(0) if any(a & 1 for a in e) else _even_moment(e)
-               for e in map(tuple, sums.tolist())]
-    den = math.lcm(*(int(m.denominator) for m in moments))
-    return np.array([int(m * den) for m in moments], dtype=object)[index], den
+    den, (moments,) = integer_numerators([{
+        k: Rat(0) if any(a & 1 for a in e) else _even_moment(e)
+        for k, e in enumerate(map(tuple, sums.tolist()))}])
+    return np.array(list(moments.values()), dtype=object)[index], den
 
 
 def parity_class(e: Exponent) -> Tuple[int, int, int, int]:
@@ -664,20 +689,11 @@ def parity_classes(s: SphereScalar) -> set:
             for e in part.terms}
 
 
-def _common_denominator(scalars: Iterable[SphereScalar]) -> int:
-    return math.lcm(*(int(c.denominator) for s in scalars
-                      for part in (s.even_part, s.odd_part)
-                      for c in part.terms.values()))
-
-
-def _integer_terms(s: SphereScalar, den: int):
-    """The terms of s times den as (exponent, int) lists, keyed by the
-    parities of the exponent entries."""
+def _by_parity_class(terms: Dict[Exponent, int]):
+    """The terms as (exponent, int) lists keyed by their parity_class."""
     classes: Dict[Tuple[int, ...], list] = {}
-    for part in (s.even_part, s.odd_part):
-        for e, c in part.terms.items():
-            classes.setdefault(parity_class(e), []).append(
-                (e, int(c.numerator) * (den // int(c.denominator))))
+    for e, n in terms.items():
+        classes.setdefault(parity_class(e), []).append((e, n))
     return classes
 
 
@@ -694,20 +710,18 @@ def integrate_products(pairs: Iterable[Tuple[SphereScalar, SphereScalar]]
     particular, the even and odd parts of p_k and q_k never meet).
     """
     pairs = list(pairs)
-    den_p = _common_denominator(p for p, _ in pairs)
-    den_q = _common_denominator(q for _, q in pairs)
+    den_p, lefts = integer_numerators(
+        part.terms for p, _ in pairs for part in (p.even_part, p.odd_part))
+    den_q, rights = integer_numerators(
+        part.terms for _, q in pairs for part in (q.even_part, q.odd_part))
     sums: Dict[Exponent, int] = {}
-    for p, q in pairs:
-        right = _integer_terms(q, den_q)
-        for key, left_terms in _integer_terms(p, den_p).items():
-            right_terms = right.get(key)
-            if right_terms is None:
-                continue
-            for ea, ca in left_terms:
-                for eb, cb in right_terms:
-                    e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2],
-                         ea[3] + eb[3])
-                    sums[e] = sums.get(e, 0) + ca * cb
+    for left, right in zip(lefts, rights):  # even with even, odd with odd
+        right = _by_parity_class(right) if left else {}
+        for ea, ca in left.items():
+            for eb, cb in right.get(parity_class(ea), ()):
+                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2],
+                     ea[3] + eb[3])
+                sums[e] = sums.get(e, 0) + ca * cb
     return ExactScalar({2: _moment_sum(sums.items()) / (den_p * den_q)})
 
 

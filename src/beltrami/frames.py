@@ -40,7 +40,6 @@ general polynomial products and serves as the reference.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +53,7 @@ from beltrami.exactpoly import (
     _mpq,
     canonicalize,
     evaluate_polys,
+    integer_numerators,
     integrate_poly,
     integrate_products,
 )
@@ -298,9 +298,8 @@ def _numerators(F: FrameField):
     parts = [p for f in F.f for p in (f.even_part, f.odd_part)]
     if not all(type(c) is _mpq for p in parts for c in p.terms.values()):
         return None, F
-    den = math.lcm(*(c.denominator for p in parts for c in p.terms.values()))
-    parts = [Poly4({e: c.numerator * (den // c.denominator)
-                    for e, c in p.terms.items()}) for p in parts]
+    den, numerators = integer_numerators(p.terms for p in parts)
+    parts = [Poly4(terms) for terms in numerators]
     return den, FrameField(*(SphereScalar(*parts[k:k + 2]) for k in (0, 2, 4)))
 
 

@@ -54,7 +54,7 @@ import numpy as np
 from beltrami.atlas import explicit_basis
 from beltrami import atlas as _atlas
 from beltrami.exactpoly import (Exponent, SphereScalar, check_finite_real,
-                                is_finite_real, is_real)
+                                check_int, is_finite_real, is_real)
 from beltrami.frames import (FrameField, coefficient_tensor, curl, divergence,
                              grad, hopf_frame)
 from beltrami.quadrature import (HopfGrid, default_grid, grid_for_degree,
@@ -350,50 +350,52 @@ def f_perturbed(W: HopfPerturbation, t: float,
 SERIES_ORDER = 6
 
 
-def _check_order(name: str, k, low: int, high: int) -> None:
-    """Raise ValueError unless k is an int (not a bool) in low..high."""
-    if isinstance(k, bool) or not isinstance(k, int) or not low <= k <= high:
-        raise ValueError(f"{name} must be an int in {low}..{high}, got {k!r}")
+def _curve_series(matrices: Sequence[Tuple[List[Exponent], np.ndarray]]
+                  ) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """The Taylor coefficients of s -> E(B1 + sum_j s^j W_j) through
+    SERIES_ORDER, and the integrals of B1 . W_j, for the fields W_1, W_2,
+    ... given by their frame coefficients (exponents, (3, m) matrix).
 
+    With V_j the values of W_j on the grid,
 
-def _series_at_hopf(W) -> Tuple[Tuple[float, ...], float]:
-    """The Taylor coefficients of t -> E(B1 + tW), and int B1 . W.
+        |B1 + sum_j s^j V_j|^2 - 1
+            = sum_k s^k (2 B1 . V_k + sum_{i + j = k} V_i . V_j),
 
-    The t^k coefficient of the density (1 + 2t w1 + t^2 |W|^2)^{3/4}
-    (module docstring) has Cartesian degree k d for coefficients of degree
-    d, so the grid of degree SERIES_ORDER * d integrates every coefficient
-    exactly.  The sums stay math.fsum: cancellation limits the sixth-order
-    constants from them.  A HopfPerturbation keeps its series.
+    and the s^k coefficient of its 3/4 power (module docstring) has
+    Cartesian degree k d for coefficients of degree at most d, so the grid
+    of degree SERIES_ORDER * d integrates every coefficient exactly.  The
+    sums stay math.fsum: cancellation limits the sixth-order constants
+    from them.  The helicity of B1 + X is pi^2 + int B1 . X + H(X), as
+    (B1, X) = 2 (curl^{-1} B1, X), so the integrals are the coefficients
+    of its part linear in the W_j.
     """
-    if isinstance(W, HopfPerturbation):
-        return W._memo("series", lambda: _series_of(*W.coefficients()))
-    return _series_of(*_frame_matrix([W]))
-
-
-def _series_of(exponents: Sequence[Exponent],
-               matrix: np.ndarray) -> Tuple[tuple, float]:
-    """_series_at_hopf of the field with the (3, m) frame-coefficient
-    matrix over exponents, on the grid of degree SERIES_ORDER * d."""
-    grid = grid_for_degree(SERIES_ORDER * _matrix_degree(exponents, matrix))
-    w1, w_sq, _ = _to_line_columns(grid.polynomial_values(exponents,
-                                                          matrix))
-    return (_energy_series([2.0 * w1, w_sq], grid),
-            math.fsum(grid.weights * w1))
-
-
-def _energy_series(line: Sequence[np.ndarray],
-                   grid: HopfGrid) -> Tuple[float, ...]:
-    """The Taylor coefficients of the energy of B1 + X, through
-    SERIES_ORDER, from those of |B1 + X|^2 - 1 (grid rows, from the first
-    power of the expansion variable on) on grid.points."""
+    grid = grid_for_degree(SERIES_ORDER * max(
+        _matrix_degree(*matrix) for matrix in matrices))
+    values = [grid.polynomial_values(*matrix) for matrix in matrices]
+    dot = functools.partial(np.einsum, "an,an->n")
+    line = []
+    for k in range(1, 2 * len(values) + 1):
+        terms = [2.0 * values[k - 1][0]] if k <= len(values) else []
+        for i in range(max(1, k - len(values)), k // 2 + 1):
+            vi, vj = values[i - 1], values[k - i - 1]
+            terms.append(dot(vi, vj) if 2 * i == k else 2.0 * dot(vi, vj))
+        line.append(functools.reduce(np.add, terms))
     padding = [0.0] * (SERIES_ORDER - len(line))
     density = _series_power([1.0, *line, *padding], 0.75)
-    return tuple(math.fsum(grid.weights * c) for c in density)
+    return (tuple(math.fsum(grid.weights * c) for c in density),
+            tuple(math.fsum(grid.weights * v[0]) for v in values))
+
+
+def _series_at_hopf(W) -> Tuple[Tuple[float, ...], Tuple[float]]:
+    """_curve_series of the line B1 + tW; a HopfPerturbation keeps it."""
+    if isinstance(W, HopfPerturbation):
+        return W._memo("series", lambda: _curve_series([W.coefficients()]))
+    return _curve_series([_frame_matrix([W])])
 
 
 def dE_at_hopf(k: int, W) -> float:
     """D^k E(B1)(W, ..., W) for an int k in 2..6, exact up to rounding."""
-    _check_order("derivative order", k, 2, SERIES_ORDER)
+    check_int(k, "derivative order", 2, SERIES_ORDER)
     return math.factorial(k) * _series_at_hopf(W)[0][k]
 
 
@@ -439,8 +441,8 @@ def _f_series(e: Sequence[float], helicity: Sequence[float]) -> List[float]:
 def dF_at_hopf(k: int, W: HopfPerturbation) -> float:
     """D^k F(B1)(W, ..., W) for an int k in 1..6 by series composition of
     E^{4/3}/H."""
-    _check_order("derivative order", k, 1, SERIES_ORDER)
-    e, h1 = _series_at_hopf(W)  # (B1, W) = 2 (curl^{-1} B1, W)
+    check_int(k, "derivative order", 1, SERIES_ORDER)
+    e, (h1,) = _series_at_hopf(W)
     return math.factorial(k) * _f_series(e, (h1, W.helicity()))[k]
 
 
@@ -451,7 +453,7 @@ def taylor6_combination(W: HopfPerturbation) -> float:
     6 times the sum of the Taylor coefficients c_1 .. c_6 of
     t -> F(B1 + tW).
     """
-    e, h1 = _series_at_hopf(W)
+    e, (h1,) = _series_at_hopf(W)
     return 6.0 * math.fsum(_f_series(e, (h1, W.helicity()))[1:])
 
 
@@ -609,9 +611,12 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     one (6, N) slab with its products, under 6 MiB on the default grid
     (traced peak), whatever the number of samples.
     """
-    if (isinstance(samples, bool) or not isinstance(samples, int)
-            or samples < 1 or not is_finite_real(radius)
-            or not 0 < radius <= 0.1):
+    try:
+        check_int(samples, "samples", 1)
+        valid = is_finite_real(radius) and 0 < radius <= 0.1
+    except ValueError:
+        valid = False
+    if not valid:
         raise ValueError("local_max_scan needs 0 < radius <= 0.1 and an int "
                          f"samples >= 1, got {radius!r} and {samples!r}")
     grid = grid or default_grid()
@@ -682,27 +687,16 @@ def graded_coefficient(W1: HopfPerturbation, W2: HopfPerturbation,
 
     The t^k term of the combination is homogeneous of degree k in W, so it
     starts at s^k and no term past t^6 reaches s^6: the coefficient is
-    6 [s^degree] F(B1 + s W1 + s^2 W2), composed in s by _f_series.  With
-    V1, V2 the values of W1, W2 on the series grid,
-
-        |B1 + s V1 + s^2 V2|^2 - 1 = 2s (B1 . V1) + s^2 (2 B1 . V2 + |V1|^2)
-                                     + 2s^3 (V1 . V2) + s^4 |V2|^2,
-
-    and the helicity is pi^2 + s int B1 . W1 + s^2 (int B1 . W2 + H(W1))
-    + s^3 h12 + s^4 H(W2), the cross term h12 by polarization.
+    6 [s^degree] F(B1 + s W1 + s^2 W2), composed in s by _f_series from
+    the energy series of _curve_series.  The helicity is
+    pi^2 + s int B1 . W1 + s^2 (int B1 . W2 + H(W1)) + s^3 h12 + s^4 H(W2),
+    the cross term h12 by polarization.
     """
-    _check_order("degree", degree, 1, SERIES_ORDER)
-    grid = grid_for_degree(SERIES_ORDER * max(
-        _matrix_degree(*W.coefficients()) for W in (W1, W2)))
-    v1, v2 = (grid.polynomial_values(*W.coefficients()) for W in (W1, W2))
-    dot = functools.partial(np.einsum, "an,an->n")
-    line = [2.0 * v1[0], 2.0 * v2[0] + dot(v1, v1), 2.0 * dot(v1, v2),
-            dot(v2, v2)]
+    check_int(degree, "degree", 1, SERIES_ORDER)
+    e, (b1_w1, b1_w2) = _curve_series([W.coefficients() for W in (W1, W2)])
     h1, h2 = W1.helicity(), W2.helicity()
     h12 = perturbation_scaled(W1, W2, 1.0).helicity() - h1 - h2
-    h = (math.fsum(grid.weights * v1[0]),
-         math.fsum(grid.weights * v2[0]) + h1, h12, h2)
-    return 6.0 * _f_series(_energy_series(line, grid), h)[degree]
+    return 6.0 * _f_series(e, (b1_w1, b1_w2 + h1, h12, h2))[degree]
 
 
 # The sixth derivative of (1 + u)^{3/4} forces the (B1 . W)^6 coefficient
@@ -941,8 +935,7 @@ def identity_report(seed: int = 0, draws: int = 20) -> List[dict]:
     'discrepancy' note.  A row's wall_time sums the time since the previous
     recorded value over its draws, so set-up lands in the first row using it.
     """
-    if isinstance(draws, bool) or not isinstance(draws, int) or draws < 1:
-        raise ValueError(f"draws must be an int >= 1, got {draws!r}")
+    check_int(draws, "draws", 1)
     last = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst: Dict[str, Tuple[float, float]] = {}

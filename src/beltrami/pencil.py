@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from beltrami.exactpoly import check_int
+
 
 def inverse_cholesky(b: np.ndarray) -> np.ndarray:
     """The inverse W of the lower Cholesky factor of b, so W b W^T = I.
@@ -28,8 +30,7 @@ def checked_diagonal(mu: np.ndarray, zeros: int) -> np.ndarray:
     and ValueError for a zeros that is not an int from 0 to len(mu)."""
     if np.ndim(mu) != 1:
         raise RuntimeError(f"the curl diagonal {np.shape(mu)} is not a vector")
-    if type(zeros) is not int or not 0 <= zeros <= len(mu):
-        raise ValueError(f"zeros must be an int 0..{len(mu)}, got {zeros!r}")
+    check_int(zeros, "zeros", 0, len(mu))
     count = len(mu) - zeros
     if np.any(mu[count:]):
         raise RuntimeError("the curl matrix is nonzero on the gradient "

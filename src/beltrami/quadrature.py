@@ -42,17 +42,14 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from beltrami.exactpoly import check_int
+
 DEFAULT_RADIAL_ORDER = 24
 DEFAULT_ANGULAR_ORDER = 48
 # Values held by one slab of polynomial_slabs, 3.75 MiB.  The local
 # maximality scan's pair of samples, six polynomials, takes the default
 # grid's 55,296 points in one slab; larger K take several.
 _SLAB_DOUBLES = 60 * 8192
-
-
-def _check_int(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
@@ -76,8 +73,8 @@ class HopfGrid:
 
     def __init__(self, radial_order: int = DEFAULT_RADIAL_ORDER,
                  angular_order: int = DEFAULT_ANGULAR_ORDER):
-        _check_int("radial_order", radial_order, 1)
-        _check_int("angular_order", angular_order, 1)
+        check_int(radial_order, "radial_order", 1)
+        check_int(angular_order, "angular_order", 1)
         self.radial_order = radial_order
         self.angular_order = angular_order
         # Gauss-Legendre on [-1, 1] mapped to u in [0, 1].
@@ -238,5 +235,5 @@ def grid_for_degree(degree: int) -> HopfGrid:
     orders are one cached object (shared_grid).  degree must be an int >= 0
     (not a bool).
     """
-    _check_int("degree", degree, 0)
+    check_int(degree, "degree", 0)
     return shared_grid((degree // 2 + 1) // 2 + 1, degree + 1)

@@ -131,7 +131,8 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from beltrami.exactpoly import (Exponent, ExactScalar, Poly4, Rat,
-                                SphereScalar, moment_gram)
+                                SphereScalar, check_int, integer_numerators,
+                                moment_gram)
 from beltrami.frames import FrameField, _form_terms, derivative_table
 
 DEFAULT_DMAX_LIMIT = 5
@@ -422,16 +423,11 @@ class _Block:
         self.spectrum = (0,) + tuple(
             s * m for m in range(2 + parity, dmax + 3, 2) for s in (1, -1))
 
-    def _generators(self, cartesian_degree: int, parity: int):
-        """Integer coordinate vectors of tangential monomial projections."""
-        # The projection of x^e e_a has the frame coefficients x^e (L_i x)_a,
-        # of degree |e| + 1, so the block of coefficient parity `parity`
-        # comes from monomials of the opposite degree parity.
-        for d in range(1 - parity, cartesian_degree + 1, 2):
-            yield from self._degree_generators(d)
-
     def _degree_generators(self, degree: int):
-        """The generators from the monomials of one Cartesian degree."""
+        """The integer coordinate vectors of the tangential projections of
+        the monomials of one Cartesian degree.  The projection of x^e e_a
+        has the frame coefficients x^e (L_i x)_a, of degree |e| + 1, so the
+        block of coefficient parity p takes the degrees of parity 1 - p."""
         n = len(self.coords.monomials)
         index = self.coords.index
         for e in _monomials(degree):
@@ -445,16 +441,13 @@ class _Block:
         order, read from the parity's shared elimination."""
         return _elimination(self.parity).basis(self)
 
-    def _curl_step(self, x: np.ndarray) -> np.ndarray:
-        """C v for each vector v (a row) of a slab: gather, multiply, sum."""
-        if x.dtype != object and self.row_bound * _max_abs(x) >= _INT64_SAFE:
+    def _curl_step(self, x: np.ndarray, top: int) -> np.ndarray:
+        """C v for each vector v (a row) of a slab whose largest entry is
+        top in absolute value: gather, multiply, sum."""
+        if x.dtype != object and self.row_bound * top >= _INT64_SAFE:
             x = x.astype(object)
         return np.einsum("ik,vik->vi", self.curl_values,
                          np.take(x, self.curl_index, axis=1))
-
-    def pieces(self, vec: Dict[int, int]) -> Dict[int, Dict[int, int]]:
-        """Every D_mu P_mu vec of an integer vector: a one-vector slab."""
-        return self.slab_pieces([vec])[0]
 
     def slab_pieces(self, vectors) -> List[Dict[int, Dict[int, int]]]:
         """Every D_mu P_mu v of each integer vector v, from one checked pass.
@@ -510,9 +503,10 @@ class _Block:
         spectrum = tuple(self.spectrum)  # hashable for the cached numerators
         numerators, annihilator = _lagrange_numerators(spectrum)
         x = powers[0]
-        while len(powers) <= len(spectrum):
-            powers.append(self._curl_step(powers[-1]))
         tops = [_max_abs(p) for p in powers]
+        while len(powers) <= len(spectrum):
+            powers.append(self._curl_step(powers[-1], tops[-1]))
+            tops.append(_max_abs(powers[-1]))
         if np.count_nonzero(_combination(annihilator, powers, tops)):
             return None
         common = lcm(*(denominator for _, denominator in numerators.values()))
@@ -535,11 +529,6 @@ class _Block:
         gram, den = moment_gram(self.coords.monomials)
         return (gram.astype(np.int64) if _max_abs(gram) < _INT64_SAFE
                 else gram), den
-
-    def helicity_pairing(self, vec: Dict[int, int]) -> Rat:
-        """sum_{mu != 0} <P_mu vec, vec> / (mu pi^2) for an integer vector
-        vec with no mu = 0 part, from one checked pass (_pairing)."""
-        return self._pairing(*self._checked_pieces([vec]))
 
     def _pairing(self, x: np.ndarray, pieces: List[np.ndarray]) -> Rat:
         """The helicity pairing of the one-vector slab x of a checked pass.
@@ -567,11 +556,6 @@ class _Block:
         n = len(self.coords.monomials)
         gv = _product(x[0, :-1].reshape(3, n), gram)  # G is symmetric
         return Rat(int(_product(u[0, :-1], gv.ravel())), common * gram_den)
-
-    def solve(self) -> Dict[int, _Echelon]:
-        """Eigenbases per eigenvalue from an elimination of this block
-        alone, verifying the spectrum on every basis vector."""
-        return _Elimination(self.parity).view(self)
 
 
 class _Elimination:
@@ -648,12 +632,6 @@ class _Elimination:
         self.prefixes = prefixes
 
 
-def _check_order(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
-    return value
-
-
 @functools.cache
 def _block(dmax: int, parity: int) -> _Block:
     """The bare block of an order and parity, built on first use."""
@@ -682,9 +660,7 @@ def eigenspace_solve(dmax: int, limit: int = DEFAULT_DMAX_LIMIT) -> SolverResult
     space, and ValueError unless dmax and limit are ints (not bools) with
     0 <= dmax <= limit.
     """
-    _check_order("limit", limit)
-    if _check_order("dmax", dmax) > limit:
-        raise ValueError(f"dmax must be between 0 and {limit}, got {dmax}")
+    check_int(dmax, "dmax", 0, check_int(limit, "limit", 0))
     eigenspaces: Dict[int, SolverEigenspace] = {}
     gradient_dimension = trial_dimension = 0
     for parity in (0, 1):
@@ -709,15 +685,6 @@ def _parity_parts(field: FrameField):
             yield parity, degree, FrameField(*(
                 SphereScalar(Poly4.zero(), p) if parity
                 else SphereScalar(p, Poly4.zero()) for p in polys))
-
-
-def _integer_vector(coords: _Coordinates, part: FrameField):
-    """(den, vec): the lcm den of an exact part's denominators and den times
-    its coordinates."""
-    vec = coords.to_vector(part)
-    den = lcm(*(int(c.denominator) for c in vec.values()))
-    return den, {j: int(c.numerator) * (den // int(c.denominator))
-                 for j, c in vec.items()}
 
 
 def _rekeyed(powers: List[np.ndarray], source: _Block, target: _Block):
@@ -770,7 +737,8 @@ def _resolution(field: FrameField, cap: int):
         for order in [d for d in sorted({lowest, top}) if d <= cap] or [cap]:
             block = _block(order, parity)
             if previous is None:
-                den, vec = _integer_vector(block.coords, part)
+                den, (vec,) = integer_numerators(
+                    [block.coords.to_vector(part)])
                 powers = [block._slab([vec])]
             else:
                 powers = _rekeyed(powers, previous, block)
@@ -788,7 +756,7 @@ def _resolution(field: FrameField, cap: int):
 def _resolution_within(field: FrameField, dmax: int):
     """_resolution with cap dmax, raising SpectrumError where it gives None:
     the order-dmax spectrum does not resolve the field."""
-    _check_order("dmax", dmax)
+    check_int(dmax, "dmax", 0)
     latest = _resolution(field, dmax)
     if latest is None:
         raise SpectrumError(
@@ -857,7 +825,7 @@ def field_dmax(field: FrameField, limit: int = DEFAULT_DMAX_LIMIT) -> int:
     an order above the limit; TypeError for float coefficients.  The limit
     must be a nonnegative int (not a bool).
     """
-    _check_order("limit", limit)
+    check_int(limit, "limit", 0)
     degree = field.coefficient_degree()
     if degree - 2 > limit:
         raise ValueError(

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .exactpoly import check_finite_real
+from .exactpoly import check_finite_real, check_int
 from .pencil import eigvalsh_diagonal
 
 Wavevector = Tuple[int, int, int]
@@ -61,17 +61,10 @@ def _neg(k: Wavevector) -> Wavevector:
     return (-k[0], -k[1], -k[2])
 
 
-def _check_parameter(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"the metric parameter must be a positive "
-                         f"integer, got {n!r}")
-    return n
-
-
 def metric_diagonal(n: int) -> Tuple[Fraction, Fraction, Fraction]:
     """The unimodular flat metric diag(1/n, 1/n, n^2), exactly; n = 1 is
     the flat torus."""
-    n = _check_parameter(n)
+    check_int(n, "n", 1)
     return Fraction(1, n), Fraction(1, n), Fraction(n * n)
 
 
@@ -313,8 +306,7 @@ def beltrami_basis(kmax: int) -> Tuple[List[Tuple[Wavevector, np.ndarray]],
     pair) and each helicity sign the two real parts of the helical mode are
     returned, along with the list of curl eigenvalues +-|k|.
     """
-    if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 1:
-        raise ValueError(f"kmax must be an int >= 1, got {kmax!r}")
+    check_int(kmax, "kmax", 1)
     fields: List[Tuple[Wavevector, np.ndarray]] = []
     eigenvalues: List[float] = []
     bound = kmax * kmax

@@ -171,9 +171,9 @@ class TestEigenDecompose:
         calls = []
         real_step = solver._Block._curl_step
 
-        def counting(block, x):
+        def counting(block, x, top):
             calls.append(block)
-            return real_step(block, x)
+            return real_step(block, x, top)
 
         monkeypatch.setattr(solver._Block, "_curl_step", counting)
         eigen_decompose(F)

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beltrami
+from beltrami.annulus import AnnulusMode
 from beltrami.exactpoly import (
     ExactScalar,
     Poly4,
     Rat,
     SphereScalar,
     canonicalize,
+    check_int,
     directional_derivative,
     evaluate_polys,
     format_exact,
@@ -485,3 +490,136 @@ class TestFiniteReal:
     def test_every_entry_point_refuses(self, entry, value):
         with pytest.raises(ValueError, match=re.escape(repr(value))):
             _entry_points()[entry](value)
+
+
+# ---------------------------------------------------------------------------
+# The one rule for integer-valued inputs
+
+
+def _int_entry_points():
+    """Each entry point that takes an int, as a function of it."""
+    from beltrami import annulus, conformal, functionals, quadrature, solver
+    from beltrami.conformal import ConformalFactor
+    from beltrami.frames import hopf_frame
+    from beltrami.pencil import checked_diagonal
+    from beltrami.torus import beltrami_basis, metric_diagonal
+
+    b1 = hopf_frame()[0]
+    q = canonicalize(Poly4.variable(1) * Poly4.variable(1))
+    W = functionals.HopfPerturbation()
+    return {
+        "solver-dmax": solver.eigenspace_solve,
+        "solver-limit": lambda v: solver.eigenspace_solve(0, v),
+        "field-dmax-limit": lambda v: solver.field_dmax(b1, v),
+        "project-dmax": lambda v: solver.project_vector(b1, 2, v),
+        "pairing-dmax": lambda v: solver.helicity_pairing(b1, v),
+        "dE-order": lambda v: functionals.dE_at_hopf(v, W),
+        "dF-order": lambda v: functionals.dF_at_hopf(v, W),
+        "graded-degree": lambda v: functionals.graded_coefficient(W, W, v),
+        "local-max-samples": lambda v: functionals.local_max_scan(samples=v),
+        "identity-draws": lambda v: functionals.identity_report(draws=v),
+        "grid-radial": lambda v: quadrature.HopfGrid(v, 4),
+        "grid-angular": lambda v: quadrature.HopfGrid(4, v),
+        "grid-degree": quadrature.grid_for_degree,
+        "torus-metric": metric_diagonal,
+        "torus-kmax": beltrami_basis,
+        "annulus-volume": annulus.volume,
+        "annulus-first": annulus.first_eigenvalue,
+        "annulus-fields": annulus.first_eigenfields,
+        "annulus-candidates": annulus.spectrum_candidates,
+        "annulus-cutoff": lambda v: annulus.spectrum_candidates(2, v),
+        "mode-n": lambda v: annulus.AnnulusMode(v, 1, 0, 2),
+        "mode-m1": lambda v: annulus.AnnulusMode(1, v, 0, 2),
+        "mode-m2": lambda v: annulus.AnnulusMode(1, 0, v, 2),
+        "mode-m": lambda v: annulus.AnnulusMode(1, 1, 0, v),
+        "mode-branch": lambda v: annulus.AnnulusMode(1, 0, 0, 2, branch=v),
+        "pencil-dmax": lambda v: conformal.assemble_pencil(
+            "s3", ConformalFactor(q, 0.01), v),
+        "scan-dmax": lambda v: conformal.optimality_scan(
+            [("q", q)], "s3", dmax=v),
+        "diagonal-zeros": lambda v: checked_diagonal(np.array([2.0, 0.0]),
+                                                     v),
+    }
+
+
+class TestIntegerRule:
+    def test_the_rule(self):
+        assert check_int(0, "k", 0) == 0
+        assert check_int(-7, "k") == -7
+        assert check_int(10 ** 30, "k", 1) == 10 ** 30
+        assert check_int(3, "k", 1, 3) == 3
+        for value in (True, False, 1.0, np.int64(1), "1", None, Rat(1)):
+            with pytest.raises(ValueError, match=re.escape(repr(value))):
+                check_int(value, "k", 0)
+        with pytest.raises(ValueError,
+                           match=re.escape("k must be an int >= 1, got 0")):
+            check_int(0, "k", 1)
+        for value in (0, 4):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"k must be an integer between 1 and 3, got {value}")):
+                check_int(value, "k", 1, 3)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    @pytest.mark.parametrize("entry", sorted(_int_entry_points()))
+    def test_every_entry_point_refuses(self, entry, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            _int_entry_points()[entry](value)
+
+    def test_annulus_mode_fields(self):
+        # Unchecked, a float wavenumber gave a float eigenvalue_sq and a
+        # bool branch was taken for +1.
+        mode = AnnulusMode(1, 1, 0, 2, branch=-1)
+        assert mode.eigenvalue_sq() == Fraction(2)
+        assert type(mode.eigenvalue_sq()) is Fraction
+        assert AnnulusMode(1, -1, 0, 2).eigenvalue_sq() == Fraction(2)
+        for kwargs in ({"m1": 0.5}, {"m2": True}, {"m": 2.0},
+                       {"branch": True}, {"branch": 1.0}, {"branch": 0},
+                       {"branch": 2}):
+            fields = {"n": 1, "m1": 1, "m2": 0, "m": 2, **kwargs}
+            value = list(kwargs.values())[0]
+            with pytest.raises(ValueError, match=re.escape(repr(value))):
+                AnnulusMode(**fields)
+
+
+# ---------------------------------------------------------------------------
+# Both exact-input rules live in exactpoly alone
+
+
+def _rule_copies(tree: ast.AST):
+    """Lines that read .denominator or write `not isinstance(x, int)` or
+    `type(x) is not int`."""
+    def is_int(node):
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "denominator":
+            yield node.lineno
+        elif (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+              and isinstance(node.operand, ast.Call)
+              and isinstance(node.operand.func, ast.Name)
+              and node.operand.func.id == "isinstance"
+              and len(node.operand.args) == 2
+              and is_int(node.operand.args[1])):
+            yield node.lineno
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+              and isinstance(node.left.func, ast.Name)
+              and node.left.func.id == "type"
+              and any(isinstance(op, ast.IsNot) and is_int(right)
+                      for op, right in zip(node.ops, node.comparators))):
+            yield node.lineno
+
+
+class TestOneRuleModule:
+    def test_detector(self):
+        source = ("a = x.denominator\nif not isinstance(n, int): pass\n"
+                  "if type(n) is not int: pass\nif isinstance(n, int): pass\n"
+                  "if type(n) is int: pass\n")
+        assert list(_rule_copies(ast.parse(source))) == [1, 2, 3]
+
+    def test_only_exactpoly_clears_denominators_or_checks_ints(self):
+        package = Path(beltrami.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) > 10
+        copies = {path.name: list(_rule_copies(ast.parse(path.read_text())))
+                  for path in modules if path.name != "exactpoly.py"}
+        assert {name: lines for name, lines in copies.items() if lines} == {}

@@ -159,8 +159,8 @@ class TestSolverGenerators:
                     expected.append(
                         [(j, int(c)) for j, c in
                          block.coords.to_vector(field).items()])
-        got = [list(vec.items())
-               for vec in block._generators(dmax + 1, parity)]
+        got = [list(vec.items()) for d in range(1 - parity, dmax + 2, 2)
+               for vec in block._degree_generators(d)]
         assert got == expected
 
 

@@ -17,6 +17,7 @@ from beltrami.frames import FrameField, curl, divergence, grad
 from beltrami.solver import (
     SpectrumError,
     _Block,
+    _Elimination,
     _solved_block,
     eigenspace_solve,
     field_dmax,
@@ -200,17 +201,17 @@ class TestSlabKernel:
     def test_promoted_pass_scales_exactly(self, monkeypatch):
         block, _ = _solved_block(2, 1)
         vec = block.basis[7]
-        plain = block.pieces(vec)
+        plain = block.slab_pieces([vec])[0]
         dtypes = []
         real_step = _Block._curl_step
 
-        def recording(self, x):
-            out = real_step(self, x)
+        def recording(self, x, top):
+            out = real_step(self, x, top)
             dtypes.append(out.dtype)
             return out
 
         monkeypatch.setattr(_Block, "_curl_step", recording)
-        big = block.pieces({j: c << 61 for j, c in vec.items()})
+        big = block.slab_pieces([{j: c << 61 for j, c in vec.items()}])[0]
         assert object in dtypes
         assert big == {mu: {j: c << 61 for j, c in piece.items()}
                        for mu, piece in plain.items()}
@@ -226,12 +227,13 @@ class TestSlabKernel:
                            (-(-bound // block.row_bound), object)):
             x = np.zeros((2, block.coords.size + 1), dtype=np.int64)
             x[1, 3] = -top
-            assert block._curl_step(x).dtype == dtype
+            assert block._curl_step(x, top).dtype == dtype
 
     def test_slab_matches_single_vectors(self):
         block, _ = _solved_block(2, 0)
         vectors = block.basis[:5]
-        assert block.slab_pieces(vectors) == [block.pieces(v) for v in vectors]
+        assert block.slab_pieces(vectors) == [block.slab_pieces([v])[0]
+                                               for v in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,8 @@ def _reference_eigenspaces(dmax, parity):
     block, _ = _solved_block(dmax, parity)
     basis_rows = {}
     basis = []
-    for gen in block._generators(dmax + 1, parity):
+    for gen in (vec for d in range(1 - parity, dmax + 2, 2)
+                for vec in block._degree_generators(d)):
         row = _reference_insert(basis_rows,
                                 {j: Rat(c) for j, c in gen.items()})
         if row is not None:
@@ -336,7 +339,7 @@ class TestSpectrumChecks:
         block = _Block(1, 1)
         block.spectrum = [mu for mu in block.spectrum if abs(mu) != 3]
         with pytest.raises(SpectrumError):
-            block.solve()
+            _Elimination(block.parity).view(block)
 
     def test_pieces_checks_a_projected_vector(self):
         # u = (0, x1, -x2) is a mu = 3 field of the odd block at order 1.
@@ -344,16 +347,17 @@ class TestSpectrumChecks:
                        -SphereScalar.coordinate(2))
         block = _Block(1, 1)
         vec = {j: int(c) for j, c in block.coords.to_vector(u).items()}
-        pieces = block.pieces(vec)
+        pieces = block.slab_pieces([vec])[0]
         # D_3 = (3 - 0)(3 + 3) over the block spectrum {0, 3, -3}.
         assert pieces[3] == {j: 18 * c for j, c in vec.items()}
         assert not any(piece for mu, piece in pieces.items() if mu != 3)
         block.spectrum = [mu for mu in block.spectrum if abs(mu) != 3]
         with pytest.raises(SpectrumError):
-            block.pieces(vec)
+            block.slab_pieces([vec])
 
     def test_complete_spectrum_solves(self):
-        collectors = _Block(1, 1).solve()
+        block = _Block(1, 1)
+        collectors = _Elimination(block.parity).view(block)
         assert {mu: c.rank for mu, c in collectors.items()} == \
             {0: 20, 3: 8, -3: 8}
 
@@ -416,9 +420,9 @@ class TestOrderIndependence:
         steps = []
         real_step = _Block._curl_step
 
-        def recording(block, x):
+        def recording(block, x, top):
             steps.append(block)
-            return real_step(block, x)
+            return real_step(block, x, top)
 
         monkeypatch.setattr(_Block, "_curl_step", recording)
         _solved_block(4, 1)
@@ -495,9 +499,9 @@ def steps(monkeypatch):
     counts = collections.Counter()
     real_step = _Block._curl_step
 
-    def counting(block, x):
+    def counting(block, x, top):
         counts[block] += 1
-        return real_step(block, x)
+        return real_step(block, x, top)
 
     monkeypatch.setattr(_Block, "_curl_step", counting)
     return counts

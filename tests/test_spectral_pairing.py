@@ -141,10 +141,11 @@ class TestPairingChecks:
                        -SphereScalar.coordinate(2))
         block = solver._Block(1, 1)
         vec = {j: int(c) for j, c in block.coords.to_vector(u).items()}
-        assert block.helicity_pairing(vec) == helicity(u).terms[2]
+        assert block._pairing(*block._checked_pieces([vec])) == \
+            helicity(u).terms[2]
         block.spectrum = [mu for mu in block.spectrum if abs(mu) != 3]
         with pytest.raises(solver.SpectrumError):
-            block.helicity_pairing(vec)
+            block._checked_pieces([vec])
 
 
 class TestMomentGram:
