@@ -578,8 +578,10 @@ def integrate_monomial(e: Iterable[int]) -> ExactScalar:
     an exact rational multiple of pi^2.
     """
     e = tuple(e)
-    if len(e) != 4 or any(a < 0 or not isinstance(a, int) for a in e):
+    if len(e) != 4:
         raise ValueError(f"exponents must be four nonnegative integers, got {e}")
+    for a in e:
+        check_int(a, "exponent", 0)
     if any(a % 2 for a in e):
         return ExactScalar.zero()
     return ExactScalar({2: _even_moment(e)})

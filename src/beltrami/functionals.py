@@ -167,7 +167,9 @@ class HopfPerturbation:
     b over v_1..v_15 (eigenvalue 4), and extra maps a spectral index in
     {-3, -2, 4, 5, 6} (curl eigenvalues -4, -3, 5, 6, 7) to an explicit
     eigenfield of that eigenvalue.  A coefficient that is not finite
-    raises ValueError.
+    raises ValueError.  What is built from the coefficients (the
+    coefficient matrix, the line columns per grid, the E and F series at B1
+    and the helicity) is kept on first use (_memo).
     """
 
     def __init__(self, beta: Sequence[float] = (0.0, 0.0, 0.0),
@@ -245,11 +247,13 @@ class HopfPerturbation:
                 + sum(c * c for c in self.b) + sum(self.extra_norms().values()))
 
     def helicity(self) -> float:
-        return (sum(c * c for c in self.beta) / -2.0
-                + sum(c * c for c in self.a) / 3.0
-                + sum(c * c for c in self.b) / 4.0
-                + sum(n / _index_to_eigenvalue(i)
-                      for i, n in self.extra_norms().items()))
+        """H(W), kept after the first call."""
+        return self._memo("helicity", lambda: (
+            sum(c * c for c in self.beta) / -2.0
+            + sum(c * c for c in self.a) / 3.0
+            + sum(c * c for c in self.b) / 4.0
+            + sum(n / _index_to_eigenvalue(i)
+                  for i, n in self.extra_norms().items())))
 
 
 def _combine(coeffs: Sequence[float], fields: Sequence[FrameField]) -> FrameField:
@@ -438,12 +442,24 @@ def _f_series(e: Sequence[float], helicity: Sequence[float]) -> List[float]:
     return _series_div(_series_power(e, 4.0 / 3.0), h)
 
 
+def _taylor_record(W) -> Sequence[float]:
+    """The Taylor coefficients of t -> F(B1 + tW) through SERIES_ORDER:
+    _f_series of _series_at_hopf(W) and H(W).  A HopfPerturbation keeps
+    them beside its E series, so its D^k F and taylor6_combination compose
+    the F series once."""
+    def build():
+        e, (h1,) = _series_at_hopf(W)
+        return tuple(_f_series(e, (h1, W.helicity())))
+    if isinstance(W, HopfPerturbation):
+        return W._memo("f_series", build)
+    return build()
+
+
 def dF_at_hopf(k: int, W: HopfPerturbation) -> float:
     """D^k F(B1)(W, ..., W) for an int k in 1..6 by series composition of
-    E^{4/3}/H."""
+    E^{4/3}/H (_taylor_record)."""
     check_int(k, "derivative order", 1, SERIES_ORDER)
-    e, (h1,) = _series_at_hopf(W)
-    return math.factorial(k) * _f_series(e, (h1, W.helicity()))[k]
+    return math.factorial(k) * _taylor_record(W)[k]
 
 
 def taylor6_combination(W: HopfPerturbation) -> float:
@@ -451,10 +467,9 @@ def taylor6_combination(W: HopfPerturbation) -> float:
 
     With D^k F = k! c_k every weight collapses to 6, so the combination is
     6 times the sum of the Taylor coefficients c_1 .. c_6 of
-    t -> F(B1 + tW).
+    t -> F(B1 + tW) (_taylor_record).
     """
-    e, (h1,) = _series_at_hopf(W)
-    return 6.0 * math.fsum(_f_series(e, (h1, W.helicity()))[1:])
+    return 6.0 * math.fsum(_taylor_record(W)[1:])
 
 
 def second_variation_R(Y1: FrameField, W) -> float:

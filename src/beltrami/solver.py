@@ -455,7 +455,7 @@ class _Block:
         A slab holds one vector per row; each returned dict lists its
         coordinates in increasing order.
         """
-        _, pieces = self._checked_pieces(vectors)
+        _, pieces, _ = self._checked_pieces(vectors)
         return self._piece_dicts(pieces, len(vectors))
 
     def _piece_dicts(self, pieces,
@@ -471,10 +471,11 @@ class _Block:
                 vec[mu] = dict(zip(coordinates[start:end], entries[start:end]))
         return out
 
-    def _checked_pieces(self, vectors) -> Tuple[np.ndarray, List[np.ndarray]]:
+    def _checked_pieces(self, vectors) -> Tuple[np.ndarray, List[np.ndarray],
+                                                List[int]]:
         """The slab x of the integer vectors and, for each mu of the
-        spectrum in order, the slab of their D_mu P_mu v: _krylov_pass,
-        raising SpectrumError where it returns None."""
+        spectrum in order, the slab of their D_mu P_mu v and its largest
+        entry: _krylov_pass, raising SpectrumError where it returns None."""
         checked = self._krylov_pass([self._slab(vectors)])
         if checked is None:
             raise SpectrumError(
@@ -494,12 +495,14 @@ class _Block:
         return x
 
     def _krylov_pass(self, powers: List[np.ndarray]):
-        """(x, pieces) for the slab x = powers[0]: for each mu of the
-        spectrum in order, the slab of D_mu P_mu v for its vectors v.  One
-        Krylov pass, with both exact checks of the module docstring; powers
-        may already hold the first of C x, C^2 x, ..., and is extended in
-        place to C^|S| x.  Returns None when the first check, p(C) v == 0,
-        fails; the second raises."""
+        """(x, pieces, tops) for the slab x = powers[0]: for each mu of the
+        spectrum in order, the slab of D_mu P_mu v for its vectors v, and
+        the largest absolute entry of each slab, measured once for the
+        second check and handed on to _pairing.  One Krylov pass, with both
+        exact checks of the module docstring; powers may already hold the
+        first of C x, C^2 x, ..., and is extended in place to C^|S| x.
+        Returns None when the first check, p(C) v == 0, fails; the second
+        raises."""
         spectrum = tuple(self.spectrum)  # hashable for the cached numerators
         numerators, annihilator = _lagrange_numerators(spectrum)
         x = powers[0]
@@ -512,14 +515,15 @@ class _Block:
         common = lcm(*(denominator for _, denominator in numerators.values()))
         pieces = [_combination(numerators[mu][0], powers, tops)
                   for mu in spectrum]
+        piece_tops = [_max_abs(p) for p in pieces]
         if not np.array_equal(
                 _combination([common // numerators[mu][1] for mu in spectrum],
-                             pieces, [_max_abs(p) for p in pieces]),
+                             pieces, piece_tops),
                 _combination([common], powers, tops)):
             raise SpectrumError(
                 "spectral projections do not resolve the identity on the "
                 "trial space; the candidate spectrum is incomplete")
-        return x, pieces
+        return x, pieces, piece_tops
 
     @functools.cached_property
     def gram(self) -> Tuple[np.ndarray, int]:
@@ -530,8 +534,10 @@ class _Block:
         return (gram.astype(np.int64) if _max_abs(gram) < _INT64_SAFE
                 else gram), den
 
-    def _pairing(self, x: np.ndarray, pieces: List[np.ndarray]) -> Rat:
-        """The helicity pairing of the one-vector slab x of a checked pass.
+    def _pairing(self, x: np.ndarray, pieces: List[np.ndarray],
+                 tops: List[int]) -> Rat:
+        """The helicity pairing of the one-vector slab x of a checked pass,
+        whose pieces have the largest absolute entries tops.
 
         With K = lcm(mu D_mu), the pieces fold into
         u = sum_mu (K / (mu D_mu)) D_mu P_mu vec = K sum_mu P_mu vec / mu,
@@ -542,16 +548,17 @@ class _Block:
         numerators, _ = _lagrange_numerators(tuple(self.spectrum))
         weights = {mu: mu * numerators[mu][1] for mu in self.spectrum if mu}
         common = lcm(*weights.values())
-        coefficients, folded = [], []
-        for mu, piece in zip(self.spectrum, pieces):
+        coefficients, folded, folded_tops = [], [], []
+        for mu, piece, top in zip(self.spectrum, pieces, tops):
             if mu:
                 coefficients.append(common // weights[mu])
                 folded.append(piece)
+                folded_tops.append(top)
             elif np.count_nonzero(piece):
                 raise NotExactFieldError(
                     "field has a nonzero divergence or gradient part; "
                     "helicity is defined for exact fields only")
-        u = _combination(coefficients, folded, [_max_abs(p) for p in folded])
+        u = _combination(coefficients, folded, folded_tops)
         gram, gram_den = self.gram
         n = len(self.coords.monomials)
         gv = _product(x[0, :-1].reshape(3, n), gram)  # G is symmetric
@@ -704,8 +711,8 @@ def _rekeyed(powers: List[np.ndarray], source: _Block, target: _Block):
 
 
 # The latest exact field resolved, as (field, parts, projections): for each
-# nonzero parity part the (order, block, den, x, pieces) of the checked pass
-# that accepted it, and the projected fields once project_vector asked.
+# nonzero parity part the (order, block, den, x, pieces, tops) of the checked
+# pass that accepted it, and the projected fields once project_vector asked.
 _latest = (None, None, {})
 
 
@@ -782,7 +789,7 @@ def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
     latest = _resolution_within(field, dmax)
     if latest[2] is None:
         fields: Dict[int, FrameField] = {}
-        for _, block, den, _, pieces in latest[1]:
+        for _, block, den, _, pieces, _ in latest[1]:
             numerators, _ = _lagrange_numerators(tuple(block.spectrum))
             for nu, piece in block._piece_dicts(pieces, 1)[0].items():
                 if piece:
@@ -805,8 +812,8 @@ def helicity_pairing(field: FrameField, dmax: int) -> ExactScalar:
     and TypeError for float coefficients.
     """
     total = Rat(0)
-    for _, block, den, x, pieces in _resolution_within(field, dmax)[1]:
-        total += block._pairing(x, pieces) / (den * den)
+    for _, block, den, *checked in _resolution_within(field, dmax)[1]:
+        total += block._pairing(*checked) / (den * den)
     return ExactScalar({2: total})
 
 

@@ -83,35 +83,36 @@ def test_monomial_moments_match_monte_carlo():
     """
     n_total = 10_000_000
     chunk = 2_500_000
+    block = 20_000  # divides chunk
     tuples = [b for b in product(range(7), repeat=4) if sum(b) <= 6]
-    sums = {b: 0.0 for b in tuples}
-    sq_sums = {b: 0.0 for b in tuples}
+    # x1^(2 b1) x2^(2 b2) x3^(2 b3) x4^(2 b4) is the product of a row of the
+    # (b1, b2) table and one of the (b3, b4) table, so over a block of
+    # points the sums of every such product, and of its square, are two
+    # matrix products.
+    pairs = [(i, j) for i in range(7) for j in range(7 - i)]
+    first, second = np.array(pairs).T
+    index = {pair: k for k, pair in enumerate(pairs)}
+    sums = np.zeros((len(pairs), len(pairs)))
+    sq_sums = np.zeros_like(sums)
+    powers = np.ones((4, 7, block))
     gen = np.random.default_rng(20260826)
     for _ in range(n_total // chunk):
         pts = gen.standard_normal((chunk, 4))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        # Tables of even powers x_i^(2j); shared prefix products keep the
-        # pass over 210 monomials affordable.
-        pows = [[np.ones(chunk)] for _ in range(4)]
-        sq = [pts[:, i] ** 2 for i in range(4)]
-        for i in range(4):
-            for _ in range(6):
-                pows[i].append(pows[i][-1] * sq[i])
-        for b1 in range(7):
-            p1 = pows[0][b1]
-            for b2 in range(7 - b1):
-                p12 = p1 * pows[1][b2] if b2 else p1
-                for b3 in range(7 - b1 - b2):
-                    p123 = p12 * pows[2][b3] if b3 else p12
-                    for b4 in range(7 - b1 - b2 - b3):
-                        vals = p123 * pows[3][b4] if b4 else p123
-                        key = (b1, b2, b3, b4)
-                        sums[key] += float(vals.sum())
-                        sq_sums[key] += float((vals * vals).sum())
+        for lo in range(0, chunk, block):
+            # Tables of even powers x_i^(2j), j = 0..6: (4, 7, block).
+            sq = pts[lo:lo + block].T ** 2
+            for j in range(1, 7):
+                np.multiply(powers[:, j - 1], sq, out=powers[:, j])
+            left = powers[0, first] * powers[1, second]
+            right = powers[2, first] * powers[3, second]
+            sums += left @ right.T
+            sq_sums += (left * left) @ (right * right).T
     volume = 2.0 * math.pi ** 2
     for b in tuples:
-        mean = sums[b] / n_total
-        var = max(sq_sums[b] / n_total - mean ** 2, 0.0)
+        at = index[b[:2]], index[b[2:]]
+        mean = sums[at] / n_total
+        var = max(sq_sums[at] / n_total - mean ** 2, 0.0)
         stderr = volume * math.sqrt(var / n_total)
         estimate = volume * mean
         closed_form = float(integrate_monomial(tuple(2 * bi for bi in b)))
@@ -558,6 +559,14 @@ class TestIntegerRule:
             with pytest.raises(ValueError, match=re.escape(
                     f"k must be an integer between 1 and 3, got {value}")):
                 check_int(value, "k", 1, 3)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, np.int64(2)])
+    def test_monomial_exponents(self, value):
+        # Unchecked, (True, True, 0, 0) read as odd exponents gave 0.
+        for e in ((value, value, 0, 0), (2, 0, 0, value)):
+            with pytest.raises(ValueError, match=re.escape(repr(value))):
+                integrate_monomial(e)
+        assert integrate_monomial((2, 0, 0, 0)) == exact(1, 2, 2)
 
     @pytest.mark.parametrize("value", [True, 1.0])
     @pytest.mark.parametrize("entry", sorted(_int_entry_points()))

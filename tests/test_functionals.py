@@ -390,6 +390,42 @@ class TestHopfLine:
             HopfPerturbation(**{part: coefficients})
 
 
+class TestTaylorRecord:
+    """A direction keeps its F series: D^k F and the Taylor-6 combination
+    read one composition of it."""
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_record_is_its_recomposition(self, extra, monkeypatch):
+        calls = []
+        original = functionals._f_series
+
+        def counted(e, helicity):
+            calls.append(1)
+            return original(e, helicity)
+
+        monkeypatch.setattr(functionals, "_f_series", counted)
+        fields = {4: explicit_basis(5).fields[0].to_float().scale(0.4)}
+        for count, seed in enumerate((81, 82), 1):
+            rng = np.random.default_rng(seed)
+            W = HopfPerturbation(beta=rng.standard_normal(3),
+                                 a=rng.standard_normal(8),
+                                 b=rng.standard_normal(15),
+                                 extra=fields if extra else None)
+            values = [dF_at_hopf(k, W) for k in range(1, 7)]
+            combination = taylor6_combination(W)
+            assert len(calls) == count
+            e, (h1,) = functionals._series_at_hopf(W)
+            series = original(e, (h1, W.helicity()))
+            # Bit for bit, not merely close.
+            assert values == [math.factorial(k) * series[k]
+                              for k in range(1, 7)]
+            assert combination == 6.0 * math.fsum(series[1:])
+            assert W.helicity() is W.helicity()
+            for k in (True, False, 0, 7, 2.0):
+                with pytest.raises(ValueError, match=re.escape(repr(k))):
+                    dF_at_hopf(k, W)
+
+
 def reference_energy_series(field: FrameField):
     """Taylor coefficients of t -> E(B1 + tW) and int B1 . W from moments.
 
