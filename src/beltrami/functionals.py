@@ -168,8 +168,8 @@ class HopfPerturbation:
     {-3, -2, 4, 5, 6} (curl eigenvalues -4, -3, 5, 6, 7) to an explicit
     eigenfield of that eigenvalue.  A coefficient that is not finite
     raises ValueError.  What is built from the coefficients (the
-    coefficient matrix, the line columns per grid, the E and F series at B1
-    and the helicity) is kept on first use (_memo).
+    coefficient matrix, the line columns per grid and the E and F series at
+    B1) is kept on first use (_memo).
     """
 
     def __init__(self, beta: Sequence[float] = (0.0, 0.0, 0.0),
@@ -247,13 +247,11 @@ class HopfPerturbation:
                 + sum(c * c for c in self.b) + sum(self.extra_norms().values()))
 
     def helicity(self) -> float:
-        """H(W), kept after the first call."""
-        return self._memo("helicity", lambda: (
-            sum(c * c for c in self.beta) / -2.0
-            + sum(c * c for c in self.a) / 3.0
-            + sum(c * c for c in self.b) / 4.0
-            + sum(n / _index_to_eigenvalue(i)
-                  for i, n in self.extra_norms().items())))
+        return (sum(c * c for c in self.beta) / -2.0
+                + sum(c * c for c in self.a) / 3.0
+                + sum(c * c for c in self.b) / 4.0
+                + sum(n / _index_to_eigenvalue(i)
+                      for i, n in self.extra_norms().items()))
 
 
 def _combine(coeffs: Sequence[float], fields: Sequence[FrameField]) -> FrameField:
@@ -442,17 +440,14 @@ def _f_series(e: Sequence[float], helicity: Sequence[float]) -> List[float]:
     return _series_div(_series_power(e, 4.0 / 3.0), h)
 
 
-def _taylor_record(W) -> Sequence[float]:
+def _taylor_record(W: HopfPerturbation) -> Sequence[float]:
     """The Taylor coefficients of t -> F(B1 + tW) through SERIES_ORDER:
-    _f_series of _series_at_hopf(W) and H(W).  A HopfPerturbation keeps
-    them beside its E series, so its D^k F and taylor6_combination compose
-    the F series once."""
+    _f_series of _series_at_hopf(W) and H(W), kept beside W's E series, so
+    its D^k F and taylor6_combination compose the F series once."""
     def build():
         e, (h1,) = _series_at_hopf(W)
         return tuple(_f_series(e, (h1, W.helicity())))
-    if isinstance(W, HopfPerturbation):
-        return W._memo("f_series", build)
-    return build()
+    return W._memo("f_series", build)
 
 
 def dF_at_hopf(k: int, W: HopfPerturbation) -> float:
