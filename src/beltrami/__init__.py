@@ -10,7 +10,6 @@ field, and conformal-perturbation eigenvalue scans.
 from beltrami.annulus import (
     bound_constants,
     first_eigenvalue,
-    spectrum_candidates,
 )
 from beltrami.atlas import (
     eigen_decompose,
@@ -48,6 +47,7 @@ from beltrami.functionals import (
 )
 from beltrami.torus import (
     abc_field,
+    curl_spectrum_sq,
     first_variation,
     speed_is_constant,
     torus_pencil,
@@ -68,6 +68,7 @@ __all__ = [
     "canonicalize",
     "correction_field",
     "curl",
+    "curl_spectrum_sq",
     "dE_at_hopf",
     "dF_at_hopf",
     "directional_derivative",
@@ -88,7 +89,6 @@ __all__ = [
     "mu1_normalized",
     "optimality_scan",
     "second_variation_R",
-    "spectrum_candidates",
     "speed_is_constant",
     "torus_pencil",
 ]

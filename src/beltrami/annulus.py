@@ -5,40 +5,38 @@ coordinates (x, y, z) = (phi1, phi2, t) of beltrami.torus, each of period
 2 pi; n = 1 is the flat torus.  Its determinant is one, so every member of
 the family has volume (2 pi)^3; yet the smallest positive curl eigenvalue
 is 1/n, so the normalized eigenvalue of the family decreases without bound
-as n grows.  Separation of variables gives candidate eigenvalues
+as n grows.
 
-    lambda^2 = n (m1^2 + m2^2) + m^2 / (4 n^2)
+The metric is constant, so the curl keeps the waves of each wavevector k,
+and its nonzero eigenvalues on them are +-lambda with
 
-indexed by the angular wavenumbers m1, m2 and the doubled t-frequency m
-(m must be even when m1 = m2 = 0, since a pure t-mode needs an integer
-frequency).  Any candidate with m1^2 + m2^2 > 0 already has lambda >= 1
-for n >= 1, so the bottom of the positive spectrum within these families
-is attained by the pure t-modes.  Their eigenfields are exact
-TorusFields, and the eigen equation is checked by exact equality of
-rational Fourier series, with no tolerance.
+    lambda^2 = n (k1^2 + k2^2) + k3^2 / n^2      (torus.curl_spectrum_sq).
+
+Every coordinate has period 2 pi, so k is integral: the t-frequency k3 is
+an integer, and a doubled t-frequency m = 2 k3 is always even.  Each term
+of lambda^2 is a nonnegative multiple of some k_i^2, and k_i^2 >= 1 when
+k_i != 0.  So a twisted mode, (k1, k2) != 0, has lambda^2 >= n, attained
+at k = (1, 0, 0), and a pure t-mode has lambda^2 >= 1/n^2, attained at
+k = (0, 0, 1); as n >= 1 the second is the smaller, and nothing needs
+enumerating.
+The first eigenfields are exact TorusFields, and the eigen equation is
+checked by exact equality of rational Fourier series, with no tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from .exactpoly import check_int
-from .torus import VOLUME, TorusField, TorusScalar, metric_diagonal
-
-
-def metric(n: int) -> List[List[Fraction]]:
-    """The diagonal metric diag(1/n, 1/n, n^2) with exact entries."""
-    return [[g if i == j else Fraction(0) for j in range(3)]
-            for i, g in enumerate(metric_diagonal(n))]
+from .exactpoly import check_int, integer_numerators
+from .torus import (VOLUME, TorusField, TorusScalar, curl_spectrum_sq,
+                    metric_diagonal)
 
 
 def metric_determinant(n: int) -> Fraction:
     """Exactly one for every parameter: the family is unimodular."""
-    g = metric(n)
-    return g[0][0] * g[1][1] * g[2][2]
+    return math.prod(metric_diagonal(n))
 
 
 def volume(n: int) -> float:
@@ -47,77 +45,15 @@ def volume(n: int) -> float:
     return VOLUME
 
 
-@dataclass(frozen=True)
-class AnnulusMode:
-    """One separated candidate mode of the curl operator.
-
-    m1 and m2 are the angular wavenumbers, m twice the t-frequency, and
-    branch the sign of the eigenvalue.  The parameter n is an int >= 1, the
-    wavenumbers are ints and branch is the int 1 or -1 (no bools);
-    otherwise ValueError.
-    """
-
-    n: int
-    m1: int
-    m2: int
-    m: int
-    branch: int = 1
-
-    def __post_init__(self):
-        check_int(self.n, "n", 1)
-        for name in ("m1", "m2", "m"):
-            check_int(getattr(self, name), name)
-        if check_int(self.branch, "branch", -1, 1) == 0:
-            raise ValueError("branch must be +1 or -1, got 0")
-        if self.m1 == 0 and self.m2 == 0 and self.m % 2:
-            raise ValueError(
-                "a pure t-mode has integer frequency: m must be even "
-                "when m1 = m2 = 0")
-
-    def eigenvalue_sq(self) -> Fraction:
-        """Exact squared eigenvalue n (m1^2 + m2^2) + m^2 / (4 n^2)."""
-        return (Fraction(self.n) * (self.m1 ** 2 + self.m2 ** 2)
-                + Fraction(self.m ** 2, 4 * self.n ** 2))
-
-    def eigenvalue(self) -> float:
-        return self.branch * math.sqrt(float(self.eigenvalue_sq()))
-
-
 def first_eigenvalue(n: int) -> Fraction:
-    """The smallest positive eigenvalue 1/n, from the mode (0, 0, 2)."""
-    return Fraction(1, check_int(n, "n", 1))
-
-
-def spectrum_candidates(n: int, cutoff: int = 3) -> List[dict]:
-    """Positive candidate eigenvalues with all wavenumbers up to cutoff.
-
-    Rows are sorted by eigenvalue and labeled 'confirmed' for the pure
-    t-modes, whose eigenfields are written down explicitly
-    (first_eigenfields), and 'candidate' for the twisted families, where
-    attainment by an actual eigenfield is not settled here.  Within the
-    enumerated range every twisted candidate has eigenvalue at least one.
-    """
-    check_int(n, "n", 1)
-    check_int(cutoff, "cutoff", 1)
-    rows = []
-    for m1 in range(0, cutoff + 1):
-        for m2 in range(0, cutoff + 1):
-            for m in range(0, cutoff + 1):
-                if m1 == 0 and m2 == 0 and m % 2:
-                    continue
-                mode = AnnulusMode(n, m1, m2, m)
-                value = mode.eigenvalue()
-                if value <= 0:
-                    continue
-                label = "confirmed" if m1 == 0 and m2 == 0 else "candidate"
-                rows.append({
-                    "mode": mode,
-                    "eigenvalue_sq": mode.eigenvalue_sq(),
-                    "eigenvalue": value,
-                    "label": label,
-                })
-    rows.sort(key=lambda row: row["eigenvalue"])
-    return rows
+    """The smallest positive eigenvalue 1/n: the exact square root of
+    curl_spectrum_sq((0, 0, 1), n), checked by squaring it back."""
+    square = curl_spectrum_sq((0, 0, 1), n)
+    den, [num] = integer_numerators([{0: square}])
+    p, q = math.isqrt(num[0]), math.isqrt(den)
+    if p * p != num[0] or q * q != den:
+        raise ArithmeticError(f"{square} is not the square of a rational")
+    return Fraction(p, q)
 
 
 # benchmark/layertrace.py times AnnulusField.eigen_residual under this

@@ -68,6 +68,19 @@ def metric_diagonal(n: int) -> Tuple[Fraction, Fraction, Fraction]:
     return Fraction(1, n), Fraction(1, n), Fraction(n * n)
 
 
+def curl_spectrum_sq(k: Iterable[int], n: int = 1) -> Fraction:
+    """k^T G^-1 k = n (k1^2 + k2^2) + k3^2 / n^2 for G = metric_diagonal(n).
+
+    G is constant, so TorusField.curl(n) keeps the waves of wavevector k
+    and +-sqrt of this are its nonzero eigenvalues on them.  A zero k or
+    one that is not three ints (not bools) raises ValueError.
+    """
+    k = _as_wavevector(k)
+    if not any(k):
+        raise ValueError("the zero wavevector carries no curl eigenvalue")
+    return sum(a * a / g for a, g in zip(k, metric_diagonal(n)) if a)
+
+
 class TorusScalar:
     """A real Fourier series on T^3 with exact rational coefficients.
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,25 +13,20 @@ import pytest
 
 import beltrami
 from beltrami.annulus import (
-    AnnulusMode,
     bound_constants,
     first_eigenfields,
     first_eigenvalue,
-    metric,
     metric_determinant,
-    spectrum_candidates,
     volume,
 )
-from beltrami.torus import VOLUME, TorusField, TorusScalar
+from beltrami.torus import (VOLUME, TorusField, TorusScalar,
+                            curl_spectrum_sq, metric_diagonal)
 
 
 class TestMetricFamily:
     def test_diagonal_entries(self):
-        g = metric(5)
-        assert g[0][0] == Fraction(1, 5)
-        assert g[1][1] == Fraction(1, 5)
-        assert g[2][2] == Fraction(25)
-        assert g[0][1] == 0
+        assert metric_diagonal(5) == (Fraction(1, 5), Fraction(1, 5),
+                                      Fraction(25))
 
     def test_unimodular(self):
         for n in range(1, 11):
@@ -43,68 +38,34 @@ class TestMetricFamily:
 
     def test_rejects_bad_parameter(self):
         with pytest.raises(ValueError):
-            metric(0)
+            metric_determinant(0)
         with pytest.raises(ValueError):
-            metric(-2)
+            first_eigenvalue(-2)
 
     def test_rejects_bool_parameter(self):
-        for build in (metric, first_eigenvalue):
+        for build in (metric_determinant, first_eigenvalue):
             with pytest.raises(ValueError, match="True"):
                 build(True)
 
 
-class TestAnnulusMode:
-    def test_exact_eigenvalue_square(self):
-        mode = AnnulusMode(n=3, m1=1, m2=2, m=1)
-        assert mode.eigenvalue_sq() == \
-            Fraction(3) * 5 + Fraction(1, 36)
-
-    def test_pure_t_mode_needs_even_m(self):
-        with pytest.raises(ValueError):
-            AnnulusMode(n=2, m1=0, m2=0, m=1)
-        AnnulusMode(n=2, m1=0, m2=0, m=2)
-        AnnulusMode(n=2, m1=1, m2=0, m=1)
-
-    def test_branch_sign(self):
-        plus = AnnulusMode(n=2, m1=0, m2=0, m=2, branch=1)
-        minus = AnnulusMode(n=2, m1=0, m2=0, m=2, branch=-1)
-        assert plus.eigenvalue() == pytest.approx(0.5)
-        assert minus.eigenvalue() == pytest.approx(-0.5)
-        with pytest.raises(ValueError):
-            AnnulusMode(n=2, m1=0, m2=0, m=2, branch=0)
-
-
-class TestSpectrumCandidates:
+class TestFlatSpectrum:
     def test_bottom_mode_is_one_over_n(self):
         for n in range(1, 11):
-            rows = spectrum_candidates(n, cutoff=3)
-            bottom = rows[0]
-            assert bottom["label"] == "confirmed"
-            assert bottom["mode"].m1 == 0 and bottom["mode"].m2 == 0
-            assert bottom["mode"].m == 2
-            assert bottom["eigenvalue_sq"] == Fraction(1, n * n)
-            assert first_eigenvalue(n) == Fraction(1, n)
+            mu1 = first_eigenvalue(n)
+            assert mu1 == Fraction(1, n) and type(mu1) is Fraction
+            assert mu1 * mu1 == curl_spectrum_sq((0, 0, 1), n)
 
-    def test_twisted_candidates_stay_above_one(self):
+    def test_twisted_modes_stay_above_one(self):
+        # Every mode with (k1, k2) != 0 has lambda^2 >= n >= 1, odd k3
+        # included.
         for n in range(1, 11):
-            for row in spectrum_candidates(n, cutoff=3):
-                if row["label"] == "candidate":
-                    assert row["eigenvalue"] >= 1.0 - 1e-14
+            for k in itertools.product(range(-3, 4), repeat=3):
+                if k[:2] != (0, 0):
+                    assert curl_spectrum_sq(k, n) >= n >= 1
 
     def test_chain_is_monotone_decreasing(self):
         values = [float(first_eigenvalue(n)) for n in range(1, 11)]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_rejects_empty_cutoff(self):
-        with pytest.raises(ValueError):
-            spectrum_candidates(2, cutoff=0)
-
-    @pytest.mark.parametrize("cutoff", [True, False, 2.5, 2.0, "3", -1])
-    def test_rejects_non_int_cutoff(self, cutoff):
-        # Unchecked, True would give the cutoff-1 list and 2.5 a TypeError
-        # inside range.
-        with pytest.raises(ValueError, match=re.escape(repr(cutoff))):
-            spectrum_candidates(2, cutoff)
 
 
 def mode(kind, k, c=1):

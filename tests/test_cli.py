@@ -14,7 +14,8 @@ import pytest
 
 from beltrami import cli
 from beltrami.atlas import SUPPORTED_EXPLICIT, explicit_basis
-from beltrami.functionals import identity_report, local_max_scan
+from beltrami.functionals import (KNOWN_DISCREPANCIES, identity_report,
+                                  local_max_scan)
 from beltrami.cli import (
     COMMANDS,
     CheckRecord,
@@ -46,10 +47,22 @@ class TestCheckRecord:
         assert not record.passed and record.is_fatal_failure()
 
     def test_discrepancy_note_is_not_fatal(self):
-        record = CheckRecord.compare("c", "anchor", 1.0, 1.1, 1e-10,
+        record = CheckRecord.compare("d6f-z2-leading-reference", "anchor",
+                                     1.0, 1.1, 1e-10,
                                      note="discrepancy: known reference "
                                           "erratum")
         assert not record.passed and not record.is_fatal_failure()
+
+    def test_unknown_check_with_a_discrepancy_note_is_fatal(self):
+        # Only the identities listed as known discrepancies fail by design;
+        # the note's text decides nothing.
+        assert KNOWN_DISCREPANCIES == {
+            "d6f-z2-leading-reference",
+            "degenerate-sixth-order-leading-reference"}
+        record = CheckRecord.compare("c", "anchor", 1.0, 1.1, 1e-10,
+                                     note="discrepancy: known reference "
+                                          "erratum")
+        assert not record.passed and record.is_fatal_failure()
 
 
 class TestCommands:
@@ -203,6 +216,14 @@ class TestCommands:
                if row["check"].startswith("annulus-mu1")}
         assert len(mu1) == 10
         assert mu1["annulus-mu1-7"]["expected_exact"] == "1/7"
+
+    def test_every_annulus_row_is_exact(self, tmp_path):
+        records, code = run(RunConfig(command="annulus",
+                                      out=str(tmp_path / "annulus.json")))
+        assert code == 0 and len(records) == 31
+        for record in records:
+            assert record.expected_exact and record.passed, record
+            assert record.abs_error == 0.0
 
     def test_flag_overrides_config(self, tmp_path):
         config_path = tmp_path / "config.json"

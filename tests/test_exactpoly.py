@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import beltrami
-from beltrami.annulus import AnnulusMode
 from beltrami.exactpoly import (
     ExactScalar,
     Poly4,
@@ -503,7 +502,8 @@ def _int_entry_points():
     from beltrami.conformal import ConformalFactor
     from beltrami.frames import hopf_frame
     from beltrami.pencil import checked_diagonal
-    from beltrami.torus import beltrami_basis, metric_diagonal
+    from beltrami.torus import (beltrami_basis, curl_spectrum_sq,
+                                metric_diagonal)
 
     b1 = hopf_frame()[0]
     q = canonicalize(Poly4.variable(1) * Poly4.variable(1))
@@ -527,13 +527,11 @@ def _int_entry_points():
         "annulus-volume": annulus.volume,
         "annulus-first": annulus.first_eigenvalue,
         "annulus-fields": annulus.first_eigenfields,
-        "annulus-candidates": annulus.spectrum_candidates,
-        "annulus-cutoff": lambda v: annulus.spectrum_candidates(2, v),
-        "mode-n": lambda v: annulus.AnnulusMode(v, 1, 0, 2),
-        "mode-m1": lambda v: annulus.AnnulusMode(1, v, 0, 2),
-        "mode-m2": lambda v: annulus.AnnulusMode(1, 0, v, 2),
-        "mode-m": lambda v: annulus.AnnulusMode(1, 1, 0, v),
-        "mode-branch": lambda v: annulus.AnnulusMode(1, 0, 0, 2, branch=v),
+        # A mode is a wavevector (m1, m2, m) and a parameter n.
+        "mode-n": lambda v: curl_spectrum_sq((0, 0, 1), v),
+        "mode-m1": lambda v: curl_spectrum_sq((v, 0, 1)),
+        "mode-m2": lambda v: curl_spectrum_sq((0, v, 1)),
+        "mode-m": lambda v: curl_spectrum_sq((1, 0, v)),
         "pencil-dmax": lambda v: conformal.assemble_pencil(
             "s3", ConformalFactor(q, 0.01), v),
         "scan-dmax": lambda v: conformal.optimality_scan(
@@ -573,21 +571,6 @@ class TestIntegerRule:
     def test_every_entry_point_refuses(self, entry, value):
         with pytest.raises(ValueError, match=re.escape(repr(value))):
             _int_entry_points()[entry](value)
-
-    def test_annulus_mode_fields(self):
-        # Unchecked, a float wavenumber gave a float eigenvalue_sq and a
-        # bool branch was taken for +1.
-        mode = AnnulusMode(1, 1, 0, 2, branch=-1)
-        assert mode.eigenvalue_sq() == Fraction(2)
-        assert type(mode.eigenvalue_sq()) is Fraction
-        assert AnnulusMode(1, -1, 0, 2).eigenvalue_sq() == Fraction(2)
-        for kwargs in ({"m1": 0.5}, {"m2": True}, {"m": 2.0},
-                       {"branch": True}, {"branch": 1.0}, {"branch": 0},
-                       {"branch": 2}):
-            fields = {"n": 1, "m1": 1, "m2": 0, "m": 2, **kwargs}
-            value = list(kwargs.values())[0]
-            with pytest.raises(ValueError, match=re.escape(repr(value))):
-                AnnulusMode(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,31 @@ class TestTaylorRecord:
                 with pytest.raises(ValueError, match=re.escape(repr(k))):
                     dF_at_hopf(k, W)
 
+    def test_extra_is_read_only(self):
+        # Writable, an extra field added after the first call left the kept
+        # extra norms (so the helicity) and series stale, and index 1 got
+        # past the index check.
+        field = explicit_basis(5).fields[0].to_float().scale(0.4)
+        a = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+        given = {}
+        W = HopfPerturbation(a=a, extra=given)
+        before = W.helicity(), dF_at_hopf(2, W)
+        for index in (4, 1):
+            with pytest.raises(TypeError):
+                W.extra[index] = field
+        given[4] = field
+        assert dict(W.extra) == {}
+        assert (W.helicity(), dF_at_hopf(2, W)) == before
+        assert HopfPerturbation(a=a, extra=given).helicity() != before[0]
+
+    def test_refuses_a_frame_field_direction(self):
+        field = explicit_basis(3).fields[1]
+        dE_at_hopf(2, field)
+        for call in (lambda: dF_at_hopf(2, field),
+                     lambda: taylor6_combination(field)):
+            with pytest.raises(TypeError, match="FrameField"):
+                call()
+
 
 def reference_energy_series(field: FrameField):
     """Taylor coefficients of t -> E(B1 + tW) and int B1 . W from moments.

@@ -18,6 +18,7 @@ from beltrami.torus import (
     VOLUME,
     abc_field,
     beltrami_basis,
+    curl_spectrum_sq,
     first_variation,
     speed_is_constant,
     torus_pencil,
@@ -199,6 +200,45 @@ class TestTorusField:
             -0.3 * np.sin(ys) + 0.5 * np.cos(xs)], axis=1)
         np.testing.assert_allclose(values, expected, atol=1e-13)
 
+
+def box(radius: int):
+    """Every nonzero wavevector with |k_i| <= radius."""
+    return [k for k in itertools.product(range(-radius, radius + 1),
+                                         repeat=3) if any(k)]
+
+
+class TestCurlSpectrum:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_is_the_square_of_the_curl(self, n):
+        # On every divergence-free real wave a cos(k . x) or a sin(k . x),
+        # a one of the integer vectors k x e_j, which span the plane normal
+        # to k, curl(curl X) = lambda^2 X.
+        for k in box(2):
+            square = curl_spectrum_sq(k, n)
+            normals = [np.cross(k, e) for e in np.eye(3, dtype=int)]
+            assert np.linalg.matrix_rank(normals) == 2
+            for a, wave in itertools.product(
+                    normals, (TorusScalar.cosine, TorusScalar.sine)):
+                field = TorusField(wave(k, int(c)) for c in a)
+                assert field.divergence() == 0
+                assert field.curl(n).curl(n) == TorusField(
+                    square * c for c in field.components)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_the_two_read_wavevectors_are_the_minima(self, n):
+        squares = {k: curl_spectrum_sq(k, n) for k in box(3)}
+        assert min(squares.values()) == curl_spectrum_sq((0, 0, 1), n) \
+            == Fraction(1, n * n)
+        assert min(v for k, v in squares.items() if k[:2] != (0, 0)) \
+            == curl_spectrum_sq((1, 0, 0), n) == n
+
+    def test_refuses_zero_non_integer_and_bool_wavevectors(self):
+        for k in ((0, 0, 0), [0, 0, 0], (1.0, 0, 0), (0, 0.5, 1),
+                  (True, 0, 0), (0, 0, False), (1, 0), (1, 0, 0, 0)):
+            with pytest.raises(ValueError):
+                curl_spectrum_sq(k)
+        assert curl_spectrum_sq((np.int64(1), 0, np.int8(-2)), 2) == 3
+        assert type(curl_spectrum_sq((1, 0, 0))) is Fraction
 
 class TestAbcField:
     def test_is_curl_eigenfield(self):
