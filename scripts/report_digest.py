@@ -28,6 +28,7 @@ COMMANDS = (
     ("optimality-scan",),
     ("optimality-scan", "--dmax", "4"),
     ("optimality-scan", "--manifold", "rp3"),
+    ("optimality-scan", "--manifold", "rp3", "--dmax", "4"),
     ("optimality-scan", "--manifold", "t3"),
     ("local-max-scan",),
     ("verify-atlas",),

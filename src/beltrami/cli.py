@@ -52,7 +52,6 @@ class RunConfig:
     command: str
     seed: int = 0
     dmax: int = 3
-    tol_exact: float = 1e-10
     draws: int = 20
     samples: int = 50
     radius: float = 0.05
@@ -75,9 +74,6 @@ class RunConfig:
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, "
                              f"got {self.format!r}")
-        if not 0.0 <= self.tol_exact < math.inf:
-            raise ValueError(f"tol_exact must be finite and >= 0, "
-                             f"got {self.tol_exact!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -107,18 +103,19 @@ class CheckRecord:
     wall_time: float
 
     @classmethod
+    def from_row(cls, row: dict) -> "CheckRecord":
+        """The record of a functionals._report_row dict."""
+        names = {"identity": "check", "pass": "passed"}
+        return cls(**{names.get(k, k): v for k, v in row.items()})
+
+    @classmethod
     def compare(cls, check: str, anchor: str, expected: float,
                 computed: float, tolerance: float,
                 expected_exact: str = "", note: str = "",
                 wall_time: float = 0.0) -> "CheckRecord":
-        abs_error = abs(computed - expected)
-        rel_error = abs_error / max(abs(expected), 1e-300)
-        passed = abs_error <= tolerance or rel_error <= tolerance
-        return cls(check=check, anchor=anchor,
-                   expected_exact=expected_exact, expected=expected,
-                   computed=computed, abs_error=abs_error,
-                   rel_error=rel_error, passed=bool(passed), note=note,
-                   wall_time=wall_time)
+        return cls.from_row(_functionals._report_row(
+            check, expected, computed, wall_time, anchor, expected_exact,
+            tolerance, note))
 
     def is_fatal_failure(self) -> bool:
         return (not self.passed
@@ -126,6 +123,12 @@ class CheckRecord:
 
 
 RECORD_FIELDS = [f.name for f in dataclasses.fields(CheckRecord)]
+
+#: The normalized first eigenvalue N(0) of the round metric.  A t = 0 pencil
+#: has mu1 = 2.0 exactly (the b = I path) and volume exactly 2 pi^2 (pi^2 on
+#: RP^3), so a scan computes N(0) in these float operations, bit for bit.
+ROUND_VALUES = {"s3": 2.0 * (2.0 * math.pi ** 2) ** (1.0 / 3.0),
+                "rp3": 2.0 * (math.pi ** 2) ** (1.0 / 3.0)}
 
 
 def _timer() -> Callable[[], float]:
@@ -164,12 +167,7 @@ def _cmd_verify_atlas(config: RunConfig) -> List[CheckRecord]:
 
 def _cmd_verify_identities(config: RunConfig) -> List[CheckRecord]:
     rows = _functionals.identity_report(seed=config.seed, draws=config.draws)
-    return [CheckRecord(check=row["identity"], anchor=row["anchor"],
-                        expected_exact=row["expected_exact"],
-                        expected=row["expected"], computed=row["computed"],
-                        abs_error=row["abs_error"], rel_error=row["rel_error"],
-                        passed=row["pass"], note=row["note"],
-                        wall_time=row["wall_time"]) for row in rows]
+    return [CheckRecord.from_row(row) for row in rows]
 
 
 def _central_difference(f: Callable[[float], float], order: int,
@@ -258,19 +256,18 @@ def _cmd_optimality_scan(config: RunConfig) -> List[CheckRecord]:
         return _cmd_torus_scan(config)
     if config.manifold not in ("s3", "rp3"):
         raise ValueError(f"unsupported scan manifold {config.manifold!r}")
-    round_value = 2.0 * (2.0 * math.pi ** 2) ** (1.0 / 3.0) \
-        if config.manifold == "s3" else 2.0 * math.pi ** (2.0 / 3.0)
     rows = _conformal.optimality_scan(
         _scan_factors(config.manifold), config.manifold, dmax=config.dmax)
     records = []
     for row in rows:
-        expected = round_value if row["t"] == 0.0 else row["mu1_normalized"]
-        tolerance = config.tol_exact if row["t"] == 0.0 else math.inf
+        # A t = 0 row is N(0) exactly; a t != 0 row rests on the scan's flag.
+        expected = ROUND_VALUES[config.manifold] if row["t"] == 0.0 \
+            else row["mu1_normalized"]
         record = CheckRecord.compare(
             f"mu1-{row['q']}-t{row['t']:+.2f}",
             f"normalized first eigenvalue on {row['manifold']} under the "
             f"factor (1 + t {row['q']})^2",
-            expected, row["mu1_normalized"], tolerance,
+            expected, row["mu1_normalized"], 0.0,
             note=f"refinement delta {row['refinement_delta']:.2e}",
             wall_time=row["wall_time"])
         record.passed = bool(record.passed and row["pass"])
@@ -329,8 +326,8 @@ def _cmd_annulus(config: RunConfig) -> List[CheckRecord]:
         floor = _torus.curl_spectrum_sq((1, 0, 0), n)
         records.append(CheckRecord.compare(
             f"annulus-twisted-floor-{n}",
-            "twisted modes stay at eigenvalue at least one",
-            1.0, float(min(floor, 1)), 0.0, expected_exact="1"))
+            "the lowest twisted mode has lambda^2 = n >= 1",
+            float(n), float(floor), 0.0, expected_exact=str(n)))
     elapsed = _timer()
     residual = 0.0
     for n in (1, 2, 5):
@@ -346,12 +343,11 @@ def _cmd_annulus(config: RunConfig) -> List[CheckRecord]:
 
 def _cmd_bounds(config: RunConfig) -> List[CheckRecord]:
     constants = _annulus.bound_constants()
-    records = [
+    return [
         CheckRecord.compare(
             "bound-round-sphere",
             "normalized first eigenvalue of the round sphere",
-            2.0 * (2.0 * math.pi ** 2) ** (1.0 / 3.0),
-            constants["round_sphere"], 1e-12),
+            ROUND_VALUES["s3"], constants["round_sphere"], 0.0),
         CheckRecord.compare(
             "bound-sphere-exceeds-ball",
             "the sphere value exceeds the ball volume cube root",
@@ -362,12 +358,9 @@ def _cmd_bounds(config: RunConfig) -> List[CheckRecord]:
         CheckRecord.compare(
             "bound-conformal-floor",
             "the conformal lower bound sits below the projective value",
-            1.0,
-            1.0 if constants["conformal_lower_bound"] <
-            2.0 * math.pi ** (2.0 / 3.0) else 0.0, 0.0,
-            expected_exact="1"),
+            1.0, 1.0 if constants["conformal_lower_bound"] <
+            ROUND_VALUES["rp3"] else 0.0, 0.0, expected_exact="1"),
     ]
-    return records
 
 
 COMMANDS: Dict[str, Callable[[RunConfig], List[CheckRecord]]] = {
@@ -457,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=FORMATS)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--dmax", type=int)
-    parser.add_argument("--tol-exact", type=float, dest="tol_exact")
     parser.add_argument("--manifold", choices=("s3", "rp3", "t3"))
     parser.add_argument("--samples", type=int)
     parser.add_argument("--radius", type=float)

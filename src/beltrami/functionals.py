@@ -168,10 +168,10 @@ class HopfPerturbation:
     b over v_1..v_15 (eigenvalue 4), and extra maps a spectral index in
     {-3, -2, 4, 5, 6} (curl eigenvalues -4, -3, 5, 6, 7) to an explicit
     eigenfield of that eigenvalue.  A coefficient that is not finite
-    raises ValueError.  extra is a read-only mapping (assigning to it raises
-    TypeError), since what is built from the parts (the coefficient matrix,
-    the line columns per grid and the E and F series at B1) is kept on
-    first use (_memo).
+    raises ValueError.  A built direction is read-only (AttributeError on
+    assignment; extra is a read-only mapping): what is built from the parts
+    (the coefficient matrix, line columns per grid, E and F series at B1)
+    is kept on first use (_memo).
     """
 
     def __init__(self, beta: Sequence[float] = (0.0, 0.0, 0.0),
@@ -182,7 +182,6 @@ class HopfPerturbation:
         self.a = _finite_coefficients("a", a)
         self.b = _finite_coefficients("b", b)
         self.extra = types.MappingProxyType(dict(extra or {}))
-        self._parts: Dict[object, object] = {}
         if len(self.beta) != 3 or len(self.a) != 8 or len(self.b) != 15:
             raise ValueError("expected 3 beta, 8 a, and 15 b coefficients")
         for index, field in self.extra.items():
@@ -194,6 +193,13 @@ class HopfPerturbation:
                 raise ValueError(
                     f"extra field for index {index} is not a curl eigenfield "
                     f"of eigenvalue {mu}")
+        self._parts: Dict[object, object] = {}
+
+    def __setattr__(self, name, value):
+        if "_parts" in self.__dict__:
+            raise AttributeError(f"cannot assign {name!r}: a built "
+                                 "HopfPerturbation is read-only")
+        object.__setattr__(self, name, value)
 
     # ---- assembly ------------------------------------------------------
 

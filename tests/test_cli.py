@@ -183,20 +183,26 @@ class TestCommands:
         assert records["torus-diagonal-factor-minimum"][
             "expected_exact"] == "-1/4"
 
-    def test_sphere_scan(self, tmp_path):
-        out = tmp_path / "s3.json"
-        assert main(["--command", "optimality-scan", "--manifold", "s3",
-                     "--out", str(out)]) == 0
+    @pytest.mark.parametrize("manifold,factors", [("s3", 7), ("rp3", 4)],
+                             ids=["s3", "rp3"])
+    @pytest.mark.parametrize("dmax", [[], ["--dmax", "4"]],
+                             ids=["default", "dmax4"])
+    def test_sphere_scan(self, tmp_path, manifold, factors, dmax):
+        out = tmp_path / "scan.json"
+        assert main(["--command", "optimality-scan", "--manifold", manifold,
+                     *dmax, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         records = payload["records"]
-        assert len(records) == 7 * 7
+        assert len(records) == factors * 7
         assert payload["pass"] and all(r["passed"] for r in records)
-        round_value = 2.0 * (2.0 * math.pi ** 2) ** (1.0 / 3.0)
+        # The t = 0 rows are N(0) = 2 Vol^(1/3) bit for bit.
+        volume = {"s3": 2.0 * math.pi ** 2, "rp3": math.pi ** 2}[manifold]
+        round_value = 2.0 * volume ** (1.0 / 3.0)
         at_zero = [r for r in records if r["check"].endswith("-t+0.00")]
-        assert len(at_zero) == 7
+        assert len(at_zero) == factors
         for record in at_zero:
-            assert abs(record["computed"] - round_value) <= \
-                payload["config"]["tol_exact"]
+            assert record["computed"] == round_value
+            assert record["abs_error"] == 0.0
 
     def test_scan_rows_are_timed_one_by_one(self, tmp_path):
         out = tmp_path / "rp3.json"
@@ -224,6 +230,11 @@ class TestCommands:
         for record in records:
             assert record.expected_exact and record.passed, record
             assert record.abs_error == 0.0
+        # A floor row reports the twisted floor lambda^2 = n itself.
+        floors = [(r.check, r.computed, r.expected_exact) for r in records
+                  if r.check.startswith("annulus-twisted-floor-")]
+        assert floors == [(f"annulus-twisted-floor-{n}", float(n), str(n))
+                          for n in range(1, 11)]
 
     def test_flag_overrides_config(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -280,7 +291,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("key,value", [
         ("seed", True), ("draws", "3"), ("dmax", 2.0), ("radius", "0.05"),
-        ("tol_exact", False), ("manifold", 3), ("out", 1), ("command", None),
+        ("manifold", 3), ("out", 1), ("command", None),
     ])
     def test_config_types_are_checked(self, key, value):
         settings = {"command": "bounds", key: value}
@@ -288,12 +299,11 @@ class TestUsageErrors:
             RunConfig.from_dict(settings)
 
     def test_float_keys_accept_integers(self):
-        config = RunConfig.from_dict({"command": "bounds", "radius": 0,
-                                      "tol_exact": 1})
+        config = RunConfig.from_dict({"command": "bounds", "radius": 0})
         assert config.radius == 0.0 and isinstance(config.radius, float)
-        assert isinstance(config.tol_exact, float)
 
-    @pytest.mark.parametrize("key", ["radial_order", "angular_order"])
+    @pytest.mark.parametrize("key", ["radial_order", "angular_order",
+                                     "tol_exact"])
     def test_removed_grid_orders_are_unknown_keys(self, tmp_path, key):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"command": "bounds", key: 24}))
@@ -347,6 +357,12 @@ class TestUsageErrors:
             main(["--command", "bounds", "--tol-float", "1e-6"])
         assert info.value.code == 2
 
+    def test_tol_exact_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--command", "bounds", "--tol-exact", "1e-6"])
+        assert info.value.code == 2
+        assert "--tol-exact" in capsys.readouterr().err
+
 
 class TestVacuousRuns:
     """Settings under which a command would check nothing are usage errors."""
@@ -356,9 +372,6 @@ class TestVacuousRuns:
         ("local-max-scan", "samples", 0),
         ("local-max-scan", "radius", 0.0),
         ("local-max-scan", "radius", -0.01),
-        ("optimality-scan", "tol_exact", -1.0),
-        ("optimality-scan", "tol_exact", math.nan),
-        ("optimality-scan", "tol_exact", math.inf),
     ])
     def test_exit_two_with_one_line(self, tmp_path, capsys, command, key,
                                     value):

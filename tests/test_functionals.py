@@ -441,6 +441,16 @@ class TestTaylorRecord:
         assert (W.helicity(), dF_at_hopf(2, W)) == before
         assert HopfPerturbation(a=a, extra=given).helicity() != before[0]
 
+    @pytest.mark.parametrize("name", ["beta", "a", "b", "extra"])
+    def test_attributes_are_read_only(self, name):
+        # Reassigned, a coefficient tuple left the kept series stale: with
+        # a = e5, dE_at_hopf(2, W) read 1.0 after W.a = 2 e5 while a fresh
+        # direction gives 4.0.
+        W = HopfPerturbation(a=[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        dE_at_hopf(2, W)
+        with pytest.raises(AttributeError, match=repr(name)):
+            setattr(W, name, getattr(W, name))
+
     def test_refuses_a_frame_field_direction(self):
         field = explicit_basis(3).fields[1]
         dE_at_hopf(2, field)
