@@ -33,7 +33,7 @@ from . import conformal as _conformal
 from . import functionals as _functionals
 from . import torus as _torus
 from .atlas import explicit_basis
-from .exactpoly import Poly4, Rat, canonicalize
+from .exactpoly import Poly4, Rat, SphereScalar, canonicalize
 from .frames import curl
 
 FORMATS = ("json", "csv")
@@ -343,11 +343,13 @@ def _cmd_annulus(config: RunConfig) -> List[CheckRecord]:
 
 def _cmd_bounds(config: RunConfig) -> List[CheckRecord]:
     constants = _annulus.bound_constants()
+    round_pencil = _conformal.mu1_normalized(
+        "s3", _conformal.ConformalFactor(SphereScalar.zero(), 0.0), 0)
     return [
         CheckRecord.compare(
             "bound-round-sphere",
             "normalized first eigenvalue of the round sphere",
-            ROUND_VALUES["s3"], constants["round_sphere"], 0.0),
+            ROUND_VALUES["s3"], round_pencil, 0.0),
         CheckRecord.compare(
             "bound-sphere-exceeds-ball",
             "the sphere value exceeds the ball volume cube root",
@@ -439,8 +441,16 @@ def run(config: RunConfig) -> Tuple[List[CheckRecord], int]:
 # Entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on standard
+    error, as every other usage error is."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beltrami",
         description="verification reports for the curl eigenvalue "
                     "computations")

@@ -306,7 +306,7 @@ def l32_energy(F, grid: HopfGrid | None = None,
                          f"on grid, shape ({grid.size},); got {np.shape(F)}")
     density = np.power(F, 0.75, out=out)
     if out is None:
-        return integrate_scalar(lambda pts: density, grid)
+        return integrate_scalar(density, grid)
     return float(np.sum(np.multiply(grid.weights, density, out=density)))
 
 
@@ -630,9 +630,10 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
     grid.polynomial_slabs over its coefficients, of which B1 . W and
     |W|^2 are kept.  An odd count's final sample is paired with a copy of
     itself, so a sample's row depends only on the seed and its index, not
-    on the number of samples.  A pair holds two (N,) columns per sample and
-    one (6, N) slab with its products, under 6 MiB on the default grid
-    (traced peak), whatever the number of samples.
+    on the number of samples.  A pair holds two (N,) columns per sample,
+    in which its Hopf line is then built, and one slab of six polynomials
+    with its products, about 4 MiB on the default grid (traced peak),
+    whatever the number of samples.
     """
     try:
         check_int(samples, "samples", 1)
@@ -666,7 +667,8 @@ def local_max_scan(radius: float = 0.05, samples: int = 50,
         for index, sup in enumerate(np.sqrt(np.max(w_sq[:count], axis=1))):
             scale = radius / sup if sup > 0 else 0.0
             sample = coeffs[index] * scale
-            energy = l32_energy(_hopf_line(w1[index], w_sq[index], scale),
+            columns = (w1[index], w_sq[index])
+            energy = l32_energy(_hopf_line(*columns, scale, out=columns),
                                 grid)
             h = float(np.sum((sample + e1) ** 2 / mus))
             delta = h / energy ** (4.0 / 3.0) - R_AT_HOPF

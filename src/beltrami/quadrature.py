@@ -31,7 +31,8 @@ radial one.  HopfGrid.polynomial_slabs takes the two sums as one product
 over the xi1 factors and one over the xi2 factors per slab of radial nodes,
 in the points' (radial, xi1, xi2) order, and never builds the (m, N) matrix
 of monomial values.  A slab holds as many radial nodes as fit
-_SLAB_DOUBLES values for the K polynomials, at least one.
+_SLAB_DOUBLES values for the K polynomials, at least one: three
+polynomials take the default grid in one slab, six in two.
 """
 
 from __future__ import annotations
@@ -46,10 +47,12 @@ from beltrami.exactpoly import check_int
 
 DEFAULT_RADIAL_ORDER = 24
 DEFAULT_ANGULAR_ORDER = 48
-# Values held by one slab of polynomial_slabs, 3.75 MiB.  The local
-# maximality scan's pair of samples, six polynomials, takes the default
-# grid's 55,296 points in one slab; larger K take several.
-_SLAB_DOUBLES = 60 * 8192
+# Values held by one slab of polynomial_slabs, 1.31 MiB: the smallest
+# multiple of 8192 that keeps three polynomials on the default grid's 55,296
+# points (one direction's line columns) in one slab, so they are returned
+# without a copy.  The local maximality scan's pair of samples, six
+# polynomials, streams in two slabs.
+_SLAB_DOUBLES = 21 * 8192
 
 
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
@@ -64,12 +67,15 @@ def _powers(x: np.ndarray, top: int) -> np.ndarray:
 class HopfGrid:
     """An immutable product quadrature grid on S^3.
 
-    points is an (N, 4) array of Cartesian samples and weights the matching
-    (N,) array of positive weights summing to the volume 2 pi^2.
+    weights is the (N,) array of positive weights summing to the volume
+    2 pi^2, and points the matching (N, 4) array of Cartesian samples in
+    (radial, xi1, xi2) order.  Both are read-only.  points is built on first
+    use: integrals of densities given by their grid values and
+    polynomial_slabs never need it.
     """
 
-    __slots__ = ("radial_order", "angular_order", "points", "weights",
-                 "_eta", "_xi")
+    __slots__ = ("radial_order", "angular_order", "weights", "_eta", "_xi",
+                 "_points")
 
     def __init__(self, radial_order: int = DEFAULT_RADIAL_ORDER,
                  angular_order: int = DEFAULT_ANGULAR_ORDER):
@@ -83,27 +89,30 @@ class HopfGrid:
         wu = 0.5 * wu
         xi = 2.0 * math.pi * np.arange(angular_order) / angular_order
         w_angle = 2.0 * math.pi / angular_order
-        cos_eta = np.sqrt(1.0 - u)
-        sin_eta = np.sqrt(u)
-        cos_xi, sin_xi = np.cos(xi), np.sin(xi)
-        # Build the product grid: index order (radial, xi1, xi2).
-        pts = np.empty((radial_order, angular_order, angular_order, 4))
-        pts[..., 0] = cos_eta[:, None, None] * cos_xi[None, :, None]
-        pts[..., 1] = cos_eta[:, None, None] * sin_xi[None, :, None]
-        pts[..., 2] = sin_eta[:, None, None] * cos_xi[None, None, :]
-        pts[..., 3] = sin_eta[:, None, None] * sin_xi[None, None, :]
-        wts = 0.5 * wu[:, None, None] * w_angle ** 2
-        wts = np.broadcast_to(wts, pts.shape[:3])
-        self.points = pts.reshape(-1, 4)
-        self.weights = wts.reshape(-1).copy()
-        self.points.setflags(write=False)
+        self.weights = np.repeat(0.5 * wu * w_angle ** 2, angular_order ** 2)
         self.weights.setflags(write=False)
-        self._eta = (cos_eta, sin_eta)
-        self._xi = (cos_xi, sin_xi)
+        self._eta = (np.sqrt(1.0 - u), np.sqrt(u))
+        self._xi = (np.cos(xi), np.sin(xi))
+        self._points = None
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (N, 4) Cartesian samples, built on the first call."""
+        if self._points is None:
+            (cos_eta, sin_eta), (cos_xi, sin_xi) = self._eta, self._xi
+            n = self.angular_order
+            pts = np.empty((self.radial_order, n, n, 4))
+            pts[..., 0] = cos_eta[:, None, None] * cos_xi[None, :, None]
+            pts[..., 1] = cos_eta[:, None, None] * sin_xi[None, :, None]
+            pts[..., 2] = sin_eta[:, None, None] * cos_xi[None, None, :]
+            pts[..., 3] = sin_eta[:, None, None] * sin_xi[None, None, :]
+            self._points = pts.reshape(-1, 4)
+            self._points.setflags(write=False)
+        return self._points
 
     @property
     def size(self) -> int:
-        return self.points.shape[0]
+        return self.radial_order * self.angular_order ** 2
 
     def exact_cartesian_degree(self) -> int:
         """Largest Cartesian polynomial degree integrated exactly.
@@ -171,15 +180,18 @@ class HopfGrid:
 
 
 def _evaluate(f, grid: HopfGrid) -> np.ndarray:
-    values = f(grid.points) if callable(f) else f.evaluate(grid.points)
-    values = np.asarray(values, dtype=float)
+    if not isinstance(f, np.ndarray):
+        f = f(grid.points) if callable(f) else f.evaluate(grid.points)
+    values = np.asarray(f, dtype=float)
     if values.shape != (grid.size,):
-        raise ValueError("integrand evaluator returned a wrong shape")
+        raise ValueError(f"integrand values have shape {values.shape}, "
+                         f"expected ({grid.size},)")
     return values
 
 
 def integrate_scalar(f, grid: HopfGrid | None = None) -> float:
-    """Integral over S^3 of a pointwise evaluator (or object with .evaluate).
+    """Integral over S^3 of a density: its (N,) values on grid, a pointwise
+    evaluator, or an object with .evaluate.
 
     Deterministic: the pairwise sum of weight * value over the grid.
     """

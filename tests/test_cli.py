@@ -74,6 +74,20 @@ class TestCommands:
         assert payload["pass"]
         assert all(r["passed"] for r in payload["records"])
 
+    def test_round_sphere_row_reads_the_round_pencil(self, tmp_path,
+                                                     monkeypatch):
+        # The row's computed value is the round pencil's, so a pencil
+        # moved by 1e-12 relative fails it.
+        original = cli._conformal.mu1_normalized
+        monkeypatch.setattr(cli._conformal, "mu1_normalized",
+                            lambda *args: original(*args) * (1.0 + 1e-12))
+        out = tmp_path / "bounds.json"
+        assert main(["--command", "bounds", "--out", str(out)]) == 1
+        rows = {r["check"]: r for r in json.loads(out.read_text())["records"]}
+        row = rows["bound-round-sphere"]
+        assert not row["passed"]
+        assert row["rel_error"] == pytest.approx(1e-12, rel=1e-3)
+
     def test_verify_atlas(self, tmp_path):
         out = tmp_path / "atlas.json"
         assert main(["--command", "verify-atlas", "--out", str(out)]) == 0
@@ -247,10 +261,16 @@ class TestCommands:
 
 
 class TestUsageErrors:
-    def test_unknown_command_flag(self):
-        with pytest.raises(SystemExit) as info:
-            main(["--command", "bogus"])
-        assert info.value.code == 2
+    def test_unknown_command_flag(self, capsys):
+        # argparse's own errors are one line, as every other usage error.
+        for argv in (["--command", "bogus"],
+                     ["--command", "bounds", "--tol-exact", "1e-6"],
+                     ["--command", "bounds", "--dmax", "1.5"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            message = capsys.readouterr().err
+            assert argv[-1] in message and message.count("\n") == 1
 
     def test_missing_command(self):
         with pytest.raises(SystemExit) as info:

@@ -935,8 +935,10 @@ class TestLocalMaxScan:
     @pytest.mark.parametrize("samples", [20, 200])
     def test_memory_stays_at_one_pair_of_samples(self, samples):
         # A pass over the grid holds one pair of samples: their four (N,)
-        # columns and one (6, N) slab with its products, about 6 MiB on the
-        # default grid.  Groups of 20 samples took 22.3 MiB.
+        # columns, in which each Hopf line is built, and one slab of six
+        # polynomials (half the default grid) with its products, about
+        # 4 MiB.  One (6, N) slab and a fresh line per sample took
+        # 5.94 MiB, groups of 20 samples 22.3 MiB.
         local_max_scan(0.05, 1, 0)
         tracemalloc.start()
         try:
@@ -944,7 +946,7 @@ class TestLocalMaxScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < 4.5 * 2 ** 20
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rows_do_not_depend_on_the_sample_count(self, seed):
@@ -991,6 +993,39 @@ class TestLocalMaxScan:
         f0 = (2 * PI ** 2) ** (4 / 3) / PI ** 2
         expected = 13 / (9 * PI ** 2) * hopf_prefactor() * t ** 4 / (24 * f0 ** 2)
         assert delta == pytest.approx(expected, rel=0.05)
+
+
+class TestGridPointsOnDemand:
+    """Integrals of grid densities never build the grid's (N, 4) points."""
+
+    @staticmethod
+    def eager_points(radial_order: int, angular_order: int) -> np.ndarray:
+        nodes, _ = np.polynomial.legendre.leggauss(radial_order)
+        u = 0.5 * (nodes + 1.0)
+        xi = 2.0 * math.pi * np.arange(angular_order) / angular_order
+        cos_eta, sin_eta = np.sqrt(1.0 - u), np.sqrt(u)
+        cos_xi, sin_xi = np.cos(xi), np.sin(xi)
+        pts = np.empty((radial_order, angular_order, angular_order, 4))
+        pts[..., 0] = cos_eta[:, None, None] * cos_xi[None, :, None]
+        pts[..., 1] = cos_eta[:, None, None] * sin_xi[None, :, None]
+        pts[..., 2] = sin_eta[:, None, None] * cos_xi[None, None, :]
+        pts[..., 3] = sin_eta[:, None, None] * sin_xi[None, None, :]
+        return pts.reshape(-1, 4)
+
+    def test_functionals_do_not_build_points(self):
+        grid = HopfGrid(24, 48)
+        local_max_scan(0.05, 3, 4, grid)
+        W = unit_perturbation(np.random.default_rng(9))
+        assert f_perturbed(W, 0.01, grid) > 0.0
+        assert l32_energy(np.ones(grid.size), grid) == pytest.approx(
+            2.0 * PI ** 2, rel=1e-14)
+        assert grid._points is None
+        points = grid.points
+        assert grid.points is points
+        assert np.array_equal(points, self.eager_points(24, 48))
+        assert points.shape == (grid.size, 4) and not points.flags.writeable
+        with pytest.raises(AttributeError):
+            grid.points = points.copy()
 
 
 class TestIdentityReport:

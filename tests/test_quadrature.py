@@ -107,10 +107,10 @@ class TestPolynomialSlabs:
                 rng, 3, degree, reduced))
 
     def test_radial_order_not_a_multiple_of_the_slab(self):
-        # 60 polynomials on 40 x 40 angles take 5 radial nodes per slab.
+        # 21 polynomials on 40 x 40 angles take 5 radial nodes per slab.
         grid = HopfGrid(7, 40)
         exponents, coefficients = random_polynomials(
-            np.random.default_rng(5), 60, 6, False)
+            np.random.default_rng(5), 21, 6, False)
         blocks = [block for block, _ in grid.polynomial_slabs(exponents,
                                                               coefficients)]
         assert blocks == [slice(0, 8000), slice(8000, 11200)]
@@ -166,6 +166,16 @@ class TestPolynomialExactness:
     def test_constant(self):
         assert integrate_scalar(lambda pts: np.ones(pts.shape[0])) == \
             pytest.approx(2 * math.pi ** 2, rel=1e-14)
+
+    def test_grid_values(self):
+        # A density's values on the grid integrate as its evaluator does.
+        grid = shared_grid(8, 16)
+        f = Poly4.variable(1) ** 2
+        values = f.evaluate(grid.points)
+        assert integrate_scalar(values, grid) == integrate_scalar(f, grid)
+        with pytest.raises(ValueError, match=re.escape(
+                "shape (2048, 1), expected (2048,)")):
+            integrate_scalar(values[:, None], grid)
 
     def test_spec_monomial(self):
         f = Poly4.variable(1) ** 2 * Poly4.variable(2) ** 2
