@@ -280,7 +280,8 @@ class _BasisData:
             b.flat[::b.shape[0] + 1] += 1.0
         volume = float(cf.volume()) * (0.5 if self.manifold == "rp3" else 1.0)
         return GalerkinPencil(self.manifold, dmax, mus, b, eigenvalues,
-                              eigenvalues.count(0), volume)
+                              eigenvalues.count(0), volume,
+                              identity_mass=cf.is_trivial())
 
 
 def _gradient_monomials(manifold: str, dmax: int) -> List[Exponent]:
@@ -339,7 +340,9 @@ class GalerkinPencil:
     a is the diagonal of the curl pairings, diag(a) in the orthonormal
     basis, b the weighted mass matrix, column_eigenvalues the exact curl
     eigenvalue of each basis column (zero for gradients), and volume the
-    total volume of the deformed manifold.
+    total volume of the deformed manifold.  identity_mass says that b is I
+    exactly, as _BasisData.pencil builds it for a trivial factor, so that
+    eigenvalues() need not scan b.
     """
 
     manifold: str
@@ -349,13 +352,15 @@ class GalerkinPencil:
     column_eigenvalues: Tuple[int, ...]
     gradient_count: int
     volume: float
+    identity_mass: bool = False
 
     def principal_block(self, keep: np.ndarray, dmax: int) -> GalerkinPencil:
         """The pencil on the columns a boolean mask keeps, gradients last."""
         i = np.flatnonzero(keep)
         mus = tuple(self.column_eigenvalues[k] for k in i)
         return GalerkinPencil(self.manifold, dmax, self.a[i],
-                              self.b[i][:, i], mus, mus.count(0), self.volume)
+                              self.b[i][:, i], mus, mus.count(0), self.volume,
+                              self.identity_mass)
 
     def eigenvalues(self) -> np.ndarray:
         """All generalized eigenvalues, ascending.
@@ -366,10 +371,13 @@ class GalerkinPencil:
         ValueError, on every call.  The gradients give gradient_count exact
         zeros; the others come from one Cholesky factor of b
         (pencil.eigvalsh_diagonal), or, if b = I exactly, are a sorted.
+        A pencil marked identity_mass takes the second path with no scan
+        of b; any other is scanned for b = I.
         """
         b = self.b
         check_mass(self.a, b)
-        if np.all(b.diagonal() == 1.0) and np.count_nonzero(b) == len(b):
+        if self.identity_mass or (np.all(b.diagonal() == 1.0)
+                                  and np.count_nonzero(b) == len(b)):
             return np.sort(checked_diagonal(self.a, self.gradient_count))
         return eigvalsh_diagonal(self.a, b, self.gradient_count)
 

@@ -241,6 +241,28 @@ class TestPencilSpectrum:
         with pytest.raises(RuntimeError, match=match):
             pencil.eigenvalues()
 
+    @pytest.mark.parametrize("manifold", ["s3", "rp3"])
+    def test_round_pencil_is_marked_and_not_scanned(self, monkeypatch,
+                                                    manifold):
+        # Only a trivial factor's pencil is marked b = I; a marked pencil
+        # reads no entry of b, so a NaN b still sorts a.
+        def no_solve(*args):
+            raise AssertionError("a round pencil called eigvalsh_diagonal")
+
+        round_pencil = assemble_pencil(
+            manifold, ConformalFactor(SphereScalar.zero(), 0.0), 4)
+        assert round_pencil.identity_mass
+        assert np.array_equal(round_pencil.b, np.eye(len(round_pencil.a)))
+        assert not assemble_pencil(
+            manifold, ConformalFactor(Q_EVEN, 0.01), 4).identity_mass
+        monkeypatch.setattr(conformal, "eigvalsh_diagonal", no_solve)
+        blind = dataclasses.replace(round_pencil,
+                                    b=np.full_like(round_pencil.b, np.nan))
+        assert np.array_equal(blind.eigenvalues(), np.sort(round_pencil.a))
+        assert round_pencil.mu1() == 2.0
+        keep = np.arange(len(round_pencil.a)) % 2 == 0
+        assert round_pencil.principal_block(keep, 3).identity_mass
+
 
 Q_X1X2 = canonicalize(x(1) * x(2))
 SCHUR_CASES = [pytest.param(manifold, q, t, id=f"{manifold}-{label}-{t:+}")

@@ -466,6 +466,105 @@ class TestOrderIndependence:
         assert values() == cold
 
 
+def _cold_state():
+    """Every order's dimensions and both parities' prefixes and fallbacks
+    after one cold order-5 build."""
+    for cache in (solver._block, solver._elimination, solver._solved_block):
+        cache.cache_clear()
+    eigenspace_solve(5)
+    dims = {d: (r.trial_dimension, r.gradient_dimension,
+                {mu: s.dimension for mu, s in r.eigenspaces.items()})
+            for d in range(6) for r in [eigenspace_solve(d)]}
+    eliminations = [solver._elimination(p) for p in (0, 1)]
+    return (dims, [e.prefixes for e in eliminations],
+            [e.fallbacks for e in eliminations])
+
+
+class TestDependentWork:
+    """Generators that close a relation and collectors that are complete
+    are kept out of the eliminations, with the same rows."""
+
+    @pytest.mark.parametrize("hold", [
+        lambda collectors: set(collectors),
+        lambda collectors: {0}], ids=["every-collector", "gradient"])
+    def test_forced_fallback_keeps_the_rows(self, cold_solver, monkeypatch,
+                                            hold):
+        dims, prefixes, fallbacks = _cold_state()
+        assert fallbacks == [[], []]
+        monkeypatch.setattr(solver, "_held", hold)
+        forced_dims, forced_prefixes, forced_fallbacks = _cold_state()
+        # Holding a growing collector makes every degree step fall short.
+        assert forced_fallbacks == [sorted(p) for p in prefixes]
+        assert forced_dims == dims
+        assert forced_prefixes == prefixes
+        assert _collector_digest() == COLLECTOR_DIGEST
+
+    def test_skipped_generators_are_dependent(self, cold_solver):
+        eigenspace_solve(5)
+        skipped = 0
+        for parity in (0, 1):
+            block = _solved_block(5, parity)[0]
+            echelon = solver._elimination(parity).generators
+            rows = {p: dict(row) for p, row in echelon.rows.items()}
+            for degree in range(1 - parity, block.top_degree + 1, 2):
+                kept = set(solver._open_generators(degree))
+                for e in solver._monomials(degree):
+                    for a in range(4):
+                        if (e, a) not in kept:
+                            skipped += 1
+                            assert echelon.insert(
+                                block._generator(e, a)) is None
+            assert echelon.rows == rows
+        assert skipped == 336
+
+    @pytest.mark.parametrize("degree", range(7))
+    def test_relations_hold_exactly(self, degree):
+        # The radial identity sum_b proj(x^(f + d_b) e_b) = 0 and the sphere
+        # identity sum_c proj(x^(g + 2 d_c) e_a) = proj(x^g e_a).
+        block = _Block(5, (degree + 1) % 2)
+
+        def total(generators):
+            out = collections.Counter()
+            for vec in generators:
+                out.update(vec)
+            return {j: c for j, c in out.items() if c}
+
+        def raised(f, b, k):
+            return f[:b] + (f[b] + k,) + f[b + 1:]
+
+        for f in solver._monomials(degree - 1) if degree else ():
+            assert total(block._generator(raised(f, b, 1), b)
+                         for b in range(4)) == {}
+        for g in solver._monomials(degree - 2) if degree > 1 else ():
+            for a in range(4):
+                assert total(block._generator(raised(g, c, 2), a)
+                             for c in range(4)) == block._generator(g, a)
+
+    def test_insert_modifies_neither_its_argument_nor_a_row(self):
+        echelon = solver._Echelon()
+        echelon.insert({0: 1, 3: 2})
+        echelon.insert({1: 1, 2: 3})
+        rows = {p: dict(row) for p, row in echelon.rows.items()}
+        # Pivot 3: 2 v - 3 row; pivot 2: 3 v - 4 row; a new row at 1.
+        vec = {0: 5, 1: 7, 2: 2, 3: 3}
+        row = echelon.insert(vec)
+        assert row == {0: 21, 1: 38} and row is not vec
+        assert vec == {0: 5, 1: 7, 2: 2, 3: 3}
+        # row_3 / 2 + row_2 / 3 + 5 row_1 / 6: scaled by 2 at pivot 3 (the
+        # copy), by 3 at pivot 2 (in place), then reduced to zero.
+        dependent = {0: 18, 1: 32, 2: 1, 3: 1}
+        assert echelon.insert(dependent) is None
+        assert dependent == {0: 18, 1: 32, 2: 1, 3: 1}
+        assert {p: r for p, r in echelon.rows.items() if p != 1} == rows
+
+    def test_order_six_has_no_fallback(self, cold_solver):
+        result = eigenspace_solve(6, limit=6)
+        for k in range(7):
+            assert result.dimension(k + 2) == (k + 1) * (k + 3)
+            assert result.dimension(-(k + 2)) == (k + 1) * (k + 3)
+        assert [solver._elimination(p).fallbacks for p in (0, 1)] == [[], []]
+
+
 class TestEntryOrder:
     U = FrameField(SphereScalar.zero(), SphereScalar.coordinate(1),
                    -SphereScalar.coordinate(2))  # a mu = 3 field
