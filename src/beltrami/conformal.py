@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -84,13 +85,17 @@ class ConformalFactor:
     the sphere, so 1 - |t| sum |c_e| > 0 certifies it exactly, and a factor
     without the certificate must be positive on a dense quadrature grid.
     t must be a finite real and not a bool; otherwise ValueError is raised.
-    The factor is float when t or a coefficient of q is a float, and exact
-    otherwise; 1 + t q is built in that kind, and only when asked for.
+    A rational t (an int, a Fraction, a numpy integer) is kept exact and any
+    other real is taken as float(t).  The factor is float when t or a
+    coefficient of q is a float, and exact otherwise; 1 + t q is built in
+    that kind, and only when asked for.
     """
 
     def __init__(self, q: SphereScalar, t: float):
         _check_factor(q)
         check_finite_real(t, "t")
+        if not isinstance(t, numbers.Rational):
+            t = float(t)
         self.q = q
         self.t = t
         self.terms = _factor_terms(q)

@@ -124,11 +124,6 @@ def _to_line_columns(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _integral(grid: HopfGrid, density: np.ndarray) -> float:
-    """The integral of a density given by its values on grid.points."""
-    return float(np.sum(grid.weights * density))
-
-
 def _index_to_eigenvalue(index: int) -> int:
     """Curl eigenvalue of the spectral index: +-(|index| + 1) with its sign."""
     return index + 1 if index > 0 else index - 1
@@ -505,7 +500,7 @@ def second_variation_R(Y1: FrameField, W) -> float:
     if np.max(np.abs(values @ grid.weights)) > 1e-10:
         raise ValueError("direction is not orthogonal to the first "
                          "eigenspace")
-    cross = _integral(grid, (y @ values) ** 2) / speed2
+    cross = integrate_scalar((y @ values) ** 2, grid) / speed2
     numerator = 2 * MU1 * h - 2 * norm_sq + cross
     energy = speed2 ** 0.75 * 2 * math.pi ** 2
     return numerator / (MU1 * energy ** (4.0 / 3.0))
@@ -528,8 +523,9 @@ def _check_span(field: FrameField, name: str, indices: Sequence[int],
     values = _field_values([field], grid)[..., 0]
     residual = values - basis @ (
         grid.weights @ np.sum(basis * values[..., None], axis=1))
-    norm = _integral(grid, np.sum(values ** 2, axis=1))
-    if _integral(grid, np.sum(residual ** 2, axis=1)) > 1e-18 * (norm + 1.0):
+    norm = integrate_scalar(np.sum(values ** 2, axis=1), grid)
+    lost = integrate_scalar(np.sum(residual ** 2, axis=1), grid)
+    if lost > 1e-18 * (norm + 1.0):
         raise SpanError(f"{what} lies outside its required span")
 
 
@@ -585,8 +581,8 @@ def correction_field(a5: float, a8: float) -> Tuple[FrameField, float]:
     if _max_scalar_coefficient(divergence(C)) > 1e-10:
         raise RuntimeError("correction field failed to be divergence free")
     grid = grid_for_degree(2 * max(C.coefficient_degree(), 0))
-    return C, _integral(grid, np.sum(_field_values([C], grid)[..., 0] ** 2,
-                                     axis=1))
+    return C, integrate_scalar(
+        np.sum(_field_values([C], grid)[..., 0] ** 2, axis=1), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -886,8 +882,8 @@ def fourth_order_terms(W: HopfPerturbation) -> float:
     return (0.6 * sum(W.extra_norms().values())
             + 2 * sum(c * c for c in W.a[:4])
             + 11 * sum(c * c for c in W.beta) + 3 * sum(c * c for c in W.b)
-            + _integral(grid, density)
-            + 13.0 / (36 * math.pi ** 2) * _integral(grid, z_sq) ** 2)
+            + integrate_scalar(density, grid)
+            + 13.0 / (36 * math.pi ** 2) * integrate_scalar(z_sq, grid) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,35 +999,36 @@ def identity_report(seed: int = 0, draws: int = 20) -> List[dict]:
         # Z2 is a curl eigenfield of eigenvalue 3, so its helicity is the
         # integral of |Z2|^2 / 3; the check exercises the orthonormality of
         # u5 and u8 under the exact integral.
-        record("z2-helicity", n2 / 3, _integral(grid, z_sq) / 3)
-        record("z2-b1-square", 2.0 / 3.0 * n2, _integral(grid, zb * zb))
+        record("z2-helicity", n2 / 3, integrate_scalar(z_sq, grid) / 3)
+        record("z2-b1-square", 2.0 / 3.0 * n2, integrate_scalar(zb * zb, grid))
         record("z2-quartic", 2.0 / (3 * math.pi ** 2) * n2 ** 2,
-               _integral(grid, z_sq * z_sq))
+               integrate_scalar(z_sq * z_sq, grid))
         record("z2-mixed-quartic", 14.0 / (27 * math.pi ** 2) * n2 ** 2,
-               _integral(grid, z_sq * zb * zb))
+               integrate_scalar(z_sq * zb * zb, grid))
         record("z2-b1-quartic", 4.0 / (9 * math.pi ** 2) * n2 ** 2,
-               _integral(grid, zb ** 4))
+               integrate_scalar(zb ** 4, grid))
         w_minus2 = minus3 @ rng.standard_normal(minus3.shape[-1])
         record("negative-eigenfield-b1-square",
-               _integral(grid, np.sum(w_minus2 ** 2, axis=1)) / 3,
-               _integral(grid, w_minus2[:, 0] ** 2))
+               integrate_scalar(np.sum(w_minus2 ** 2, axis=1), grid) / 3,
+               integrate_scalar(w_minus2[:, 0] ** 2, grid))
         W = HopfPerturbation(beta=beta, b=b)
         w3, wm1 = v @ b, anti_hopf @ beta
         record("w3-b1-component-norm", b1_component_norm_sq(b),
-               _integral(grid, w3[:, 0] ** 2))
+               integrate_scalar(w3[:, 0] ** 2, grid))
         record("anti-hopf-w3-cross", anti_hopf_w3_cross(beta, b),
-               _integral(grid, wm1[:, 0] * w3[:, 0]))
+               integrate_scalar(wm1[:, 0] * w3[:, 0], grid))
         record("anti-hopf-z2-cubic", anti_hopf_z2_cubic(beta, a5, a8),
-               _integral(grid, zb * np.sum(z2[:, 1:] * wm1[:, 1:], axis=1)))
+               integrate_scalar(zb * np.sum(z2[:, 1:] * wm1[:, 1:], axis=1),
+                                grid))
         record("w3-z2-cubic-b1", w3_z2_cubic_b1(b, a5, a8),
-               0.5 * _integral(grid, w3[:, 0] * (zb * zb - 2.0 * z_sq)))
+               0.5 * integrate_scalar(w3[:, 0] * (zb * zb - 2.0 * z_sq), grid))
         record("w3-z2-cubic-b2", w3_z2_cubic_b2(b, a5, a8),
-               _integral(grid, zb * z2[:, 1] * w3[:, 1]))
+               integrate_scalar(zb * z2[:, 1] * w3[:, 1], grid))
         record("w3-z2-cubic-b3", w3_z2_cubic_b3(b, a5, a8),
-               _integral(grid, zb * z2[:, 2] * w3[:, 2]))
+               integrate_scalar(zb * z2[:, 2] * w3[:, 2], grid))
         lhs = (2 * (sum(x * x for x in beta) + sum(x * x for x in b))
                - 4 * W.helicity()
-               - _integral(grid, (wm1[:, 0] + w3[:, 0]) ** 2))
+               - integrate_scalar((wm1[:, 0] + w3[:, 0]) ** 2, grid))
         rhs = (11.0 / 3.0 * sum(x * x for x in beta) + sum(x * x for x in b)
                - b1_component_norm_sq(b) - 2 * anti_hopf_w3_cross(beta, b))
         record("anti-hopf-w3-quadratic-identity", lhs, rhs)
@@ -1039,7 +1036,7 @@ def identity_report(seed: int = 0, draws: int = 20) -> List[dict]:
         closed = sum(e4_b1_component_form(*(c[i - 1] for i in quad))
                      for quad in E4_COMPONENT_QUADRUPLES)
         record("e4-b1-component-sum", closed,
-               _integral(grid, (w @ c)[:, 0] ** 2))
+               integrate_scalar((w @ c)[:, 0] ** 2, grid))
 
     # Sharp constant of the E_4 component bound: largest eigenvalue of the
     # quadratic form on each coefficient quadruple, by polarization.

@@ -134,16 +134,14 @@ D_p - 2 unless it has an E_{+(D_p + 2)} component, which needs order D_p.
 No classification decides which: each part is passed first at the order
 D - 2 of the field's coefficient degree D (which resolves any part of
 lower degree), and again at D_p only when the exact check p(C) b == 0
-rejects that pass.  The lower order's coordinates span a curl-invariant
-subspace of the higher order's (curl raises no degree), so the rejected
-pass's Krylov powers carry over re-keyed, and the second pass adds only
-the steps of its larger spectrum.  The field's order is the larger of its
-parts' orders.  The projections and the pairing of the accepted passes
-equal those of any higher order, since p_S divides p_S' when S' contains
-S.  The accepted passes of the latest field are kept (_latest), so
-field_dmax, project_vector and helicity_pairing on one field cost one
-pass per parity block in all, with at most one rejected pass before it
-for a part that needs its degree.
+rejects that pass.  A rejected pass is not resumed: the second pass starts
+from the part itself in the coordinates of order D_p.  The field's order
+is the larger of its parts' orders.  The projections and the pairing of
+the accepted passes equal those of any higher order, since p_S divides
+p_S' when S' contains S.  The accepted passes of the latest field are kept
+(_latest), so field_dmax, project_vector and helicity_pairing on one field
+cost one pass per parity block in all, with at most one rejected pass
+before it for a part that needs its degree.
 """
 
 from __future__ import annotations
@@ -520,7 +518,7 @@ class _Block:
         """The slab x of the integer vectors and, for each mu of the
         spectrum in order, the slab of their D_mu P_mu v and its largest
         entry: _krylov_pass, raising SpectrumError where it returns None."""
-        checked = self._krylov_pass([self._slab(vectors)])
+        checked = self._krylov_pass(self._slab(vectors))
         if checked is None:
             raise SpectrumError(
                 "curl has an eigenvalue outside the candidate spectrum "
@@ -538,20 +536,17 @@ class _Block:
           [j for v in vectors for j in v]] = entries
         return x
 
-    def _krylov_pass(self, powers: List[np.ndarray]):
-        """(x, pieces, tops) for the slab x = powers[0]: for each mu of the
-        spectrum in order, the slab of D_mu P_mu v for its vectors v, and
-        the largest absolute entry of each slab, measured once for the
-        second check and handed on to _pairing.  One Krylov pass, with both
-        exact checks of the module docstring; powers may already hold the
-        first of C x, C^2 x, ..., and is extended in place to C^|S| x.
-        Returns None when the first check, p(C) v == 0, fails; the second
-        raises."""
+    def _krylov_pass(self, x: np.ndarray):
+        """(x, pieces, tops) for the slab x: for each mu of the spectrum in
+        order, the slab of D_mu P_mu v for its vectors v, and the largest
+        absolute entry of each slab, measured once for the second check and
+        handed on to _pairing.  One Krylov pass x, C x, ..., C^|S| x, with
+        both exact checks of the module docstring.  Returns None when the
+        first check, p(C) v == 0, fails; the second raises."""
         spectrum = tuple(self.spectrum)  # hashable for the cached numerators
         numerators, annihilator = _lagrange_numerators(spectrum)
-        x = powers[0]
-        tops = [_max_abs(p) for p in powers]
-        while len(powers) <= len(spectrum):
+        powers, tops = [x], [_max_abs(x)]
+        for _ in spectrum:
             powers.append(self._curl_step(powers[-1], tops[-1]))
             tops.append(_max_abs(powers[-1]))
         if np.count_nonzero(_combination(annihilator, powers, tops)):
@@ -786,26 +781,10 @@ def _parity_parts(field: FrameField):
                 else SphereScalar(p, Poly4.zero()) for p in polys))
 
 
-def _rekeyed(powers: List[np.ndarray], source: _Block, target: _Block):
-    """Slabs of a lower-order block moved into the coordinates of a
-    higher-order block of the same parity (_key_map), the zero coordinate
-    last.  The lower order's coordinates span a curl-invariant subspace of
-    the higher order's (curl raises no degree), so its Krylov powers are
-    the higher order's, re-keyed."""
-    keys = np.array(_key_map(len(source.coords.monomials),
-                             len(target.coords.monomials)))
-    out = []
-    for p in powers:
-        q = np.zeros((len(p), target.coords.size + 1), dtype=p.dtype)
-        q[:, keys] = p[:, :-1]
-        out.append(q)
-    return out
-
-
-# The latest exact field resolved, as (field, parts, projections): for each
-# nonzero parity part the (order, block, den, x, pieces, tops) of the checked
-# pass that accepted it, and the projected fields once project_vector asked.
-_latest = (None, None, {})
+# The latest exact field resolved, as (field, parts): for each nonzero
+# parity part the (order, block, den, x, pieces, tops) of the checked pass
+# that accepted it.
+_latest = (None, None)
 
 
 def _resolution(field: FrameField, cap: int):
@@ -814,11 +793,11 @@ def _resolution(field: FrameField, cap: int):
     higher order.  The latest field is recognised by identity before it is
     compared term by term.
 
-    Every part is first tried at the order max(D - 2, 0) of the field's
+    Every part is first passed at the order max(D - 2, 0) of the field's
     coefficient degree D, which resolves any part of lower degree; a part
-    of degree D_p above it whose pass that order rejects is tried once more
-    at D_p, from the rejected pass's Krylov powers (see the module
-    docstring).  No field is formed for a rejected pass.
+    of degree D_p above it whose pass that order rejects is passed once
+    more at D_p, from scratch: a rejected pass is not resumed (see the
+    module docstring).  No field is formed for a rejected pass.
     """
     global _latest
     # The latest field itself was checked exact; an equal float twin is not.
@@ -831,24 +810,17 @@ def _resolution(field: FrameField, cap: int):
     lowest = max([degree - 2 for _, degree, _ in parts] + [0])
     resolved = []
     for parity, degree, part in parts:
-        top = max(degree, lowest)
-        previous = None
-        for order in [d for d in sorted({lowest, top}) if d <= cap] or [cap]:
+        orders = sorted({lowest, max(degree, lowest)})
+        for order in [d for d in orders if d <= cap] or [cap]:
             block = _block(order, parity)
-            if previous is None:
-                den, (vec,) = integer_numerators(
-                    [block.coords.to_vector(part)])
-                powers = [block._slab([vec])]
-            else:
-                powers = _rekeyed(powers, previous, block)
-            checked = block._krylov_pass(powers)
+            den, (vec,) = integer_numerators([block.coords.to_vector(part)])
+            checked = block._krylov_pass(block._slab([vec]))
             if checked is not None:
                 resolved.append((order, block, den, *checked))
                 break
-            previous = block
         else:
             return None
-    _latest = (field, tuple(resolved), None)
+    _latest = (field, tuple(resolved))
     return _latest
 
 
@@ -872,25 +844,22 @@ def project_vector(field: FrameField, mu: int, dmax: int) -> FrameField:
     the lowest order (at most dmax) whose check accepts it (_resolution),
     which gives the same projections as order dmax: its denominators are
     cleared with one lcm, one checked Krylov pass gives den * D_nu * P_nu
-    for every nu of the block, and each is divided once.  Every projection
-    of the latest field is kept, so the calls of one decomposition cost one
-    accepted pass per block.  Raises SpectrumError when no order up to dmax
-    resolves the field and TypeError for float coefficients.
+    for every nu of the block, and only the piece of mu is read out and
+    divided once.  The accepted passes of the latest field are kept, so the
+    calls of one decomposition cost one accepted pass per block; a pass
+    that an order rejected is not resumed.  Raises SpectrumError when no
+    order up to dmax resolves the field and TypeError for float
+    coefficients.
     """
-    global _latest
-    latest = _resolution_within(field, dmax)
-    if latest[2] is None:
-        fields: Dict[int, FrameField] = {}
-        for _, block, den, _, pieces, _ in latest[1]:
+    out = FrameField.zero()
+    for _, block, den, _, pieces, _ in _resolution_within(field, dmax)[1]:
+        piece = block._piece_dicts(pieces, 1, (mu,))[0].get(mu)
+        if piece:
             numerators, _ = _lagrange_numerators(tuple(block.spectrum))
-            for nu, piece in block._piece_dicts(pieces, 1)[0].items():
-                if piece:
-                    scale = den * numerators[nu][1]
-                    fields[nu] = fields.get(nu, FrameField.zero()) + \
-                        block.coords.to_field({j: Rat(c, scale)
+            scale = den * numerators[mu][1]
+            out = out + block.coords.to_field({j: Rat(c, scale)
                                                for j, c in piece.items()})
-        latest = _latest = (latest[0], latest[1], fields)
-    return latest[2].get(mu, FrameField.zero())
+    return out
 
 
 def helicity_pairing(field: FrameField, dmax: int) -> ExactScalar:
@@ -916,8 +885,10 @@ def field_dmax(field: FrameField, limit: int = DEFAULT_DMAX_LIMIT) -> int:
     m <= D_p + 2, of E_{-m} for m <= D_p and a gradient part; only the
     E_{+(D_p + 2)} component needs order D_p, the rest lie in order D_p - 2
     (module docstring).  The checked pass at the lower order decides which,
-    exactly, and is kept for project_vector and helicity_pairing.  The
-    field's order is the larger of its parts' orders.
+    exactly; a part it rejects is passed again from scratch at D_p, since a
+    rejected pass is not resumed.  The accepted passes are kept for
+    project_vector and helicity_pairing.  The field's order is the larger
+    of its parts' orders.
 
     Raises ValueError, before any block is built, when the coefficient
     degree D has D - 2 > limit, and after the lower pass when a part needs

@@ -167,7 +167,7 @@ class TestEigenDecompose:
         F = sample_exact_field()
         eigen_decompose(F)
         dmax = solver.field_dmax(F)
-        monkeypatch.setattr(solver, "_latest", (None, None, {}))
+        monkeypatch.setattr(solver, "_latest", (None, None))
         calls = []
         real_step = solver._Block._curl_step
 

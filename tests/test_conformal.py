@@ -94,13 +94,23 @@ class TestConformalFactor:
         with pytest.raises(ValueError, match=f"got {t!r}"):
             ConformalFactor(Q_EVEN, t)
 
-    @pytest.mark.parametrize("t", [1, -1, Fraction(1, 10), Rat(-3, 7)])
+    @pytest.mark.parametrize("t", [1, -1, Fraction(1, 10), Rat(-3, 7),
+                                   np.int64(1), np.int64(-1)])
     def test_int_and_fraction_amplitudes_keep_an_exact_volume(self, t):
         q = Q_EVEN.scale(Rat(1, 4))
         cf = ConformalFactor(q, t)
         w = cf.sqrt_weight()
         assert isinstance(cf.volume(), ExactScalar)
         assert cf.volume() == integrate_poly(w * w * w)
+
+    @pytest.mark.parametrize("t", [np.float32(0.01), np.float64(-0.02)])
+    def test_numpy_float_amplitudes_act_as_their_float(self, t):
+        # np.float32 is no float subclass, and no Rational either.
+        cf = ConformalFactor(Q_EVEN, t)
+        twin = ConformalFactor(Q_EVEN, float(t))
+        assert isinstance(cf.volume(), float)
+        assert cf.volume() == twin.volume()
+        assert mu1_normalized("s3", cf, 1) == mu1_normalized("s3", twin, 1)
 
     @pytest.mark.parametrize("t", [0.5, 0.9, -0.9])
     def test_grid_accepts_positive_uncertified_factor(self, monkeypatch, t):
